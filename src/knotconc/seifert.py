@@ -8,8 +8,8 @@ identically and downstream resultants are unambiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadTorusParameter, InvalidSeifertMatrix
 from .exactpoly import IntPolynomial, integer_determinant
@@ -99,46 +99,52 @@ class SeifertMatrix:
 def alexander(V):
     """Alexander polynomial det(V - t*V^t), exact.
 
-    Computed by evaluating the determinant at dim+1 integer points and
-    reconstructing the (degree <= dim) polynomial by Lagrange interpolation.
+    Computed by evaluating the determinant at the dim+1 integer points
+    0..dim and reconstructing the (degree <= dim) polynomial by Newton
+    interpolation.
     """
     V.require_valid()
     n = V.dim
     if n == 0:
         return IntPolynomial([1])
-    points = list(range(n + 1))
     values = []
-    for c in points:
+    for c in range(n + 1):
         m = [
             [V.rows[i][j] - c * V.rows[j][i] for j in range(n)]
             for i in range(n)
         ]
         values.append(integer_determinant(m))
-    coeffs = _interpolate_integer(points, values)
-    return IntPolynomial(coeffs)
+    return IntPolynomial(_interpolate_integer(values))
 
 
-def _interpolate_integer(xs, ys):
-    """Coefficients of the unique interpolating polynomial; must be integral."""
-    acc = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        # Lagrange basis polynomial for xi, built incrementally.
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for k in range(len(basis)):
-            acc[k] += scale * basis[k]
+def _interpolate_integer(values):
+    """Coefficients of the polynomial p of degree <= n with p(x) = values[x]
+    for x = 0..n; they must be integers.
+
+    Newton's forward form p(x) = sum_k D^k p(0) x(x-1)...(x-k+1) / k!, with
+    D^k p(0) the integer forward differences, is scaled by n! so that every
+    term is an integer polynomial; the final division by n! must be exact.
+    """
+    n = len(values) - 1
+    diffs = list(values)
+    scaled = [0] * (n + 1)  # n! * p, ascending coefficients
+    falling = [1]  # x(x-1)...(x-k+1), ascending coefficients
+    scale = math.factorial(n)
+    weight = scale  # n! / k!
+    for k in range(n + 1):
+        term = diffs[0] * weight
+        for i, c in enumerate(falling):
+            scaled[i] += term * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [0] + falling
+        for i in range(k + 1):
+            falling[i] -= k * falling[i + 1]
+        weight //= k + 1
     out = []
-    for c in acc:
-        assert c.denominator == 1, "interpolation produced non-integer %s" % c
-        out.append(int(c))
+    for c in scaled:
+        quotient, remainder = divmod(c, scale)
+        assert remainder == 0, "interpolation produced non-integer %s/%d!" % (c, n)
+        out.append(quotient)
     return out
 
 

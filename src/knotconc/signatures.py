@@ -1,20 +1,76 @@
 """Tristram-Levine signatures at rational angles, with certified arithmetic.
 
-The signature at omega = exp(2*pi*i*a/q) is the signature of the Hermitian
-form (1-omega)V + (1-conj(omega))V^t.  Jump locations (roots of the
-Alexander polynomial on the unit circle) are decided exactly via cyclotomic
-divisibility; evaluation at a jump is refused.
+The signature at omega = exp(i*theta), theta = 2*pi*a/q, is the signature of
+the n x n Hermitian form
 
-Off jumps, inertia is certified: the Hermitian form is realified to a real
-symmetric matrix of twice the dimension (which doubles each inertia count),
-and eliminated with interval arithmetic using 1x1 and 2x2 pivots whose signs
-are certified by the interval bounds.  If no pivot can be certified the
-working precision is doubled, up to a hard ceiling.
+    H = (1-omega)V + (1-conj(omega))V^t = (1-cos theta)(V+V^t) + i sin theta (V^t-V).
+
+Jump locations (roots of the Alexander polynomial on the unit circle) are
+decided exactly via cyclotomic divisibility; evaluation at a jump is refused.
+
+Off jumps, the inertia is certified by block elimination.  Each step takes a
+1x1 pivot whose real value is certified nonzero or, failing that, a 2x2
+pivot whose real determinant a*c - |b|^2 is certified negative (one
+eigenvalue of each sign), and replaces the rest of the matrix by the exact
+Schur complement.  By Sylvester's law of inertia the pivots' signs add up to
+the inertia of H.  Every entry is held as an enclosure of the exact Schur
+complement entry, so a certified sign is the exact sign.
+
+Float step.  An entry is a complex midpoint z and a float radius r with
+|exact - z| <= r.  Arithmetic is IEEE binary64, round to nearest, unit
+roundoff u = 2^-53.  With the exact values of the float midpoints, the
+exact results of the operations are enclosed by
+
+    product      |x'y' - xy|   <= |x| r_y + r_x |y| + r_x r_y
+    difference   |x'-y' - (x-y)| <= r_x + r_y
+    quotient     |z'/d' - z/d| <= (r_z + |z/d| r_d) / (|d| - r_d)
+
+where d is real and |d| > r_d (every pivot of a Hermitian form is real, so
+every division is by a real number).  The computed midpoint adds its own
+rounding error:
+
+    x*y   CPython computes (ac - bd) + i(ad + bc); the error is at most
+          sqrt(5) u |x||y| (Brent, Percival and Zimmermann, 2007); the
+          code uses 2.25u >= sqrt(5)u
+    x-y   one rounding per component: at most u |x - y|
+    z/d   divided per component, one rounding each: at most u |z/d|
+
+and abs() of a complex number is hypot, within one ulp: |z| <= (1+2u)abs(z).
+Each new radius is the sum of the propagated radius, the midpoint's
+rounding bound and ETA = 2^-500, which covers every underflow (absolute
+error at most 2^-1075 per rounding) of the step.  The radius sum is itself
+evaluated to nearest: at most ten roundings and three hypot values, so it
+falls short of the exact bound by less than a factor 1 + 17u; it is
+multiplied by 1 + 32u and rounded once more, which makes it an upper bound.
+Hence by induction over the steps every radius encloses the exact entry.
+
+Two guards keep that argument inside the range of binary64: every pivot's
+certified margin |d| - r_d is at least 2^-250, and the multiplicands of each
+update sum to at most 2^250 in midpoint plus radius.  No product can then
+overflow, an underflow error is amplified at most 2^250 times on its way
+into a radius (far below ETA), and infinities and NaNs fail the guards
+(comparisons with NaN are false), so they never certify anything.
+
+The starting entries use enclosures of 1 - cos theta and sin theta from
+mpmath interval arithmetic at 64 bits, rounded outward to a float midpoint
+and radius; the integer entries of V + V^t and V^t - V must be at most 2^53
+so that they are exact floats.  The midpoint of (1-cos)S + i sin K is
+complex(fl(c S), fl(s K)) with radius r_c|S| + r_s|K| + u(|cS| + |sK|) + ETA.
+A 1x1 pivot d is the real part of a diagonal midpoint (the exact entry is
+real, so its distance from d is at most r_d).  A pivot d, or a 2x2
+determinant d < 0, is certified when fl(|d| - r_d) >= 2^-250; rounding to
+nearest is monotone, so then |d| - r_d > 0 exactly.
+
+Fallback.  If no pivot certifies, or a guard fails, the float step returns
+None and the same elimination runs with mpmath iv.mpc interval entries at
+64 bits, doubling the precision up to 4096 bits; past that,
+SignatureUncertified is raised.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -79,7 +135,9 @@ def at_jump(V, w, _delta=None):
     if w.is_trivial:
         raise TrivialAngle("angle 0 is excluded")
     delta = alexander(V) if _delta is None else _delta
-    if delta.degree() < 1:
+    # phi(n) >= sqrt(n/2), so a larger order has phi(n) > deg(Delta) and
+    # Phi_n cannot divide Delta; this avoids building a huge Phi_n.
+    if delta.degree() < 1 or w.order > 2 * delta.degree() ** 2:
         return False
     phi = cyclotomic(w.order)
     if phi.degree() > delta.degree():
@@ -99,114 +157,286 @@ def tl_signature(V, w, _delta=None):
         raise TrivialAngle("the form vanishes at omega = 1; angle 0 is excluded")
     if at_jump(V, w, _delta=_delta):
         raise JumpPoint("omega = exp(2*pi*i*%s) is a root of the Alexander polynomial" % w)
-    n = V.dim
-    if n == 0:
+    if V.dim == 0:
         return 0
-    sym = [
-        [V.rows[i][j] + V.rows[j][i] for j in range(n)] for i in range(n)
-    ]
-    skew = [
-        [V.rows[j][i] - V.rows[i][j] for j in range(n)] for i in range(n)
-    ]
-    pos, neg = _certified_inertia(sym, skew, w.a, w.q)
-    assert pos + neg == 2 * n and (pos - neg) % 2 == 0
-    return (pos - neg) // 2
+    sym, skew = _form_parts(V)
+    args = sym, skew, w.a, w.q
+    pos, neg = _float_inertia(*args) or _interval_ladder(*args)
+    assert pos + neg == V.dim
+    return pos - neg
 
 
-def _certified_inertia(sym, skew, a, q):
-    """Inertia of the realified Hermitian form, doubling precision as needed."""
-    prec = _INERTIA_START_PREC
-    while prec <= _INERTIA_MAX_PREC:
-        result = _try_inertia(sym, skew, a, q, prec)
-        if result is not None:
-            return result
-        prec *= 2
+def _form_parts(V):
+    """Integer matrices V + V^t and V^t - V; H = (1-cos)(V+V^t) + i sin (V^t-V)."""
+    n = V.dim
+    sym = [[V.rows[i][j] + V.rows[j][i] for j in range(n)] for i in range(n)]
+    skew = [[V.rows[j][i] - V.rows[i][j] for j in range(n)] for i in range(n)]
+    return sym, skew
+
+
+def _float_inertia(sym, skew, a, q):
+    """(pos, neg) of H by the float step, or None when it cannot certify."""
+    m = _FloatDiscs.of_form(sym, skew, a, q)
+    return None if m is None else _eliminate(m)
+
+
+def _interval_ladder(sym, skew, a, q):
+    """(pos, neg) of H in interval arithmetic, doubling the precision as needed."""
+    iv = mpmath.iv
+    saved = iv.prec
+    try:
+        iv.prec = _INERTIA_START_PREC
+        while iv.prec <= _INERTIA_MAX_PREC:
+            result = _eliminate(_Intervals.of_form(sym, skew, a, q))
+            if result is not None:
+                return result
+            iv.prec *= 2
+    finally:
+        iv.prec = saved
     raise SignatureUncertified(
         "could not certify inertia at a/q = %d/%d within %d bits"
         % (a, q, _INERTIA_MAX_PREC)
     )
 
 
-def _try_inertia(sym, skew, a, q, prec):
-    iv = mpmath.iv
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        n = len(sym)
-        theta = 2 * iv.pi * a / q
-        oc = 1 - iv.cos(theta)
-        s = iv.sin(theta)
-        # Realification of (1-w)V + (1-conj w)V^t = oc*(V+V^t) + i*s*(V^t-V):
-        # M = [[A, -B], [B, A]] is symmetric and has doubled inertia.
-        m = {}
-        for i in range(n):
-            for j in range(n):
-                aij = oc * sym[i][j]
-                bij = s * skew[i][j]
-                m[(i, j)] = aij
-                m[(n + i, n + j)] = aij
-                m[(i, n + j)] = -bij
-                m[(n + i, j)] = bij
-        active = list(range(2 * n))
-        pos = neg = 0
-        while active:
-            step = _eliminate_once(m, active)
-            if step is None:
+def _angle_intervals(a, q):
+    """Enclosures of 1 - cos(theta) and sin(theta) at the current iv.prec."""
+    theta = 2 * mpmath.iv.pi * a / q
+    return 1 - mpmath.iv.cos(theta), mpmath.iv.sin(theta)
+
+
+def _eliminate(m):
+    """(pos, neg) of the Hermitian matrix m, consumed by elimination; None
+    when no pivot certifies or m refuses an update.
+
+    m holds enclosures of the entries and supplies their arithmetic; a real
+    value (a pivot, a determinant) is an enclosure of a real number, and
+    m.sign(d) is its certified distance from 0 with the sign of d, or None.
+    The largest certified pivot is taken.
+    """
+    pos = neg = 0
+    while len(m):
+        k = len(m)
+        signs = [m.sign(m.diag(i)) for i in range(k)]
+        ones = [(abs(s), i) for i, s in enumerate(signs) if s is not None]
+        if ones:
+            p = max(ones, key=operator.itemgetter(0))[1]
+            d = m.diag(p)
+            row, col = m.take(p)
+            if not m.update(col, [m.div(z, d) for z in row]):
                 return None
-            dpos, dneg, active = step
-            pos += dpos
-            neg += dneg
-        return pos, neg
-    finally:
-        iv.prec = saved
+            if signs[p] > 0:
+                pos += 1
+            else:
+                neg += 1
+            continue
+        # No 1x1 pivot: a 2x2 block with a negative determinant has one
+        # eigenvalue of each sign.
+        dets = {
+            (p, r): m.sub(m.mul(m.diag(p), m.diag(r)), m.abs2(m.entry(p, r)))
+            for p in range(k)
+            for r in range(p + 1, k)
+        }
+        det_signs = {key: m.sign(d) for key, d in dets.items()}
+        twos = [(-s, key) for key, s in det_signs.items() if s is not None and s < 0]
+        if not twos:
+            return None
+        p, r = max(twos, key=operator.itemgetter(0))[1]
+        d = dets[(p, r)]
+        al, ga, b = m.diag(p), m.diag(r), m.entry(p, r)
+        rrow, rcol = m.take(r)
+        prow, pcol = m.take(p)
+        del rrow[p], rcol[p]
+        # The rows of the 2x2 block's inverse applied to the block's rows.
+        g = [m.div(m.sub(m.mul(ga, zp), m.mul(b, zr)), d) for zp, zr in zip(prow, rrow)]
+        h = [
+            m.div(m.sub(m.mul(al, zr), m.mul(m.conj(b), zp)), d)
+            for zp, zr in zip(prow, rrow)
+        ]
+        if not (m.update(pcol, g) and m.update(rcol, h)):
+            return None
+        pos += 1
+        neg += 1
+    return pos, neg
 
 
-def _certainly_nonzero(x):
-    return x.a > 0 or x.b < 0
+# -- float step: midpoint-radius discs in binary64 ---------------------------
+
+_U = 2.0**-53  # unit roundoff
+_MUL = 9 * 2.0**-55  # 2.25u >= sqrt(5)u, the complex product bound
+_INFL = 1 + 2.0**-48  # 1 + 32u, makes a radius computed to nearest an upper bound
+_ETA = 2.0**-500  # absolute term covering every underflow of one operation
+_BIG = 2.0**250  # bound on the multiplicands of an update
+_TINY = 2.0**-250  # least certified pivot margin
+_EXACT = 2**53  # integers up to this size are exact floats
 
 
-def _eliminate_once(m, active):
-    """One certified pivot step; returns (dpos, dneg, remaining) or None."""
-    # Prefer the 1x1 diagonal pivot with the largest certified magnitude.
-    best = None
-    for p in active:
-        x = m[(p, p)]
-        if _certainly_nonzero(x):
-            strength = min(abs(x.a), abs(x.b))
-            if best is None or strength > best[1]:
-                best = (p, strength)
-    if best is not None:
-        p = best[0]
-        piv = m[(p, p)]
-        rest = [i for i in active if i != p]
-        for i in rest:
-            f = m[(i, p)] / piv
-            for j in rest:
-                m[(i, j)] = m[(i, j)] - f * m[(p, j)]
-        if piv.a > 0:
-            return 1, 0, rest
-        return 0, 1, rest
-    # Otherwise look for a certified-indefinite 2x2 pivot, which contributes
-    # one eigenvalue of each sign.
-    best = None
-    for ii, p in enumerate(active):
-        for r in active[ii + 1 :]:
-            d = m[(p, p)] * m[(r, r)] - m[(p, r)] * m[(p, r)]
-            if d.b < 0:
-                strength = abs(d.b)
-                if best is None or strength > best[2]:
-                    best = (p, r, strength, d)
-    if best is None:
+def _float_disc(x):
+    """(midpoint, radius) floats whose disc contains the real interval x."""
+    with mpmath.workprec(mpmath.iv.prec):  # exact: the ends have iv.prec bits
+        lo, hi = mpmath.mpf(x.a), mpmath.mpf(x.b)
+    mid = float(x.mid)
+    gap = max(mpmath.fsub(hi, mid, exact=True), mpmath.fsub(mid, lo, exact=True))
+    rad = float(gap)
+    if rad < gap:
+        rad = math.nextafter(rad, math.inf)
+    return mid, rad
+
+
+class _FloatDiscs:
+    """Hermitian matrix of (midpoint, radius) discs, rows of complex
+    midpoints and rows of float radii; the bounds are in the module docstring."""
+
+    def __init__(self, mids, rads):
+        self.mids, self.rads = mids, rads
+
+    @classmethod
+    def of_form(cls, sym, skew, a, q):
+        """Discs of H, or None if an integer entry is not an exact float."""
+        if any(abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row):
+            return None
+        iv = mpmath.iv
+        saved = iv.prec
+        iv.prec = _INERTIA_START_PREC
+        try:
+            (oc, roc), (s, rs) = map(_float_disc, _angle_intervals(a, q))
+        finally:
+            iv.prec = saved
+        mids, rads = [], []
+        for srow, krow in zip(sym, skew):
+            mids.append([complex(oc * x, s * y) for x, y in zip(srow, krow)])
+            rads.append([
+                (roc * abs(x) + rs * abs(y) + _U * (abs(oc * x) + abs(s * y)) + _ETA)
+                * _INFL
+                for x, y in zip(srow, krow)
+            ])
+        return cls(mids, rads)
+
+    def __len__(self):
+        return len(self.mids)
+
+    def diag(self, i):
+        return self.mids[i][i].real, self.rads[i][i]
+
+    def entry(self, i, j):
+        return self.mids[i][j], self.rads[i][j]
+
+    def take(self, p):
+        """Remove row and column p; return their entries."""
+        row, rrow = self.mids.pop(p), self.rads.pop(p)
+        del row[p], rrow[p]
+        col = [(m.pop(p), r.pop(p)) for m, r in zip(self.mids, self.rads)]
+        return list(zip(row, rrow)), col
+
+    def update(self, xs, ys):
+        """Replace each entry a_ij by a disc of a_ij - x_i y_j; False (and
+        nothing certified) if the multiplicands exceed the guard."""
+        ays = [abs(y) for y, _ in ys]
+        rys = [ry for _, ry in ys]
+        if not sum(abs(x) + rx for x, rx in xs) + sum(ays) + sum(rys) <= _BIG:
+            return False
+        ys = [y for y, _ in ys]
+        coef_abs = [ry + _MUL * ay for ay, ry in zip(ays, rys)]
+        coef_rad = [ay + ry for ay, ry in zip(ays, rys)]
+        for i, (x, rx) in enumerate(xs):
+            ax = abs(x)
+            row = [c - x * y for c, y in zip(self.mids[i], ys)]
+            self.rads[i] = [
+                (rc + ax * ca + rx * cr + _U * abs(z) + _ETA) * _INFL
+                for rc, ca, cr, z in zip(self.rads[i], coef_abs, coef_rad, row)
+            ]
+            self.mids[i] = row
+        return True
+
+    @staticmethod
+    def sign(d):
+        margin = abs(d[0]) - d[1]
+        return math.copysign(margin, d[0]) if margin >= _TINY else None
+
+    @staticmethod
+    def conj(x):
+        return x[0].conjugate(), x[1]
+
+    @staticmethod
+    def mul(x, y):
+        (x, rx), (y, ry) = x, y
+        ax, ay = abs(x), abs(y)
+        return x * y, (ax * ry + rx * (ay + ry) + _MUL * ax * ay + _ETA) * _INFL
+
+    @staticmethod
+    def sub(x, y):
+        z = x[0] - y[0]
+        return z, (x[1] + y[1] + _U * abs(z) + _ETA) * _INFL
+
+    @staticmethod
+    def div(z, d):
+        """z / d for a real disc d with a certified margin."""
+        (z, rz), (d, rd) = z, d
+        y = complex(z.real / d, z.imag / d)
+        ay = abs(y)
+        return y, ((rz + ay * rd) / (abs(d) - rd) + _U * ay + _ETA) * _INFL
+
+    @classmethod
+    def abs2(cls, b):
+        z, rz = cls.mul(b, cls.conj(b))
+        return z.real, rz
+
+
+# -- fallback: the same elimination in mpmath interval arithmetic -------------
+
+
+class _Intervals:
+    """Hermitian matrix of iv.mpc entries at the current iv.prec."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @classmethod
+    def of_form(cls, sym, skew, a, q):
+        oc, s = _angle_intervals(a, q)
+        return cls([
+            [mpmath.iv.mpc(oc * x, s * y) for x, y in zip(srow, krow)]
+            for srow, krow in zip(sym, skew)
+        ])
+
+    def __len__(self):
+        return len(self.rows)
+
+    def diag(self, i):
+        return self.rows[i][i].real
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def take(self, p):
+        row = self.rows.pop(p)
+        del row[p]
+        return row, [other.pop(p) for other in self.rows]
+
+    def update(self, xs, ys):
+        for row, x in zip(self.rows, xs):
+            row[:] = [c - x * y for c, y in zip(row, ys)]
+        return True
+
+    mul = staticmethod(operator.mul)
+    sub = staticmethod(operator.sub)
+    div = staticmethod(operator.truediv)
+
+    @staticmethod
+    def sign(d):
+        if d.a > 0:
+            return d.a
+        if d.b < 0:
+            return d.b
         return None
-    p, r, _, d = best
-    rest = [i for i in active if i not in (p, r)]
-    mpp, mrr, mpr = m[(p, p)], m[(r, r)], m[(p, r)]
-    for i in rest:
-        u = (m[(i, p)] * mrr - m[(i, r)] * mpr) / d
-        v = (m[(i, r)] * mpp - m[(i, p)] * mpr) / d
-        for j in rest:
-            m[(i, j)] = m[(i, j)] - u * m[(p, j)] - v * m[(r, j)]
-    return 1, 1, rest
+
+    @staticmethod
+    def conj(x):
+        return mpmath.iv.mpc(x.real, -x.imag)
+
+    @staticmethod
+    def abs2(b):
+        return b.real**2 + b.imag**2
 
 
 @dataclass(frozen=True)
@@ -232,7 +462,10 @@ def signature_profile(V, q, _delta=None):
     values = {}
     for a in range(1, q):
         w = UnitRootArg(a, q)
-        if at_jump(V, w, _delta=delta):
+        if 2 * a > q:
+            # H at conj(omega) is conj(H), with the same inertia and jumps.
+            values[a] = values[q - a]
+        elif at_jump(V, w, _delta=delta):
             values[a] = JUMP
         else:
             values[a] = tl_signature(V, w, _delta=delta)
@@ -313,11 +546,13 @@ def jump_step_check(V, q):
             "cyclotomic factors with index not dividing %d: %s" % (2 * q, bad)
         )
     multiplicity = dict(factors)
-    # Signature on each open arc between consecutive 2q-grid points.
+    # Signature on each open arc between consecutive 2q-grid points; arc j
+    # is the conjugate of arc 2q-1-j, so only the upper half is evaluated.
     mid = [
         tl_signature(V, UnitRootArg(2 * j + 1, 4 * q), _delta=delta)
-        for j in range(2 * q)
+        for j in range(q)
     ]
+    mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):
         w = UnitRootArg(j, 2 * q)

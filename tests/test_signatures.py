@@ -1,5 +1,15 @@
+import os
+import random
+import subprocess
+import sys
+import time
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import knotconc
 
 from conftest import random_seifert
 from knotconc.errors import (
@@ -19,6 +29,7 @@ from knotconc.seifert import (
     multiple,
     torus_2q,
 )
+from knotconc import signatures
 from knotconc.signatures import (
     JUMP,
     UnitRootArg,
@@ -228,3 +239,93 @@ class TestJumpSteps:
     def test_index_not_dividing_grid_rejected(self):
         with pytest.raises(PreconditionUnverifiable):
             jump_step_check(TREFOIL, 2)  # phi_6 | Delta but 6 does not divide 4
+
+
+# Delta = 2t^2 - 3t + 2 has a unit-circle root at cos(theta) = 3/4; the two
+# angles below are continued-fraction convergents of that root's angle.
+NEAR_ROOT = SeifertMatrix([[1, 1], [0, 2]])
+NEAR_ROOT_3E17 = UnitRootArg(15375095, 133665412)  # 3e-17 turns from the root
+NEAR_ROOT_5E16 = UnitRootArg(1722792, 14977319)  # 5e-16 turns from the root
+
+
+def _inertia_paths(V, w):
+    """(float step, interval ladder) inertia of the form of V at w."""
+    sym, skew = signatures._form_parts(V)
+    return (
+        signatures._float_inertia(sym, skew, w.a, w.q),
+        signatures._interval_ladder(sym, skew, w.a, w.q),
+    )
+
+
+class TestCertifiedInertia:
+    def test_near_root_forces_fallback(self):
+        assert alexander(NEAR_ROOT).coeffs == (2, -3, 2)
+        fast, ladder = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
+        assert fast is None
+        assert ladder == (2, 0)
+        # Prompt: Phi_133665412 is never built, its degree exceeds deg(Delta).
+        start = time.perf_counter()
+        assert not at_jump(NEAR_ROOT, NEAR_ROOT_3E17)
+        assert tl_signature(NEAR_ROOT, NEAR_ROOT_3E17) == 2
+        assert time.perf_counter() - start < 2.0
+
+    def test_float_step_certifies_close_to_root(self):
+        fast, ladder = _inertia_paths(NEAR_ROOT, NEAR_ROOT_5E16)
+        assert fast == ladder == (1, 1)
+        assert tl_signature(NEAR_ROOT, NEAR_ROOT_5E16) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        genus=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        near_root=st.booleans(),
+        zero_diagonal=st.booleans(),
+        digits=st.integers(3, 16),
+        side=st.sampled_from([-1, 1]),
+    )
+    def test_float_step_matches_interval_ladder(
+        self, genus, seed, near_root, zero_diagonal, digits, side
+    ):
+        rng = random.Random(seed)
+        if zero_diagonal:
+            # Every diagonal entry of H vanishes, so only 2x2 pivots apply.
+            rows = [list(r) for r in random_seifert(rng, genus).rows]
+            for i, row in enumerate(rows):
+                row[i] = 0
+            V = SeifertMatrix(rows)
+            w = UnitRootArg(rng.randint(1, 30), 31)
+        elif near_root:
+            # T(2,3) puts a root at 1/6; approach it from either side.
+            V = connected_sum(random_seifert(rng, genus - 1), TREFOIL)
+            scale = 10**digits
+            w = UnitRootArg(scale + side, 6 * scale)
+        else:
+            V = random_seifert(rng, genus)
+            q = rng.choice([6, 8, 12, 31])
+            w = UnitRootArg(rng.randint(1, q - 1), q)
+        if at_jump(V, w):
+            return
+        fast, ladder = _inertia_paths(V, w)
+        assert fast is None or fast == ladder
+        assert sum(ladder) == V.dim
+
+
+def test_signature_run_does_not_import_numpy(tmp_path):
+    doc = tmp_path / "trefoil.txt"
+    doc.write_text("1 -1\n0 1\n")
+    src = os.path.dirname(os.path.dirname(knotconc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from knotconc.cli import main; "
+        "code = main(['--json', 'signature', '--q', '12', sys.argv[1]]); "
+        "sys.exit(5 if 'numpy' in sys.modules else code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(doc)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"q": 12' in proc.stdout
