@@ -153,9 +153,9 @@ def cmd_covers(args):
     if args.max_r < 2:
         raise InputError("--max-r must be >= 2")
     name, delta = _delta_from_args(args)
+    rs = range(2, args.max_r + 1)
     rows = []
-    for r in range(2, args.max_r + 1):
-        order = covers.cover_order(delta, r)
+    for r, order in zip(rs, covers.cover_orders(delta, rs)):
         try:
             prime_power_decomposition(r)
             is_pp = True
@@ -171,10 +171,16 @@ def cmd_covers(args):
             for r, order, is_pp in rows
         ],
     }
-    lines = ["name: %s" % name, "Delta(t) = %s" % delta, "r  |H1|"]
-    for r, order, is_pp in rows:
-        lines.append("%-3d%s%s" % (r, order, "  (prime power)" if is_pp else ""))
-    _emit(args, doc, lines)
+    # Exact orders can pass Python's int-to-str limit of 4300 digits.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines = ["name: %s" % name, "Delta(t) = %s" % delta, "r  |H1|"]
+        for r, order, is_pp in rows:
+            lines.append("%-3d%s%s" % (r, order, "  (prime power)" if is_pp else ""))
+        _emit(args, doc, lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

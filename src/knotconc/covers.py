@@ -1,8 +1,12 @@
 """Branched cyclic cover homology via Fox's product formula.
 
-The order of H_1 of the r-fold branched cover is |prod Delta(zeta_r^i)|,
-computed exactly as a resultant.  Infinite homology is detected exactly,
-by cyclotomic divisibility, never by floating-point zero tests.
+The order of H_1 of the r-fold branched cover is |prod Delta(zeta_r^i)| =
+|Res(t^r - 1, Delta)|, computed exactly as the product of Res(phi_d, Delta)
+over the divisors d of r.  `cover_orders` splits Delta into cyclotomic
+factors once per call and computes each Res(phi_d, Delta) at most once per
+call, so a table of covers, or the witness search, shares that work.
+Infinite homology is detected exactly, by cyclotomic divisibility, never by
+floating-point zero tests.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .exactpoly import (
     distinct_prime_factors,
     factorize,
     prime_power_decomposition,
-    prime_powers_up_to,
     resultant,
     t_power_minus_one,
     totient,
@@ -63,21 +66,39 @@ def _require_knot_polynomial(delta):
         )
 
 
+def cover_orders(delta, rs):
+    """|H_1| of the r-fold branched covers, for each r in rs, lazily.
+
+    Delta is validated and split into cyclotomic factors once, here; each
+    Res(phi_d, Delta) is computed at most once per call.
+    """
+    _require_knot_polynomial(delta)
+    factors, _ = cyclotomic_factor_extract(delta)
+    return (order for _r, order in _orders(delta, factors, rs))
+
+
+def _orders(delta, factors, rs):
+    """Yield (r, |H_1|) for each r in rs, given delta's cyclotomic factors."""
+    resultants = {}  # d -> Res(phi_d, delta)
+    for r in rs:
+        if r < 1:
+            raise ValueError("r must be >= 1")
+        if any(r % n == 0 for n, _mult in factors):
+            yield r, HomologyOrder.infinite()
+            continue
+        # t^r - 1 = prod over d | r of cyclotomic(d); resultants multiply.
+        order = 1
+        for d in range(1, r + 1):
+            if r % d == 0:
+                if d not in resultants:
+                    resultants[d] = resultant(cyclotomic(d), delta)
+                order *= resultants[d]
+        yield r, HomologyOrder.finite(abs(order))
+
+
 def cover_order(delta, r):
     """|H_1| of the r-fold branched cover of a knot with Alexander polynomial delta."""
-    _require_knot_polynomial(delta)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    factors, _ = cyclotomic_factor_extract(delta)
-    for n, _mult in factors:
-        if r % n == 0:
-            return HomologyOrder.infinite()
-    # t^r - 1 = prod over d | r of cyclotomic(d); resultants multiply.
-    order = 1
-    for d in range(1, r + 1):
-        if r % d == 0:
-            order *= resultant(cyclotomic(d), delta)
-    return HomologyOrder.finite(abs(order))
+    return next(cover_orders(delta, (r,)))
 
 
 def assert_rational_homology_sphere(delta, r):
@@ -104,17 +125,18 @@ def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
 
     Every prime power cover is a homology sphere iff every irreducible factor
     of delta is a cyclotomic polynomial phi_n with n divisible by three
-    distinct primes; all covers are homology spheres iff delta = +-1.  When
-    the prime-power verdict is false, a witness cover with |H_1| != 1 is
-    located by ascending search over prime powers.
+    distinct primes; all covers are homology spheres iff delta = +-t^k.
+    Delta and the remainder are judged up to the units +-t^k of Z[t, 1/t],
+    which leave every cover order unchanged.  When the prime-power verdict
+    is false, a witness cover with |H_1| != 1 is located by ascending search
+    over prime powers.
     """
     _require_knot_polynomial(delta)
     factors, remainder = cyclotomic_factor_extract(delta)
-    remainder_unit = remainder.is_constant() and remainder.coeffs[0] in (1, -1)
-    all_pp_trivial = remainder_unit and all(
+    all_pp_trivial = _is_unit(remainder) and all(
         n == 1 or len(distinct_prime_factors(n)) >= 3 for n, _ in factors
     )
-    all_trivial = delta.is_constant() and delta.coeffs[0] in (1, -1)
+    all_trivial = _is_unit(delta)
     witness = None
     if not all_pp_trivial:
         witness = _find_witness_cover(delta, factors, witness_bound)
@@ -127,8 +149,14 @@ def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
     )
 
 
-def _find_witness_cover(delta, factors, bound):
-    candidates = []
+def _is_unit(p):
+    """Whether p = +-t^k for some k >= 0."""
+    nonzero = [c for c in p.coeffs if c]
+    return len(nonzero) == 1 and nonzero[0] in (1, -1)
+
+
+def _witness_candidates(factors, bound):
+    """Prime powers up to bound, the promising ones first, generated lazily."""
     # Prime powers p^k with p dividing a surviving cyclotomic index with
     # at most two distinct primes are the theoretically promising covers;
     # try them first, then everything else ascending.
@@ -141,10 +169,14 @@ def _find_witness_cover(delta, factors, bound):
                 while pk <= bound:
                     priority.add(pk)
                     pk *= p
-    all_pp = prime_powers_up_to(bound)
-    candidates = sorted(priority) + [r for r in all_pp if r not in priority]
-    for r in candidates:
-        order = cover_order(delta, r)
+    yield from sorted(priority)
+    for r in range(2, bound + 1):
+        if r not in priority and len(factorize(r)) == 1:
+            yield r
+
+
+def _find_witness_cover(delta, factors, bound):
+    for r, order in _orders(delta, factors, _witness_candidates(factors, bound)):
         if not order.is_finite or order.value != 1:
             return (r, order)
     raise WitnessSearchExhausted(

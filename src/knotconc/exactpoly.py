@@ -2,8 +2,10 @@
 
 Polynomials are dense, with arbitrary-precision integer coefficients stored
 in ascending degree order.  The module provides the cyclotomic polynomials,
-exact resultants, cyclotomic factor extraction, and the small number-theoretic
-helpers (totient, factorization, prime powers) the rest of the library needs.
+exact resultants by the subresultant polynomial remainder sequence, cyclotomic
+factor extraction, the fraction-free Bareiss determinant (for Seifert
+matrices), and the small number-theoretic helpers (totient, factorization,
+prime powers) the rest of the library needs.
 """
 
 from __future__ import annotations
@@ -295,10 +297,12 @@ def cyclotomic(n):
     return f
 
 
+@functools.lru_cache(maxsize=None)
 def phi_inverse_candidates(bound):
     """All n with totient(n) <= bound, ascending.
 
     Uses totient(n) >= sqrt(n/2), so the scan stops at n = 2*bound^2.
+    Cached: every caller gets the same list, which must not be mutated.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -370,52 +374,66 @@ def integer_determinant(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _sylvester_resultant(f, g):
-    df, dg = f.degree(), g.degree()
-    size = df + dg
-    if size == 0:
-        return 1
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = []
-    for i in range(dg):
-        rows.append([0] * i + fc + [0] * (size - i - len(fc)))
-    for i in range(df):
-        rows.append([0] * i + gc + [0] * (size - i - len(gc)))
-    return integer_determinant(rows)
+def _exact_quotient(n, d):
+    quotient, remainder = divmod(n, d)
+    assert remainder == 0, "subresultant division is not exact"
+    return quotient
 
 
-# Degree sum below which Sylvester elimination is applied directly; above it
-# a monic-unit side is used to reduce the other one first.
-_REDUCTION_THRESHOLD = 16
+def _pseudo_remainder(a, b):
+    """Remainder of lc(b)^(deg a - deg b + 1) * a divided by b, 1 <= deg b <= deg a.
+
+    Ascending coefficient lists.  Horner form: the coefficients of a are
+    brought down one at a time into a window of deg b coefficients, each
+    scaled by the power of lc(b) the window has collected so far, so every
+    step touches deg b coefficients and the dividend is never rescaled.
+    """
+    n = len(b) - 1
+    lc = b[-1]
+    window = a[-n:]
+    scale = 1
+    for c in reversed(a[:-n]):
+        top = window[-1]
+        window = [lc * w - top * bj for w, bj in zip([scale * c] + window[:-1], b)]
+        scale *= lc
+    while window and window[-1] == 0:
+        window.pop()
+    return window
 
 
 def resultant(f, g):
-    """Exact resultant Res(f, g) = lc(f)^deg(g) * prod g(alpha) over roots of f."""
+    """Exact resultant Res(f, g) = lc(f)^deg(g) * prod g(alpha) over roots of f.
+
+    Subresultant polynomial remainder sequence (Collins 1967, Brown and
+    Traub 1971; Cohen, A Course in Computational Algebraic Number Theory,
+    Algorithm 3.3.7, without the content split): fraction-free Euclid on
+    pseudo-remainders.  Its divisions are exact in theory; each one checks
+    that its remainder is zero.
+    """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant requires nonzero polynomials")
+    a, b = list(f.coeffs), list(g.coeffs)
     sign = 1
+    if len(a) < len(b):
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+        a, b = b, a
+    if len(b) == 1:
+        return sign * b[0] ** (len(a) - 1)
+    lead = h = 1
     while True:
-        if f.degree() < g.degree():
-            if (f.degree() * g.degree()) % 2:
-                sign = -sign
-            f, g = g, f
-        if g.degree() == 0:
-            return sign * g.coeffs[0] ** f.degree()
-        if (
-            g.is_monic_unit()
-            and f.degree() > g.degree()
-            and f.degree() + g.degree() > _REDUCTION_THRESHOLD
-        ):
-            # Res(f, g) = (-1)^(df*dg) * lc(g)^(df - dr) * Res(g, f mod g)
-            df, dg = f.degree(), g.degree()
-            _, r = f.divmod_exact(g)
-            if r.is_zero():
-                return 0
-            if (df * dg) % 2:
-                sign = -sign
-            if g.coeffs[-1] == -1 and (df - r.degree()) % 2:
-                sign = -sign
-            f, g = g, r
-            continue
-        return sign * _sylvester_resultant(f, g)
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        a, b = b, [_exact_quotient(c, divisor) for c in r]
+        lead = a[-1]
+        if delta:
+            h = _exact_quotient(lead**delta, h ** (delta - 1))
+        if len(b) == 1:
+            da = len(a) - 1
+            return sign * _exact_quotient(b[0] ** da, h ** (da - 1))

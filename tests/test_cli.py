@@ -7,6 +7,7 @@ from knotconc.seifert import SeifertMatrix
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
 UNKNOT_TEXT = "{\"name\": \"unknot\", \"matrix\": []}"
+DELTA_T_TEXT = "-2 1\n0 0\n"
 
 
 @pytest.fixture
@@ -124,6 +125,21 @@ class TestClassify:
         assert doc["all_prime_power_covers_trivial"] is True
         assert doc["witness_cover"] is None
 
+    def test_delta_t_is_trivial(self, capsys, monkeypatch):
+        # V = [[-2, 1], [0, 0]] is singular and has Delta = t.
+        code, out, err = run(
+            capsys,
+            ["--json", "classify", "-"],
+            stdin=DELTA_T_TEXT,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["alexander"]["coefficients"] == [0, 1]
+        assert doc["all_prime_power_covers_trivial"] is True
+        assert doc["all_covers_trivial"] is True
+        assert doc["witness_cover"] is None
+
 
 class TestSignature:
     def test_trefoil_q6(self, capsys, trefoil_file):
@@ -186,6 +202,13 @@ class TestWitness:
     def test_unknot_exit_3(self, capsys, monkeypatch):
         code, out, err = run(
             capsys, ["witness", "-"], stdin=UNKNOT_TEXT, monkeypatch=monkeypatch
+        )
+        assert code == 3
+        assert "hypothesis not satisfied" in err
+
+    def test_delta_t_exit_3(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, ["witness", "-"], stdin=DELTA_T_TEXT, monkeypatch=monkeypatch
         )
         assert code == 3
         assert "hypothesis not satisfied" in err

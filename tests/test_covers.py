@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import random_seifert
@@ -7,6 +9,7 @@ from knotconc.covers import (
     assert_rational_homology_sphere,
     classify_prime_power_covers,
     cover_order,
+    cover_orders,
     cyclotomic_product_identity,
     max_prime_power_divisor,
 )
@@ -23,7 +26,13 @@ from knotconc.exactpoly import (
     t_power_minus_one,
     totient,
 )
-from knotconc.seifert import FIGURE_EIGHT, TREFOIL, alexander, connected_sum
+from knotconc.seifert import (
+    FIGURE_EIGHT,
+    TREFOIL,
+    SeifertMatrix,
+    alexander,
+    connected_sum,
+)
 
 P = IntPolynomial
 
@@ -76,6 +85,15 @@ class TestCoverOrder:
         assert not cover_order(delta, 12).is_finite
         assert cover_order(delta, 4).is_finite
 
+    def test_cover_orders_match_cover_order(self):
+        delta = TREFOIL_DELTA * FIG8_DELTA
+        rs = [6, 2, 12, 5, 2, 1]
+        assert list(cover_orders(delta, rs)) == [cover_order(delta, r) for r in rs]
+
+    def test_cover_orders_validates_before_first_value(self):
+        with pytest.raises(NotAKnotPolynomial):
+            cover_orders(P([2]), [2])
+
     def test_rational_homology_sphere_assertion(self):
         assert assert_rational_homology_sphere(TREFOIL_DELTA, 5)
         with pytest.raises(NotAPrimePower):
@@ -125,6 +143,40 @@ class TestClassifier:
     def test_rejects_non_knot_polynomial(self):
         with pytest.raises(NotAKnotPolynomial):
             classify_prime_power_covers(P([1, 1]))
+
+    def test_t_power_is_a_unit(self):
+        # Delta = t comes from the singular V = [[-2, 1], [0, 0]].
+        assert alexander(SeifertMatrix([[-2, 1], [0, 0]])) == P([0, 1])
+        report = classify_prime_power_covers(P([0, 1]))
+        assert report.all_prime_power_covers_trivial
+        assert report.all_covers_trivial
+        assert report.witness_cover is None
+        assert report.non_cyclotomic_remainder == P([0, 1])
+
+    def test_t_power_times_three_prime_cyclotomic(self):
+        delta = cyclotomic(30) * P([0, 0, -1])
+        report = classify_prime_power_covers(delta)
+        assert report.cyclotomic_factors == ((30, 1),)
+        assert report.non_cyclotomic_remainder == P([0, 0, -1])
+        assert report.all_prime_power_covers_trivial
+        assert not report.all_covers_trivial
+        assert report.witness_cover is None
+
+    def test_t_power_times_non_unit_has_witness(self):
+        report = classify_prime_power_covers(TREFOIL_DELTA * P([0, 1]))
+        assert not report.all_prime_power_covers_trivial
+        wr, worder = report.witness_cover
+        assert (wr, worder.value) == (2, 3)
+
+    def test_seed_11_singular_draw(self):
+        # The second genus-1 draw of seed 11 is singular, with Delta = t.
+        rng = random.Random(11)
+        random_seifert(rng, 1)
+        delta = alexander(random_seifert(rng, 1))
+        assert delta == P([0, 1])
+        report = classify_prime_power_covers(delta)
+        assert report.all_prime_power_covers_trivial and report.all_covers_trivial
+        assert all(order.value == 1 for order in cover_orders(delta, range(2, 65)))
 
 
 class TestMaxPrimePowerDivisor:

@@ -1,0 +1,164 @@
+"""Differential tests against oracles that share no code with the library.
+
+Both determinant oracles eliminate over `Fraction` with code written here:
+- |H_1| of the r-fold branched cover is |det| of the (r-1)-block
+  tridiagonal presentation matrix with V + V^t on the diagonal, -V above it
+  and -V^t below it (Rolfsen, Knots and Links, ch. 8); det 0 means H_1 is
+  infinite.
+- Res(f, g) is the determinant of the Sylvester matrix of f and g.
+For genus 1 cover orders past 4300 digits, a closed form in the roots of
+Delta checks the whole `covers` table.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_seifert
+from knotconc.cli import main
+from knotconc.covers import cover_orders
+from knotconc.exactpoly import IntPolynomial, resultant
+from knotconc.seifert import SeifertMatrix, alexander
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                for j in range(k, n):
+                    m[i][j] -= factor * m[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def presentation_order(rows, r):
+    """|det| of the (r-1)-block presentation of H_1 of the r-fold cover."""
+    n = len(rows)
+    size = n * (r - 1)
+    big = [[0] * size for _ in range(size)]
+    for b in range(r - 1):
+        for i in range(n):
+            for j in range(n):
+                big[b * n + i][b * n + j] = rows[i][j] + rows[j][i]
+                if b + 1 < r - 1:
+                    big[b * n + i][(b + 1) * n + j] = -rows[i][j]
+                    big[(b + 1) * n + i][b * n + j] = -rows[j][i]
+    return abs(fraction_det(big))
+
+
+def sylvester(f, g):
+    """Sylvester matrix of ascending coefficient lists f and g."""
+    df, dg = len(f) - 1, len(g) - 1
+    size = df + dg
+    rows = []
+    for i in range(dg):
+        rows.append([0] * i + f[::-1] + [0] * (size - i - df - 1))
+    for i in range(df):
+        rows.append([0] * i + g[::-1] + [0] * (size - i - dg - 1))
+    return rows
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def block_sum(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    genus=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    r=st.integers(2, 8),
+    trefoil=st.booleans(),
+)
+def test_cover_orders_match_presentation(genus, seed, r, trefoil):
+    rows = [list(row) for row in random_seifert(random.Random(seed), genus).rows]
+    if trefoil:
+        # Phi_6 divides Delta: the covers with 6 | r have infinite H_1.
+        rows = block_sum([row[2:] for row in rows[2:]], [[1, -1], [0, 1]])
+    orders = list(cover_orders(alexander(SeifertMatrix(rows)), range(2, 9)))
+    expected = presentation_order(rows, r)
+    got = orders[r - 2]
+    if expected == 0:
+        assert not got.is_finite
+    else:
+        assert got.value == expected
+
+
+def test_presentation_covers_singular_draws():
+    # Singular V (det V = 0) give Delta a t^k factor; keep them covered.
+    rng = random.Random(11)
+    random_seifert(rng, 1)
+    V = random_seifert(rng, 1)
+    assert alexander(V) == IntPolynomial([0, 1])
+    orders = list(cover_orders(alexander(V), range(2, 9)))
+    rows = [list(row) for row in V.rows]
+    expected = [presentation_order(rows, r) for r in range(2, 9)]
+    assert [order.value for order in orders] == expected
+
+
+leading = st.integers(-6, 6).filter(bool)
+coefficients = st.lists(st.integers(-6, 6), max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    f=st.tuples(coefficients, leading),
+    g=st.tuples(coefficients, leading),
+    shared=st.none() | st.tuples(st.lists(st.integers(-3, 3), max_size=2), leading),
+)
+def test_resultant_matches_sylvester(f, g, shared):
+    f = f[0] + [f[1]]
+    g = g[0] + [g[1]]
+    if shared is not None:
+        common = shared[0] + [shared[1]]
+        f, g = poly_mul(f, common), poly_mul(g, common)
+    expected = fraction_det(sylvester(f, g))
+    assert resultant(IntPolynomial(f), IntPolynomial(g)) == expected
+
+
+def test_covers_cli_past_int_str_limit(capsys):
+    # Delta = a t^2 + (1 - 2a) t + a, the Alexander polynomial of
+    # V = [[a, 1], [0, 1]]; at r = 80 its cover order has over 4300 digits.
+    a = 10**59 + 7
+    code = main(["--json", "covers", "--delta", "%d,%d,%d" % (a, 1 - 2 * a, a), "--max-r", "80"])
+    out = capsys.readouterr().out
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        orders = {row["r"]: row["order"] for row in json.loads(out)["covers"]}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert orders[5] == presentation_order([[a, 1], [0, 1]], 5)
+    # |H_1| = a^r |(alpha^r - 1)(alpha^-r - 1)| = a^r |2 - L_r| for the roots
+    # alpha, 1/alpha, where L_r = alpha^r + alpha^-r satisfies
+    # L_(k+1) = s L_k - L_(k-1) with s = (2a - 1) / a.
+    s = Fraction(2 * a - 1, a)
+    previous, current = Fraction(2), s
+    for r in range(2, 81):
+        previous, current = current, s * current - previous
+        assert orders[r] == abs(a**r * (2 - current))
+    assert orders[80].bit_length() > 4300 * 3.33

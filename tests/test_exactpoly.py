@@ -204,8 +204,8 @@ class TestResultant:
             else:
                 assert abs(prod - exact) <= 1e-6 * abs(exact)
 
-    def test_monic_reduction_path_matches_sylvester(self, rng):
-        # Degrees large enough to trigger the reduction branch.
+    def test_t_power_minus_one_splits_over_divisors(self, rng):
+        # Res(t^r - 1, g) = prod over d | r of Res(phi_d, g).
         for r in (20, 33, 64):
             g = random_poly(rng, 5, nonzero=True)
             big = t_power_minus_one(r)

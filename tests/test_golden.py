@@ -1,0 +1,132 @@
+"""Golden `--json` corpus: the CLI's stdout must not change byte for byte.
+
+`golden_cli.json` lists CLI pipelines.  Each case holds the argument vector
+of every stage (a stage after the first reads the previous stage's stdout),
+the stdin of the first stage, and the exit status of the last stage; a case
+in "cases" also holds the sha256 of its last stage's stdout.  The
+"t_power_cases" are draws whose Alexander polynomial has a t^k factor: only
+their exit status is fixed, because the classifier's verdict on them changed
+when Delta started being judged up to units +-t^k.
+
+Regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+only when an output is meant to change, and say which and why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from knotconc.cli import main
+
+CORPUS = Path(__file__).with_name("golden_cli.json")
+
+
+def run_pipeline(stages, stdin):
+    """Run each stage in-process; return (exit status, stdout) of the last."""
+    code, text = None, stdin
+    for argv in stages:
+        out = io.StringIO()
+        saved = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(list(argv))
+        finally:
+            sys.stdin = saved
+        text = out.getvalue()
+    return code, text
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+GOLDEN = json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["id"])
+def test_stdout_unchanged(case):
+    code, out = run_pipeline(case["stages"], case["stdin"])
+    assert code == case["exit"]
+    assert digest(out) == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["t_power_cases"], ids=lambda c: c["id"])
+def test_t_power_exit_status(case):
+    code, out = run_pipeline(case["stages"], case["stdin"])
+    assert code == case["exit"]
+
+
+# -- regeneration -------------------------------------------------------------
+
+
+def _random_seifert(rng, genus, bound=2):
+    """Random matrix whose V - V^t is the standard symplectic form."""
+    n = 2 * genus
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(-bound, bound)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    for b in range(genus):
+        rows[2 * b + 1][2 * b] = rows[2 * b][2 * b + 1] - 1
+    return rows
+
+
+def _invocations():
+    """(id, stages, stdin, rows or None) for every case of the corpus."""
+    out = []
+    rng = random.Random(8101)
+    for g in range(1, 9):
+        for i in range(3):
+            rows = _random_seifert(rng, g)
+            key = "covers-g%d-%d" % (g, i)
+            doc = json.dumps({"name": key, "matrix": rows})
+            out.append((key, [["--json", "covers", "--max-r", "64"]], doc, rows))
+    rng = random.Random(8102)
+    for g in range(1, 9):
+        for i in range(6):
+            rows = _random_seifert(rng, g)
+            key = "classify-g%d-%d" % (g, i)
+            doc = json.dumps({"name": key, "matrix": rows})
+            out.append((key, [["--json", "classify"]], doc, rows))
+    for q in range(3, 12, 2):
+        stages = [["torus", str(q)], ["--json", "witness", "-"]]
+        out.append(("torus-witness-%d" % q, stages, "", None))
+    return out
+
+
+def write_corpus():
+    from knotconc.seifert import SeifertMatrix, alexander
+
+    cases, t_power = [], []
+    for key, stages, stdin, rows in _invocations():
+        code, out = run_pipeline(stages, stdin)
+        case = {"id": key, "stages": stages, "stdin": stdin, "exit": code}
+        if rows is not None and alexander(SeifertMatrix(rows)).coeffs[0] == 0:
+            t_power.append(case)
+        else:
+            case["sha256"] = digest(out)
+            cases.append(case)
+    lines = ["{"]
+    for name, group in (("cases", cases), ("t_power_cases", t_power)):
+        lines.append(' "%s": [' % name)
+        lines.append(",\n".join("  " + json.dumps(c) for c in group))
+        lines.append(" ]" + ("," if name == "cases" else ""))
+    lines.append("}")
+    CORPUS.write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_corpus()
