@@ -4,9 +4,9 @@
 of every stage (a stage after the first reads the previous stage's stdout),
 the stdin of the first stage, and the exit status of the last stage; a case
 in "cases" also holds the sha256 of its last stage's stdout.  The
-"t_power_cases" are draws whose Alexander polynomial has a t^k factor: only
-their exit status is fixed, because the classifier's verdict on them changed
-when Delta started being judged up to units +-t^k.
+"t_power_cases" are classify or witness draws whose Alexander polynomial has
+a t^k factor: only their exit status is fixed, because the classifier's
+verdict on them changed when Delta started being judged up to units +-t^k.
 
 Regenerate the file with
 
@@ -102,7 +102,56 @@ def _invocations():
     for q in range(3, 12, 2):
         stages = [["torus", str(q)], ["--json", "witness", "-"]]
         out.append(("torus-witness-%d" % q, stages, "", None))
+    rng = random.Random(8101)  # the covers draws again
+    for g in range(1, 9):
+        for i in range(3):
+            rows = _random_seifert(rng, g)
+            key = "alexander-g%d-%d" % (g, i)
+            doc = json.dumps({"name": key, "matrix": rows})
+            out.append((key, [["--json", "alexander"]], doc, rows))
+    rng = random.Random(8103)
+    for g in range(1, 7):
+        # Torus summands put jumps at and next to the q-th roots.
+        for tq, tg in ((None, 0), (3, 1), (5, 2)):
+            if tg >= g:
+                continue
+            rows = _random_seifert(rng, g - tg, bound=3)
+            if tq is not None:
+                rows = _block_sum(rows, _torus_rows(tq))
+            label = "plain" if tq is None else "t%d" % tq
+            for q in (6, 8, 12):
+                key = "signature-q%d-g%d-%s" % (q, g, label)
+                doc = json.dumps({"name": key, "matrix": rows})
+                out.append((key, [["--json", "signature", "--q", str(q)]], doc, rows))
+    for q in range(3, 16, 2):
+        out.append(("torus-verify-%d" % q, [["--json", "torus", str(q), "--verify"]], "", None))
+    for q in range(3, 12, 2):
+        stages = [["torus", str(q)], ["--json", "witness", "--n0", "10", "--count", "2"]]
+        out.append(("torus-witness-n0-10-%d" % q, stages, "", None))
+    trefoil = "1 -1\n0 1\n"
+    for q in (5, 9):
+        stages = [["--json", "witness", "--q", str(q)]]
+        out.append(("trefoil-witness-q%d" % q, stages, trefoil, None))
+    # Human mode, one case per command.
+    rows = _block_sum(_random_seifert(random.Random(8104), 2), _torus_rows(3))
+    doc = json.dumps({"name": "human", "matrix": rows})
+    for command in (["alexander"], ["covers", "--max-r", "24"], ["classify"],
+                    ["signature", "--q", "12"]):
+        out.append(("human-" + command[0], [command], doc, rows))
+    out.append(("human-torus-verify", [["torus", "7", "--verify"]], "", None))
+    stages = [["torus", "5"], ["witness", "--n0", "3"]]
+    out.append(("human-witness", stages, "", None))
     return out
+
+
+def _torus_rows(q):
+    """The T(2,q) Seifert matrix: +1 on the diagonal, -1 above it."""
+    n = q - 1
+    return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def _block_sum(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
 
 
 def write_corpus():
@@ -112,7 +161,8 @@ def write_corpus():
     for key, stages, stdin, rows in _invocations():
         code, out = run_pipeline(stages, stdin)
         case = {"id": key, "stages": stages, "stdin": stdin, "exit": code}
-        if rows is not None and alexander(SeifertMatrix(rows)).coeffs[0] == 0:
+        classifies = any(c in stage for stage in stages for c in ("classify", "witness"))
+        if classifies and rows is not None and alexander(SeifertMatrix(rows)).coeffs[0] == 0:
             t_power.append(case)
         else:
             case["sha256"] = digest(out)
