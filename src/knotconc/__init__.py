@@ -13,7 +13,6 @@ from .covers import (
     classify_prime_power_covers,
     cover_order,
     cyclotomic_product_identity,
-    max_prime_power_divisor,
 )
 from .exactpoly import (
     IntPolynomial,

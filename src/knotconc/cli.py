@@ -7,13 +7,20 @@ lines starting with '#' are ignored).  Machine mode (--json) emits a single
 JSON document with the same numeric content as the human output and no
 timestamps, so identical invocations are byte-identical.
 
-Exit statuses: 0 success, 2 invalid input, 3 obstruction hypothesis not
-satisfied, 4 internal assertion failure.
+Exit statuses: 0 success; 2 invalid input (unreadable or malformed input,
+an invalid Seifert matrix, Delta(1) != +-1, a bad q, or a witness order
+with no usable character modulus); 3 obstruction hypothesis not satisfied;
+4 any other library error, an internal assertion failure.
+
+Exact results can pass Python's 4300-digit int-to-str limit, so the
+commands that print Delta or |H1| lift it once their input is parsed;
+input parsing keeps it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -22,21 +29,13 @@ from .errors import (
     BadTorusParameter,
     FactorizationLimit,
     HypothesisNotSatisfied,
-    IdentityViolation,
     InvalidSeifertMatrix,
     KnotConcError,
-    LemmaViolation,
+    NoCharacterModulus,
     NotAKnotPolynomial,
-    SeparationFailure,
-    SignatureUncertified,
-    WitnessSearchExhausted,
+    NotAPrimePower,
 )
-from .exactpoly import (
-    distinct_prime_factors,
-    factorize,
-    parse_coefficients,
-    prime_power_decomposition,
-)
+from .exactpoly import distinct_prime_factors, parse_coefficients, prime_power_decomposition
 from .seifert import SeifertMatrix, alexander, torus_2q
 from .signatures import JUMP, UnitRootArg
 
@@ -66,7 +65,7 @@ def parse_matrix_document(text, default_name="matrix"):
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise InputError("invalid JSON document: %s" % exc)
         if not isinstance(doc, dict) or "matrix" not in doc:
             raise InputError('JSON document must have a "matrix" field')
@@ -91,11 +90,18 @@ def parse_matrix_document(text, default_name="matrix"):
 
 
 def _load_matrix(args):
-    name, V = parse_matrix_document(_read_text(args.input))
-    report = V.validate()
-    if not report.valid:
-        raise InputError("invalid Seifert matrix: %s" % "; ".join(report.failures))
-    return name, V
+    return parse_matrix_document(_read_text(args.input))
+
+
+@contextlib.contextmanager
+def _exact_output():
+    """Lift Python's int-to-str digit limit, restoring it on exit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _poly_doc(p):
@@ -115,36 +121,39 @@ def _emit(args, doc, human_lines):
 
 def cmd_alexander(args):
     name, V = _load_matrix(args)
-    delta = alexander(V)
-    d1 = delta(1)
-    dm1 = delta(-1)
-    doc = {
-        "command": "alexander",
-        "name": name,
-        "dimension": V.dim,
-        "alexander": _poly_doc(delta),
-        "delta_at_1": d1,
-        "delta_at_minus_1": dm1,
-        "determinant": abs(dm1),
-    }
-    lines = [
-        "name: %s" % name,
-        "Delta(t) = %s" % delta,
-        "coefficients (ascending): %s" % " ".join(str(c) for c in delta.coeffs),
-        "degree: %d" % delta.degree(),
-        "Delta(1) = %d" % d1,
-        "Delta(-1) = %d  (determinant %d)" % (dm1, abs(dm1)),
-    ]
-    _emit(args, doc, lines)
+    with _exact_output():
+        delta = alexander(V)
+        d1 = delta(1)
+        dm1 = delta(-1)
+        doc = {
+            "command": "alexander",
+            "name": name,
+            "dimension": V.dim,
+            "alexander": _poly_doc(delta),
+            "delta_at_1": d1,
+            "delta_at_minus_1": dm1,
+            "determinant": abs(dm1),
+        }
+        lines = [
+            "name: %s" % name,
+            "Delta(t) = %s" % delta,
+            "coefficients (ascending): %s" % " ".join(str(c) for c in delta.coeffs),
+            "degree: %d" % delta.degree(),
+            "Delta(1) = %d" % d1,
+            "Delta(-1) = %d  (determinant %d)" % (dm1, abs(dm1)),
+        ]
+        _emit(args, doc, lines)
     return EXIT_OK
 
 
 def _delta_from_args(args):
+    """(name, Delta) from --delta or the matrix document; Delta(1) is
+    checked by the covers functions that receive it."""
     if args.delta is not None:
-        delta = parse_coefficients(args.delta)
-        if delta(1) not in (1, -1):
-            raise InputError("Delta(1) must be +-1, got %d" % delta(1))
-        return "delta", delta
+        try:
+            return "delta", parse_coefficients(args.delta)
+        except ValueError as exc:
+            raise InputError("bad --delta: %s" % exc)
     name, V = _load_matrix(args)
     return name, alexander(V)
 
@@ -153,85 +162,81 @@ def cmd_covers(args):
     if args.max_r < 2:
         raise InputError("--max-r must be >= 2")
     name, delta = _delta_from_args(args)
-    rs = range(2, args.max_r + 1)
-    rows = []
-    for r, order in zip(rs, covers.cover_orders(delta, rs)):
-        try:
-            prime_power_decomposition(r)
-            is_pp = True
-        except KnotConcError:
-            is_pp = False
-        rows.append((r, order, is_pp))
-    doc = {
-        "command": "covers",
-        "name": name,
-        "alexander": _poly_doc(delta),
-        "covers": [
-            {"r": r, "order": order.value, "prime_power": is_pp}
-            for r, order, is_pp in rows
-        ],
-    }
-    # Exact orders can pass Python's int-to-str limit of 4300 digits.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _exact_output():
+        rs = range(2, args.max_r + 1)
+        rows = []
+        for r, order in zip(rs, covers.cover_orders(delta, rs)):
+            try:
+                prime_power_decomposition(r)
+                is_pp = True
+            except KnotConcError:
+                is_pp = False
+            rows.append((r, order, is_pp))
+        doc = {
+            "command": "covers",
+            "name": name,
+            "alexander": _poly_doc(delta),
+            "covers": [
+                {"r": r, "order": order.value, "prime_power": is_pp}
+                for r, order, is_pp in rows
+            ],
+        }
         lines = ["name: %s" % name, "Delta(t) = %s" % delta, "r  |H1|"]
         for r, order, is_pp in rows:
             lines.append("%-3d%s%s" % (r, order, "  (prime power)" if is_pp else ""))
         _emit(args, doc, lines)
-    finally:
-        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
 def cmd_classify(args):
     name, delta = _delta_from_args(args)
-    report = covers.classify_prime_power_covers(delta)
-    factor_docs = []
-    for n, mult in report.cyclotomic_factors:
-        primes = []
-        try:
-            primes = distinct_prime_factors(n)
-        except FactorizationLimit:
-            pass
-        factor_docs.append(
-            {"n": n, "multiplicity": mult, "distinct_primes": primes}
-        )
-    witness = None
-    if report.witness_cover is not None:
-        r, order = report.witness_cover
-        witness = {"r": r, "order": order.value}
-    doc = {
-        "command": "classify",
-        "name": name,
-        "alexander": _poly_doc(delta),
-        "cyclotomic_factors": factor_docs,
-        "non_cyclotomic_remainder": _poly_doc(report.non_cyclotomic_remainder),
-        "all_prime_power_covers_trivial": report.all_prime_power_covers_trivial,
-        "all_covers_trivial": report.all_covers_trivial,
-        "witness_cover": witness,
-    }
-    lines = ["name: %s" % name, "Delta(t) = %s" % delta]
-    if factor_docs:
-        for f in factor_docs:
-            lines.append(
-                "factor phi_%d^%d  (n = %d has distinct primes %s)"
-                % (f["n"], f["multiplicity"], f["n"], f["distinct_primes"])
+    with _exact_output():
+        report = covers.classify_prime_power_covers(delta)
+        factor_docs = []
+        for n, mult in report.cyclotomic_factors:
+            primes = []
+            try:
+                primes = distinct_prime_factors(n)
+            except FactorizationLimit:
+                pass
+            factor_docs.append(
+                {"n": n, "multiplicity": mult, "distinct_primes": primes}
             )
-    else:
-        lines.append("no cyclotomic factors")
-    lines.append("non-cyclotomic remainder: %s" % report.non_cyclotomic_remainder)
-    lines.append(
-        "all prime power covers are homology spheres: %s"
-        % report.all_prime_power_covers_trivial
-    )
-    lines.append("all covers are homology spheres: %s" % report.all_covers_trivial)
-    if witness is not None:
+        witness = None
+        if report.witness_cover is not None:
+            r, order = report.witness_cover
+            witness = {"r": r, "order": order.value}
+        doc = {
+            "command": "classify",
+            "name": name,
+            "alexander": _poly_doc(delta),
+            "cyclotomic_factors": factor_docs,
+            "non_cyclotomic_remainder": _poly_doc(report.non_cyclotomic_remainder),
+            "all_prime_power_covers_trivial": report.all_prime_power_covers_trivial,
+            "all_covers_trivial": report.all_covers_trivial,
+            "witness_cover": witness,
+        }
+        lines = ["name: %s" % name, "Delta(t) = %s" % delta]
+        if factor_docs:
+            for f in factor_docs:
+                lines.append(
+                    "factor phi_%d^%d  (n = %d has distinct primes %s)"
+                    % (f["n"], f["multiplicity"], f["n"], f["distinct_primes"])
+                )
+        else:
+            lines.append("no cyclotomic factors")
+        lines.append("non-cyclotomic remainder: %s" % report.non_cyclotomic_remainder)
         lines.append(
-            "witness cover: r = %d with |H1| = %s"
-            % (witness["r"], "infinite" if witness["order"] is None else witness["order"])
+            "all prime power covers are homology spheres: %s"
+            % report.all_prime_power_covers_trivial
         )
-    _emit(args, doc, lines)
+        lines.append("all covers are homology spheres: %s" % report.all_covers_trivial)
+        if witness is not None:
+            lines.append(
+                "witness cover: r = %d with |H1| = %s"
+                % (witness["r"], "infinite" if witness["order"] is None else witness["order"])
+            )
+        _emit(args, doc, lines)
     return EXIT_OK
 
 
@@ -302,95 +307,59 @@ def cmd_witness(args):
     if args.count < 0:
         raise InputError("--count must be >= 0")
     name, V = _load_matrix(args)
-    delta = alexander(V)
-    classification = covers.classify_prime_power_covers(delta)
-    if classification.all_prime_power_covers_trivial:
-        raise HypothesisNotSatisfied(
-            "all prime power branched covers are homology spheres; "
-            "Delta(t) = %s gives no obstruction" % delta,
-            classification=classification,
-        )
-    witness_r, witness_order = classification.witness_cover
-    q = args.q
-    if q is None and args.p is not None:
-        q = args.p ** (args.k or 1)
-    if q is None:
-        q = _select_character_modulus(witness_order)
-    if q < 3 or q % 2 == 0:
-        raise InputError("character modulus q must be odd and >= 3, got %d" % q)
-    if args.p is not None:
-        p, k = args.p, args.k or 1
-    else:
-        p, k = prime_power_decomposition(q)
-    params = obstruction.FamilyParameters(
-        genus=V.genus, p=p, k=k, q=q, n0=args.n0
-    )
-    schedule = obstruction.witness_schedule(params, args.count)
-    report = obstruction.family_report(V, schedule, classification=classification)
-    doc = {
-        "command": "witness",
-        "name": name,
-        "alexander": _poly_doc(delta),
-        "witness_cover": {"r": report.witness_r, "order": report.witness_order.value},
-        "q": q,
-        "parameters": {
-            "genus": params.genus,
-            "p": params.p,
-            "k": params.k,
+    with _exact_output():
+        report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)
+        schedule = report.schedule
+        params = schedule.parameters
+        doc = {
+            "command": "witness",
+            "name": name,
+            "alexander": _poly_doc(report.delta),
+            "witness_cover": {"r": report.witness_r, "order": report.witness_order.value},
             "q": params.q,
-            "n0": params.n0,
-            "term_count": params.term_count,
-        },
-        "profile_extremes": {"s_min": schedule.s_min, "s_max": schedule.s_max},
-        "schedule": [
-            {"n": e.n, "lo": e.lo, "hi": e.hi} for e in schedule.entries
-        ],
-        "separation": {
-            "pairs_checked": report.separation.pair_count,
-            "brute_forced": report.separation.brute_forced,
-            "note": report.separation.note,
-        },
-        "note": report.note,
-    }
-    lines = [
-        "name: %s" % name,
-        "Delta(t) = %s" % delta,
-        "witness cover: r = %d with |H1| = %s" % (report.witness_r, report.witness_order),
-        "character modulus q = %d  (companion torus knot T(2,%d))" % (q, q),
-        "term count L = 2*g*p^k = %d" % params.term_count,
-        "profile extremes: S_min = %d, S_max = %d" % (schedule.s_min, schedule.s_max),
-    ]
-    for i, e in enumerate(schedule.entries):
+            "parameters": {
+                "genus": params.genus,
+                "p": params.p,
+                "k": params.k,
+                "q": params.q,
+                "n0": params.n0,
+                "term_count": params.term_count,
+            },
+            "profile_extremes": {"s_min": schedule.s_min, "s_max": schedule.s_max},
+            "schedule": [
+                {"n": e.n, "lo": e.lo, "hi": e.hi} for e in schedule.entries
+            ],
+            "separation": {
+                "pairs_checked": report.separation.pair_count,
+                "brute_forced": report.separation.brute_forced,
+                "note": report.separation.note,
+            },
+            "note": report.note,
+        }
+        lines = [
+            "name: %s" % name,
+            "Delta(t) = %s" % report.delta,
+            "witness cover: r = %d with |H1| = %s" % (report.witness_r, report.witness_order),
+            "character modulus q = %d  (companion torus knot T(2,%d))" % (params.q, params.q),
+            "term count L = 2*g*p^k = %d" % params.term_count,
+            "profile extremes: S_min = %d, S_max = %d" % (schedule.s_min, schedule.s_max),
+        ]
+        for i, e in enumerate(schedule.entries):
+            lines.append(
+                "member %d: n = %d, achievable sums in [%d, %d]" % (i + 1, e.n, e.lo, e.hi)
+            )
         lines.append(
-            "member %d: n = %d, achievable sums in [%d, %d]" % (i + 1, e.n, e.lo, e.hi)
+            "separation verified for %d pair(s)%s"
+            % (
+                report.separation.pair_count,
+                " (brute-force enumeration confirmed)"
+                if report.separation.brute_forced
+                else "",
+            )
         )
-    lines.append(
-        "separation verified for %d pair(s)%s"
-        % (
-            report.separation.pair_count,
-            " (brute-force enumeration confirmed)"
-            if report.separation.brute_forced
-            else "",
-        )
-    )
-    lines.append("note: %s" % report.separation.note)
-    _emit(args, doc, lines)
+        lines.append("note: %s" % report.separation.note)
+        _emit(args, doc, lines)
     return EXIT_OK
-
-
-def _select_character_modulus(order):
-    """Largest odd prime power divisor of the witness cover's |H1|."""
-    if not order.is_finite or order.value < 2:
-        raise InputError("witness cover order unusable for character selection")
-    candidates = [
-        p**e for p, e in factorize(order.value).items() if p % 2 == 1
-    ]
-    if not candidates:
-        raise InputError(
-            "|H1| = %d has no odd prime power divisor; pass --q explicitly"
-            % order.value
-        )
-    return max(candidates)
 
 
 # -- entry point ----------------------------------------------------------
@@ -454,9 +423,12 @@ def build_parser():
     add_input(p)
     p.add_argument("--n0", type=int, default=0, help="Casson-Gordon bound N0")
     p.add_argument("--count", type=int, default=3, help="number of family members")
-    p.add_argument("--q", type=int, help="override character modulus")
-    p.add_argument("--p", type=int, help="override prime p")
-    p.add_argument("--k", type=int, help="override exponent k")
+    p.add_argument(
+        "--q",
+        type=int,
+        help="character modulus, an odd prime power (default: the largest "
+        "one dividing the witness cover's |H1|)",
+    )
     p.set_defaults(func=cmd_witness)
 
     return parser
@@ -467,7 +439,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidSeifertMatrix, BadTorusParameter, NotAKnotPolynomial) as exc:
+    except (
+        InputError,
+        InvalidSeifertMatrix,
+        BadTorusParameter,
+        NotAKnotPolynomial,
+        NotAPrimePower,
+        NoCharacterModulus,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
     except HypothesisNotSatisfied as exc:
@@ -481,14 +460,8 @@ def main(argv=None):
                 file=sys.stderr,
             )
         return EXIT_HYPOTHESIS
-    except (
-        LemmaViolation,
-        IdentityViolation,
-        SeparationFailure,
-        SignatureUncertified,
-        WitnessSearchExhausted,
-    ) as exc:
-        print("internal assertion failed: %s" % exc, file=sys.stderr)
+    except KnotConcError as exc:
+        print("internal assertion failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -104,7 +104,6 @@ def cover_order(delta, r):
 def assert_rational_homology_sphere(delta, r):
     """Cross-check oracle: prime power covers always have finite H_1."""
     prime_power_decomposition(r)  # raises NotAPrimePower
-    _require_knot_polynomial(delta)
     return cover_order(delta, r).is_finite
 
 
@@ -133,10 +132,10 @@ def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
     """
     _require_knot_polynomial(delta)
     factors, remainder = cyclotomic_factor_extract(delta)
-    all_pp_trivial = _is_unit(remainder) and all(
+    all_pp_trivial = remainder.is_laurent_unit() and all(
         n == 1 or len(distinct_prime_factors(n)) >= 3 for n, _ in factors
     )
-    all_trivial = _is_unit(delta)
+    all_trivial = delta.is_laurent_unit()
     witness = None
     if not all_pp_trivial:
         witness = _find_witness_cover(delta, factors, witness_bound)
@@ -147,12 +146,6 @@ def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
         all_covers_trivial=all_trivial,
         witness_cover=witness,
     )
-
-
-def _is_unit(p):
-    """Whether p = +-t^k for some k >= 0."""
-    nonzero = [c for c in p.coeffs if c]
-    return len(nonzero) == 1 and nonzero[0] in (1, -1)
 
 
 def _witness_candidates(factors, bound):
@@ -182,13 +175,6 @@ def _find_witness_cover(delta, factors, bound):
     raise WitnessSearchExhausted(
         "no prime power cover with nontrivial homology found up to %d" % bound
     )
-
-
-def max_prime_power_divisor(n):
-    """The numerically largest p^k exactly dividing n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return max(p**e for p, e in factorize(n).items())
 
 
 def cyclotomic_product_identity(n, p, k):

@@ -33,6 +33,11 @@ class NotAPrimePower(KnotConcError):
     """The argument is not of the form p^k with p prime, k >= 1."""
 
 
+class NoCharacterModulus(KnotConcError):
+    """No odd prime power is known to divide the witness cover's |H_1|, so
+    the character modulus q must be given."""
+
+
 class WitnessSearchExhausted(KnotConcError):
     """No witness cover found within the search bound (indicates a bug)."""
 

@@ -63,6 +63,11 @@ class IntPolynomial:
     def is_constant(self):
         return len(self.coeffs) <= 1
 
+    def is_laurent_unit(self):
+        """True if self = +-t^k, a unit of Z[t, 1/t]."""
+        nonzero = [c for c in self.coeffs if c]
+        return len(nonzero) == 1 and nonzero[0] in (1, -1)
+
     def __bool__(self):
         return bool(self.coeffs)
 

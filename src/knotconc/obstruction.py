@@ -16,11 +16,17 @@ sound obstruction.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
-from .covers import classify_prime_power_covers, cover_order, max_prime_power_divisor
-from .errors import HypothesisNotSatisfied, LemmaViolation, SeparationFailure
+from .covers import classify_prime_power_covers
+from .errors import (
+    FactorizationLimit,
+    HypothesisNotSatisfied,
+    LemmaViolation,
+    NoCharacterModulus,
+    SeparationFailure,
+)
+from .exactpoly import factorize, prime_power_decomposition
 from .seifert import alexander, torus_2q
 from .signatures import JUMP, signature_profile
 
@@ -75,10 +81,14 @@ def torus_profile_values(q):
     return values
 
 
-def profile_extremes(q):
-    """(S_min, S_max) of the nonzero-angle signature profile of T_{2,q}."""
-    values = torus_profile_values(q)[1:]
-    s_min, s_max = min(values), max(values)
+def profile_extremes(q, values=None):
+    """(S_min, S_max) of the nonzero-angle signature profile of T_{2,q}.
+
+    values, when given, is that profile as torus_profile_values(q) returns it.
+    """
+    if values is None:
+        values = torus_profile_values(q)
+    s_min, s_max = min(values[1:]), max(values[1:])
     if s_min < 2:
         raise LemmaViolation(
             "minimum q-signature of T(2,%d) is %d, expected >= 2" % (q, s_min)
@@ -129,14 +139,15 @@ class SeparationReport:
     note: str
 
 
-def verify_separation(schedule):
+def verify_separation(schedule, values=None):
     """Check that no Casson-Gordon equality can hold between members.
 
     Raises SeparationFailure on any invariant breach.  For each pair i < j,
     the j-side interval [lo_j, hi_j] must avoid the i-side achievable sums
     (including the all-zero character) padded by 2*N0 on each side.  At desk
     scale the check is repeated by enumerating every character-value
-    assignment on both sides.
+    assignment on both sides, over values, the T(2,q) profile as
+    torus_profile_values(q) returns it (computed here when not given).
     """
     params = schedule.parameters
     entries = schedule.entries
@@ -171,7 +182,9 @@ def verify_separation(schedule):
         and len(entries) >= 2
     )
     if brute:
-        _brute_force_separation(schedule)
+        if values is None:
+            values = torus_profile_values(params.q)
+        _brute_force_separation(schedule, values)
     note = (
         "character sums over-approximated: each of the %d lift terms ranges "
         "over all of Z_%d" % (params.term_count, params.q)
@@ -182,28 +195,17 @@ def verify_separation(schedule):
 def _achievable_sums(n, params, values):
     """All sums over character assignments; returns (all, with-nonzero-term)."""
     scaled = [n * v for v in values]
-    terms = params.term_count
-    if params.q**terms <= 20000:
-        all_sums = set()
-        nonzero_sums = set()
-        for assignment in itertools.product(range(params.q), repeat=terms):
-            s = sum(scaled[a] for a in assignment)
-            all_sums.add(s)
-            if any(assignment):
-                nonzero_sums.add(s)
-        return all_sums, nonzero_sums
-    # Iterated sumset; identical result since the distinct sums are few.
+    # Iterated sumset over the term_count lift terms.
     all_sums = {0}
-    for _ in range(terms):
+    for _ in range(params.term_count):
         all_sums = {s + v for s in all_sums for v in scaled}
-    # Nonzero torus signatures are positive, so only the all-zero
+    # Nonzero torus signatures are at least 2, so only the all-zero
     # assignment sums to 0.
     return all_sums, all_sums - {0}
 
 
-def _brute_force_separation(schedule):
+def _brute_force_separation(schedule, values):
     params = schedule.parameters
-    values = torus_profile_values(params.q)
     n0 = params.n0
     sums = [_achievable_sums(e.n, params, values) for e in schedule.entries]
     for i in range(len(sums)):
@@ -235,47 +237,62 @@ class FamilyReport:
     classification: object  # ClassificationReport
     witness_r: int
     witness_order: object  # HomologyOrder
-    suggested_q: int
     schedule: WitnessSchedule
     separation: SeparationReport
     note: str
 
 
-def family_report(V, schedule, classification=None):
-    """Bundle the whole obstruction pipeline for a Seifert matrix and schedule.
+def family_report(V, count, n0=0, q=None):
+    """The whole obstruction pipeline for a Seifert matrix.
 
-    Raises HypothesisNotSatisfied when every prime power branched cover of
-    the knot is a homology sphere (no obstruction available).
+    Classifies the prime power covers, raising HypothesisNotSatisfied when
+    every one is a homology sphere (no obstruction available); takes the
+    character modulus q, by default the largest odd prime power dividing
+    the witness cover's |H_1|; then builds a schedule of count members for
+    the Casson-Gordon bound n0 and verifies it.  q names the companion
+    torus knot T(2,q), so it must be an odd prime power.
     """
-    V.require_valid()
     delta = alexander(V)
-    if classification is None:
-        classification = classify_prime_power_covers(delta)
+    classification = classify_prime_power_covers(delta)
     if classification.all_prime_power_covers_trivial:
         raise HypothesisNotSatisfied(
             "all prime power branched covers are homology spheres; "
-            "Alexander polynomial %s gives no obstruction" % delta,
+            "Delta(t) = %s gives no obstruction" % delta,
             classification=classification,
         )
     witness_r, witness_order = classification.witness_cover
-    suggested_q = (
-        max_prime_power_divisor(witness_order.value)
-        if witness_order.is_finite and witness_order.value >= 2
-        else 0
-    )
-    separation = verify_separation(schedule)
+    if q is None:
+        q = _character_modulus(witness_order)
+    p, k = prime_power_decomposition(q)
+    params = FamilyParameters(genus=V.genus, p=p, k=k, q=q, n0=n0)
+    values = torus_profile_values(q)
+    schedule = witness_schedule(params, count, profile_extremes(q, values))
+    separation = verify_separation(schedule, values)
     note = (
         "every family member shares this Seifert matrix by construction; "
         "member i is obtained by tying the n_i-fold multiple of T(2,%d) "
-        "into the surface bands" % schedule.parameters.q
+        "into the surface bands" % q
     )
     return FamilyReport(
         delta=delta,
         classification=classification,
         witness_r=witness_r,
         witness_order=witness_order,
-        suggested_q=suggested_q,
         schedule=schedule,
         separation=separation,
         note=note,
     )
+
+
+def _character_modulus(order):
+    """Largest odd prime power dividing a witness cover's finite |H_1| >= 2."""
+    try:
+        factors = factorize(order.value)
+    except FactorizationLimit as exc:
+        raise NoCharacterModulus("cannot factor |H1|: %s; pass --q explicitly" % exc)
+    candidates = [p**e for p, e in factors.items() if p % 2 == 1]
+    if not candidates:
+        raise NoCharacterModulus(
+            "|H1| = %d has no odd prime power divisor; pass --q explicitly" % order.value
+        )
+    return max(candidates)

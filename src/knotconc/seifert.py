@@ -4,6 +4,10 @@ A Seifert matrix here is any square integer matrix V of even dimension with
 det(V - V^t) = 1.  The Alexander polynomial is the raw determinant
 det(V - t*V^t), with no sign or power normalization, so Delta(1) = 1 holds
 identically and downstream resultants are unambiguous.
+
+Each SeifertMatrix instance validates itself at most once and computes its
+Alexander polynomial at most once; both results are kept on the instance
+(there is no cache across instances).
 """
 
 from __future__ import annotations
@@ -26,15 +30,18 @@ class SeifertMatrix:
 
     The 0x0 matrix is the unknot.  Construction is permissive; use
     validate() (or any operation, which validates implicitly) to check
-    the Seifert invariants.
+    the Seifert invariants.  The validity report and the Alexander
+    polynomial are memoized on the instance.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_report", "_alexander")
 
     def __init__(self, rows=()):
         object.__setattr__(
             self, "rows", tuple(tuple(int(c) for c in row) for row in rows)
         )
+        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_alexander", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
@@ -70,7 +77,9 @@ class SeifertMatrix:
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        """Check squareness, even dimension, and det(V - V^t) = 1."""
+        """Check squareness, even dimension, and det(V - V^t) = 1, once."""
+        if self._report is not None:
+            return self._report
         failures = []
         if not self.is_square():
             failures.append("matrix is not square")
@@ -88,33 +97,36 @@ class SeifertMatrix:
                     failures.append(
                         "skew-symmetrization determinant is %d, expected 1" % d
                     )
-        return ValidityReport(valid=not failures, failures=tuple(failures))
+        report = ValidityReport(valid=not failures, failures=tuple(failures))
+        object.__setattr__(self, "_report", report)
+        return report
 
     def require_valid(self):
         report = self.validate()
         if not report.valid:
-            raise InvalidSeifertMatrix("; ".join(report.failures))
+            raise InvalidSeifertMatrix(
+                "invalid Seifert matrix: %s" % "; ".join(report.failures)
+            )
 
 
 def alexander(V):
     """Alexander polynomial det(V - t*V^t), exact.
 
-    Computed by evaluating the determinant at the dim+1 integer points
-    0..dim and reconstructing the (degree <= dim) polynomial by Newton
-    interpolation.
+    Computed once per instance, by evaluating the determinant at the dim+1
+    integer points 0..dim and reconstructing the (degree <= dim) polynomial
+    by Newton interpolation.
     """
-    V.require_valid()
-    n = V.dim
-    if n == 0:
-        return IntPolynomial([1])
-    values = []
-    for c in range(n + 1):
-        m = [
-            [V.rows[i][j] - c * V.rows[j][i] for j in range(n)]
-            for i in range(n)
+    if V._alexander is None:
+        V.require_valid()
+        n = V.dim
+        values = [
+            integer_determinant(
+                [[V.rows[i][j] - c * V.rows[j][i] for j in range(n)] for i in range(n)]
+            )
+            for c in range(n + 1)
         ]
-        values.append(integer_determinant(m))
-    return IntPolynomial(_interpolate_integer(values))
+        object.__setattr__(V, "_alexander", IntPolynomial(_interpolate_integer(values)))
+    return V._alexander
 
 
 def _interpolate_integer(values):

@@ -130,11 +130,11 @@ class _JumpMarker:
 JUMP = _JumpMarker()
 
 
-def at_jump(V, w, _delta=None):
+def at_jump(V, w):
     """True iff omega is a root of the Alexander polynomial (decided exactly)."""
     if w.is_trivial:
         raise TrivialAngle("angle 0 is excluded")
-    delta = alexander(V) if _delta is None else _delta
+    delta = alexander(V)
     # phi(n) >= sqrt(n/2), so a larger order has phi(n) > deg(Delta) and
     # Phi_n cannot divide Delta; this avoids building a huge Phi_n.
     if delta.degree() < 1 or w.order > 2 * delta.degree() ** 2:
@@ -150,12 +150,12 @@ _INERTIA_START_PREC = 64
 _INERTIA_MAX_PREC = 4096
 
 
-def tl_signature(V, w, _delta=None):
+def tl_signature(V, w):
     """Tristram-Levine signature of V at omega = exp(2*pi*i*a/q); exact."""
     V.require_valid()
     if w.is_trivial:
         raise TrivialAngle("the form vanishes at omega = 1; angle 0 is excluded")
-    if at_jump(V, w, _delta=_delta):
+    if at_jump(V, w):
         raise JumpPoint("omega = exp(2*pi*i*%s) is a root of the Alexander polynomial" % w)
     if V.dim == 0:
         return 0
@@ -453,22 +453,21 @@ class SignatureProfile:
         return [a for a, v in self.values.items() if v is JUMP]
 
 
-def signature_profile(V, q, _delta=None):
+def signature_profile(V, q):
     """Tristram-Levine signatures of V at all q-th roots of unity except 1."""
     V.require_valid()
     if q < 2:
         raise ValueError("q must be >= 2")
-    delta = alexander(V) if _delta is None else _delta
     values = {}
     for a in range(1, q):
         w = UnitRootArg(a, q)
         if 2 * a > q:
             # H at conj(omega) is conj(H), with the same inertia and jumps.
             values[a] = values[q - a]
-        elif at_jump(V, w, _delta=delta):
+        elif at_jump(V, w):
             values[a] = JUMP
         else:
-            values[a] = tl_signature(V, w, _delta=delta)
+            values[a] = tl_signature(V, w)
     return SignatureProfile(q=q, values=values)
 
 
@@ -483,8 +482,7 @@ class TorusLemmaReport:
 def verify_torus_lemma(q):
     """Check sigma_{a/q}(T_{2,q}) >= 2 for all a != 0 and sigma_{-1} = q-1."""
     V = torus_2q(q)
-    delta = alexander(V)
-    profile = signature_profile(V, q, _delta=delta)
+    profile = signature_profile(V, q)
     if profile.jump_angles():
         raise LemmaViolation(
             "unexpected jump of T(2,%d) at a q-th root of unity" % q
@@ -494,7 +492,7 @@ def verify_torus_lemma(q):
         raise LemmaViolation(
             "minimum q-signature of T(2,%d) is %d, expected >= 2" % (q, min_value)
         )
-    sigma_minus_one = tl_signature(V, UnitRootArg(1, 2), _delta=delta)
+    sigma_minus_one = tl_signature(V, UnitRootArg(1, 2))
     if sigma_minus_one != q - 1:
         raise LemmaViolation(
             "sigma_{-1}(T(2,%d)) is %d, expected %d" % (q, sigma_minus_one, q - 1)
@@ -529,13 +527,13 @@ def jump_step_check(V, q):
     Requires every unit-circle root of the Alexander polynomial to be a root
     of unity of order dividing 2q; one-sided values are read off at the 4q-th
     root midpoints, which are never Alexander roots under that hypothesis.
+    The remainder after the cyclotomic factors may be a unit +-t^k, which
+    has no root on the unit circle.
     """
-    V.require_valid()
     if q < 1:
         raise ValueError("q must be >= 1")
-    delta = alexander(V)
-    factors, remainder = cyclotomic_factor_extract(delta)
-    if remainder.degree() > 0:
+    factors, remainder = cyclotomic_factor_extract(alexander(V))
+    if not remainder.is_laurent_unit():
         raise PreconditionUnverifiable(
             "Alexander polynomial has non-cyclotomic factor %s; jump "
             "locations are not certified rational angles" % remainder
@@ -549,14 +547,13 @@ def jump_step_check(V, q):
     # Signature on each open arc between consecutive 2q-grid points; arc j
     # is the conjugate of arc 2q-1-j, so only the upper half is evaluated.
     mid = [
-        tl_signature(V, UnitRootArg(2 * j + 1, 4 * q), _delta=delta)
-        for j in range(q)
+        tl_signature(V, UnitRootArg(2 * j + 1, 4 * q)) for j in range(q)
     ]
     mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):
         w = UnitRootArg(j, 2 * q)
-        if not at_jump(V, w, _delta=delta):
+        if not at_jump(V, w):
             continue
         ccw = mid[j] - mid[j - 1]
         away = ccw if 2 * j < 2 * q else -ccw
@@ -578,8 +575,8 @@ def jump_step_check(V, q):
             )
         )
     w_half = UnitRootArg(1, 2)
-    if at_jump(V, w_half, _delta=delta):
+    if at_jump(V, w_half):
         sigma_minus_one = None
     else:
-        sigma_minus_one = tl_signature(V, w_half, _delta=delta)
+        sigma_minus_one = tl_signature(V, w_half)
     return JumpStepReport(q=q, jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

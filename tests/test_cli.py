@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
+from knotconc import cli, signatures
 from knotconc.cli import main, parse_matrix_document
+from knotconc.errors import KnotConcError
 from knotconc.seifert import SeifertMatrix
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
@@ -224,3 +227,96 @@ class TestWitness:
     def test_even_q_override_exit_2(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["witness", trefoil_file, "--q", "4"])
         assert code == 2
+
+    def test_q_not_a_prime_power_exit_2(self, capsys, trefoil_file):
+        code, out, err = run(capsys, ["witness", trefoil_file, "--q", "15"])
+        assert code == 2
+        assert "15 is not a prime power" in err
+
+    def test_unfactored_witness_order_exit_2(self, capsys, monkeypatch):
+        # |H1| of the 2-fold cover is 1000003 * 1000033, past trial division.
+        code, out, err = run(
+            capsys,
+            ["witness", "-"],
+            stdin="250009000025 1\n0 1\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "pass --q" in err
+
+    def test_profile_computed_once(self, capsys, trefoil_file, monkeypatch):
+        calls = []
+        original = signatures.tl_signature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(signatures, "tl_signature", counting)
+        code, out, err = run(
+            capsys, ["--json", "witness", trefoil_file, "--n0", "10", "--count", "2"]
+        )
+        assert code == 0
+        assert json.loads(out)["separation"]["brute_forced"] is True
+        assert len(calls) == 1  # sigma(1/3) of T(2,3); 2/3 is its conjugate
+
+    def test_removed_prime_options(self, capsys, trefoil_file):
+        with pytest.raises(SystemExit):
+            main(["witness", trefoil_file, "--p", "5"])
+        capsys.readouterr()
+
+
+def _subclasses(cls):
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub] + _subclasses(sub)
+    return out
+
+
+class TestExitStatuses:
+    @pytest.mark.parametrize("error", _subclasses(KnotConcError), ids=lambda e: e.__name__)
+    def test_every_library_error_maps_to_an_exit_status(
+        self, capsys, trefoil_file, monkeypatch, error
+    ):
+        def planted(args):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "cmd_alexander", planted)
+        code, out, err = run(capsys, ["alexander", trefoil_file])
+        assert code in (2, 3, 4)
+        assert "planted" in err and "Traceback" not in err
+
+    def test_over_long_json_entry_exit_2(self, capsys, monkeypatch):
+        doc = '{"matrix": [[%s, 1], [0, 1]]}' % ("1" * 5001)
+        code, out, err = run(capsys, ["alexander", "-"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+
+    def test_bad_delta_text_exit_2(self, capsys):
+        code, out, err = run(capsys, ["covers", "--delta", "1,x,1"])
+        assert code == 2
+
+
+class TestLongIntegers:
+    """Delta of [[a, 1], [0, a]] is a^2 - (2a^2 - 1) t + a^2 t^2; with
+    a = 10^2200 its coefficients have 4401 digits, past Python's default
+    int-to-str limit of 4300."""
+
+    DOC = '{"name": "big", "matrix": [[1%s, 1], [0, 1%s]]}' % ("0" * 2200, "0" * 2200)
+    A2 = "1" + "0" * 4400  # a^2
+    DELTA_MINUS_1 = "3" + "9" * 4400  # 4a^2 - 1
+
+    def run_json(self, capsys, monkeypatch, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, argv, stdin=self.DOC, monkeypatch=monkeypatch)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0, err
+        return json.loads(out, parse_int=str)
+
+    def test_alexander(self, capsys, monkeypatch):
+        doc = self.run_json(capsys, monkeypatch, ["--json", "alexander", "-"])
+        assert doc["alexander"]["coefficients"] == [self.A2, "-1" + "9" * 4400, self.A2]
+        assert doc["delta_at_minus_1"] == self.DELTA_MINUS_1
+
+    def test_classify(self, capsys, monkeypatch):
+        doc = self.run_json(capsys, monkeypatch, ["--json", "classify", "-"])
+        assert doc["witness_cover"] == {"r": "2", "order": self.DELTA_MINUS_1}

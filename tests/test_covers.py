@@ -11,7 +11,6 @@ from knotconc.covers import (
     cover_order,
     cover_orders,
     cyclotomic_product_identity,
-    max_prime_power_divisor,
 )
 from knotconc.errors import (
     DegenerateCase,
@@ -177,17 +176,6 @@ class TestClassifier:
         report = classify_prime_power_covers(delta)
         assert report.all_prime_power_covers_trivial and report.all_covers_trivial
         assert all(order.value == 1 for order in cover_orders(delta, range(2, 65)))
-
-
-class TestMaxPrimePowerDivisor:
-    def test_values(self):
-        assert max_prime_power_divisor(12) == 4
-        assert max_prime_power_divisor(45) == 9
-        assert max_prime_power_divisor(7) == 7
-
-    def test_rejects_small_input(self):
-        with pytest.raises(ValueError):
-            max_prime_power_divisor(1)
 
 
 class TestProductIdentity:

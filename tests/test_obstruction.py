@@ -142,16 +142,14 @@ class TestSeparation:
 
 class TestFamilyReport:
     def test_trefoil(self):
-        schedule = witness_schedule(trefoil_params(10), 2)
-        report = family_report(TREFOIL, schedule)
+        report = family_report(TREFOIL, 2, n0=10)
         assert report.witness_r == 2
         assert report.witness_order.value == 3
-        assert report.suggested_q == 3
+        assert report.schedule.parameters.q == 3
         assert [e.n for e in report.schedule.entries] == [11, 77]
         assert report.separation.brute_forced
 
     def test_unknot_gives_no_obstruction(self):
-        schedule = witness_schedule(trefoil_params(0), 1)
         with pytest.raises(HypothesisNotSatisfied) as exc:
-            family_report(UNKNOT, schedule)
+            family_report(UNKNOT, 1)
         assert exc.value.classification.all_prime_power_covers_trivial

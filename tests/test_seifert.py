@@ -49,6 +49,32 @@ class TestValidate:
             connected_sum(bad, TREFOIL)
 
 
+class TestMemo:
+    def test_validate_and_alexander_run_once(self, monkeypatch):
+        from knotconc import seifert
+
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return integer_determinant(rows)
+
+        monkeypatch.setattr(seifert, "integer_determinant", counting)
+        V = SeifertMatrix([[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]])
+        assert V.validate() is V.validate()
+        assert calls == [4]
+        delta = alexander(V)
+        assert alexander(V) is delta
+        V.require_valid()
+        assert calls == [4] * 6  # one validation, dim + 1 evaluations
+
+    def test_memo_is_per_instance(self):
+        a = SeifertMatrix([[1, -1], [0, 1]])
+        b = SeifertMatrix([[1, -1], [0, 1]])
+        assert a == b and hash(a) == hash(b)
+        assert alexander(a) is not alexander(b)
+
+
 class TestAlexander:
     def test_trefoil(self):
         assert alexander(TREFOIL) == P([1, -1, 1])

@@ -18,6 +18,7 @@ from knotconc.errors import (
     PreconditionUnverifiable,
     TrivialAngle,
 )
+from knotconc.exactpoly import IntPolynomial
 from knotconc.seifert import (
     FIGURE_EIGHT,
     TREFOIL,
@@ -239,6 +240,15 @@ class TestJumpSteps:
     def test_index_not_dividing_grid_rejected(self):
         with pytest.raises(PreconditionUnverifiable):
             jump_step_check(TREFOIL, 2)  # phi_6 | Delta but 6 does not divide 4
+
+    def test_t_power_factor_is_a_unit(self):
+        # [[-2, 1], [0, 0]] has Delta = t, a unit: the trefoil's jumps remain.
+        V = connected_sum(SeifertMatrix([[-2, 1], [0, 0]]), TREFOIL)
+        assert alexander(V) == alexander(TREFOIL) * IntPolynomial([0, 1])
+        report = jump_step_check(V, 3)
+        steps = [(j.numerator, j.denominator, j.ccw_step) for j in report.jumps]
+        assert steps == [(1, 6, 2), (5, 6, -2)]
+        assert all(j.simple for j in report.jumps)
 
 
 # Delta = 2t^2 - 3t + 2 has a unit-circle root at cos(theta) = 3/4; the two
