@@ -265,7 +265,11 @@ def cmd_signature(args):
 
 def cmd_torus(args):
     try:
-        V = torus_2q(args.q)
+        if args.verify:
+            lemma = signatures.verify_torus_lemma(args.q)
+            V = lemma.matrix
+        else:
+            V = torus_2q(args.q)
     except BadTorusParameter as exc:
         raise InputError(str(exc))
     name = "T(2,%d)" % args.q
@@ -273,8 +277,7 @@ def cmd_torus(args):
     lines = ["# %s" % name]
     lines += [" ".join(str(c) for c in row) for row in V.rows]
     if args.verify:
-        lemma = signatures.verify_torus_lemma(args.q)
-        steps = signatures.jump_step_check(V, args.q)
+        steps = lemma.jump_steps
         doc["verify"] = {
             "min_signature": lemma.min_value,
             "sigma_at_minus_one": lemma.sigma_at_minus_one,

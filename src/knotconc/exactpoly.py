@@ -226,6 +226,20 @@ def t_power_minus_one(r):
 # -- integer helpers ------------------------------------------------------
 
 
+def brief_int(n):
+    """str(n), or for an n of more than 60 digits its first twelve digits
+    and its digit count, so that a message stays short (and within Python's
+    int-to-str limit)."""
+    a = abs(n)
+    if a < 10**60:
+        return str(n)
+    # 0.30102 < log10(2), so 10^k <= a; the loop corrects the estimate.
+    k = (a.bit_length() - 1) * 30102 // 100000
+    while 10 ** (k + 1) <= a:
+        k += 1
+    return "%s%d... (%d digits)" % ("-" if n < 0 else "", a // 10 ** (k - 11), k + 1)
+
+
 def factorize(n, bound=TRIAL_DIVISION_BOUND):
     """Prime factorization {p: multiplicity} by bounded trial division."""
     if n < 1:
@@ -236,7 +250,7 @@ def factorize(n, bound=TRIAL_DIVISION_BOUND):
     while d * d <= m:
         if d > bound:
             raise FactorizationLimit(
-                "cofactor %d survived trial division up to %d" % (m, bound)
+                "cofactor %s survived trial division up to %d" % (brief_int(m), bound)
             )
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1

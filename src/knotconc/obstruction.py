@@ -26,7 +26,7 @@ from .errors import (
     NoCharacterModulus,
     SeparationFailure,
 )
-from .exactpoly import factorize, prime_power_decomposition
+from .exactpoly import brief_int, factorize, prime_power_decomposition
 from .seifert import alexander, torus_2q
 from .signatures import JUMP, signature_profile
 
@@ -293,6 +293,7 @@ def _character_modulus(order):
     candidates = [p**e for p, e in factors.items() if p % 2 == 1]
     if not candidates:
         raise NoCharacterModulus(
-            "|H1| = %d has no odd prime power divisor; pass --q explicitly" % order.value
+            "|H1| = %s has no odd prime power divisor; pass --q explicitly"
+            % brief_int(order.value)
         )
     return max(candidates)

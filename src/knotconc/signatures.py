@@ -51,10 +51,39 @@ overflow, an underflow error is amplified at most 2^250 times on its way
 into a radius (far below ETA), and infinities and NaNs fail the guards
 (comparisons with NaN are false), so they never certify anything.
 
-The starting entries use enclosures of 1 - cos theta and sin theta from
-mpmath interval arithmetic at 64 bits, rounded outward to a float midpoint
-and radius; the integer entries of V + V^t and V^t - V must be at most 2^53
-so that they are exact floats.  The midpoint of (1-cos)S + i sin K is
+A real product x*y rounds once, at most u |fl(xy)|, so its disc is the
+complex one with u in place of 2.25u; the radius sum takes the same
+1 + 32u inflation and ETA.
+
+The starting entries need discs of 1 - cos theta and sin theta, theta =
+2*pi*a/q, and no more than binary64:
+
+    reduction  theta = pi*n/(4q) with n = 8a.  In integers, n = 2q*j + m
+               with -q <= m < q, so theta = j*pi/2 + psi, psi = pi*m/(4q),
+               |psi| <= pi/4; cos theta and sin theta are +-cos psi and
+               +-sin psi by the quarter turn j, and sin psi is odd in m.
+               Both are computed at phi = pi*|m|/(4q) in [0, pi/4].
+    angle      q <= 2^50, so |m| and 4q are exact floats (a larger q goes
+               to the fallback).  x = fl(math.pi * fl(|m| / 4q)) takes two
+               roundings, and |pi - math.pi| < 1.2247e-16 = 0.352u math.pi,
+               so |phi - x| <= (2.352u + u^2)(1 + 3u) x < fl(2.5u x).
+    series     sin phi = phi S(phi^2) and 1 - cos phi = phi^2 C(phi^2),
+               where S and C are the Taylor series of sin(t)/t and
+               (1 - cos t)/t^2, summed by Horner's rule in discs from the
+               disc (x, fl(2.5u x)) of phi and its square.  The
+               coefficients 1/k!, k <= 18, are one rounding each, since
+               k! <= 22! is an exact float: radius u/k!.  For phi <= 1 the
+               terms alternate and decrease, so each omitted tail is at
+               most its first term, phi^18/19! in S and phi^18/20! in C;
+               Horner starts from the disc (0, 2/19!) or (0, 2/20!)
+               standing for it.
+    quarter    for j = 0 (mod 4), 1 - cos theta is the disc of 1 - cos phi
+               itself, accurate relative to its size near theta = 0; for the
+               other quarters cos theta <= 1/sqrt 2, and 1 - cos theta is one
+               rounded difference, as is cos psi = 1 - (1 - cos phi).
+
+The integer entries of V + V^t and V^t - V must be at most 2^53 so that
+they are exact floats.  The midpoint of (1-cos)S + i sin K is
 complex(fl(c S), fl(s K)) with radius r_c|S| + r_s|K| + u(|cS| + |sK|) + ETA.
 A 1x1 pivot d is the real part of a diagonal midpoint (the exact entry is
 real, so its distance from d is at most r_d).  A pivot d, or a 2x2
@@ -64,7 +93,8 @@ nearest is monotone, so then |d| - r_d > 0 exactly.
 Fallback.  If no pivot certifies, or a guard fails, the float step returns
 None and the same elimination runs with mpmath iv.mpc interval entries at
 64 bits, doubling the precision up to 4096 bits; past that,
-SignatureUncertified is raised.
+SignatureUncertified is raised.  mpmath is imported there, on the first
+fallback, and nowhere else.
 """
 
 from __future__ import annotations
@@ -72,8 +102,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import mpmath
 
 from .errors import (
     JumpPoint,
@@ -182,12 +210,14 @@ def _float_inertia(sym, skew, a, q):
 
 def _interval_ladder(sym, skew, a, q):
     """(pos, neg) of H in interval arithmetic, doubling the precision as needed."""
+    import mpmath  # only the fallback needs it; see the module docstring
+
     iv = mpmath.iv
     saved = iv.prec
     try:
         iv.prec = _INERTIA_START_PREC
         while iv.prec <= _INERTIA_MAX_PREC:
-            result = _eliminate(_Intervals.of_form(sym, skew, a, q))
+            result = _eliminate(_Intervals.of_form(iv, sym, skew, a, q))
             if result is not None:
                 return result
             iv.prec *= 2
@@ -197,12 +227,6 @@ def _interval_ladder(sym, skew, a, q):
         "could not certify inertia at a/q = %d/%d within %d bits"
         % (a, q, _INERTIA_MAX_PREC)
     )
-
-
-def _angle_intervals(a, q):
-    """Enclosures of 1 - cos(theta) and sin(theta) at the current iv.prec."""
-    theta = 2 * mpmath.iv.pi * a / q
-    return 1 - mpmath.iv.cos(theta), mpmath.iv.sin(theta)
 
 
 def _eliminate(m):
@@ -271,16 +295,68 @@ _TINY = 2.0**-250  # least certified pivot margin
 _EXACT = 2**53  # integers up to this size are exact floats
 
 
-def _float_disc(x):
-    """(midpoint, radius) floats whose disc contains the real interval x."""
-    with mpmath.workprec(mpmath.iv.prec):  # exact: the ends have iv.prec bits
-        lo, hi = mpmath.mpf(x.a), mpmath.mpf(x.b)
-    mid = float(x.mid)
-    gap = max(mpmath.fsub(hi, mid, exact=True), mpmath.fsub(mid, lo, exact=True))
-    rad = float(gap)
-    if rad < gap:
-        rad = math.nextafter(rad, math.inf)
-    return mid, rad
+_MAX_Q = 2**50  # 4q is an exact float; a larger q goes to the fallback
+_PHI_REL = 5 * 2.0**-54  # 2.5u, relative radius of the reduced angle
+
+
+def _rmul(x, y):
+    """Disc of a real product: one rounding, at most u |fl(xy)|."""
+    (x, rx), (y, ry) = x, y
+    z = x * y
+    return z, (abs(x) * ry + rx * (abs(y) + ry) + _U * abs(z) + _ETA) * _INFL
+
+
+def _neg(x):
+    return -x[0], x[1]
+
+
+def _series_terms(orders):
+    """Discs of the coefficients 1/k!, then the disc standing for the tail."""
+    terms = []
+    for k in orders:
+        c = 1.0 / math.factorial(k)  # k! is an exact float for k <= 22
+        terms.append((c, _U * c if k > 2 else 0.0))
+    return terms + [(0.0, 2.0 / math.factorial(orders[-1] + 2))]
+
+
+_SIN_TERMS = _series_terms(range(1, 18, 2))  # sin(x)/x = 1 - x^2/3! + ...
+_VERS_TERMS = _series_terms(range(2, 19, 2))  # (1 - cos x)/x^2 = 1/2! - x^2/4! + ...
+
+
+def _horner(y, terms):
+    """Disc of sum_k (-1)^k t_k y^k over the discs t_k, by Horner's rule."""
+    acc = terms[-1]
+    for t in reversed(terms[:-1]):
+        acc = _FloatDiscs.sub(t, _rmul(y, acc))
+    return acc
+
+
+def _angle_discs(a, q):
+    """Discs of 1 - cos(theta) and sin(theta), theta = 2*pi*a/q, or None
+    when q > 2^50; the bound is in the module docstring."""
+    if q > _MAX_Q:
+        return None
+    j, m = divmod(8 * a + q, 2 * q)
+    m -= q
+    mid = math.pi * (abs(m) / (4 * q))
+    x = mid, _PHI_REL * mid  # the disc of phi = pi*|m|/(4q)
+    y = _rmul(x, x)
+    sin_psi = _rmul(x, _horner(y, _SIN_TERMS))
+    if m < 0:
+        sin_psi = _neg(sin_psi)
+    vers = _rmul(y, _horner(y, _VERS_TERMS))
+    j %= 4
+    if j == 0:
+        return vers, sin_psi
+    one = 1.0, 0.0
+    cos_psi = _FloatDiscs.sub(one, vers)
+    if j == 1:
+        cos_theta, sin_theta = _neg(sin_psi), cos_psi
+    elif j == 2:
+        cos_theta, sin_theta = _neg(cos_psi), _neg(sin_psi)
+    else:
+        cos_theta, sin_theta = sin_psi, _neg(cos_psi)
+    return _FloatDiscs.sub(one, cos_theta), sin_theta
 
 
 class _FloatDiscs:
@@ -292,16 +368,14 @@ class _FloatDiscs:
 
     @classmethod
     def of_form(cls, sym, skew, a, q):
-        """Discs of H, or None if an integer entry is not an exact float."""
+        """Discs of H, or None if an integer entry is not an exact float or
+        q is too large for the angle's discs."""
         if any(abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row):
             return None
-        iv = mpmath.iv
-        saved = iv.prec
-        iv.prec = _INERTIA_START_PREC
-        try:
-            (oc, roc), (s, rs) = map(_float_disc, _angle_intervals(a, q))
-        finally:
-            iv.prec = saved
+        discs = _angle_discs(a, q)
+        if discs is None:
+            return None
+        (oc, roc), (s, rs) = discs
         mids, rads = [], []
         for srow, krow in zip(sym, skew):
             mids.append([complex(oc * x, s * y) for x, y in zip(srow, krow)])
@@ -388,14 +462,15 @@ class _FloatDiscs:
 class _Intervals:
     """Hermitian matrix of iv.mpc entries at the current iv.prec."""
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, iv, rows):
+        self.iv, self.rows = iv, rows
 
     @classmethod
-    def of_form(cls, sym, skew, a, q):
-        oc, s = _angle_intervals(a, q)
-        return cls([
-            [mpmath.iv.mpc(oc * x, s * y) for x, y in zip(srow, krow)]
+    def of_form(cls, iv, sym, skew, a, q):
+        theta = 2 * iv.pi * a / q
+        oc, s = 1 - iv.cos(theta), iv.sin(theta)
+        return cls(iv, [
+            [iv.mpc(oc * x, s * y) for x, y in zip(srow, krow)]
             for srow, krow in zip(sym, skew)
         ])
 
@@ -430,9 +505,8 @@ class _Intervals:
             return d.b
         return None
 
-    @staticmethod
-    def conj(x):
-        return mpmath.iv.mpc(x.real, -x.imag)
+    def conj(self, x):
+        return self.iv.mpc(x.real, -x.imag)
 
     @staticmethod
     def abs2(b):
@@ -474,13 +548,16 @@ def signature_profile(V, q):
 @dataclass(frozen=True)
 class TorusLemmaReport:
     q: int
+    matrix: object  # the T(2,q) SeifertMatrix that was checked
     profile: SignatureProfile
     min_value: int
     sigma_at_minus_one: int
+    jump_steps: JumpStepReport
 
 
 def verify_torus_lemma(q):
-    """Check sigma_{a/q}(T_{2,q}) >= 2 for all a != 0 and sigma_{-1} = q-1."""
+    """Check sigma_{a/q}(T_{2,q}) >= 2 for all a != 0 and sigma_{-1} = q-1,
+    and run jump_step_check on the same matrix."""
     V = torus_2q(q)
     profile = signature_profile(V, q)
     if profile.jump_angles():
@@ -492,16 +569,19 @@ def verify_torus_lemma(q):
         raise LemmaViolation(
             "minimum q-signature of T(2,%d) is %d, expected >= 2" % (q, min_value)
         )
-    sigma_minus_one = tl_signature(V, UnitRootArg(1, 2))
+    steps = jump_step_check(V, q)
+    sigma_minus_one = steps.sigma_at_minus_one
     if sigma_minus_one != q - 1:
         raise LemmaViolation(
-            "sigma_{-1}(T(2,%d)) is %d, expected %d" % (q, sigma_minus_one, q - 1)
+            "sigma_{-1}(T(2,%d)) is %s, expected %d" % (q, sigma_minus_one, q - 1)
         )
     return TorusLemmaReport(
         q=q,
+        matrix=V,
         profile=profile,
         min_value=min_value,
         sigma_at_minus_one=sigma_minus_one,
+        jump_steps=steps,
     )
 
 

@@ -187,6 +187,32 @@ class TestTorus:
         code, out, err = run(capsys, ["torus", "4"])
         assert code == 2
 
+    def test_even_q_verify_exit_2(self, capsys):
+        code, out, err = run(capsys, ["torus", "4", "--verify"])
+        assert code == 2
+        assert "q must be odd" in err
+
+    def test_verify_computes_delta_once(self, capsys, monkeypatch):
+        from knotconc import exactpoly, seifert
+
+        interpolations, determinants = [], []
+
+        def counting_interpolation(values):
+            interpolations.append(len(values))
+            return original_interpolation(values)
+
+        def counting_determinant(rows):
+            determinants.append(len(rows))
+            return exactpoly.integer_determinant(rows)
+
+        original_interpolation = seifert._interpolate_integer
+        monkeypatch.setattr(seifert, "_interpolate_integer", counting_interpolation)
+        monkeypatch.setattr(seifert, "integer_determinant", counting_determinant)
+        code, out, err = run(capsys, ["torus", "7", "--verify"])
+        assert code == 0, err
+        assert interpolations == [7]  # one Delta of one T(2,7)
+        assert determinants == [6] * 8  # one validation, dim + 1 evaluations
+
 
 class TestWitness:
     def test_trefoil_schedule(self, capsys, trefoil_file):
@@ -243,6 +269,20 @@ class TestWitness:
         )
         assert code == 2
         assert "pass --q" in err
+
+    def test_unfactored_huge_order_message_is_short(self, capsys, monkeypatch):
+        # |H1| of the 2-fold cover is 4 * 10^4400 - 1: its 4400-digit
+        # cofactor is named by its leading digits and digit count.
+        big = "1" + "0" * 2200
+        code, out, err = run(
+            capsys,
+            ["witness", "-"],
+            stdin="%s 1\n0 %s\n" % (big, big),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "(4400 digits)" in err and "pass --q" in err
+        assert len(err.encode()) < 300
 
     def test_profile_computed_once(self, capsys, trefoil_file, monkeypatch):
         calls = []

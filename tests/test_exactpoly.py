@@ -6,6 +6,7 @@ import pytest
 from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
 from knotconc.exactpoly import (
     IntPolynomial,
+    brief_int,
     cyclotomic,
     cyclotomic_factor_extract,
     distinct_prime_factors,
@@ -257,6 +258,16 @@ class TestIntegers:
 
     def test_prime_powers(self):
         assert prime_powers_up_to(10) == [2, 3, 4, 5, 7, 8, 9]
+
+    def test_brief_int(self):
+        assert brief_int(-7) == "-7"
+        assert brief_int(10**60 - 1) == "9" * 60
+        assert brief_int(10**60) == "100000000000... (61 digits)"
+        assert brief_int(-(10**61 - 1)) == "-999999999999... (61 digits)"
+        for k in (61, 62, 300, 4000):  # str() below stays under 4300 digits
+            for n in (10 ** (k - 1), 10**k - 1, 2 ** (k * 10 // 3)):
+                text = str(n)
+                assert brief_int(n) == "%s... (%d digits)" % (text[:12], len(text))
 
     def test_totient(self):
         assert [totient(n) for n in (1, 2, 6, 12, 30)] == [1, 1, 2, 4, 8]

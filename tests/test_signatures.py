@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -320,22 +321,109 @@ class TestCertifiedInertia:
         assert sum(ladder) == V.dim
 
 
-def test_signature_run_does_not_import_numpy(tmp_path):
+def _exact_angle(a, q):
+    """1 - cos(2 pi a/q) and sin(2 pi a/q) by mpmath at 200 bits."""
+    with mpmath.workprec(200):
+        t = mpmath.mpf(a) / q
+        return 2 * mpmath.sinpi(t) ** 2, mpmath.sinpi(2 * t)
+
+
+def _assert_discs_enclose(a, q):
+    w = UnitRootArg(a, q)
+    discs = signatures._angle_discs(w.a, w.q)
+    for (mid, rad), exact in zip(discs, _exact_angle(w.a, w.q)):
+        with mpmath.workprec(200):
+            assert abs(mpmath.mpf(mid) - exact) <= rad, (w, mid, rad)
+        # The oracle's own error is below 2^-190 of the value; the radius
+        # stays within a few ulps of it.
+        assert rad <= 10 * math.ulp(mid) + 2.0**-490, (w, mid, rad)
+
+
+class TestAngleDiscs:
+    """The float step's discs of 1 - cos(theta) and sin(theta) against
+    mpmath at 200 bits, which shares no code with them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 2**50).flatmap(
+            lambda q: st.tuples(st.integers(1, q - 1), st.just(q))
+        )
+    )
+    def test_encloses_random_angles(self, angle):
+        _assert_discs_enclose(*angle)
+
+    def test_encloses_every_angle_of_small_order(self):
+        for q in range(2, 64):
+            for a in range(1, q):
+                _assert_discs_enclose(a, q)
+
+    @pytest.mark.parametrize("n", [1, 3, 10**6, 2**47])
+    def test_octant_and_quarter_boundaries(self, n):
+        for k in range(1, 8):
+            for a in (k * n - 1, k * n, k * n + 1):
+                _assert_discs_enclose(a, 8 * n)
+
+    def test_angles_next_to_one_and_minus_one(self):
+        for e in range(1, 51):
+            for q in (2**e, 2**e - 1):  # an odd q puts an angle next to -1
+                for a in (1, q // 2, q - 1):
+                    if a:
+                        _assert_discs_enclose(a, q)
+
+    def test_large_q_goes_to_the_ladder(self):
+        q = 2**50 + 1
+        assert signatures._angle_discs(1, 2**50) is not None
+        assert signatures._angle_discs(1, q) is None
+        for a, expected in ((1, (1, 1)), (2**49, (2, 0))):
+            fast, ladder = _inertia_paths(TREFOIL, UnitRootArg(a, q))
+            assert fast is None
+            assert ladder == expected
+            assert tl_signature(TREFOIL, UnitRootArg(a, q)) == expected[0] - expected[1]
+
+
+_IMPORT_CHECK = """
+import contextlib, io, sys
+from knotconc import cli, signatures
+from knotconc.seifert import SeifertMatrix
+
+def heavy():
+    return sorted(m for m in ("mpmath", "numpy") if m in sys.modules)
+
+def run(argv, stdin=""):
+    out = io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    assert not heavy(), (argv, heavy())
+    return out.getvalue()
+
+assert not heavy(), heavy()
+trefoil = sys.argv[1]
+run(["--json", "classify", trefoil])
+run(["--json", "covers", "--max-r", "12", trefoil])
+run(["--json", "signature", "--q", "12", trefoil])
+run(["--json", "torus", "7", "--verify"])
+print(run(["--json", "witness", "-"], stdin=run(["torus", "5"])))
+sym, skew = signatures._form_parts(SeifertMatrix([[1, 1], [0, 2]]))
+assert signatures._interval_ladder(sym, skew, 15375095, 133665412) == (2, 0)
+assert "mpmath" in sys.modules
+"""
+
+
+def test_common_commands_import_neither_mpmath_nor_numpy(tmp_path):
+    """A fresh interpreter runs the common commands without importing
+    mpmath (only the interval fallback needs it) or numpy."""
     doc = tmp_path / "trefoil.txt"
     doc.write_text("1 -1\n0 1\n")
     src = os.path.dirname(os.path.dirname(knotconc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys; from knotconc.cli import main; "
-        "code = main(['--json', 'signature', '--q', '12', sys.argv[1]]); "
-        "sys.exit(5 if 'numpy' in sys.modules else code)"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(doc)],
+        [sys.executable, "-c", _IMPORT_CHECK, str(doc)],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert '"q": 12' in proc.stdout
+    assert '"command": "witness"' in proc.stdout
