@@ -12,7 +12,6 @@ floating-point zero tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateCase,
@@ -21,7 +20,7 @@ from .errors import (
     WitnessSearchExhausted,
 )
 from .exactpoly import (
-    IntPolynomial,
+    Record,
     cyclotomic,
     cyclotomic_factor_extract,
     distinct_prime_factors,
@@ -33,15 +32,15 @@ from .exactpoly import (
 )
 
 
-@dataclass(frozen=True)
-class HomologyOrder:
+class HomologyOrder(Record):
     """Order of H_1 of a branched cover: a positive integer or infinite."""
 
-    value: int | None  # None means infinite
+    __slots__ = ("value",)  # int, or None for infinite
 
-    def __post_init__(self):
-        if self.value is not None and self.value < 1:
+    def __init__(self, value):
+        if value is not None and value < 1:
             raise ValueError("finite homology order must be >= 1")
+        super().__init__(value)
 
     @classmethod
     def finite(cls, n):
@@ -107,13 +106,14 @@ def assert_rational_homology_sphere(delta, r):
     return cover_order(delta, r).is_finite
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    cyclotomic_factors: tuple  # ((n, multiplicity), ...)
-    non_cyclotomic_remainder: IntPolynomial
-    all_prime_power_covers_trivial: bool
-    all_covers_trivial: bool
-    witness_cover: tuple | None  # (r, HomologyOrder) or None
+class ClassificationReport(Record):
+    __slots__ = (
+        "cyclotomic_factors",  # ((n, multiplicity), ...)
+        "non_cyclotomic_remainder",  # IntPolynomial
+        "all_prime_power_covers_trivial",
+        "all_covers_trivial",
+        "witness_cover",  # (r, HomologyOrder) or None
+    )
 
 
 DEFAULT_WITNESS_BOUND = 512

@@ -5,7 +5,8 @@ in ascending degree order.  The module provides the cyclotomic polynomials,
 exact resultants by the subresultant polynomial remainder sequence, cyclotomic
 factor extraction, the fraction-free Bareiss determinant (for Seifert
 matrices), and the small number-theoretic helpers (totient, factorization,
-prime powers) the rest of the library needs.
+prime powers) the rest of the library needs, as well as `Record`, the
+immutable base of the library's result types.
 """
 
 from __future__ import annotations
@@ -21,6 +22,56 @@ from .errors import (
 )
 
 TRIAL_DIVISION_BOUND = 10**6
+
+
+class Record:
+    """Immutable record whose fields are its class's __slots__.
+
+    Fields are given by position or keyword; records of the same class are
+    equal, and hash alike, when their fields are.  A subclass that checks
+    or normalises its fields does so in its own __init__ before calling
+    this one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        misfit = False
+        if kwargs:
+            values = dict(zip(names, args), **kwargs)
+            misfit = len(values) < len(args) + len(kwargs)  # a field given twice
+            args = [values.pop(name) for name in names if name in values]
+            misfit = misfit or bool(values)  # an unknown field
+        if misfit or len(args) != len(names):
+            raise TypeError(
+                "%s takes the fields %s" % (type(self).__name__, ", ".join(names))
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (n, v) for n, v in zip(self.__slots__, self._fields())),
+        )
 
 
 class IntPolynomial:

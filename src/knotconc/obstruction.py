@@ -16,7 +16,6 @@ sound obstruction.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from .covers import classify_prime_power_covers
 from .errors import (
@@ -26,20 +25,22 @@ from .errors import (
     NoCharacterModulus,
     SeparationFailure,
 )
-from .exactpoly import brief_int, factorize, prime_power_decomposition
+from .exactpoly import Record, brief_int, factorize, prime_power_decomposition
 from .seifert import alexander, torus_2q
 from .signatures import JUMP, signature_profile
 
 
-@dataclass(frozen=True)
-class FamilyParameters:
-    genus: int
-    p: int
-    k: int
-    q: int  # modulus for characters; odd prime power >= 3 in practice
-    n0: int  # bound on |sigma_1(tau(K, chi))| over all characters
+class FamilyParameters(Record):
+    __slots__ = (
+        "genus",
+        "p",
+        "k",
+        "q",  # modulus for characters; odd prime power >= 3 in practice
+        "n0",  # bound on |sigma_1(tau(K, chi))| over all characters
+    )
 
-    def __post_init__(self):
+    def __init__(self, genus, p, k, q, n0):
+        super().__init__(genus, p, k, q, n0)
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
         if self.k < 1:
@@ -57,19 +58,17 @@ class FamilyParameters:
         return 2 * self.genus * self.p**self.k
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    n: int  # multiplicity of the torus knot
-    lo: int
-    hi: int
+class ScheduleEntry(Record):
+    __slots__ = ("n", "lo", "hi")  # n is the multiplicity of the torus knot
 
 
-@dataclass(frozen=True)
-class WitnessSchedule:
-    entries: tuple  # ScheduleEntry, n strictly increasing
-    parameters: FamilyParameters
-    s_min: int
-    s_max: int
+class WitnessSchedule(Record):
+    __slots__ = (
+        "entries",  # ScheduleEntry, n strictly increasing
+        "parameters",  # FamilyParameters
+        "s_min",
+        "s_max",
+    )
 
 
 def torus_profile_values(q):
@@ -132,11 +131,8 @@ _BRUTE_FORCE_MAX_TERMS = 8
 _BRUTE_FORCE_MAX_Q = 7
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    pair_count: int
-    brute_forced: bool
-    note: str
+class SeparationReport(Record):
+    __slots__ = ("pair_count", "brute_forced", "note")
 
 
 def verify_separation(schedule, values=None):
@@ -231,15 +227,16 @@ def _find_collision(a_sums, b_sums, pad):
     return None
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    delta: object  # IntPolynomial
-    classification: object  # ClassificationReport
-    witness_r: int
-    witness_order: object  # HomologyOrder
-    schedule: WitnessSchedule
-    separation: SeparationReport
-    note: str
+class FamilyReport(Record):
+    __slots__ = (
+        "delta",  # IntPolynomial
+        "classification",  # ClassificationReport
+        "witness_r",
+        "witness_order",  # HomologyOrder
+        "schedule",  # WitnessSchedule
+        "separation",  # SeparationReport
+        "note",
+    )
 
 
 def family_report(V, count, n0=0, q=None):

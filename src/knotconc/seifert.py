@@ -13,16 +13,13 @@ Alexander polynomial at most once; both results are kept on the instance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BadTorusParameter, InvalidSeifertMatrix
-from .exactpoly import IntPolynomial, integer_determinant
+from .exactpoly import IntPolynomial, Record, integer_determinant
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    failures: tuple
+class ValidityReport(Record):
+    __slots__ = ("valid", "failures")  # bool, tuple of messages
 
 
 class SeifertMatrix:

@@ -7,6 +7,8 @@ the n x n Hermitian form
 
 Jump locations (roots of the Alexander polynomial on the unit circle) are
 decided exactly via cyclotomic divisibility; evaluation at a jump is refused.
+Between jumps the signature is constant, so profiles evaluate it once per
+arc of the circle (see Arcs below).
 
 Off jumps, the inertia is certified by block elimination.  Each step takes a
 1x1 pivot whose real value is certified nonzero or, failing that, a 2x2
@@ -95,13 +97,43 @@ None and the same elimination runs with mpmath iv.mpc interval entries at
 64 bits, doubling the precision up to 4096 bits; past that,
 SignatureUncertified is raised.  mpmath is imported there, on the first
 fallback, and nowhere else.
+
+Arcs.  det H = (1-omega)^n Delta(conj omega), so H is nonsingular off the
+roots of Delta and the signature is constant on each arc of the unit circle
+between consecutive roots (Levine 1969, Tristram 1969).  A profile or a
+jump-step check runs one elimination per arc it hits and copies the value
+to the other angles on that arc; the values are kept for that one call.
+
+    arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
+               t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
+               of degree <= n/2 (t^k + t^-k is a Chebyshev polynomial in
+               t + 1/t).  At omega = exp(i theta), t + 1/t = 2 cos theta,
+               which falls from 2 to -2 as theta runs over (0, pi]; the
+               roots of Delta there are the roots of D in [-2, 2).  The arc
+               of an angle is named by the number of distinct roots of D
+               above 2 cos theta: two angles share an arc exactly when no
+               root lies between them.
+    Sturm      D, D' and the negated pseudo-remainders, each taken with a
+               positive multiplier and divided by its content, form an
+               integer Sturm sequence of D, built once per call.  For
+               a < b, neither a root of D, exactly V(a) - V(b) distinct
+               roots lie in (a, b), V counting sign variations; V(x) - V(+inf)
+               is the number of roots above x.
+    locating   the disc of 1 - cos theta gives a bracket of 2 cos theta,
+               widened outward to multiples of 2^-64 so that its endpoints
+               lo < hi are exact dyadic numbers.  If D(lo) and D(hi) are
+               nonzero and V(lo) = V(hi), no root lies in the bracket and
+               V(hi) names the arc; sign variations are counted in integer
+               arithmetic, never by a float comparison.
+    fallback   otherwise a root may sit in the bracket (or q > 2^50 and
+               there is no disc), the angle is undecided, and it is
+               evaluated by its own elimination.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     JumpPoint,
@@ -110,30 +142,26 @@ from .errors import (
     SignatureUncertified,
     TrivialAngle,
 )
-from .exactpoly import cyclotomic, cyclotomic_factor_extract
+from .exactpoly import Record, _pseudo_remainder, cyclotomic, cyclotomic_factor_extract
 from .seifert import alexander, torus_2q
 
 
-@dataclass(frozen=True)
-class UnitRootArg:
+class UnitRootArg(Record):
     """Reduced fraction a/q standing for omega = exp(2*pi*i*a/q)."""
 
-    a: int
-    q: int
+    __slots__ = ("a", "q")
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, a, q):
+        if q < 1:
             raise ValueError("q must be >= 1")
-        a = self.a % self.q
-        q = self.q
+        a %= q
         if a == 0:
             q = 1
         else:
             g = math.gcd(a, q)
             a //= g
             q //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", q)
+        super().__init__(a, q)
 
     @property
     def is_trivial(self):
@@ -513,12 +541,115 @@ class _Intervals:
         return b.real**2 + b.imag**2
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
+
+
+# -- arcs: one elimination per arc of the unit circle -------------------------
+
+
+def _chebyshev_form(delta, n):
+    """Ascending coefficients of D with t^(-n/2) Delta(t) = D(t + 1/t)."""
+    c = list(delta.coeffs)
+    c += [0] * (n + 1 - len(c))  # alexander() trims trailing zeros
+    assert c == c[::-1], "Delta(t) != t^n Delta(1/t)"
+    g = n // 2
+    d = [c[g]] + [0] * g
+    # t^k + t^-k = T_k(t + 1/t) with T_0 = 2, T_1 = x, T_k+1 = x T_k - T_k-1.
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        for i, x in enumerate(cur):
+            d[i] += c[g + k] * x
+        nxt = [0] + cur
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    while len(d) > 1 and d[-1] == 0:
+        d.pop()
+    return d
+
+
+def _primitive(p):
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _sturm_sequence(d):
+    """D, D', then each negated pseudo-remainder, taken with a positive
+    multiplier and divided by its content: an integer Sturm sequence."""
+    seq = [_primitive(d)]
+    if len(d) > 1:
+        seq.append(_primitive([k * c for k, c in enumerate(d)][1:]))
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        r = _pseudo_remainder(a, b)  # lc(b)^(deg a - deg b + 1) a mod b
+        if not r:
+            break
+        if b[-1] > 0 or (len(a) - len(b)) % 2:  # that multiplier is positive
+            r = [-c for c in r]
+        seq.append(_primitive(r))
+    return seq
+
+
+_ARC_BITS = 64
+_ARC_SCALE = 2.0**_ARC_BITS
+_ARC_ONE = 1 << _ARC_BITS
+
+
+def _variations(seq, num):
+    """Sign variations of seq at num / 2^64; None at a root of seq[0]."""
+    signs = []
+    for p in seq:
+        acc, shift = p[-1], 0
+        for c in reversed(p[:-1]):  # p(num / 2^64) 2^(64 deg p), by Horner
+            shift += _ARC_BITS
+            acc = acc * num + (c << shift)
+        if acc:
+            signs.append(acc > 0)
+        elif p is seq[0]:
+            return None
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+class _Arcs:
+    """Signatures of V by arc of the upper unit circle, for one call; the
+    argument is in the module docstring."""
+
+    def __init__(self, V):
+        self.V = V
+        self._sturm = None  # built on the first locate()
+        self._values = {}  # arc -> signature
+
+    def locate(self, w):
+        """The arc of w (not a root of Delta), or None when undecided."""
+        discs = _angle_discs(w.a, w.q)
+        if discs is None:
+            return None
+        if self._sturm is None:
+            self._sturm = _sturm_sequence(_chebyshev_form(alexander(self.V), self.V.dim))
+        # 2 cos(theta) = 2 - 2(1 - cos theta) lies in [lo, hi] / 2^64: the
+        # scaling by 2^64 is exact, and floor and ceil round outward.
+        (oc, roc), _ = discs
+        r = math.ceil(roc * _ARC_SCALE)
+        lo = 2 * (_ARC_ONE - math.ceil(oc * _ARC_SCALE) - r)
+        hi = 2 * (_ARC_ONE - math.floor(oc * _ARC_SCALE) + r)
+        arc = _variations(self._sturm, hi)
+        if arc is None or _variations(self._sturm, lo) != arc:
+            return None
+        return arc
+
+    def signature(self, w):
+        """Signature at w (not a root of Delta): one elimination per arc."""
+        arc = self.locate(w)
+        if arc is None:
+            return tl_signature(self.V, w)
+        if arc not in self._values:
+            self._values[arc] = tl_signature(self.V, w)
+        return self._values[arc]
+
+
+class SignatureProfile(Record):
     """Signature at every a/q, a = 1..q-1; JUMP marks Alexander roots."""
 
-    q: int
-    values: dict  # a -> int or JUMP
+    __slots__ = ("q", "values")  # values: a -> int or JUMP
 
     def non_jump_values(self):
         return [v for v in self.values.values() if v is not JUMP]
@@ -529,7 +660,11 @@ class SignatureProfile:
 
 def signature_profile(V, q):
     """Tristram-Levine signatures of V at all q-th roots of unity except 1."""
-    V.require_valid()
+    return _profile(_Arcs(V), q)
+
+
+def _profile(arcs, q):
+    arcs.V.require_valid()
     if q < 2:
         raise ValueError("q must be >= 2")
     values = {}
@@ -538,28 +673,31 @@ def signature_profile(V, q):
         if 2 * a > q:
             # H at conj(omega) is conj(H), with the same inertia and jumps.
             values[a] = values[q - a]
-        elif at_jump(V, w):
+        elif at_jump(arcs.V, w):
             values[a] = JUMP
         else:
-            values[a] = tl_signature(V, w)
+            values[a] = arcs.signature(w)
     return SignatureProfile(q=q, values=values)
 
 
-@dataclass(frozen=True)
-class TorusLemmaReport:
-    q: int
-    matrix: object  # the T(2,q) SeifertMatrix that was checked
-    profile: SignatureProfile
-    min_value: int
-    sigma_at_minus_one: int
-    jump_steps: JumpStepReport
+class TorusLemmaReport(Record):
+    __slots__ = (
+        "q",
+        "matrix",  # the T(2,q) SeifertMatrix that was checked
+        "profile",  # SignatureProfile
+        "min_value",
+        "sigma_at_minus_one",
+        "jump_steps",  # JumpStepReport
+    )
 
 
 def verify_torus_lemma(q):
     """Check sigma_{a/q}(T_{2,q}) >= 2 for all a != 0 and sigma_{-1} = q-1,
-    and run jump_step_check on the same matrix."""
+    and run jump_step_check on the same matrix; the profile and the jump
+    steps share their arcs, so each arc is eliminated once."""
     V = torus_2q(q)
-    profile = signature_profile(V, q)
+    arcs = _Arcs(V)
+    profile = _profile(arcs, q)
     if profile.jump_angles():
         raise LemmaViolation(
             "unexpected jump of T(2,%d) at a q-th root of unity" % q
@@ -569,7 +707,7 @@ def verify_torus_lemma(q):
         raise LemmaViolation(
             "minimum q-signature of T(2,%d) is %d, expected >= 2" % (q, min_value)
         )
-    steps = jump_step_check(V, q)
+    steps = _jump_steps(arcs, q)
     sigma_minus_one = steps.sigma_at_minus_one
     if sigma_minus_one != q - 1:
         raise LemmaViolation(
@@ -585,20 +723,22 @@ def verify_torus_lemma(q):
     )
 
 
-@dataclass(frozen=True)
-class JumpInfo:
-    numerator: int  # jump at angle numerator/(2q)
-    denominator: int
-    ccw_step: int  # signature change counterclockwise across the root
-    away_step: int  # step in the direction leading away from omega = 1
-    simple: bool
+class JumpInfo(Record):
+    __slots__ = (
+        "numerator",  # jump at angle numerator/(2q)
+        "denominator",
+        "ccw_step",  # signature change counterclockwise across the root
+        "away_step",  # step in the direction leading away from omega = 1
+        "simple",
+    )
 
 
-@dataclass(frozen=True)
-class JumpStepReport:
-    q: int
-    jumps: tuple
-    sigma_at_minus_one: int | None  # None when -1 is itself a root
+class JumpStepReport(Record):
+    __slots__ = (
+        "q",
+        "jumps",  # JumpInfo, ascending
+        "sigma_at_minus_one",  # None when -1 is itself a root
+    )
 
 
 def jump_step_check(V, q):
@@ -610,9 +750,13 @@ def jump_step_check(V, q):
     The remainder after the cyclotomic factors may be a unit +-t^k, which
     has no root on the unit circle.
     """
+    return _jump_steps(_Arcs(V), q)
+
+
+def _jump_steps(arcs, q):
     if q < 1:
         raise ValueError("q must be >= 1")
-    factors, remainder = cyclotomic_factor_extract(alexander(V))
+    factors, remainder = cyclotomic_factor_extract(alexander(arcs.V))
     if not remainder.is_laurent_unit():
         raise PreconditionUnverifiable(
             "Alexander polynomial has non-cyclotomic factor %s; jump "
@@ -623,23 +767,21 @@ def jump_step_check(V, q):
         raise PreconditionUnverifiable(
             "cyclotomic factors with index not dividing %d: %s" % (2 * q, bad)
         )
+    # The remainder is a unit, so omega is a root of Delta exactly when its
+    # order is the index of one of these factors.
     multiplicity = dict(factors)
     # Signature on each open arc between consecutive 2q-grid points; arc j
     # is the conjugate of arc 2q-1-j, so only the upper half is evaluated.
-    mid = [
-        tl_signature(V, UnitRootArg(2 * j + 1, 4 * q)) for j in range(q)
-    ]
+    mid = [arcs.signature(UnitRootArg(2 * j + 1, 4 * q)) for j in range(q)]
     mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):
         w = UnitRootArg(j, 2 * q)
-        if not at_jump(V, w):
+        if w.order not in multiplicity:
             continue
         ccw = mid[j] - mid[j - 1]
-        away = ccw if 2 * j < 2 * q else -ccw
-        if 2 * j == 2 * q:
-            away = ccw
-        simple = multiplicity.get(w.order, 0) == 1
+        away = ccw if j <= q else -ccw
+        simple = multiplicity[w.order] == 1
         if simple and abs(ccw) != 2:
             raise LemmaViolation(
                 "jump at %d/%d across a simple root has step %d, expected +-2"
@@ -654,9 +796,8 @@ def jump_step_check(V, q):
                 simple=simple,
             )
         )
-    w_half = UnitRootArg(1, 2)
-    if at_jump(V, w_half):
+    if 2 in multiplicity:
         sigma_minus_one = None
     else:
-        sigma_minus_one = tl_signature(V, w_half)
+        sigma_minus_one = arcs.signature(UnitRootArg(1, 2))
     return JumpStepReport(q=q, jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

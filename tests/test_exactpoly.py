@@ -6,6 +6,7 @@ import pytest
 from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
 from knotconc.exactpoly import (
     IntPolynomial,
+    Record,
     brief_int,
     cyclotomic,
     cyclotomic_factor_extract,
@@ -278,3 +279,42 @@ class TestIntegers:
         assert integer_determinant([[2, 0], [0, 3]]) == 6
         # Multiplicativity spot check against a permuted triangular product.
         assert integer_determinant([[0, 2, 0], [1, 1, 1], [0, 0, 3]]) == -6
+
+
+class _Pair(Record):
+    __slots__ = ("x", "y")
+
+
+class TestRecord:
+    def test_fields_by_position_or_keyword(self):
+        assert _Pair(1, y=2) == _Pair(x=1, y=2) == _Pair(1, 2)
+        assert (_Pair(1, 2).x, _Pair(1, 2).y) == (1, 2)
+        assert repr(_Pair(1, "a")) == "_Pair(x=1, y='a')"
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((1,), {}), ((1, 2, 3), {}), ((1, 2), {"x": 1}), ((1,), {"z": 2})],
+    )
+    def test_wrong_fields_rejected(self, args, kwargs):
+        with pytest.raises(TypeError):
+            _Pair(*args, **kwargs)
+
+    def test_equality_and_hash_by_value(self):
+        assert _Pair(1, 2) != _Pair(2, 1)
+        assert hash(_Pair(1, (2, 3))) == hash(_Pair(1, (2, 3)))
+        assert len({_Pair(1, 2), _Pair(1, 2), _Pair(1, 3)}) == 2
+
+        class Other(Record):
+            __slots__ = ("x", "y")
+
+        assert _Pair(1, 2) != Other(1, 2)
+
+    def test_immutable(self):
+        pair = _Pair(1, 2)
+        with pytest.raises(AttributeError):
+            pair.x = 3
+        with pytest.raises(AttributeError):
+            del pair.y
+        with pytest.raises(AttributeError):
+            pair.z = 0
+        assert pair == _Pair(1, 2)

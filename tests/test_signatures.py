@@ -321,6 +321,221 @@ class TestCertifiedInertia:
         assert sum(ladder) == V.dim
 
 
+def _per_angle_profile(V, q):
+    """The profile with one at_jump test and one elimination per angle."""
+    values = {}
+    for a in range(1, q):
+        w = UnitRootArg(a, q)
+        values[a] = JUMP if at_jump(V, w) else tl_signature(V, w)
+    return values
+
+
+def _counting(monkeypatch, *names):
+    """Replace each named function of signatures by a wrapper that records
+    its arguments; returns {name: list of argument tuples}."""
+    calls = {}
+    for name in names:
+        original = getattr(signatures, name)
+        calls[name] = []
+
+        def wrapper(*args, _original=original, _seen=calls[name]):
+            _seen.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(signatures, name, wrapper)
+    return calls
+
+
+def _sturm(V):
+    return signatures._sturm_sequence(signatures._chebyshev_form(alexander(V), V.dim))
+
+
+def _roots_in_open_interval(seq):
+    """Distinct roots of D = seq[0] in (-2, 2), by Sturm's theorem; D(+-2)
+    are Delta(1) and +-Delta(-1), which are odd."""
+    one = 1 << signatures._ARC_BITS
+    return signatures._variations(seq, -2 * one) - signatures._variations(seq, 2 * one)
+
+
+def _upper_circle_roots(V):
+    """Distinct roots of Delta on the open upper half circle, by mpmath."""
+    coeffs = list(reversed(alexander(V).coeffs))
+    while coeffs and coeffs[-1] == 0:  # t^k factors
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return 0
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        angles = sorted(
+            float(mpmath.arg(z))
+            for z in roots
+            if abs(abs(z) - 1) < 1e-12 and mpmath.im(z) > 0
+        )
+    return sum(1 for i, x in enumerate(angles) if i == 0 or x - angles[i - 1] > 1e-9)
+
+
+def _arc_profile_example(seed, genus, summand):
+    rng = random.Random(seed)
+    V = random_seifert(rng, genus, bound=rng.choice([1, 2, 3]))
+    if summand:
+        V = connected_sum(V, torus_2q(summand))
+    return V
+
+
+class TestArcs:
+    """The arc locator and the profiles built on it, against per-angle
+    eliminations and mpmath root finding, which locate no arcs."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32),
+        genus=st.integers(1, 6),
+        summand=st.sampled_from([None, None, 3, 5]),
+        q=st.integers(2, 30),
+    )
+    def test_profile_matches_per_angle_signatures(self, seed, genus, summand, q):
+        V = _arc_profile_example(seed, genus, summand)
+        assert signature_profile(V, q).values == _per_angle_profile(V, q)
+
+    @pytest.mark.parametrize(
+        "V",
+        [
+            connected_sum(TREFOIL, TREFOIL),  # a double root at 1/6
+            connected_sum(SeifertMatrix([[-2, 1], [0, 0]]), torus_2q(5)),  # t | Delta
+            connected_sum(SeifertMatrix([[-2, 1], [0, 0]]), FIGURE_EIGHT),
+            NEAR_ROOT,
+            UNKNOT,
+        ],
+    )
+    def test_fixed_cases(self, V):
+        for q in range(2, 31):
+            assert signature_profile(V, q).values == _per_angle_profile(V, q), q
+
+    def test_undecided_angle_falls_back_to_elimination(self, monkeypatch):
+        arcs = signatures._Arcs(NEAR_ROOT)
+        assert arcs.locate(NEAR_ROOT_3E17) is None
+        calls = _counting(monkeypatch, "tl_signature")
+        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert calls["tl_signature"] == [(NEAR_ROOT, NEAR_ROOT_3E17)]
+        # Undecided angles are not cached: each one is eliminated.
+        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert len(calls["tl_signature"]) == 2
+
+    def test_close_angle_is_decided(self):
+        arcs = signatures._Arcs(NEAR_ROOT)
+        assert arcs.locate(NEAR_ROOT_5E16) == arcs.locate(UnitRootArg(1, 100))
+        assert arcs.locate(UnitRootArg(1, 2)) != arcs.locate(UnitRootArg(1, 100))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32), genus=st.integers(1, 4))
+    def test_root_count_matches_polyroots(self, seed, genus):
+        V = random_seifert(random.Random(seed), genus)
+        assert _roots_in_open_interval(_sturm(V)) == _upper_circle_roots(V)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        halves=st.lists(st.integers(-3, 3), max_size=4),
+        quadratics=st.lists(
+            st.tuples(st.integers(1, 5), st.integers(-3, 3), st.integers(1, 3)).filter(
+                lambda c: c[1] ** 2 < 4 * c[0] * c[2]
+            ),
+            max_size=2,
+        ),
+        sign=st.sampled_from([-1, 1]),
+    )
+    def test_sturm_sequence_counts_known_roots(self, halves, quadratics, sign):
+        # D = sign * prod(2x - k) * prod(c0 + c1 x + c2 x^2), the quadratics
+        # without real roots: its roots in (-2, 2) are the distinct k/2.
+        d = IntPolynomial([sign])
+        for k in halves:
+            d = d * IntPolynomial([-k, 2])
+        for c in quadratics:
+            d = d * IntPolynomial(c)
+        seq = signatures._sturm_sequence(list(d.coeffs))
+        assert _roots_in_open_interval(seq) == len(set(halves))
+
+    def test_sturm_sequence_with_a_negative_multiplier(self):
+        # -4x(2x - 1)(x + 1)(2x - 3)(3x^2 + 5): its Sturm sequence has
+        # degrees 6, 5, 3, ...; the pseudo-remainder of the degree-5 term by
+        # the degree-3 one, whose leading coefficient is negative, is taken
+        # with the negative multiplier lc^3.
+        d = [0, -60, 100, 44, -20, 48, -48]
+        assert _roots_in_open_interval(signatures._sturm_sequence(d)) == 4
+
+    @pytest.mark.parametrize(
+        "V, count",
+        [
+            (TREFOIL, 1),
+            (connected_sum(TREFOIL, TREFOIL), 1),
+            (torus_2q(7), 3),
+            (connected_sum(torus_2q(3), torus_2q(5)), 3),
+            (FIGURE_EIGHT, 0),
+            (NEAR_ROOT, 1),
+        ],
+    )
+    def test_root_count_of_known_polynomials(self, V, count):
+        assert _roots_in_open_interval(_sturm(V)) == count == _upper_circle_roots(V)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32),
+        genus=st.integers(1, 6),
+        summand=st.sampled_from([None, 3, 5]),
+    )
+    def test_signature_vanishes_on_the_arc_next_to_one(self, seed, genus, summand):
+        V = _arc_profile_example(seed, genus, summand)
+        arcs = signatures._Arcs(V)
+        near_one = UnitRootArg(1, 10**6)
+        first = arcs.locate(near_one)
+        # Just below x = 2 cos(0) = 2 the variations are those at 2.
+        assert first == signatures._variations(_sturm(V), 2 << signatures._ARC_BITS)
+        assert tl_signature(V, near_one) == 0
+        profile = signature_profile(V, 30)
+        for a in range(1, 16):
+            w = UnitRootArg(a, 30)
+            if profile.values[a] is not JUMP and arcs.locate(w) == first:
+                assert profile.values[a] == 0
+
+
+class TestEliminationCounts:
+    def test_profile_tests_each_angle_once(self, monkeypatch):
+        # T(2,7) has roots at 1/14, 3/14 and 5/14 turns: the angles a/12,
+        # a <= 6, fall on three arcs.
+        calls = _counting(monkeypatch, "at_jump", "tl_signature")
+        signature_profile(torus_2q(7), 12)
+        assert [w for _, w in calls["tl_signature"]] == [
+            UnitRootArg(1, 12),
+            UnitRootArg(3, 12),
+            UnitRootArg(5, 12),
+        ]
+        tested = [w for _, w in calls["at_jump"]]
+        # One at_jump per angle a <= 6, plus the one inside each
+        # tl_signature (12 in all when every angle was eliminated).
+        assert sorted(set(tested), key=lambda w: w.a / w.q) == [
+            UnitRootArg(a, 12) for a in range(1, 7)
+        ]
+        assert len(tested) == 6 + 3
+
+    def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
+        calls = _counting(monkeypatch, "_float_inertia")
+        profile = signature_profile(FIGURE_EIGHT, 12)
+        assert profile.jump_angles() == []
+        assert len(calls["_float_inertia"]) == 1
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9])
+    def test_torus_lemma_eliminates_each_arc_once(self, monkeypatch, q):
+        calls = _counting(monkeypatch, "tl_signature")
+        verify_torus_lemma(q)
+        assert len(calls["tl_signature"]) == (q + 1) // 2
+
+    def test_jump_steps_read_jumps_from_the_factor_list(self, monkeypatch):
+        calls = _counting(monkeypatch, "at_jump", "tl_signature")
+        report = jump_step_check(torus_2q(5), 5)
+        assert len(report.jumps) == 4 and report.sigma_at_minus_one == 4
+        # The only at_jump calls are those inside tl_signature, one per arc.
+        assert len(calls["at_jump"]) == len(calls["tl_signature"]) == 3
+
+
 def _exact_angle(a, q):
     """1 - cos(2 pi a/q) and sin(2 pi a/q) by mpmath at 200 bits."""
     with mpmath.workprec(200):
@@ -386,6 +601,9 @@ import contextlib, io, sys
 from knotconc import cli, signatures
 from knotconc.seifert import SeifertMatrix
 
+# The result records are plain slotted classes: no dataclasses, no inspect.
+assert not {"dataclasses", "inspect"} & set(sys.modules), sorted(sys.modules)
+
 def heavy():
     return sorted(m for m in ("mpmath", "numpy") if m in sys.modules)
 
@@ -412,8 +630,9 @@ assert "mpmath" in sys.modules
 
 
 def test_common_commands_import_neither_mpmath_nor_numpy(tmp_path):
-    """A fresh interpreter runs the common commands without importing
-    mpmath (only the interval fallback needs it) or numpy."""
+    """A fresh interpreter imports knotconc.cli without dataclasses or
+    inspect, and runs the common commands without importing mpmath (only
+    the interval fallback needs it) or numpy."""
     doc = tmp_path / "trefoil.txt"
     doc.write_text("1 -1\n0 1\n")
     src = os.path.dirname(os.path.dirname(knotconc.__file__))
