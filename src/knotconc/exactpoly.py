@@ -28,9 +28,9 @@ class Record:
     """Immutable record whose fields are its class's __slots__.
 
     Fields are given by position or keyword; records of the same class are
-    equal, and hash alike, when their fields are.  A subclass that checks
-    or normalises its fields does so in its own __init__ before calling
-    this one.
+    equal, and hash alike, when their fields are; pickle and copy rebuild a
+    record through __init__.  A subclass that checks or normalises its
+    fields does so in its own __init__, which takes them in __slots__ order.
     """
 
     __slots__ = ()
@@ -66,6 +66,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def __repr__(self):
         return "%s(%s)" % (

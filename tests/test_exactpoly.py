@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 
 import mpmath
 import pytest
 
+from knotconc.covers import HomologyOrder
 from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
 from knotconc.exactpoly import (
     IntPolynomial,
@@ -20,6 +23,7 @@ from knotconc.exactpoly import (
     t_power_minus_one,
     totient,
 )
+from knotconc.signatures import UnitRootArg
 
 P = IntPolynomial
 
@@ -318,3 +322,8 @@ class TestRecord:
         with pytest.raises(AttributeError):
             pair.z = 0
         assert pair == _Pair(1, 2)
+
+    def test_pickle_and_copy(self):
+        for record in (_Pair(1, (2, 3)), UnitRootArg(2, 6), HomologyOrder.infinite()):
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert copy.copy(record) == record == copy.deepcopy(record)
