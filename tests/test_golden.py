@@ -125,11 +125,11 @@ def _invocations():
                 out.append((key, [["--json", "signature", "--q", str(q)]], doc, rows))
     for q in range(3, 16, 2):
         out.append(("torus-verify-%d" % q, [["--json", "torus", str(q), "--verify"]], "", None))
-    for q in range(3, 12, 2):
+    for q in range(3, 24, 2):
         stages = [["torus", str(q)], ["--json", "witness", "--n0", "10", "--count", "2"]]
         out.append(("torus-witness-n0-10-%d" % q, stages, "", None))
     trefoil = "1 -1\n0 1\n"
-    for q in (5, 9):
+    for q in (5, 9, 25, 27, 49):  # 9 = 3^2, 25 = 5^2, 27 = 3^3, 49 = 7^2
         stages = [["--json", "witness", "--q", str(q)]]
         out.append(("trefoil-witness-q%d" % q, stages, trefoil, None))
     # Human mode, one case per command.
