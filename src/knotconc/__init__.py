@@ -45,6 +45,7 @@ from .seifert import (
     mirror,
     multiple,
     torus_2q,
+    torus_2q_signatures,
 )
 from .signatures import (
     JUMP,

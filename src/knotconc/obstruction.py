@@ -7,6 +7,13 @@ either 0 or in [n_i*S_min, n_i*S_max], so the achievable nonzero sums fill
 2*N0 apart, which makes the Casson-Gordon equality impossible between
 distinct members.
 
+The torus-knot signatures are Litherland's closed form sigma_{a/q}(T(2,q))
+= 2 min(a, q-a) (Signatures of iterated torus knots, 1979), so S_min = 2 at
+a = 1 and S_max = q-1 at a = (q-1)/2, and no signature is computed here: the
+cost of a schedule does not grow with q.  The values come from that theorem,
+not from a float tolerance; `torus q --verify` (signatures.verify_torus_lemma)
+checks them against certified eliminations of the T(2,q) form.
+
 The character model here is an over-approximation: each of the L lift terms
 independently takes any value in Z_q, while genuine characters form a
 subgroup-constrained subset.  Disjointness of the larger ranges is still a
@@ -21,13 +28,11 @@ from .covers import classify_prime_power_covers
 from .errors import (
     FactorizationLimit,
     HypothesisNotSatisfied,
-    LemmaViolation,
     NoCharacterModulus,
     SeparationFailure,
 )
 from .exactpoly import Record, brief_int, factorize, prime_power_decomposition
-from .seifert import alexander, torus_2q
-from .signatures import JUMP, signature_profile
+from .seifert import alexander, require_torus_q, torus_2q_signatures
 
 
 class FamilyParameters(Record):
@@ -71,28 +76,11 @@ class WitnessSchedule(Record):
     )
 
 
-def torus_profile_values(q):
-    """sigma_{a/q}(T_{2,q}) for a = 0..q-1 (0 at a = 0)."""
-    profile = signature_profile(torus_2q(q), q)
-    values = [0] + [profile.values[a] for a in range(1, q)]
-    if any(v is JUMP for v in values):
-        raise LemmaViolation("unexpected jump of T(2,%d) at a q-th root" % q)
-    return values
-
-
-def profile_extremes(q, values=None):
-    """(S_min, S_max) of the nonzero-angle signature profile of T_{2,q}.
-
-    values, when given, is that profile as torus_profile_values(q) returns it.
-    """
-    if values is None:
-        values = torus_profile_values(q)
-    s_min, s_max = min(values[1:]), max(values[1:])
-    if s_min < 2:
-        raise LemmaViolation(
-            "minimum q-signature of T(2,%d) is %d, expected >= 2" % (q, s_min)
-        )
-    return s_min, s_max
+def profile_extremes(q):
+    """(S_min, S_max) of the nonzero-angle signature profile 2 min(a, q-a)
+    of T(2,q) (seifert.torus_2q_signatures): 2 at a = 1, q-1 at a = (q-1)/2."""
+    require_torus_q(q)
+    return 2, q - 1
 
 
 def sum_range(n, params, extremes):
@@ -107,12 +95,11 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def witness_schedule(params, count, extremes=None):
+def witness_schedule(params, count):
     """Greedy multiplicities n_i with pairwise separated sum ranges."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if extremes is None:
-        extremes = profile_extremes(params.q)
+    extremes = profile_extremes(params.q)
     s_min, s_max = extremes
     entries = []
     threshold = 2 * params.n0 + 1
@@ -135,15 +122,14 @@ class SeparationReport(Record):
     __slots__ = ("pair_count", "brute_forced", "note")
 
 
-def verify_separation(schedule, values=None):
+def verify_separation(schedule):
     """Check that no Casson-Gordon equality can hold between members.
 
     Raises SeparationFailure on any invariant breach.  For each pair i < j,
     the j-side interval [lo_j, hi_j] must avoid the i-side achievable sums
     (including the all-zero character) padded by 2*N0 on each side.  At desk
     scale the check is repeated by enumerating every character-value
-    assignment on both sides, over values, the T(2,q) profile as
-    torus_profile_values(q) returns it (computed here when not given).
+    assignment on both sides over the T(2,q) profile.
     """
     params = schedule.parameters
     entries = schedule.entries
@@ -178,9 +164,7 @@ def verify_separation(schedule, values=None):
         and len(entries) >= 2
     )
     if brute:
-        if values is None:
-            values = torus_profile_values(params.q)
-        _brute_force_separation(schedule, values)
+        _brute_force_separation(schedule, torus_2q_signatures(params.q))
     note = (
         "character sums over-approximated: each of the %d lift terms ranges "
         "over all of Z_%d" % (params.term_count, params.q)
@@ -262,9 +246,8 @@ def family_report(V, count, n0=0, q=None):
         q = _character_modulus(witness_order)
     p, k = prime_power_decomposition(q)
     params = FamilyParameters(genus=V.genus, p=p, k=k, q=q, n0=n0)
-    values = torus_profile_values(q)
-    schedule = witness_schedule(params, count, profile_extremes(q, values))
-    separation = verify_separation(schedule, values)
+    schedule = witness_schedule(params, count)
+    separation = verify_separation(schedule)
     note = (
         "every family member shares this Seifert matrix by construction; "
         "member i is obtained by tying the n_i-fold multiple of T(2,%d) "

@@ -190,14 +190,19 @@ def multiple(V, n):
     return out
 
 
+def require_torus_q(q):
+    """Raise BadTorusParameter unless T(2,q) is a knot with q >= 3."""
+    if q < 3 or q % 2 == 0:
+        raise BadTorusParameter("q must be odd and >= 3, got %d" % q)
+
+
 def torus_2q(q):
     """Standard (q-1)x(q-1) Seifert matrix for the (2,q) torus knot.
 
     Convention: +1 on the diagonal, -1 on the superdiagonal, chosen so the
     signature at omega = -1 is +(q-1).  The opposite chirality is mirror().
     """
-    if q < 3 or q % 2 == 0:
-        raise BadTorusParameter("q must be odd and >= 3, got %d" % q)
+    require_torus_q(q)
     n = q - 1
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -205,6 +210,15 @@ def torus_2q(q):
         if i + 1 < n:
             rows[i][i + 1] = -1
     return SeifertMatrix(rows)
+
+
+def torus_2q_signatures(q):
+    """sigma_{a/q}(T(2,q)) = 2 min(a, q-a) for a = 0..q-1, in the sign
+    convention of torus_2q (Litherland, Signatures of iterated torus knots,
+    1979); 0 at a = 0.  signatures.verify_torus_lemma checks it against
+    certified eliminations."""
+    require_torus_q(q)
+    return [0] + [2 * min(a, q - a) for a in range(1, q)]
 
 
 UNKNOT = SeifertMatrix()

@@ -143,7 +143,7 @@ from .errors import (
     TrivialAngle,
 )
 from .exactpoly import Record, _pseudo_remainder, cyclotomic, cyclotomic_factor_extract
-from .seifert import alexander, torus_2q
+from .seifert import alexander, torus_2q, torus_2q_signatures
 
 
 class UnitRootArg(Record):
@@ -611,7 +611,12 @@ def _variations(seq, num):
 
 class _Arcs:
     """Signatures of V by arc of the upper unit circle, for one call; the
-    argument is in the module docstring."""
+    argument is in the module docstring.
+
+    locate() also decides jumps: a decided bracket has D nonzero at both
+    ends and no root of D inside, so 2 cos theta is no root of D and omega
+    no root of Delta.  Only an undecided angle needs at_jump's division.
+    """
 
     def __init__(self, V):
         self.V = V
@@ -638,7 +643,10 @@ class _Arcs:
 
     def signature(self, w):
         """Signature at w (not a root of Delta): one elimination per arc."""
-        arc = self.locate(w)
+        return self.value(w, self.locate(w))
+
+    def value(self, w, arc):
+        """Signature at w (not a root of Delta) given arc = locate(w)."""
         if arc is None:
             return tl_signature(self.V, w)
         if arc not in self._values:
@@ -669,14 +677,16 @@ def _profile(arcs, q):
         raise ValueError("q must be >= 2")
     values = {}
     for a in range(1, q):
-        w = UnitRootArg(a, q)
         if 2 * a > q:
             # H at conj(omega) is conj(H), with the same inertia and jumps.
             values[a] = values[q - a]
-        elif at_jump(arcs.V, w):
+            continue
+        w = UnitRootArg(a, q)
+        arc = arcs.locate(w)
+        if arc is None and at_jump(arcs.V, w):  # a located angle is no jump
             values[a] = JUMP
         else:
-            values[a] = arcs.signature(w)
+            values[a] = arcs.value(w, arc)
     return SignatureProfile(q=q, values=values)
 
 
@@ -692,21 +702,22 @@ class TorusLemmaReport(Record):
 
 
 def verify_torus_lemma(q):
-    """Check sigma_{a/q}(T_{2,q}) >= 2 for all a != 0 and sigma_{-1} = q-1,
-    and run jump_step_check on the same matrix; the profile and the jump
-    steps share their arcs, so each arc is eliminated once."""
+    """Check sigma_{a/q}(T_{2,q}) = 2 min(a, q-a), the closed form
+    seifert.torus_2q_signatures that witness schedules use, for all a != 0
+    (so no q-th root is a jump and every value is >= 2) and sigma_{-1} =
+    q-1, and run jump_step_check on the same matrix; the profile and the
+    jump steps share their arcs, so each arc is eliminated once."""
     V = torus_2q(q)
     arcs = _Arcs(V)
     profile = _profile(arcs, q)
-    if profile.jump_angles():
-        raise LemmaViolation(
-            "unexpected jump of T(2,%d) at a q-th root of unity" % q
-        )
+    closed_form = torus_2q_signatures(q)
+    for a, v in profile.values.items():
+        if v != closed_form[a]:
+            raise LemmaViolation(
+                "sigma_{%d/%d}(T(2,%d)) is %s, the closed form 2 min(a, q-a) "
+                "gives %d" % (a, q, q, v, closed_form[a])
+            )
     min_value = min(profile.non_jump_values())
-    if min_value < 2:
-        raise LemmaViolation(
-            "minimum q-signature of T(2,%d) is %d, expected >= 2" % (q, min_value)
-        )
     steps = _jump_steps(arcs, q)
     sigma_minus_one = steps.sigma_at_minus_one
     if sigma_minus_one != q - 1:

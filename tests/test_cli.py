@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconc import cli, signatures
 from knotconc.cli import main, parse_matrix_document
@@ -18,6 +22,17 @@ def trefoil_file(tmp_path):
     path = tmp_path / "trefoil.txt"
     path.write_text(TREFOIL_TEXT)
     return str(path)
+
+
+@pytest.fixture
+def no_eliminations(monkeypatch):
+    """Fail any call that would run a certified signature elimination."""
+
+    def refuse(*args):
+        raise AssertionError("a signature elimination ran")
+
+    monkeypatch.setattr(signatures, "tl_signature", refuse)
+    monkeypatch.setattr(signatures, "_float_inertia", refuse)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -284,21 +299,34 @@ class TestWitness:
         assert "(4400 digits)" in err and "pass --q" in err
         assert len(err.encode()) < 300
 
-    def test_profile_computed_once(self, capsys, trefoil_file, monkeypatch):
-        calls = []
-        original = signatures.tl_signature
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(signatures, "tl_signature", counting)
+    def test_witness_eliminates_nothing(self, capsys, trefoil_file, no_eliminations):
         code, out, err = run(
             capsys, ["--json", "witness", trefoil_file, "--n0", "10", "--count", "2"]
         )
-        assert code == 0
+        assert code == 0, err
         assert json.loads(out)["separation"]["brute_forced"] is True
-        assert len(calls) == 1  # sigma(1/3) of T(2,3); 2/3 is its conjugate
+
+    def test_large_q_costs_no_elimination(self, capsys, trefoil_file, no_eliminations):
+        code, out, err = run(
+            capsys, ["--json", "witness", trefoil_file, "--q", "101", "--count", "2"]
+        )
+        assert code == 0, err
+        assert json.loads(out)["profile_extremes"] == {"s_min": 2, "s_max": 100}
+
+    def test_non_cyclic_homology_costs_no_elimination(
+        self, capsys, monkeypatch, no_eliminations
+    ):
+        # H1 of the 2-fold cover is Z13 + Z13 (q = 169 today, 13 once q is
+        # taken from the group); either way no T(2,q) form is eliminated.
+        code, out, err = run(
+            capsys,
+            ["--json", "witness", "-", "--count", "2"],
+            stdin="2 3 -2 -2\n2 0 0 2\n-2 0 0 -1\n-2 2 -2 1\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["profile_extremes"]["s_max"] == doc["q"] - 1
 
     def test_removed_prime_options(self, capsys, trefoil_file):
         with pytest.raises(SystemExit):
@@ -360,3 +388,54 @@ class TestLongIntegers:
     def test_classify(self, capsys, monkeypatch):
         doc = self.run_json(capsys, monkeypatch, ["--json", "classify", "-"])
         assert doc["witness_cover"] == {"r": "2", "order": self.DELTA_MINUS_1}
+
+
+@st.composite
+def seifert_rows(draw):
+    """Genus 1-3 Seifert matrix with entries in [-3, 3]: a symmetric part
+    plus the standard symplectic V - V^t.  Singular draws are kept."""
+    n = 2 * draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            band = i % 2 == 0 and j == i + 1  # this entry minus 1 sits below it
+            rows[i][j] = rows[j][i] = draw(st.integers(-2 if band else -3, 3))
+    for i in range(0, n, 2):
+        rows[i + 1][i] -= 1
+    return rows
+
+
+def _is_odd_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return p % 2 == 1 and q == 1
+
+
+class TestRandomMatrices:
+    """classify and witness on random matrices: a documented exit status,
+    never an exception out of main, and a witness q that names T(2,q)."""
+
+    @staticmethod
+    def main_json(argv, rows):
+        out, saved = io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(json.dumps({"matrix": rows}))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["--json"] + argv)
+        finally:
+            sys.stdin = saved
+        return code, out.getvalue()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=seifert_rows())
+    def test_classify_and_witness_exit_cleanly(self, rows):
+        code, _ = self.main_json(["classify"], rows)
+        assert code in (0, 2, 3)
+        code, out = self.main_json(["witness", "--count", "2"], rows)
+        assert code in (0, 2, 3)
+        if code == 0:
+            doc = json.loads(out)
+            q = doc["q"]
+            assert q >= 3 and _is_odd_prime_power(q)
+            assert doc["profile_extremes"]["s_max"] == q - 1

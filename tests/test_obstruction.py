@@ -1,6 +1,6 @@
 import pytest
 
-from knotconc.errors import HypothesisNotSatisfied, SeparationFailure
+from knotconc.errors import BadTorusParameter, HypothesisNotSatisfied, SeparationFailure
 from knotconc.obstruction import (
     FamilyParameters,
     ScheduleEntry,
@@ -8,11 +8,10 @@ from knotconc.obstruction import (
     family_report,
     profile_extremes,
     sum_range,
-    torus_profile_values,
     verify_separation,
     witness_schedule,
 )
-from knotconc.seifert import TREFOIL, UNKNOT
+from knotconc.seifert import TREFOIL, UNKNOT, torus_2q_signatures
 
 
 def trefoil_params(n0):
@@ -21,20 +20,27 @@ def trefoil_params(n0):
 
 class TestTorusProfiles:
     def test_q3_values(self):
-        assert torus_profile_values(3) == [0, 2, 2]
+        assert torus_2q_signatures(3) == [0, 2, 2]
 
     def test_q5_values(self):
-        values = torus_profile_values(5)
-        assert values[0] == 0
-        assert len(values) == 5
-        for a in range(1, 5):
-            assert values[a] == values[5 - a]  # conjugation symmetry
-        assert all(v >= 2 for v in values[1:])
+        assert torus_2q_signatures(5) == [0, 2, 4, 4, 2]
 
     def test_extremes(self):
         assert profile_extremes(3) == (2, 2)
         assert profile_extremes(5) == (2, 4)
         assert profile_extremes(7) == (2, 6)
+        for q in (9, 25, 27, 49, 101):
+            values = torus_2q_signatures(q)[1:]
+            assert profile_extremes(q) == (min(values), max(values))
+
+    def test_extremes_of_a_huge_q_cost_nothing(self):
+        assert profile_extremes(10**60 + 1) == (2, 10**60)
+
+    @pytest.mark.parametrize("q", [-3, 1, 2, 4, 14])
+    def test_torus_parameter_checked(self, q):
+        for f in (torus_2q_signatures, profile_extremes):
+            with pytest.raises(BadTorusParameter, match="q must be odd and >= 3"):
+                f(q)
 
     def test_sum_range(self):
         params = trefoil_params(0)

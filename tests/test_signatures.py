@@ -30,6 +30,7 @@ from knotconc.seifert import (
     mirror,
     multiple,
     torus_2q,
+    torus_2q_signatures,
 )
 from knotconc import signatures
 from knotconc.signatures import (
@@ -195,6 +196,19 @@ class TestTorusLemma:
             assert report.min_value >= 2
             assert report.sigma_at_minus_one == q - 1
             assert report.profile.jump_angles() == []
+
+    @pytest.mark.parametrize("q", list(range(3, 32, 2)) + [49])
+    def test_closed_form_matches_elimination(self, q):
+        # Litherland's 2 min(a, q-a), which witness schedules use, against
+        # certified eliminations of the T(2,q) form.
+        profile = signature_profile(torus_2q(q), q)
+        assert [profile.values[a] for a in range(1, q)] == torus_2q_signatures(q)[1:]
+
+    def test_closed_form_mismatch_is_a_violation(self, monkeypatch):
+        wrong = [0, 2, 4, 4, 6, 4, 2]  # T(2,7) has 2, 4, 6, 6, 4, 2
+        monkeypatch.setattr(signatures, "torus_2q_signatures", lambda q: wrong)
+        with pytest.raises(LemmaViolation, match="closed form"):
+            verify_torus_lemma(7)
 
     def test_violation_detection(self):
         # The lemma machinery must notice a matrix that fails the bound:
@@ -508,13 +522,9 @@ class TestEliminationCounts:
             UnitRootArg(3, 12),
             UnitRootArg(5, 12),
         ]
-        tested = [w for _, w in calls["at_jump"]]
-        # One at_jump per angle a <= 6, plus the one inside each
-        # tl_signature (12 in all when every angle was eliminated).
-        assert sorted(set(tested), key=lambda w: w.a / w.q) == [
-            UnitRootArg(a, 12) for a in range(1, 7)
-        ]
-        assert len(tested) == 6 + 3
+        # Every angle is located on its arc, so none needs its own jump
+        # test: the only at_jump calls are those inside tl_signature.
+        assert calls["at_jump"] == calls["tl_signature"]
 
     def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
         calls = _counting(monkeypatch, "_float_inertia")
