@@ -7,10 +7,11 @@ lines starting with '#' are ignored).  Machine mode (--json) emits a single
 JSON document with the same numeric content as the human output and no
 timestamps, so identical invocations are byte-identical.
 
-Exit statuses: 0 success; 2 invalid input (unreadable or malformed input,
-an invalid Seifert matrix, Delta(1) != +-1, a bad q, or a witness order
-with no usable character modulus); 3 obstruction hypothesis not satisfied;
-4 any other library error, an internal assertion failure.
+Exit statuses: 0 success, also when the reader closes stdout early (the
+rest of the output is dropped); 2 invalid input (unreadable or malformed
+input, an invalid Seifert matrix, Delta(1) != +-1, a bad q, or a witness
+order with no usable character modulus); 3 obstruction hypothesis not
+satisfied; 4 any other library error, an internal assertion failure.
 
 Exact results can pass Python's 4300-digit int-to-str limit, so the
 commands that print Delta or |H1| lift it once their input is parsed;
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import os
 import sys
 
 from . import covers, obstruction, signatures
@@ -59,7 +62,7 @@ def _read_text(path):
         raise InputError("cannot read %s: %s" % (path, exc))
 
 
-def parse_matrix_document(text, default_name="matrix"):
+def parse_matrix_document(text):
     """Parse a JSON or bare-text matrix document into (name, SeifertMatrix)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -69,7 +72,7 @@ def parse_matrix_document(text, default_name="matrix"):
             raise InputError("invalid JSON document: %s" % exc)
         if not isinstance(doc, dict) or "matrix" not in doc:
             raise InputError('JSON document must have a "matrix" field')
-        name = doc.get("name", default_name)
+        name = doc.get("name", "matrix")
         rows = doc["matrix"]
     else:
         rows = []
@@ -81,7 +84,7 @@ def parse_matrix_document(text, default_name="matrix"):
                 rows.append([int(tok) for tok in line.replace(",", " ").split()])
             except ValueError:
                 raise InputError("cannot parse matrix row: %r" % line)
-        name = default_name
+        name = "matrix"
     try:
         matrix = SeifertMatrix(rows)
     except (TypeError, ValueError) as exc:
@@ -368,7 +371,9 @@ def cmd_witness(args):
 # -- entry point ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="knotconc",
         description="Concordance invariants of Seifert matrices: Alexander "
@@ -438,10 +443,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush of what is
+        # still buffered at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (
         InputError,
         InvalidSeifertMatrix,

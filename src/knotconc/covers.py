@@ -119,7 +119,7 @@ class ClassificationReport(Record):
 DEFAULT_WITNESS_BOUND = 512
 
 
-def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
+def classify_prime_power_covers(delta):
     """Classify which branched covers of the knot are homology spheres.
 
     Every prime power cover is a homology sphere iff every irreducible factor
@@ -138,7 +138,7 @@ def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
     all_trivial = delta.is_laurent_unit()
     witness = None
     if not all_pp_trivial:
-        witness = _find_witness_cover(delta, factors, witness_bound)
+        witness = _find_witness_cover(delta, factors)
     return ClassificationReport(
         cyclotomic_factors=tuple(factors),
         non_cyclotomic_remainder=remainder,
@@ -148,8 +148,9 @@ def classify_prime_power_covers(delta, witness_bound=DEFAULT_WITNESS_BOUND):
     )
 
 
-def _witness_candidates(factors, bound):
-    """Prime powers up to bound, the promising ones first, generated lazily."""
+def _witness_candidates(factors):
+    """Prime powers up to DEFAULT_WITNESS_BOUND, the promising ones first,
+    generated lazily."""
     # Prime powers p^k with p dividing a surviving cyclotomic index with
     # at most two distinct primes are the theoretically promising covers;
     # try them first, then everything else ascending.
@@ -159,21 +160,22 @@ def _witness_candidates(factors, bound):
         if n > 1 and len(primes) <= 2:
             for p in primes:
                 pk = p
-                while pk <= bound:
+                while pk <= DEFAULT_WITNESS_BOUND:
                     priority.add(pk)
                     pk *= p
     yield from sorted(priority)
-    for r in range(2, bound + 1):
+    for r in range(2, DEFAULT_WITNESS_BOUND + 1):
         if r not in priority and len(factorize(r)) == 1:
             yield r
 
 
-def _find_witness_cover(delta, factors, bound):
-    for r, order in _orders(delta, factors, _witness_candidates(factors, bound)):
+def _find_witness_cover(delta, factors):
+    for r, order in _orders(delta, factors, _witness_candidates(factors)):
         if not order.is_finite or order.value != 1:
             return (r, order)
     raise WitnessSearchExhausted(
-        "no prime power cover with nontrivial homology found up to %d" % bound
+        "no prime power cover with nontrivial homology found up to %d"
+        % DEFAULT_WITNESS_BOUND
     )
 
 

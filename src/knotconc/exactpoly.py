@@ -107,15 +107,9 @@ class IntPolynomial:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading_coefficient(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
     def is_monic_unit(self):
         """True if the leading coefficient is +1 or -1."""
         return bool(self.coeffs) and self.coeffs[-1] in (1, -1)
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
 
     def is_laurent_unit(self):
         """True if self = +-t^k, a unit of Z[t, 1/t]."""
@@ -219,9 +213,6 @@ class IntPolynomial:
                     rem[i + j] -= c * gc[j]
         return IntPolynomial(quot), IntPolynomial(rem[:dg])
 
-    def reversed_coefficients(self):
-        return IntPolynomial(list(reversed(self.coeffs)))
-
     # -- formatting -------------------------------------------------------
 
     def __str__(self):
@@ -231,12 +222,7 @@ class IntPolynomial:
         return "IntPolynomial(%r)" % format_poly(self)
 
 
-ZERO = IntPolynomial()
-ONE = IntPolynomial([1])
-T = IntPolynomial([0, 1])
-
-
-def format_poly(p, var="t"):
+def format_poly(p):
     if p.is_zero():
         return "0"
     terms = []
@@ -249,7 +235,7 @@ def format_poly(p, var="t"):
         if i == 0:
             body = str(mag)
         else:
-            tvar = var if i == 1 else "%s^%d" % (var, i)
+            tvar = "t" if i == 1 else "t^%d" % i
             body = tvar if mag == 1 else "%d*%s" % (mag, tvar)
         terms.append((sign, body))
     first_sign, first_body = terms[0]
@@ -325,10 +311,6 @@ def totient(n):
     for p in factorize(n):
         phi -= phi // p
     return phi
-
-
-def is_prime(n):
-    return n >= 2 and factorize(n) == {n: 1}
 
 
 def prime_power_decomposition(r):

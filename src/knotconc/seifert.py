@@ -65,12 +65,6 @@ class SeifertMatrix:
     def __repr__(self):
         return "SeifertMatrix(%r)" % (list(list(r) for r in self.rows),)
 
-    def transpose(self):
-        n = self.dim
-        return SeifertMatrix(
-            [[self.rows[j][i] for j in range(n)] for i in range(n)]
-        )
-
     # -- validation -------------------------------------------------------
 
     def validate(self):

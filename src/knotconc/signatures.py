@@ -6,9 +6,10 @@ the n x n Hermitian form
     H = (1-omega)V + (1-conj(omega))V^t = (1-cos theta)(V+V^t) + i sin theta (V^t-V).
 
 Jump locations (roots of the Alexander polynomial on the unit circle) are
-decided exactly via cyclotomic divisibility; evaluation at a jump is refused.
-Between jumps the signature is constant, so profiles evaluate it once per
-arc of the circle (see Arcs below).
+decided exactly; evaluation at a jump is refused, and a profile marks it
+JUMP.  Between jumps the signature is constant, so every signature is
+evaluated through one path that eliminates once per arc of the circle (see
+Arcs below).
 
 Off jumps, the inertia is certified by block elimination.  Each step takes a
 1x1 pivot whose real value is certified nonzero or, failing that, a 2x2
@@ -100,9 +101,14 @@ fallback, and nowhere else.
 
 Arcs.  det H = (1-omega)^n Delta(conj omega), so H is nonsingular off the
 roots of Delta and the signature is constant on each arc of the unit circle
-between consecutive roots (Levine 1969, Tristram 1969).  A profile or a
-jump-step check runs one elimination per arc it hits and copies the value
-to the other angles on that arc; the values are kept for that one call.
+between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
+a single tl_signature as well as a profile, a jump-step check or the torus
+lemma, goes through one evaluator built for that call.  It forms V + V^t,
+V^t - V and the Sturm sequence of D once.  For each angle it computes the
+discs of 1 - cos theta and sin theta once, locates the angle's arc with
+them and starts the float step from them; it eliminates once per arc and
+copies the value to the other angles on that arc, keeping the values for
+that one call.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -125,8 +131,13 @@ to the other angles on that arc; the values are kept for that one call.
                nonzero and V(lo) = V(hi), no root lies in the bracket and
                V(hi) names the arc; sign variations are counted in integer
                arithmetic, never by a float comparison.
-    fallback   otherwise a root may sit in the bracket (or q > 2^50 and
-               there is no disc), the angle is undecided, and it is
+    jumps      a decided bracket has D nonzero at both ends and no root
+               of D inside, so 2 cos theta is no root of D and omega no root
+               of Delta.
+    undecided  otherwise a root may sit in the bracket (or q > 2^50 and
+               there is no disc).  Only then is the exact test run: omega is
+               a root of Delta iff its cyclotomic polynomial Phi_q divides
+               Delta.  A root is a jump; any other undecided angle is
                evaluated by its own elimination.
 """
 
@@ -167,11 +178,6 @@ class UnitRootArg(Record):
     def is_trivial(self):
         return self.a == 0
 
-    @property
-    def order(self):
-        """Multiplicative order of omega (1 for omega = 1)."""
-        return self.q if self.a else 1
-
     def __str__(self):
         return "%d/%d" % (self.a, self.q)
 
@@ -193,9 +199,9 @@ def at_jump(V, w):
     delta = alexander(V)
     # phi(n) >= sqrt(n/2), so a larger order has phi(n) > deg(Delta) and
     # Phi_n cannot divide Delta; this avoids building a huge Phi_n.
-    if delta.degree() < 1 or w.order > 2 * delta.degree() ** 2:
+    if delta.degree() < 1 or w.q > 2 * delta.degree() ** 2:
         return False
-    phi = cyclotomic(w.order)
+    phi = cyclotomic(w.q)
     if phi.degree() > delta.degree():
         return False
     _, r = delta.divmod_exact(phi)
@@ -211,28 +217,21 @@ def tl_signature(V, w):
     V.require_valid()
     if w.is_trivial:
         raise TrivialAngle("the form vanishes at omega = 1; angle 0 is excluded")
-    if at_jump(V, w):
+    return _off_jump(_Arcs(V), w)
+
+
+def _off_jump(arcs, w):
+    """arcs.signature(w), raising JumpPoint at a root of the Alexander polynomial."""
+    sigma = arcs.signature(w)
+    if sigma is JUMP:
         raise JumpPoint("omega = exp(2*pi*i*%s) is a root of the Alexander polynomial" % w)
-    if V.dim == 0:
-        return 0
-    sym, skew = _form_parts(V)
-    args = sym, skew, w.a, w.q
-    pos, neg = _float_inertia(*args) or _interval_ladder(*args)
-    assert pos + neg == V.dim
-    return pos - neg
+    return sigma
 
 
-def _form_parts(V):
-    """Integer matrices V + V^t and V^t - V; H = (1-cos)(V+V^t) + i sin (V^t-V)."""
-    n = V.dim
-    sym = [[V.rows[i][j] + V.rows[j][i] for j in range(n)] for i in range(n)]
-    skew = [[V.rows[j][i] - V.rows[i][j] for j in range(n)] for i in range(n)]
-    return sym, skew
-
-
-def _float_inertia(sym, skew, a, q):
-    """(pos, neg) of H by the float step, or None when it cannot certify."""
-    m = _FloatDiscs.of_form(sym, skew, a, q)
+def _float_inertia(sym, skew, discs):
+    """(pos, neg) of H by the float step from the angle's discs, or None
+    when it cannot certify."""
+    m = _FloatDiscs.of_form(sym, skew, discs)
     return None if m is None else _eliminate(m)
 
 
@@ -395,13 +394,12 @@ class _FloatDiscs:
         self.mids, self.rads = mids, rads
 
     @classmethod
-    def of_form(cls, sym, skew, a, q):
-        """Discs of H, or None if an integer entry is not an exact float or
-        q is too large for the angle's discs."""
-        if any(abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row):
-            return None
-        discs = _angle_discs(a, q)
-        if discs is None:
+    def of_form(cls, sym, skew, discs):
+        """Discs of H from the discs of 1 - cos theta and sin theta, or None
+        if those are None (q > 2^50) or an integer entry is not an exact float."""
+        if discs is None or any(
+            abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row
+        ):
             return None
         (oc, roc), (s, rs) = discs
         mids, rads = [], []
@@ -541,8 +539,6 @@ class _Intervals:
         return b.real**2 + b.imag**2
 
 
-
-
 # -- arcs: one elimination per arc of the unit circle -------------------------
 
 
@@ -610,26 +606,37 @@ def _variations(seq, num):
 
 
 class _Arcs:
-    """Signatures of V by arc of the upper unit circle, for one call; the
-    argument is in the module docstring.
-
-    locate() also decides jumps: a decided bracket has D nonzero at both
-    ends and no root of D inside, so 2 cos theta is no root of D and omega
-    no root of Delta.  Only an undecided angle needs at_jump's division.
-    """
+    """The one evaluator of the signatures of V, for one call: V + V^t,
+    V^t - V and the Sturm sequence of D are built once, and each arc of the
+    upper unit circle is eliminated once; the argument is in the module
+    docstring."""
 
     def __init__(self, V):
         self.V = V
-        self._sturm = None  # built on the first locate()
+        # alexander() validates V, so the rows below are square.
+        self._sturm = _sturm_sequence(_chebyshev_form(alexander(V), V.dim))
+        n, rows = V.dim, V.rows
+        self._sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+        self._skew = [[rows[j][i] - rows[i][j] for j in range(n)] for i in range(n)]
         self._values = {}  # arc -> signature
 
-    def locate(self, w):
-        """The arc of w (not a root of Delta), or None when undecided."""
+    def signature(self, w):
+        """Signature at w != 1, or JUMP when omega is a root of Delta.
+
+        A located angle is no root, since its bracket holds no root of D;
+        only an undecided angle needs at_jump's division, and it gets its
+        own elimination.
+        """
         discs = _angle_discs(w.a, w.q)
-        if discs is None:
-            return None
-        if self._sturm is None:
-            self._sturm = _sturm_sequence(_chebyshev_form(alexander(self.V), self.V.dim))
+        arc = None if discs is None else self._locate(discs)
+        if arc is None:
+            return JUMP if at_jump(self.V, w) else self._inertia(w, discs)
+        if arc not in self._values:
+            self._values[arc] = self._inertia(w, discs)
+        return self._values[arc]
+
+    def _locate(self, discs):
+        """The arc of the angle with these discs, or None when undecided."""
         # 2 cos(theta) = 2 - 2(1 - cos theta) lies in [lo, hi] / 2^64: the
         # scaling by 2^64 is exact, and floor and ceil round outward.
         (oc, roc), _ = discs
@@ -641,17 +648,11 @@ class _Arcs:
             return None
         return arc
 
-    def signature(self, w):
-        """Signature at w (not a root of Delta): one elimination per arc."""
-        return self.value(w, self.locate(w))
-
-    def value(self, w, arc):
-        """Signature at w (not a root of Delta) given arc = locate(w)."""
-        if arc is None:
-            return tl_signature(self.V, w)
-        if arc not in self._values:
-            self._values[arc] = tl_signature(self.V, w)
-        return self._values[arc]
+    def _inertia(self, w, discs):
+        sym, skew = self._sym, self._skew
+        pos, neg = _float_inertia(sym, skew, discs) or _interval_ladder(sym, skew, w.a, w.q)
+        assert pos + neg == self.V.dim
+        return pos - neg
 
 
 class SignatureProfile(Record):
@@ -672,21 +673,12 @@ def signature_profile(V, q):
 
 
 def _profile(arcs, q):
-    arcs.V.require_valid()
     if q < 2:
         raise ValueError("q must be >= 2")
     values = {}
     for a in range(1, q):
-        if 2 * a > q:
-            # H at conj(omega) is conj(H), with the same inertia and jumps.
-            values[a] = values[q - a]
-            continue
-        w = UnitRootArg(a, q)
-        arc = arcs.locate(w)
-        if arc is None and at_jump(arcs.V, w):  # a located angle is no jump
-            values[a] = JUMP
-        else:
-            values[a] = arcs.value(w, arc)
+        # H at conj(omega) is conj(H), with the same inertia and jumps.
+        values[a] = values[q - a] if 2 * a > q else arcs.signature(UnitRootArg(a, q))
     return SignatureProfile(q=q, values=values)
 
 
@@ -783,16 +775,16 @@ def _jump_steps(arcs, q):
     multiplicity = dict(factors)
     # Signature on each open arc between consecutive 2q-grid points; arc j
     # is the conjugate of arc 2q-1-j, so only the upper half is evaluated.
-    mid = [arcs.signature(UnitRootArg(2 * j + 1, 4 * q)) for j in range(q)]
+    mid = [_off_jump(arcs, UnitRootArg(2 * j + 1, 4 * q)) for j in range(q)]
     mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):
         w = UnitRootArg(j, 2 * q)
-        if w.order not in multiplicity:
+        if w.q not in multiplicity:
             continue
         ccw = mid[j] - mid[j - 1]
         away = ccw if j <= q else -ccw
-        simple = multiplicity[w.order] == 1
+        simple = multiplicity[w.q] == 1
         if simple and abs(ccw) != 2:
             raise LemmaViolation(
                 "jump at %d/%d across a simple root has step %d, expected +-2"
@@ -810,5 +802,5 @@ def _jump_steps(arcs, q):
     if 2 in multiplicity:
         sigma_minus_one = None
     else:
-        sigma_minus_one = arcs.signature(UnitRootArg(1, 2))
+        sigma_minus_one = _off_jump(arcs, UnitRootArg(1, 2))
     return JumpStepReport(q=q, jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

@@ -1,16 +1,21 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import knotconc
 from knotconc import cli, signatures
 from knotconc.cli import main, parse_matrix_document
 from knotconc.errors import KnotConcError
 from knotconc.seifert import SeifertMatrix
+
+from conftest import seifert_rows
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
 UNKNOT_TEXT = "{\"name\": \"unknot\", \"matrix\": []}"
@@ -346,10 +351,12 @@ class TestExitStatuses:
     def test_every_library_error_maps_to_an_exit_status(
         self, capsys, trefoil_file, monkeypatch, error
     ):
-        def planted(args):
+        def planted(V):
             raise error("planted")
 
-        monkeypatch.setattr(cli, "cmd_alexander", planted)
+        # The parser, built once per process, holds the command functions
+        # themselves, so the error is planted in the library call below one.
+        monkeypatch.setattr(cli, "alexander", planted)
         code, out, err = run(capsys, ["alexander", trefoil_file])
         assert code in (2, 3, 4)
         assert "planted" in err and "Traceback" not in err
@@ -362,6 +369,40 @@ class TestExitStatuses:
     def test_bad_delta_text_exit_2(self, capsys):
         code, out, err = run(capsys, ["covers", "--delta", "1,x,1"])
         assert code == 2
+
+    def test_closed_reader_exits_quietly(self):
+        # torus 301 --json prints about 0.8 MB, far past a pipe's buffer, so
+        # a write fails once the reader has taken one line and closed the pipe.
+        src = os.path.dirname(os.path.dirname(knotconc.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        with subprocess.Popen(
+            [sys.executable, "-m", "knotconc.cli", "torus", "301", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert main(["torus", "3"]) == 0
+    built = len(progs)
+    assert main(["--json", "torus", "5"]) == 0
+    assert len(progs) == built and progs.count("knotconc") == 1
+    capsys.readouterr()
 
 
 class TestLongIntegers:
@@ -388,21 +429,6 @@ class TestLongIntegers:
     def test_classify(self, capsys, monkeypatch):
         doc = self.run_json(capsys, monkeypatch, ["--json", "classify", "-"])
         assert doc["witness_cover"] == {"r": "2", "order": self.DELTA_MINUS_1}
-
-
-@st.composite
-def seifert_rows(draw):
-    """Genus 1-3 Seifert matrix with entries in [-3, 3]: a symmetric part
-    plus the standard symplectic V - V^t.  Singular draws are kept."""
-    n = 2 * draw(st.integers(1, 3))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            band = i % 2 == 0 and j == i + 1  # this entry minus 1 sits below it
-            rows[i][j] = rows[j][i] = draw(st.integers(-2 if band else -3, 3))
-    for i in range(0, n, 2):
-        rows[i + 1][i] -= 1
-    return rows
 
 
 def _is_odd_prime_power(q):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import knotconc
 
-from conftest import random_seifert
+from conftest import random_seifert, seifert_rows
 from knotconc.errors import (
     JumpPoint,
     LemmaViolation,
@@ -64,11 +64,11 @@ def numeric_signature(V, a, q, dps=40):
 class TestUnitRootArg:
     def test_reduction(self):
         w = UnitRootArg(2, 6)
-        assert (w.a, w.q) == (1, 3) and w.order == 3
+        assert (w.a, w.q) == (1, 3)
 
     def test_trivial(self):
         w = UnitRootArg(0, 5)
-        assert w.is_trivial and w.q == 1 and w.order == 1
+        assert w.is_trivial and w.q == 1
         assert UnitRootArg(5, 5).is_trivial
 
     def test_negative_numerator(self):
@@ -266,6 +266,33 @@ class TestJumpSteps:
         assert all(j.simple for j in report.jumps)
 
 
+@st.composite
+def _jump_step_draws(draw):
+    """(V, q): a genus 1-3 matrix with entries in [-3, 3], on some draws
+    summed with T(2,3) or T(2,5), and q <= 15, on most of those draws a
+    multiple of the summand's q so that its roots lie on the 2q-grid."""
+    V = SeifertMatrix(draw(seifert_rows()))
+    summand = draw(st.sampled_from([None, 3, 5]))
+    if summand is None:
+        return V, draw(st.integers(1, 15))
+    q = draw(st.one_of(st.integers(1, 15), st.sampled_from(range(summand, 16, summand))))
+    return connected_sum(V, torus_2q(summand)), q
+
+
+class TestJumpStepProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_jump_step_draws())
+    def test_report_or_unverifiable(self, draw):
+        V, q = draw
+        try:
+            report = jump_step_check(V, q)
+        except PreconditionUnverifiable:
+            return
+        assert all(abs(j.ccw_step) == 2 for j in report.jumps if j.simple)
+        # -1 is never a root: Delta(-1) is odd for a knot.
+        assert report.sigma_at_minus_one == numeric_signature(V, 1, 2)
+
+
 # Delta = 2t^2 - 3t + 2 has a unit-circle root at cos(theta) = 3/4; the two
 # angles below are continued-fraction convergents of that root's angle.
 NEAR_ROOT = SeifertMatrix([[1, 1], [0, 2]])
@@ -273,11 +300,19 @@ NEAR_ROOT_3E17 = UnitRootArg(15375095, 133665412)  # 3e-17 turns from the root
 NEAR_ROOT_5E16 = UnitRootArg(1722792, 14977319)  # 5e-16 turns from the root
 
 
+def _form_parts(V):
+    """Integer matrices V + V^t and V^t - V; H = (1-cos)(V+V^t) + i sin (V^t-V)."""
+    n = V.dim
+    sym = [[V.rows[i][j] + V.rows[j][i] for j in range(n)] for i in range(n)]
+    skew = [[V.rows[j][i] - V.rows[i][j] for j in range(n)] for i in range(n)]
+    return sym, skew
+
+
 def _inertia_paths(V, w):
     """(float step, interval ladder) inertia of the form of V at w."""
-    sym, skew = signatures._form_parts(V)
+    sym, skew = _form_parts(V)
     return (
-        signatures._float_inertia(sym, skew, w.a, w.q),
+        signatures._float_inertia(sym, skew, signatures._angle_discs(w.a, w.q)),
         signatures._interval_ladder(sym, skew, w.a, w.q),
     )
 
@@ -335,12 +370,23 @@ class TestCertifiedInertia:
         assert sum(ladder) == V.dim
 
 
+def _per_angle_signature(V, w):
+    """Signature of V at w, no root of Delta, by the bare elimination: no
+    arcs, and not through the elimination seam that tests count."""
+    sym, skew = _form_parts(V)
+    m = signatures._FloatDiscs.of_form(sym, skew, signatures._angle_discs(w.a, w.q))
+    pos, neg = (m is not None and signatures._eliminate(m)) or signatures._interval_ladder(
+        sym, skew, w.a, w.q
+    )
+    return pos - neg
+
+
 def _per_angle_profile(V, q):
     """The profile with one at_jump test and one elimination per angle."""
     values = {}
     for a in range(1, q):
         w = UnitRootArg(a, q)
-        values[a] = JUMP if at_jump(V, w) else tl_signature(V, w)
+        values[a] = JUMP if at_jump(V, w) else _per_angle_signature(V, w)
     return values
 
 
@@ -358,6 +404,11 @@ def _counting(monkeypatch, *names):
 
         monkeypatch.setattr(signatures, name, wrapper)
     return calls
+
+
+def _locate(arcs, w):
+    """The arc of w on arcs, or None when undecided."""
+    return arcs._locate(signatures._angle_discs(w.a, w.q))
 
 
 def _sturm(V):
@@ -427,18 +478,28 @@ class TestArcs:
 
     def test_undecided_angle_falls_back_to_elimination(self, monkeypatch):
         arcs = signatures._Arcs(NEAR_ROOT)
-        assert arcs.locate(NEAR_ROOT_3E17) is None
-        calls = _counting(monkeypatch, "tl_signature")
+        assert _locate(arcs, NEAR_ROOT_3E17) is None
+        calls = _counting(monkeypatch, "at_jump", "_float_inertia", "_interval_ladder")
         assert arcs.signature(NEAR_ROOT_3E17) == 2
-        assert calls["tl_signature"] == [(NEAR_ROOT, NEAR_ROOT_3E17)]
+        # An undecided angle gets the exact jump test, then the float step,
+        # which cannot certify this close to the root, then the ladder.
+        assert calls["at_jump"] == [(NEAR_ROOT, NEAR_ROOT_3E17)]
+        assert len(calls["_float_inertia"]) == len(calls["_interval_ladder"]) == 1
         # Undecided angles are not cached: each one is eliminated.
         assert arcs.signature(NEAR_ROOT_3E17) == 2
-        assert len(calls["tl_signature"]) == 2
+        assert len(calls["at_jump"]) == len(calls["_float_inertia"]) == 2
+
+    def test_root_is_undecided_and_a_jump(self, monkeypatch):
+        # The bracket of a root holds that root, so only the exact test
+        # decides it: the trefoil's 1/6 is the profile's one at_jump call.
+        calls = _counting(monkeypatch, "at_jump")
+        assert signature_profile(TREFOIL, 6).values[1] is JUMP
+        assert calls["at_jump"] == [(TREFOIL, UnitRootArg(1, 6))]
 
     def test_close_angle_is_decided(self):
         arcs = signatures._Arcs(NEAR_ROOT)
-        assert arcs.locate(NEAR_ROOT_5E16) == arcs.locate(UnitRootArg(1, 100))
-        assert arcs.locate(UnitRootArg(1, 2)) != arcs.locate(UnitRootArg(1, 100))
+        assert _locate(arcs, NEAR_ROOT_5E16) == _locate(arcs, UnitRootArg(1, 100))
+        assert _locate(arcs, UnitRootArg(1, 2)) != _locate(arcs, UnitRootArg(1, 100))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32), genus=st.integers(1, 4))
@@ -500,31 +561,34 @@ class TestArcs:
         V = _arc_profile_example(seed, genus, summand)
         arcs = signatures._Arcs(V)
         near_one = UnitRootArg(1, 10**6)
-        first = arcs.locate(near_one)
+        first = _locate(arcs, near_one)
         # Just below x = 2 cos(0) = 2 the variations are those at 2.
         assert first == signatures._variations(_sturm(V), 2 << signatures._ARC_BITS)
         assert tl_signature(V, near_one) == 0
         profile = signature_profile(V, 30)
         for a in range(1, 16):
             w = UnitRootArg(a, 30)
-            if profile.values[a] is not JUMP and arcs.locate(w) == first:
+            if profile.values[a] is not JUMP and _locate(arcs, w) == first:
                 assert profile.values[a] == 0
 
 
 class TestEliminationCounts:
+    """Calls of the one elimination seam, _float_inertia, and of the exact
+    jump test, counted on the arc path."""
+
     def test_profile_tests_each_angle_once(self, monkeypatch):
         # T(2,7) has roots at 1/14, 3/14 and 5/14 turns: the angles a/12,
         # a <= 6, fall on three arcs.
-        calls = _counting(monkeypatch, "at_jump", "tl_signature")
+        calls = _counting(monkeypatch, "at_jump", "_angle_discs", "_float_inertia")
         signature_profile(torus_2q(7), 12)
-        assert [w for _, w in calls["tl_signature"]] == [
-            UnitRootArg(1, 12),
-            UnitRootArg(3, 12),
-            UnitRootArg(5, 12),
+        angles = [UnitRootArg(a, 12) for a in range(1, 7)]
+        # Every angle is located on its arc, so none needs a jump test, and
+        # its discs, computed once, also start its arc's elimination.
+        assert calls["at_jump"] == []
+        assert calls["_angle_discs"] == [(w.a, w.q) for w in angles]
+        assert [discs for _, _, discs in calls["_float_inertia"]] == [
+            signatures._angle_discs(w.a, w.q) for w in angles[::2]
         ]
-        # Every angle is located on its arc, so none needs its own jump
-        # test: the only at_jump calls are those inside tl_signature.
-        assert calls["at_jump"] == calls["tl_signature"]
 
     def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
         calls = _counting(monkeypatch, "_float_inertia")
@@ -534,16 +598,31 @@ class TestEliminationCounts:
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_torus_lemma_eliminates_each_arc_once(self, monkeypatch, q):
-        calls = _counting(monkeypatch, "tl_signature")
+        calls = _counting(monkeypatch, "at_jump", "_float_inertia")
         verify_torus_lemma(q)
-        assert len(calls["tl_signature"]) == (q + 1) // 2
+        assert len(calls["_float_inertia"]) == (q + 1) // 2
+        assert calls["at_jump"] == []
 
     def test_jump_steps_read_jumps_from_the_factor_list(self, monkeypatch):
-        calls = _counting(monkeypatch, "at_jump", "tl_signature")
+        calls = _counting(monkeypatch, "at_jump", "_float_inertia")
         report = jump_step_check(torus_2q(5), 5)
         assert len(report.jumps) == 4 and report.sigma_at_minus_one == 4
-        # The only at_jump calls are those inside tl_signature, one per arc.
-        assert len(calls["at_jump"]) == len(calls["tl_signature"]) == 3
+        # The jumps come from the factor list and every midpoint is located:
+        # no jump test, one elimination per arc.
+        assert calls["at_jump"] == []
+        assert len(calls["_float_inertia"]) == 3
+
+    def test_tl_signature_is_one_elimination(self, monkeypatch):
+        calls = _counting(monkeypatch, "at_jump", "_float_inertia")
+        assert tl_signature(torus_2q(5), UnitRootArg(1, 2)) == 4
+        assert calls["at_jump"] == [] and len(calls["_float_inertia"]) == 1
+
+    def test_jump_steps_refuse_a_midpoint_at_a_root(self, monkeypatch):
+        # Under its hypothesis no midpoint is a root; were one reported as
+        # a jump, the check must raise rather than subtract JUMP.
+        monkeypatch.setattr(signatures._Arcs, "signature", lambda self, w: JUMP)
+        with pytest.raises(JumpPoint):
+            jump_step_check(TREFOIL, 3)
 
 
 def _exact_angle(a, q):
@@ -609,7 +688,6 @@ class TestAngleDiscs:
 _IMPORT_CHECK = """
 import contextlib, io, sys
 from knotconc import cli, signatures
-from knotconc.seifert import SeifertMatrix
 
 # The result records are plain slotted classes: no dataclasses, no inspect.
 assert not {"dataclasses", "inspect"} & set(sys.modules), sorted(sys.modules)
@@ -633,7 +711,7 @@ run(["--json", "covers", "--max-r", "12", trefoil])
 run(["--json", "signature", "--q", "12", trefoil])
 run(["--json", "torus", "7", "--verify"])
 print(run(["--json", "witness", "-"], stdin=run(["torus", "5"])))
-sym, skew = signatures._form_parts(SeifertMatrix([[1, 1], [0, 2]]))
+sym, skew = [[2, 1], [1, 4]], [[0, -1], [1, 0]]  # the form parts of [[1, 1], [0, 2]]
 assert signatures._interval_ladder(sym, skew, 15375095, 133665412) == (2, 0)
 assert "mpmath" in sys.modules
 """
