@@ -132,6 +132,19 @@ def _invocations():
     for q in (5, 9, 25, 27, 49):  # 9 = 3^2, 25 = 5^2, 27 = 3^3, 49 = 7^2
         stages = [["--json", "witness", "--q", str(q)]]
         out.append(("trefoil-witness-q%d" % q, stages, trefoil, None))
+    rng = random.Random(8105)
+    for g in range(9, 13):
+        for i in range(2):
+            rows = _random_seifert(rng, g, bound=9)
+            for command in ("alexander", "classify"):
+                key = "%s-wide-g%d-%d" % (command, g, i)
+                doc = json.dumps({"name": key, "matrix": rows})
+                out.append((key, [["--json", command]], doc, rows))
+    rows = _singular(_random_seifert(random.Random(8106), 10, bound=9))
+    for command in ("alexander", "classify"):
+        key = "%s-singular-g10" % command
+        doc = json.dumps({"name": key, "matrix": rows})
+        out.append((key, [["--json", command]], doc, rows))
     # Human mode, one case per command.
     rows = _block_sum(_random_seifert(random.Random(8104), 2), _torus_rows(3))
     doc = json.dumps({"name": "human", "matrix": rows})
@@ -148,6 +161,16 @@ def _torus_rows(q):
     """The T(2,q) Seifert matrix: +1 on the diagonal, -1 above it."""
     n = q - 1
     return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+
+
+def _singular(rows):
+    """rows with its first row zeroed, and the first column with it apart
+    from the -1 that keeps V - V^t standard: det V = 0, so t divides Delta."""
+    rows = [list(row) for row in rows]
+    rows[0] = [0] * len(rows)
+    for i in range(1, len(rows)):
+        rows[i][0] = -1 if i == 1 else 0
+    return rows
 
 
 def _block_sum(a, b):
