@@ -9,9 +9,10 @@ timestamps, so identical invocations are byte-identical.
 
 Exit statuses: 0 success, also when the reader closes stdout early (the
 rest of the output is dropped); 2 invalid input (unreadable or malformed
-input, an invalid Seifert matrix, Delta(1) != +-1, a bad q, or a witness
-order with no usable character modulus); 3 obstruction hypothesis not
-satisfied; 4 any other library error, an internal assertion failure.
+input, an invalid Seifert matrix, Delta(1) != +-1, a bad or too large q, or
+a witness order with no usable character modulus) or output that cannot be
+written; 3 obstruction hypothesis not satisfied; 4 any other library error,
+an internal assertion failure.
 
 Exact results can pass Python's 4300-digit int-to-str limit, so the
 commands that print Delta or |H1| lift it once their input is parsed;
@@ -442,6 +443,14 @@ def build_parser():
     return parser
 
 
+def _drop_stdout():
+    """Point stdout at the null device, so that the flush of what is still
+    buffered at interpreter exit stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -449,12 +458,14 @@ def main(argv=None):
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return code
     except BrokenPipeError:
-        # Point stdout at the null device, so that the flush of what is
-        # still buffered at interpreter exit stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         return EXIT_OK
+    except OSError as exc:
+        # Input reads raise InputError, so an OSError here is a failed
+        # write to stdout, such as a full disk.
+        _drop_stdout()
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except (
         InputError,
         InvalidSeifertMatrix,

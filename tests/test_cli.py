@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 import knotconc
-from knotconc import cli, signatures
-from knotconc.cli import main, parse_matrix_document
+from knotconc import cli, seifert, signatures
+from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import KnotConcError
 from knotconc.seifert import SeifertMatrix
 
@@ -207,6 +208,22 @@ class TestTorus:
         code, out, err = run(capsys, ["torus", "4"])
         assert code == 2
 
+    def test_q_past_bound_exit_2_before_allocating(self, capsys):
+        # Just past the bound, so that a missing guard costs a few MB, not
+        # the 10^10 entries of T(2,100001).
+        q = seifert.MAX_TORUS_Q + 2
+        build_parser()  # its one-time allocations are not the command's
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["torus", str(q), "--verify"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "q = %d is past %d" % (q, seifert.MAX_TORUS_Q) in err
+        assert peak < 200_000  # the matrix would take about 8 MB of row lists
+
     def test_even_q_verify_exit_2(self, capsys):
         code, out, err = run(capsys, ["torus", "4", "--verify"])
         assert code == 2
@@ -215,23 +232,21 @@ class TestTorus:
     def test_verify_computes_delta_once(self, capsys, monkeypatch):
         from knotconc import exactpoly, seifert
 
-        interpolations, determinants = [], []
-
-        def counting_interpolation(values):
-            interpolations.append(len(values))
-            return original_interpolation(values)
+        determinants = []
 
         def counting_determinant(rows):
-            determinants.append(len(rows))
+            determinants.append([list(row) for row in rows])
             return exactpoly.integer_determinant(rows)
 
-        original_interpolation = seifert._interpolate_integer
-        monkeypatch.setattr(seifert, "_interpolate_integer", counting_interpolation)
         monkeypatch.setattr(seifert, "integer_determinant", counting_determinant)
         code, out, err = run(capsys, ["torus", "7", "--verify"])
         assert code == 0, err
-        assert interpolations == [7]  # one Delta of one T(2,7)
-        assert determinants == [6] * 8  # one validation, dim + 1 evaluations
+        # One T(2,7), genus 3: one validation and g = 3 evaluations of
+        # V - tV^t, none at t = 1, where V - V^t is the validation's matrix.
+        V = seifert.torus_2q(7).rows
+        skew = [[V[i][j] - V[j][i] for j in range(6)] for i in range(6)]
+        assert [len(rows) for rows in determinants] == [6] * 4
+        assert determinants.count(skew) == 1
 
 
 class TestWitness:
@@ -386,6 +401,25 @@ class TestExitStatuses:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["torus", "3"], ["--json", "torus", "301"]])
+    def test_failed_write_exit_2(self, argv):
+        # Every write to /dev/full fails with ENOSPC: at the final flush for
+        # the short output, inside print for the 0.8 MB one.
+        src = os.path.dirname(os.path.dirname(knotconc.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knotconc.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path),
+                timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: cannot write output: ")
+        assert proc.stderr.count(b"\n") == 1  # no traceback, no exit-time flush error
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

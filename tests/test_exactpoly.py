@@ -15,6 +15,7 @@ from knotconc.exactpoly import (
     cyclotomic_factor_extract,
     distinct_prime_factors,
     integer_determinant,
+    integer_solution,
     parse_coefficients,
     phi_inverse_candidates,
     prime_power_decomposition,
@@ -283,6 +284,21 @@ class TestIntegers:
         assert integer_determinant([[2, 0], [0, 3]]) == 6
         # Multiplicativity spot check against a permuted triangular product.
         assert integer_determinant([[0, 2, 0], [1, 1, 1], [0, 0, 3]]) == -6
+
+    def test_integer_solution(self, rng):
+        for n in range(1, 8):
+            for _ in range(20):
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                rows[0][0] = 0  # the first step must exchange rows
+                if integer_determinant(rows) == 0:
+                    continue
+                x = [rng.randint(-10**6, 10**6) for _ in range(n)]
+                rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+                assert integer_solution(rows, rhs) == x
+        with pytest.raises(AssertionError, match="singular"):
+            integer_solution([[1, 2], [2, 4]], [3, 6])
+        with pytest.raises(AssertionError, match="not exact"):
+            integer_solution([[2, 0], [0, 1]], [1, 1])  # x = (1/2, 1)
 
 
 class _Pair(Record):

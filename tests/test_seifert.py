@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_seifert
 from knotconc.errors import BadTorusParameter, InvalidSeifertMatrix
@@ -56,23 +60,100 @@ class TestMemo:
         calls = []
 
         def counting(rows):
-            calls.append(len(rows))
+            calls.append([list(row) for row in rows])
             return integer_determinant(rows)
 
         monkeypatch.setattr(seifert, "integer_determinant", counting)
         V = SeifertMatrix([[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]])
+        skew = [[V.rows[i][j] - V.rows[j][i] for j in range(4)] for i in range(4)]
         assert V.validate() is V.validate()
-        assert calls == [4]
+        assert calls == [skew]
         delta = alexander(V)
         assert alexander(V) is delta
         V.require_valid()
-        assert calls == [4] * 6  # one validation, dim + 1 evaluations
+        # One validation and g = 2 evaluations, none at t = 1: Delta(1) = 1
+        # is the validated det(V - V^t).
+        assert len(calls) == 3
+        assert calls.count(skew) == 1
 
     def test_memo_is_per_instance(self):
         a = SeifertMatrix([[1, -1], [0, 1]])
         b = SeifertMatrix([[1, -1], [0, 1]])
         assert a == b and hash(a) == hash(b)
         assert alexander(a) is not alexander(b)
+
+
+@st.composite
+def wide_seifert(draw, genus):
+    """(V, P^t V P): V has a symmetric part with entries in [-50, 50] plus
+    the standard V - V^t, and on some draws k of its rows zeroed (apart
+    from the -1 that keeps V - V^t standard), so that t^k divides Delta;
+    P is a product of elementary integer matrices."""
+    n = 2 * draw(genus)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-50, 50))
+    for i in range(0, n, 2):
+        rows[i + 1][i] = rows[i][i + 1] - 1
+    for i in range(0, 2 * draw(st.one_of(st.just(0), st.integers(1, n // 2))), 2):
+        for j in range(n):
+            rows[i][j] = rows[j][i] = 0
+        rows[i + 1][i] = -1
+    congruent = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        if i == j:
+            continue
+        for row in congruent:  # columns: W E with E = I + c e_ij
+            row[j] += c * row[i]
+        congruent[j] = [a + c * b for a, b in zip(congruent[j], congruent[i])]
+    return rows, congruent
+
+
+def _fraction_determinant(m):
+    m = [[Fraction(c) for c in row] for row in m]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def _oracle_alexander(rows):
+    """Ascending coefficients of det(V - tV^t), trailing zeros dropped."""
+    n = len(rows)
+    xs = range(n + 1)
+    ys = [
+        _fraction_determinant(
+            [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
+        )
+        for x in xs
+    ]
+    coeffs = [Fraction(0)] * (n + 1)
+    for x, y in zip(xs, ys):
+        basis, scale = [Fraction(1)], Fraction(1)  # prod (t - x') / (x - x')
+        for other in xs:
+            if other != x:
+                basis = [a - other * b for a, b in zip([0] + basis, basis + [0])]
+                scale *= x - other
+        for k, b in enumerate(basis):
+            coeffs[k] += y * b / scale
+    assert all(c.denominator == 1 for c in coeffs)
+    out = [int(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 class TestAlexander:
@@ -90,18 +171,28 @@ class TestAlexander:
             V = random_seifert(rng, rng.randint(1, 3))
             assert alexander(V)(1) == 1
 
-    def test_palindromic(self, rng):
-        for _ in range(100):
-            V = random_seifert(rng, rng.randint(1, 3))
-            delta = alexander(V)
-            det_v = integer_determinant(V.rows)
-            if det_v != 0:
-                assert delta.coeffs == tuple(reversed(delta.coeffs))
-            else:
-                # Full-length reversal identity det(tV - V^t) = det(V - tV^t).
-                n = V.dim
-                padded = list(delta.coeffs) + [0] * (n + 1 - len(delta.coeffs))
-                assert delta == P(list(reversed(padded)))
+    # Delta is palindromic and Delta(1) = 1 by construction, so these
+    # compare it with an oracle that shares no code with the library:
+    # Fraction elimination at the 2g+1 points t = 0..2g, then Lagrange
+    # interpolation.  A draw may be singular (t^k divides Delta), and a
+    # unimodular congruence P^t V P, whose V - V^t is no longer the standard
+    # form, must leave Delta unchanged.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(draw=wide_seifert(st.integers(1, 8)))
+    def test_matches_oracle(self, draw):
+        self.check_against_oracle(*draw)
+
+    # No shrinking: each oracle call at these sizes takes about 0.3 s.
+    @settings(max_examples=4, deadline=None, derandomize=True, phases=[Phase.generate])
+    @given(draw=wide_seifert(st.integers(9, 12)))
+    def test_matches_oracle_high_genus(self, draw):
+        self.check_against_oracle(*draw)
+
+    @staticmethod
+    def check_against_oracle(rows, congruent):
+        expected = _oracle_alexander(rows)
+        assert list(alexander(SeifertMatrix(rows)).coeffs) == expected
+        assert list(alexander(SeifertMatrix(congruent)).coeffs) == expected
 
 
 class TestConnectedSum:
