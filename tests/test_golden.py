@@ -154,6 +154,17 @@ def _invocations():
     out.append(("human-torus-verify", [["torus", "7", "--verify"]], "", None))
     stages = [["torus", "5"], ["witness", "--n0", "3"]]
     out.append(("human-witness", stages, "", None))
+    # Multi-member schedules: the trefoil ones at --count >= 2 are
+    # brute-forced, the figure-eight (q = 5) and genus-2 ones are not.
+    for key, flags in (("count-1", ["--count", "1"]), ("count-6", ["--count", "6"]),
+                       ("n0-7-count-5", ["--n0", "7", "--count", "5"])):
+        stages = [["--json", "witness"] + flags]
+        out.append(("trefoil-witness-" + key, stages, trefoil, None))
+    stages = [["--json", "witness", "--count", "4"]]
+    out.append(("figure-eight-witness-count-4", stages, "1 1\n0 -1\n", None))
+    rows = _random_seifert(random.Random(8107), 2)
+    doc = json.dumps({"name": "witness-g2", "matrix": rows})
+    out.append(("witness-g2-count-4", stages, doc, rows))
     return out
 
 
