@@ -5,7 +5,10 @@ character contributes a sum of L = 2*g*p^k torus-knot signatures, each term
 either 0 or in [n_i*S_min, n_i*S_max], so the achievable nonzero sums fill
 [n_i*S_min, L*n_i*S_max].  The greedy schedule spaces these ranges more than
 2*N0 apart, which makes the Casson-Gordon equality impossible between
-distinct members.
+distinct members.  verify_separation checks this in one pass over the
+members: each range must sit more than 2*N0 past its predecessor's, and the
+ranges grow with n_i, so every pair is separated; at desk scale an
+enumeration of each member's sums confirms its range.
 
 The torus-knot signatures are Litherland's closed form sigma_{a/q}(T(2,q))
 = 2 min(a, q-a) (Signatures of iterated torus knots, 1979), so S_min = 2 at
@@ -21,8 +24,6 @@ sound obstruction.
 """
 
 from __future__ import annotations
-
-import bisect
 
 from .covers import classify_prime_power_covers
 from .errors import (
@@ -125,90 +126,79 @@ class SeparationReport(Record):
 def verify_separation(schedule):
     """Check that no Casson-Gordon equality can hold between members.
 
-    Raises SeparationFailure on any invariant breach.  For each pair i < j,
-    the j-side interval [lo_j, hi_j] must avoid the i-side achievable sums
-    (including the all-zero character) padded by 2*N0 on each side.  At desk
-    scale the check is repeated by enumerating every character-value
-    assignment on both sides over the T(2,q) profile.
+    One pass over the entries; any breach raises SeparationFailure.
+    (s_min, s_max) must be profile_extremes(q), each n >= 1 and above the
+    one before, each (lo, hi) sum_range(n), and each lo >= 2*N0 + 1 + the
+    previous hi (2*N0 + 1 for the first).  At desk scale each member's
+    nonzero sums over every character-value assignment on the T(2,q)
+    profile are enumerated once and must lie in its [lo, hi].
+
+    The chain separates every pair.  A member's achievable sums are 0 (the
+    trivial character) or lie in [lo, hi], and hi = L*n*S_max grows with n,
+    so i < j gives lo_j >= hi_{j-1} + 2*N0 + 1 >= hi_i + 2*N0 + 1 > 2*N0:
+    every nonzero sum of J_j is more than 2*N0 from every sum of J_i.  So no
+    two members' padded ranges meet and no two sums inside them collide,
+    and no pair needs comparing.
     """
     params = schedule.parameters
     entries = schedule.entries
-    n0 = params.n0
-    for idx, e in enumerate(entries):
-        expected_lo = e.n * schedule.s_min
-        expected_hi = params.term_count * e.n * schedule.s_max
-        if e.lo != expected_lo or e.hi != expected_hi:
-            raise SeparationFailure(
-                "entry %d range (%d, %d) does not match n=%d" % (idx, e.lo, e.hi, e.n)
-            )
-        if idx and entries[idx - 1].n >= e.n:
-            raise SeparationFailure("multiplicities are not strictly increasing")
-        floor = 2 * n0 + 1 if idx == 0 else 2 * n0 + entries[idx - 1].hi + 1
-        if e.lo < floor:
-            raise SeparationFailure(
-                "entry %d lower bound %d below required %d" % (idx, e.lo, floor)
-            )
-    pair_count = 0
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            pair_count += 1
-            ei, ej = entries[i], entries[j]
-            # i-side can contribute 0 (trivial character) or [lo_i, hi_i].
-            if ej.lo <= ei.hi + 2 * n0 or ej.lo <= 2 * n0:
-                raise SeparationFailure(
-                    "ranges of entries %d and %d are not separated" % (i, j)
-                )
+    extremes = profile_extremes(params.q)
+    if (schedule.s_min, schedule.s_max) != extremes:
+        raise SeparationFailure(
+            "profile extremes (%d, %d) are not those of T(2,%d), (%d, %d)"
+            % ((schedule.s_min, schedule.s_max, params.q) + extremes)
+        )
     brute = (
         params.term_count <= _BRUTE_FORCE_MAX_TERMS
         and params.q <= _BRUTE_FORCE_MAX_Q
         and len(entries) >= 2
     )
-    if brute:
-        _brute_force_separation(schedule, torus_2q_signatures(params.q))
+    values = torus_2q_signatures(params.q) if brute else None
+    floor = 2 * params.n0 + 1
+    prev_n = 0
+    for idx, e in enumerate(entries):
+        if e.n <= prev_n:
+            raise SeparationFailure(
+                "entry %d multiplicity %d is not positive and larger than the "
+                "one before" % (idx, e.n)
+            )
+        if (e.lo, e.hi) != sum_range(e.n, params, extremes):
+            raise SeparationFailure(
+                "entry %d range (%d, %d) does not match n=%d" % (idx, e.lo, e.hi, e.n)
+            )
+        if e.lo < floor:
+            raise SeparationFailure(
+                "entry %d lower bound %d below required %d" % (idx, e.lo, floor)
+            )
+        if brute:
+            sums = _achievable_sums(e.n, params, values)
+            if min(sums) < e.lo or max(sums) > e.hi:
+                raise SeparationFailure(
+                    "enumeration found sums in [%d, %d] for entry %d, outside "
+                    "its range" % (min(sums), max(sums), idx)
+                )
+        prev_n = e.n
+        floor = 2 * params.n0 + e.hi + 1
     note = (
         "character sums over-approximated: each of the %d lift terms ranges "
         "over all of Z_%d" % (params.term_count, params.q)
     )
-    return SeparationReport(pair_count=pair_count, brute_forced=brute, note=note)
+    count = len(entries)
+    return SeparationReport(
+        pair_count=count * (count - 1) // 2, brute_forced=brute, note=note
+    )
 
 
 def _achievable_sums(n, params, values):
-    """All sums over character assignments; returns (all, with-nonzero-term)."""
+    """Sums with at least one nonzero term over all character assignments."""
     scaled = [n * v for v in values]
     # Iterated sumset over the term_count lift terms.
-    all_sums = {0}
+    sums = {0}
     for _ in range(params.term_count):
-        all_sums = {s + v for s in all_sums for v in scaled}
+        sums = {s + v for s in sums for v in scaled}
     # Nonzero torus signatures are at least 2, so only the all-zero
     # assignment sums to 0.
-    return all_sums, all_sums - {0}
-
-
-def _brute_force_separation(schedule, values):
-    params = schedule.parameters
-    n0 = params.n0
-    sums = [_achievable_sums(e.n, params, values) for e in schedule.entries]
-    for i in range(len(sums)):
-        for j in range(i + 1, len(sums)):
-            for side_all, side_nonzero in (
-                (sums[i][0], sums[j][1]),
-                (sums[j][0], sums[i][1]),
-            ):
-                hit = _find_collision(side_all, side_nonzero, 2 * n0)
-                if hit is not None:
-                    raise SeparationFailure(
-                        "enumeration found colliding sums %d and %d "
-                        "for entries %d, %d" % (hit[0], hit[1], i, j)
-                    )
-
-
-def _find_collision(a_sums, b_sums, pad):
-    b_sorted = sorted(b_sums)
-    for s in a_sums:
-        idx = bisect.bisect_left(b_sorted, s - pad)
-        if idx < len(b_sorted) and b_sorted[idx] <= s + pad:
-            return s, b_sorted[idx]
-    return None
+    return sums - {0}
 
 
 class FamilyReport(Record):

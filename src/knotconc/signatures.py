@@ -147,6 +147,7 @@ import math
 import operator
 
 from .errors import (
+    BadTorusParameter,
     JumpPoint,
     LemmaViolation,
     PreconditionUnverifiable,
@@ -154,7 +155,7 @@ from .errors import (
     TrivialAngle,
 )
 from .exactpoly import Record, _pseudo_remainder, cyclotomic, cyclotomic_factor_extract
-from .seifert import alexander, torus_2q, torus_2q_signatures
+from .seifert import MAX_TORUS_Q, alexander, torus_2q, torus_2q_signatures
 
 
 class UnitRootArg(Record):
@@ -693,12 +694,25 @@ class TorusLemmaReport(Record):
     )
 
 
+# Largest q whose torus lemma verify_torus_lemma checks.  Its (q+1)/2
+# eliminations of the (q-1)x(q-1) form cost about q^4.3 in all: 1.4 s at
+# q = 61, 4.0 s at 81 and 9.7 s at 101 (in-process, Python 3.11, Intel Xeon).
+MAX_VERIFY_Q = 101
+
+
 def verify_torus_lemma(q):
     """Check sigma_{a/q}(T_{2,q}) = 2 min(a, q-a), the closed form
     seifert.torus_2q_signatures that witness schedules use, for all a != 0
     (so no q-th root is a jump and every value is >= 2) and sigma_{-1} =
     q-1, and run jump_step_check on the same matrix; the profile and the
-    jump steps share their arcs, so each arc is eliminated once."""
+    jump steps share their arcs, so each arc is eliminated once.  q past
+    MAX_VERIFY_Q is refused before the matrix is built."""
+    # Past MAX_TORUS_Q, torus_2q refuses q with its own message.
+    if MAX_VERIFY_Q < q <= MAX_TORUS_Q:
+        raise BadTorusParameter(
+            "q = %d is past %d, the largest q whose torus lemma --verify "
+            "checks" % (q, MAX_VERIFY_Q)
+        )
     V = torus_2q(q)
     arcs = _Arcs(V)
     profile = _profile(arcs, q)

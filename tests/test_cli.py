@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import knotconc
-from knotconc import cli, seifert, signatures
+from knotconc import cli, obstruction, seifert, signatures
 from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import KnotConcError
 from knotconc.seifert import SeifertMatrix
@@ -224,6 +224,30 @@ class TestTorus:
         assert "q = %d is past %d" % (q, seifert.MAX_TORUS_Q) in err
         assert peak < 200_000  # the matrix would take about 8 MB of row lists
 
+    @pytest.mark.parametrize("q", [signatures.MAX_VERIFY_Q + 2, seifert.MAX_TORUS_Q])
+    def test_verify_past_bound_exit_2_before_any_work(
+        self, capsys, monkeypatch, no_eliminations, q
+    ):
+        def refuse(q):
+            raise AssertionError("the T(2,q) matrix was built")
+
+        monkeypatch.setattr(signatures, "torus_2q", refuse)
+        code, out, err = run(capsys, ["torus", str(q), "--verify"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: q = %d is past %d," % (q, signatures.MAX_VERIFY_Q))
+        assert err.count("\n") == 1
+
+    def test_verify_admits_q_up_to_the_bound(self, monkeypatch):
+        assert signatures.MAX_VERIFY_Q >= 61
+
+        def reached(q):
+            raise AssertionError("building T(2,%d)" % q)
+
+        monkeypatch.setattr(signatures, "torus_2q", reached)
+        q = signatures.MAX_VERIFY_Q
+        with pytest.raises(AssertionError, match="building T\\(2,%d\\)" % q):
+            main(["torus", str(q), "--verify"])
+
     def test_even_q_verify_exit_2(self, capsys):
         code, out, err = run(capsys, ["torus", "4", "--verify"])
         assert code == 2
@@ -284,6 +308,27 @@ class TestWitness:
         assert code == 0
         doc = json.loads(out)
         assert doc["q"] == 5 and doc["parameters"]["p"] == 5
+
+    @pytest.mark.parametrize("count", [-1, cli.MAX_WITNESS_COUNT + 1])
+    def test_count_out_of_bounds_exit_2_before_any_work(
+        self, capsys, trefoil_file, monkeypatch, count
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness pipeline ran")
+
+        monkeypatch.setattr(obstruction, "family_report", refuse)
+        code, out, err = run(capsys, ["witness", trefoil_file, "--count", str(count)])
+        assert (code, out) == (2, "")
+        assert err == "error: --count must be in 0..%d\n" % cli.MAX_WITNESS_COUNT
+
+    def test_count_bound_is_admitted(self, capsys, trefoil_file, monkeypatch):
+        def reached(V, count, **kwargs):
+            raise AssertionError("family_report(count=%d)" % count)
+
+        monkeypatch.setattr(obstruction, "family_report", reached)
+        count = cli.MAX_WITNESS_COUNT
+        with pytest.raises(AssertionError, match="count=%d" % count):
+            main(["witness", trefoil_file, "--count", str(count)])
 
     def test_even_q_override_exit_2(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["witness", trefoil_file, "--q", "4"])
@@ -380,6 +425,25 @@ class TestExitStatuses:
         doc = '{"matrix": [[%s, 1], [0, 1]]}' % ("1" * 5001)
         code, out, err = run(capsys, ["alexander", "-"], stdin=doc, monkeypatch=monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("entry", ["0.5", "1.0", "true", '"1"', "null"])
+    def test_non_integer_entry_exit_2(self, capsys, monkeypatch, entry):
+        # int() would read 0.5 as 0 (Delta = t) and 1.0, true and "1" as 1.
+        doc = '{"matrix": [[%s, -1], [0, 1]]}' % entry
+        code, out, err = run(
+            capsys, ["--json", "alexander"], stdin=doc, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad matrix entries: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_non_string_name_exit_2(self, capsys, monkeypatch):
+        doc = '{"name": [1], "matrix": [[1, -1], [0, 1]]}'
+        code, out, err = run(
+            capsys, ["--json", "alexander"], stdin=doc, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        assert err == 'error: "name" must be a string\n'
 
     def test_bad_delta_text_exit_2(self, capsys):
         code, out, err = run(capsys, ["covers", "--delta", "1,x,1"])

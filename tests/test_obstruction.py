@@ -1,4 +1,9 @@
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotconc.errors import BadTorusParameter, HypothesisNotSatisfied, SeparationFailure
 from knotconc.obstruction import (
@@ -144,6 +149,142 @@ class TestSeparation:
         schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
+
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_non_positive_multiplicity(self, n):
+        params = trefoil_params(0)
+        entries = (ScheduleEntry(n=n, lo=2 * n, hi=12 * n),)
+        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
+        with pytest.raises(SeparationFailure):
+            verify_separation(schedule)
+
+    def test_rejects_wrong_extremes(self):
+        # Ranges consistent with S_max = 4, which T(2,3) does not have.
+        params = trefoil_params(0)
+        entries = (ScheduleEntry(n=1, lo=2, hi=24), ScheduleEntry(n=13, lo=26, hi=312))
+        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=4)
+        with pytest.raises(SeparationFailure, match="profile extremes"):
+            verify_separation(schedule)
+
+    def test_verifies_800_members_within_budget(self):
+        schedule = witness_schedule(trefoil_params(0), 800)
+        start = time.perf_counter()
+        report = verify_separation(schedule)
+        assert time.perf_counter() - start < 0.5
+        assert report.pair_count == 800 * 799 // 2 and report.brute_forced
+
+
+def pairwise_oracle_accepts(schedule):
+    """Separation checked pair by pair, sharing no code with obstruction.
+
+    Each entry's (lo, hi) must be (n*s_min, L*n*s_max) with n increasing and
+    lo past the previous hi by more than 2*N0; every pair of ranges, each
+    side also able to contribute 0, must stay more than 2*N0 apart; and for
+    L <= 8, q <= 7 and two or more entries, every pair of enumerated sum
+    sets over all assignments of 2 min(a, q-a) to the L terms must too.
+    """
+    params, entries = schedule.parameters, schedule.entries
+    pad = 2 * params.n0
+    terms = 2 * params.genus * params.p**params.k
+    for idx, e in enumerate(entries):
+        if (e.lo, e.hi) != (e.n * schedule.s_min, terms * e.n * schedule.s_max):
+            return False
+        if idx and entries[idx - 1].n >= e.n:
+            return False
+        if e.lo <= pad + (entries[idx - 1].hi if idx else 0):
+            return False
+    for a, b in itertools.combinations(entries, 2):
+        if b.lo <= a.hi + pad or b.lo <= pad:
+            return False
+    if terms <= 8 and params.q <= 7 and len(entries) >= 2:
+        values = [0] + [2 * min(a, params.q - a) for a in range(1, params.q)]
+        sums = []
+        for e in entries:
+            every = {0}
+            for _ in range(terms):
+                every = {s + e.n * v for s in every for v in values}
+            sums.append((every, every - {0}))
+        for (every_a, nonzero_a), (every_b, nonzero_b) in itertools.combinations(sums, 2):
+            for side, other in ((every_a, nonzero_b), (every_b, nonzero_a)):
+                if any(abs(s - t) <= pad for s in side for t in other):
+                    return False
+    return True
+
+
+def perturbed(schedule, kind, index):
+    """schedule with one entry, two entries or the extremes changed."""
+    entries = list(schedule.entries)
+    s_min, s_max = schedule.s_min, schedule.s_max
+    i = index % len(entries)
+    j = (i + 1) % len(entries)
+    e = entries[i]
+    if kind in ("lo-1", "lo+1"):
+        entries[i] = ScheduleEntry(n=e.n, lo=e.lo + int(kind[2:]), hi=e.hi)
+    elif kind in ("hi-1", "hi+1"):
+        entries[i] = ScheduleEntry(n=e.n, lo=e.lo, hi=e.hi + int(kind[2:]))
+    elif kind == "swap-n":
+        f = entries[j]
+        entries[i] = ScheduleEntry(n=f.n, lo=e.lo, hi=e.hi)
+        entries[j] = ScheduleEntry(n=e.n, lo=f.lo, hi=f.hi)
+    elif kind == "swap-entries":
+        entries[i], entries[j] = entries[j], entries[i]
+    elif kind in ("s_min-1", "s_min+1"):
+        s_min += int(kind[5:])
+    else:
+        s_max += int(kind[5:])
+    return WitnessSchedule(
+        entries=tuple(entries), parameters=schedule.parameters, s_min=s_min, s_max=s_max
+    )
+
+
+PERTURBATIONS = [
+    "lo-1", "lo+1", "hi-1", "hi+1", "swap-n", "swap-entries",
+    "s_min-1", "s_min+1", "s_max-1", "s_max+1",
+]
+
+
+class TestSeparationOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n0=st.integers(0, 20),
+        count=st.integers(1, 4),
+        kind=st.sampled_from(PERTURBATIONS),
+        index=st.integers(0, 3),
+    )
+    def test_rejects_what_the_pairwise_oracle_rejects(self, n0, count, kind, index):
+        schedule = witness_schedule(trefoil_params(n0), count)
+        assert pairwise_oracle_accepts(schedule)
+        report = verify_separation(schedule)
+        assert report.pair_count == count * (count - 1) // 2
+        assert report.brute_forced == (count >= 2)
+        bad = perturbed(schedule, kind, index)
+        if not pairwise_oracle_accepts(bad):
+            with pytest.raises(SeparationFailure):
+                verify_separation(bad)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n0=st.integers(0, 20),
+        offsets=st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+    )
+    def test_agrees_with_the_pairwise_oracle_on_exact_ranges(self, n0, offsets):
+        # Exact ranges with each n within 2 of the greedy one (6*n_prev +
+        # n0 + 1, or n0 + 1 first), so the separation holds, holds with no
+        # room, or fails by one; the first n may be 0 or negative.
+        ns, prev = [], 0
+        for offset in offsets:
+            ns.append(6 * prev + n0 + 1 + offset)
+            prev = ns[-1]
+        entries = tuple(ScheduleEntry(n=n, lo=2 * n, hi=12 * n) for n in ns)
+        schedule = WitnessSchedule(
+            entries=entries, parameters=trefoil_params(n0), s_min=2, s_max=2
+        )
+        if pairwise_oracle_accepts(schedule):
+            verify_separation(schedule)
+        else:
+            with pytest.raises(SeparationFailure):
+                verify_separation(schedule)
 
 
 class TestFamilyReport:
