@@ -165,6 +165,27 @@ def _invocations():
     rows = _random_seifert(random.Random(8107), 2)
     doc = json.dumps({"name": "witness-g2", "matrix": rows})
     out.append(("witness-g2-count-4", stages, doc, rows))
+    # Covers tables past the random-draw cases: the wide genus 9-12 draws,
+    # a singular draw with Delta = t^2, torus summands whose factors phi_6
+    # and phi_10 make every sixth and tenth cover infinite, and a Delta given
+    # as -t^2 phi_6.
+    stages = [["--json", "covers", "--max-r", "96"]]
+    rng = random.Random(8105)  # the wide draws again
+    for g in range(9, 13):
+        for i in range(2):
+            rows = _random_seifert(rng, g, bound=9)
+            key = "covers-wide-g%d-%d" % (g, i)
+            doc = json.dumps({"name": key, "matrix": rows})
+            out.append((key, stages, doc, rows))
+    rows = _random_seifert(random.Random(8146), 2)
+    doc = json.dumps({"name": "covers-t-power-g2", "matrix": rows})
+    out.append(("covers-t-power-g2", stages, doc, rows))
+    rows = _block_sum(_block_sum(_random_seifert(random.Random(8108), 2), _torus_rows(3)),
+                      _torus_rows(5))
+    doc = json.dumps({"name": "covers-cyclotomic", "matrix": rows})
+    out.append(("covers-cyclotomic", stages, doc, rows))
+    stages = [["--json", "covers", "--max-r", "96", "--delta", "0,0,-1,1,-1"]]
+    out.append(("covers-delta-t-power-phi6", stages, "", None))
     return out
 
 
