@@ -9,10 +9,8 @@ separating infinitely many knots that share a Seifert matrix.
 from .covers import (
     ClassificationReport,
     HomologyOrder,
-    assert_rational_homology_sphere,
     classify_prime_power_covers,
     cover_order,
-    cyclotomic_product_identity,
 )
 from .exactpoly import (
     IntPolynomial,

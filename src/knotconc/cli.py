@@ -9,8 +9,10 @@ timestamps, so identical invocations are byte-identical.
 
 Exit statuses: 0 success, also when the reader closes stdout early (the
 rest of the output is dropped); 2 invalid input (unreadable or malformed
-input, an invalid Seifert matrix, Delta(1) != +-1, a bad or too large q, a
-witness --count past MAX_WITNESS_COUNT, or a witness order with no usable
+input, an invalid Seifert matrix, a Delta that is not an Alexander
+polynomial, a bad or too large q, a covers --max-r past MAX_COVERS_R, a
+witness --count past MAX_WITNESS_COUNT, a witness schedule past
+obstruction.MAX_SCHEDULE_DIGITS, or a witness order with no usable
 character modulus) or output that cannot be written; 3 obstruction
 hypothesis not satisfied; 4 any other library error, an internal assertion
 failure.
@@ -39,6 +41,7 @@ from .errors import (
     NoCharacterModulus,
     NotAKnotPolynomial,
     NotAPrimePower,
+    SizeLimit,
 )
 from .exactpoly import distinct_prime_factors, parse_coefficients, prime_power_decomposition
 from .seifert import SeifertMatrix, alexander, torus_2q
@@ -51,10 +54,17 @@ EXIT_INTERNAL = 4
 
 # Largest witness --count.  The n_i grow geometrically, each member adding
 # about log10(L*(q-1)/2) digits, so the output grows faster than the count:
-# 2000 members take 0.27 s and print 4.8 MB on the trefoil, and 11 s and
-# 39 MB on a genus-2 matrix with q = 1289 (in-process, Python 3.11, Intel
-# Xeon).
+# 2000 members take 0.27 s and print 4.8 MB on the trefoil (in-process,
+# Python 3.11, Intel Xeon).  obstruction.MAX_SCHEDULE_DIGITS bounds the
+# output once q and L are known.
 MAX_WITNESS_COUNT = 2000
+
+# Largest covers --max-r.  Cover orders grow linearly in r, to about 2.3k
+# digits at r = 256 on a genus-8 draw with entries in [-2, 2], and a table
+# costs about r^2.7: `--json covers --max-r 256` takes 0.42 s and prints
+# 0.3 MB on that draw (2.8 s at r = 512), and 3.7 s and 1.0 MB on a genus-12
+# draw with entries up to 9 (in-process, Python 3.11, Intel Xeon).
+MAX_COVERS_R = 256
 
 
 class InputError(Exception):
@@ -173,8 +183,8 @@ def _delta_from_args(args):
 
 
 def cmd_covers(args):
-    if args.max_r < 2:
-        raise InputError("--max-r must be >= 2")
+    if not 2 <= args.max_r <= MAX_COVERS_R:
+        raise InputError("--max-r must be in 2..%d" % MAX_COVERS_R)
     name, delta = _delta_from_args(args)
     with _exact_output():
         rs = range(2, args.max_r + 1)
@@ -480,6 +490,7 @@ def main(argv=None):
         NotAKnotPolynomial,
         NotAPrimePower,
         NoCharacterModulus,
+        SizeLimit,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -1,9 +1,28 @@
 """Branched cyclic cover homology via Fox's product formula.
 
 The order of H_1 of the r-fold branched cover is |prod Delta(zeta_r^i)| =
-|Res(t^r - 1, Delta)|, computed exactly as the product of Res(phi_d, Delta)
-over the divisors d of r.  `cover_orders` splits Delta into cyclotomic
-factors once per call and computes each Res(phi_d, Delta) at most once per
+|Res(t^r - 1, Delta)|, the product over the divisors d of r of
+|Res(phi_d, Delta)| = prod |Delta(zeta)|, zeta over the primitive d-th roots
+of unity.
+
+Half-degree norms.  Every Alexander polynomial is symmetric up to a unit
+(Levine 1965): Delta = +-t^k Delta_0 with Delta_0(t) = t^(2g) Delta_0(1/t) of
+degree 2g, so t^(-g) Delta_0(t) = D(t + 1/t) for an integer polynomial D of
+degree g (exactpoly.chebyshev_form).  For d >= 3 the primitive d-th roots
+pair off as zeta and 1/zeta, and zeta + 1/zeta = 2 cos(2 pi k/d) runs once
+per pair over the roots alpha of Psi_d, the monic minimal polynomial of
+2 cos(2 pi/d), of degree phi(d)/2 (exactpoly.real_cyclotomic).  As |zeta| = 1,
+
+    |Res(phi_d, Delta)| = prod_zeta |Delta_0(zeta)| = prod_zeta |D(zeta + 1/zeta)|
+                        = prod_alpha |D(alpha)|^2 = Res(Psi_d, D)^2,
+
+the last step because Psi_d is monic.  Each resultant thus has half the
+degrees of Res(phi_d, Delta) in both arguments.  For d = 1 and d = 2 the
+factor is |Delta_0(1)| and |Delta_0(-1)|, read off by evaluation.  A Delta
+that is not symmetric up to +-t^k is no Alexander polynomial and is refused.
+
+`cover_orders` validates Delta and splits it into cyclotomic factors once
+per call; D is formed once and each Res(Psi_d, D) computed at most once per
 call, so a table of covers, or the witness search, shares that work.
 Infinite homology is detected exactly, by cyclotomic divisibility, never by
 floating-point zero tests.
@@ -11,24 +30,16 @@ floating-point zero tests.
 
 from __future__ import annotations
 
-import math
-
-from .errors import (
-    DegenerateCase,
-    IdentityViolation,
-    NotAKnotPolynomial,
-    WitnessSearchExhausted,
-)
+from .errors import NotAKnotPolynomial, WitnessSearchExhausted
 from .exactpoly import (
+    IntPolynomial,
     Record,
-    cyclotomic,
+    chebyshev_form,
     cyclotomic_factor_extract,
     distinct_prime_factors,
     factorize,
-    prime_power_decomposition,
+    real_cyclotomic,
     resultant,
-    t_power_minus_one,
-    totient,
 )
 
 
@@ -59,17 +70,29 @@ class HomologyOrder(Record):
 
 
 def _require_knot_polynomial(delta):
+    """Refuse a delta with Delta(1) != +-1, or not symmetric up to +-t^k."""
     if delta.is_zero() or delta(1) not in (1, -1):
         raise NotAKnotPolynomial(
             "Delta(1) must be +-1, got %s for %s" % (delta(1) if delta else 0, delta)
         )
+    core = _symmetric_core(delta).coeffs
+    if core != core[::-1]:
+        raise NotAKnotPolynomial("Delta must be symmetric up to +-t^k, got %s" % delta)
+
+
+def _symmetric_core(delta):
+    """Delta_0 with delta = t^k Delta_0 and Delta_0(0) != 0; for a knot
+    polynomial, +-Delta_0 is the symmetric representative."""
+    c = delta.coeffs
+    k = next(i for i, x in enumerate(c) if x)
+    return IntPolynomial(c[k:])
 
 
 def cover_orders(delta, rs):
     """|H_1| of the r-fold branched covers, for each r in rs, lazily.
 
     Delta is validated and split into cyclotomic factors once, here; each
-    Res(phi_d, Delta) is computed at most once per call.
+    Res(Psi_d, D) is computed at most once per call.
     """
     _require_knot_polynomial(delta)
     factors, _ = cyclotomic_factor_extract(delta)
@@ -78,7 +101,10 @@ def cover_orders(delta, rs):
 
 def _orders(delta, factors, rs):
     """Yield (r, |H_1|) for each r in rs, given delta's cyclotomic factors."""
-    resultants = {}  # d -> Res(phi_d, delta)
+    core = _symmetric_core(delta)
+    D = chebyshev_form(core, core.degree())
+    # d -> +-Res(phi_d, delta); see the module docstring.
+    norms = {1: core(1), 2: core(-1)}
     for r in rs:
         if r < 1:
             raise ValueError("r must be >= 1")
@@ -89,21 +115,15 @@ def _orders(delta, factors, rs):
         order = 1
         for d in range(1, r + 1):
             if r % d == 0:
-                if d not in resultants:
-                    resultants[d] = resultant(cyclotomic(d), delta)
-                order *= resultants[d]
+                if d not in norms:
+                    norms[d] = resultant(real_cyclotomic(d), D) ** 2
+                order *= norms[d]
         yield r, HomologyOrder.finite(abs(order))
 
 
 def cover_order(delta, r):
     """|H_1| of the r-fold branched cover of a knot with Alexander polynomial delta."""
     return next(cover_orders(delta, (r,)))
-
-
-def assert_rational_homology_sphere(delta, r):
-    """Cross-check oracle: prime power covers always have finite H_1."""
-    prime_power_decomposition(r)  # raises NotAPrimePower
-    return cover_order(delta, r).is_finite
 
 
 class ClassificationReport(Record):
@@ -177,38 +197,3 @@ def _find_witness_cover(delta, factors):
         "no prime power cover with nontrivial homology found up to %d"
         % DEFAULT_WITNESS_BOUND
     )
-
-
-def cyclotomic_product_identity(n, p, k):
-    """Exact check of the closed form for prod phi_n(zeta_{p^k}^i).
-
-    Returns (value, predicted_magnitude, m, b) where value is the signed
-    resultant Res(t^{p^k} - 1, phi_n) and m = n / gcd(n, p^k).  Raising to
-    the p^k-th power maps each primitive n-th root of unity onto a primitive
-    m-th root, hitting each one b = totient(n)/totient(m) times, so
-    |value| = |phi_m(1)|^b; the operation asserts this.  Equivalently, with
-    v the multiplicity of p in n: b = p^v - p^(v-1) for k >= v >= 1, b = 1
-    when p does not divide n, and b = p^k for k < v.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pp, kk = prime_power_decomposition(p**k)
-    if pp != p or kk != k:
-        raise ValueError("p must be prime")
-    r = p**k
-    m = n // math.gcd(n, r)
-    if m == 1:
-        raise DegenerateCase(
-            "p^k = %d is a multiple of n = %d; the closed form degenerates" % (r, n)
-        )
-    b = totient(n) // totient(m)
-    value = resultant(t_power_minus_one(r), cyclotomic(n))
-    predicted = abs(cyclotomic(m)(1)) ** b
-    if abs(value) != predicted:
-        raise IdentityViolation(
-            "product identity failed for n=%d, p=%d, k=%d: |%d| != %d"
-            % (n, p, k, value, predicted)
-        )
-    return value, predicted, m, b

@@ -26,7 +26,8 @@ class BadTorusParameter(KnotConcError):
 
 
 class NotAKnotPolynomial(KnotConcError):
-    """An Alexander polynomial must satisfy Delta(1) = +-1."""
+    """An Alexander polynomial must satisfy Delta(1) = +-1 and be symmetric
+    up to +-t^k."""
 
 
 class NotAPrimePower(KnotConcError):
@@ -38,16 +39,12 @@ class NoCharacterModulus(KnotConcError):
     the character modulus q must be given."""
 
 
+class SizeLimit(KnotConcError):
+    """The request would need work or output past a documented size bound."""
+
+
 class WitnessSearchExhausted(KnotConcError):
     """No witness cover found within the search bound (indicates a bug)."""
-
-
-class IdentityViolation(KnotConcError):
-    """The cyclotomic product identity failed its self-check (indicates a bug)."""
-
-
-class DegenerateCase(KnotConcError):
-    """The closed-form product degenerates (m = 1); no prediction is made."""
 
 
 class JumpPoint(KnotConcError):

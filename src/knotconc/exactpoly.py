@@ -1,12 +1,14 @@
 """Exact integer-polynomial arithmetic.
 
 Polynomials are dense, with arbitrary-precision integer coefficients stored
-in ascending degree order.  The module provides the cyclotomic polynomials,
-exact resultants by the subresultant polynomial remainder sequence, cyclotomic
-factor extraction, the fraction-free Bareiss determinant and integer linear
-solve (for Seifert matrices), and the small number-theoretic helpers
-(totient, factorization, prime powers) the rest of the library needs, as well
-as `Record`, the immutable base of the library's result types.
+in ascending degree order.  The module provides the cyclotomic polynomials
+and their real-subfield forms Psi_d, the Chebyshev form of a palindromic
+polynomial, exact resultants by the subresultant polynomial remainder
+sequence, cyclotomic factor extraction, the fraction-free Bareiss
+determinant and integer linear solve (for Seifert matrices), and the small
+number-theoretic helpers (totient, factorization, prime powers) the rest of
+the library needs, as well as `Record`, the immutable base of the library's
+result types.
 """
 
 from __future__ import annotations
@@ -362,6 +364,43 @@ def phi_inverse_candidates(bound):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     return [n for n in range(1, 2 * bound * bound + 1) if totient(n) <= bound]
+
+
+def chebyshev_form(p, n):
+    """D with t^(-n/2) p(t) = D(t + 1/t), for p(t) = t^n p(1/t) and n even.
+
+    t^k + t^-k = T_k(t + 1/t), with T_0 = 2, T_1 = x and T_(k+1) =
+    x T_k - T_(k-1), so D has degree at most n/2 and integer coefficients.
+    """
+    c = list(p.coeffs)
+    c += [0] * (n + 1 - len(c))  # a trimmed top t^n coefficient is zero
+    assert c == c[::-1], "p(t) != t^n p(1/t)"
+    g = n // 2
+    d = [c[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        for i, x in enumerate(cur):
+            d[i] += c[g + k] * x
+        nxt = [0] + cur
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    return IntPolynomial(d)
+
+
+@functools.lru_cache(maxsize=None)
+def real_cyclotomic(d):
+    """Psi_d, the monic minimal polynomial of 2 cos(2 pi / d), d >= 3.
+
+    The primitive d-th roots of unity pair off as zeta and 1/zeta, so
+    t^(-phi(d)/2) Phi_d(t) = Psi_d(t + 1/t), of degree phi(d)/2, whose
+    roots are the 2 cos(2 pi k / d) with gcd(k, d) = 1 (Watkins and
+    Zeitlin, The minimal polynomial of cos(2 pi / n), 1993).
+    """
+    if d < 3:
+        raise ValueError("d must be >= 3")
+    phi = cyclotomic(d)
+    return chebyshev_form(phi, phi.degree())
 
 
 def cyclotomic_factor_extract(f):

@@ -25,12 +25,15 @@ sound obstruction.
 
 from __future__ import annotations
 
+import math
+
 from .covers import classify_prime_power_covers
 from .errors import (
     FactorizationLimit,
     HypothesisNotSatisfied,
     NoCharacterModulus,
     SeparationFailure,
+    SizeLimit,
 )
 from .exactpoly import Record, brief_int, factorize, prime_power_decomposition
 from .seifert import alexander, require_torus_q, torus_2q_signatures
@@ -96,10 +99,38 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
+# Largest schedule_digits(params, count).  The first member's n is about
+# N0, and each later one multiplies n by about L*(q-1)/2, so the estimate
+# log10(2*N0 + 1) + count * log10(L*(q-1)/2) is about the digit count of the
+# last member's range, and the output grows as count times that.  Near the
+# bound, 1960 trefoil members with q = 11 (4001 digits) take 1.6 s and print
+# 12 MB, and 613 members of a genus-2 schedule with q = 1289 (3997 digits)
+# take 0.46 s and 3.7 MB (`--json witness`, in-process, Python 3.11, Intel
+# Xeon).
+MAX_SCHEDULE_DIGITS = 4000
+
+
+def schedule_digits(params, count):
+    """log10(2*N0 + 1) + count * log10(L*(q-1)/2), about the digit count of
+    the last member's range in a schedule of count members."""
+    growth = math.log10(params.term_count * (params.q - 1)) - math.log10(2)
+    return math.log10(2 * params.n0 + 1) + count * growth
+
+
 def witness_schedule(params, count):
-    """Greedy multiplicities n_i with pairwise separated sum ranges."""
+    """Greedy multiplicities n_i with pairwise separated sum ranges.
+
+    A schedule past MAX_SCHEDULE_DIGITS is refused before it is built.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
+    digits = schedule_digits(params, count)
+    if digits > MAX_SCHEDULE_DIGITS:
+        raise SizeLimit(
+            "%d members with L = %d and q = %s would reach about %d digits "
+            "(log10(2*N0 + 1) + count * log10(L*(q-1)/2)), past %d"
+            % (count, params.term_count, brief_int(params.q), digits, MAX_SCHEDULE_DIGITS)
+        )
     extremes = profile_extremes(params.q)
     s_min, s_max = extremes
     entries = []

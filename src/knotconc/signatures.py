@@ -154,7 +154,13 @@ from .errors import (
     SignatureUncertified,
     TrivialAngle,
 )
-from .exactpoly import Record, _pseudo_remainder, cyclotomic, cyclotomic_factor_extract
+from .exactpoly import (
+    Record,
+    _pseudo_remainder,
+    chebyshev_form,
+    cyclotomic,
+    cyclotomic_factor_extract,
+)
 from .seifert import MAX_TORUS_Q, alexander, torus_2q, torus_2q_signatures
 
 
@@ -543,27 +549,6 @@ class _Intervals:
 # -- arcs: one elimination per arc of the unit circle -------------------------
 
 
-def _chebyshev_form(delta, n):
-    """Ascending coefficients of D with t^(-n/2) Delta(t) = D(t + 1/t)."""
-    c = list(delta.coeffs)
-    c += [0] * (n + 1 - len(c))  # alexander() trims trailing zeros
-    assert c == c[::-1], "Delta(t) != t^n Delta(1/t)"
-    g = n // 2
-    d = [c[g]] + [0] * g
-    # t^k + t^-k = T_k(t + 1/t) with T_0 = 2, T_1 = x, T_k+1 = x T_k - T_k-1.
-    prev, cur = [2], [0, 1]
-    for k in range(1, g + 1):
-        for i, x in enumerate(cur):
-            d[i] += c[g + k] * x
-        nxt = [0] + cur
-        for i, x in enumerate(prev):
-            nxt[i] -= x
-        prev, cur = cur, nxt
-    while len(d) > 1 and d[-1] == 0:
-        d.pop()
-    return d
-
-
 def _primitive(p):
     g = math.gcd(*p)
     return [c // g for c in p]
@@ -615,7 +600,7 @@ class _Arcs:
     def __init__(self, V):
         self.V = V
         # alexander() validates V, so the rows below are square.
-        self._sturm = _sturm_sequence(_chebyshev_form(alexander(V), V.dim))
+        self._sturm = _sturm_sequence(chebyshev_form(alexander(V), V.dim).coeffs)
         n, rows = V.dim, V.rows
         self._sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
         self._skew = [[rows[j][i] - rows[i][j] for j in range(n)] for i in range(n)]

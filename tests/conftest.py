@@ -1,8 +1,16 @@
+import math
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+from knotconc.exactpoly import (
+    cyclotomic,
+    prime_power_decomposition,
+    resultant,
+    t_power_minus_one,
+    totient,
+)
 from knotconc.seifert import SeifertMatrix
 
 
@@ -39,3 +47,37 @@ def seifert_rows(draw):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def cyclotomic_product_identity(n, p, k):
+    """Exact check of the closed form for prod phi_n(zeta_{p^k}^i).
+
+    Returns (value, predicted_magnitude, m, b) where value is the signed
+    resultant Res(t^{p^k} - 1, phi_n) and m = n / gcd(n, p^k).  Raising to
+    the p^k-th power maps each primitive n-th root of unity onto a primitive
+    m-th root, hitting each one b = totient(n)/totient(m) times, so
+    |value| = |phi_m(1)|^b; the check asserts this.  Equivalently, with
+    v the multiplicity of p in n: b = p^v - p^(v-1) for k >= v >= 1, b = 1
+    when p does not divide n, and b = p^k for k < v.  Raises ValueError when
+    m = 1, where the closed form degenerates.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if prime_power_decomposition(p**k) != (p, k):
+        raise ValueError("p must be prime")
+    r = p**k
+    m = n // math.gcd(n, r)
+    if m == 1:
+        raise ValueError(
+            "p^k = %d is a multiple of n = %d; the closed form degenerates" % (r, n)
+        )
+    b = totient(n) // totient(m)
+    value = resultant(t_power_minus_one(r), cyclotomic(n))
+    predicted = abs(cyclotomic(m)(1)) ** b
+    assert abs(value) == predicted, (
+        "product identity failed for n=%d, p=%d, k=%d: |%d| != %d"
+        % (n, p, k, value, predicted)
+    )
+    return value, predicted, m, b

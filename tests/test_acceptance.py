@@ -10,12 +10,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_seifert
-from knotconc.covers import (
-    classify_prime_power_covers,
-    cover_order,
-    cyclotomic_product_identity,
-)
+from conftest import cyclotomic_product_identity, random_seifert
+from knotconc.covers import classify_prime_power_covers, cover_order
 from knotconc.cli import main as cli_main
 from knotconc.exactpoly import (
     IntPolynomial,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import knotconc
-from knotconc import cli, obstruction, seifert, signatures
+from knotconc import cli, covers, obstruction, seifert, signatures
 from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import KnotConcError
 from knotconc.seifert import SeifertMatrix
@@ -126,6 +126,32 @@ class TestCovers:
     def test_bad_delta_exit_2(self, capsys):
         code, out, err = run(capsys, ["covers", "--delta", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["covers", "classify"])
+    def test_non_symmetric_delta_exit_2(self, capsys, command):
+        # 3t - 2 has Delta(1) = 1 but is not symmetric up to +-t^k.
+        code, out, err = run(capsys, [command, "--delta=-2,3"])
+        assert (code, out) == (2, "")
+        assert err == "error: Delta must be symmetric up to +-t^k, got 3*t - 2\n"
+
+    @pytest.mark.parametrize("max_r", [1, cli.MAX_COVERS_R + 1])
+    def test_max_r_out_of_bounds_exit_2_before_any_work(self, capsys, monkeypatch, max_r):
+        def refuse(*args):
+            raise AssertionError("cover orders were computed")
+
+        monkeypatch.setattr(covers, "cover_orders", refuse)
+        code, out, err = run(capsys, ["covers", "--delta=1,-1,1", "--max-r", str(max_r)])
+        assert (code, out) == (2, "")
+        assert err == "error: --max-r must be in 2..%d\n" % cli.MAX_COVERS_R
+
+    def test_max_r_bound_is_admitted(self, monkeypatch):
+        def reached(delta, rs):
+            raise AssertionError("cover_orders(max r = %d)" % max(rs))
+
+        monkeypatch.setattr(covers, "cover_orders", reached)
+        r = cli.MAX_COVERS_R
+        with pytest.raises(AssertionError, match="max r = %d" % r):
+            main(["covers", "--delta=1,-1,1", "--max-r", str(r)])
 
 
 class TestClassify:
@@ -329,6 +355,21 @@ class TestWitness:
         count = cli.MAX_WITNESS_COUNT
         with pytest.raises(AssertionError, match="count=%d" % count):
             main(["witness", trefoil_file, "--count", str(count)])
+
+    def test_schedule_past_digit_bound_exit_2_before_building(
+        self, capsys, trefoil_file, monkeypatch
+    ):
+        # L = 2 * 1289 and q = 1289: 690 members reach about 4291 digits.
+        def refuse(*args):
+            raise AssertionError("the schedule was built")
+
+        monkeypatch.setattr(obstruction, "sum_range", refuse)
+        code, out, err = run(
+            capsys, ["witness", trefoil_file, "--q", "1289", "--count", "690"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 690 members with L = 2578 and q = 1289 ")
+        assert err.endswith(", past %d\n" % obstruction.MAX_SCHEDULE_DIGITS)
 
     def test_even_q_override_exit_2(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["witness", trefoil_file, "--q", "4"])

@@ -2,24 +2,22 @@ import random
 
 import pytest
 
-from conftest import random_seifert
+from conftest import cyclotomic_product_identity, random_seifert
 from knotconc.covers import (
     ClassificationReport,
     HomologyOrder,
-    assert_rational_homology_sphere,
     classify_prime_power_covers,
     cover_order,
     cover_orders,
-    cyclotomic_product_identity,
 )
 from knotconc.errors import (
-    DegenerateCase,
     NotAPrimePower,
     NotAKnotPolynomial,
 )
 from knotconc.exactpoly import (
     IntPolynomial,
     cyclotomic,
+    prime_power_decomposition,
     prime_powers_up_to,
     resultant,
     t_power_minus_one,
@@ -37,6 +35,12 @@ P = IntPolynomial
 
 TREFOIL_DELTA = P([1, -1, 1])
 FIG8_DELTA = P([-1, 3, -1])
+
+
+def assert_rational_homology_sphere(delta, r):
+    """Prime power covers always have finite H_1."""
+    prime_power_decomposition(r)  # raises NotAPrimePower
+    return cover_order(delta, r).is_finite
 
 
 class TestCoverOrder:
@@ -124,14 +128,25 @@ class TestClassifier:
             assert cover_order(cyclotomic(n), r).value == value
 
     def test_unit_remainder_required(self):
-        # Remainder 3 - t is not a unit, so some cover must be nontrivial.
-        delta = P([3, -1]) * P([-1, 1]) + P([0])  # placeholder, rebuilt below
-        delta = cyclotomic(30) * P([-2, 3])
+        # Remainder 2t^2 - 3t + 2 is not a unit, so some cover must be
+        # nontrivial.
+        delta = cyclotomic(30) * P([2, -3, 2])
         assert delta(1) == 1
         report = classify_prime_power_covers(delta)
         assert not report.all_prime_power_covers_trivial
+        assert report.non_cyclotomic_remainder == P([2, -3, 2])
         r, worder = report.witness_cover
         assert cover_order(delta, r).value == worder.value > 1
+
+    def test_non_symmetric_remainder_refused(self):
+        # phi_30 (3t - 2) has Delta(1) = 1 but is no Alexander polynomial:
+        # it is not symmetric up to +-t^k.
+        delta = cyclotomic(30) * P([-2, 3])
+        assert delta(1) == 1
+        with pytest.raises(NotAKnotPolynomial, match="symmetric"):
+            classify_prime_power_covers(delta)
+        with pytest.raises(NotAKnotPolynomial, match="symmetric"):
+            cover_orders(delta, [2])
 
     def test_trefoil_nontrivial(self):
         report = classify_prime_power_covers(TREFOIL_DELTA)
@@ -191,9 +206,9 @@ class TestProductIdentity:
             assert predicted == value
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateCase):
+        with pytest.raises(ValueError, match="degenerates"):
             cyclotomic_product_identity(2, 2, 1)
-        with pytest.raises(DegenerateCase):
+        with pytest.raises(ValueError, match="degenerates"):
             cyclotomic_product_identity(9, 3, 3)
 
     def test_exponent_consistency(self):

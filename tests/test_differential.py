@@ -6,6 +6,9 @@ Both determinant oracles eliminate over `Fraction` with code written here:
   and -V^t below it (Rolfsen, Knots and Links, ch. 8); det 0 means H_1 is
   infinite.
 - Res(f, g) is the determinant of the Sylvester matrix of f and g.
+The half-degree norms Res(Psi_d, D)^2 that `covers` uses are checked
+against the full-degree Res(phi_d, Delta), itself checked against the
+Sylvester determinant here.
 For genus 1 cover orders past 4300 digits, a closed form in the roots of
 Delta checks the whole `covers` table.
 """
@@ -21,7 +24,13 @@ from hypothesis import strategies as st
 from conftest import random_seifert
 from knotconc.cli import main
 from knotconc.covers import cover_orders
-from knotconc.exactpoly import IntPolynomial, resultant
+from knotconc.exactpoly import (
+    IntPolynomial,
+    chebyshev_form,
+    cyclotomic,
+    real_cyclotomic,
+    resultant,
+)
 from knotconc.seifert import SeifertMatrix, alexander
 
 
@@ -162,3 +171,37 @@ def test_covers_cli_past_int_str_limit(capsys):
         previous, current = current, s * current - previous
         assert orders[r] == abs(a**r * (2 - current))
     assert orders[80].bit_length() > 4300 * 3.33
+
+
+def _singular(rows):
+    """rows with its first row and column zeroed, apart from the -1 that
+    keeps V - V^t standard: det V = 0, so t divides Delta."""
+    rows = [list(row) for row in rows]
+    rows[0] = [0] * len(rows)
+    for i in range(1, len(rows)):
+        rows[i][0] = -1 if i == 1 else 0
+    return rows
+
+
+def test_half_degree_norms_match_full_resultants():
+    rng = random.Random(4099)
+    draws = [[list(row) for row in random_seifert(rng, g).rows] for g in range(1, 9)]
+    draws += [_singular(draws[1]), _singular(draws[4])]
+    shifts = []
+    for rows in draws:
+        delta = alexander(SeifertMatrix(rows))
+        k = next(i for i, c in enumerate(delta.coeffs) if c)
+        shifts.append(k)
+        core = IntPolynomial(delta.coeffs[k:])
+        D = chebyshev_form(core, core.degree())
+        full = {d: abs(resultant(cyclotomic(d), delta)) for d in range(1, 97)}
+        assert full[1] == abs(core(1)) and full[2] == abs(core(-1))
+        for d in range(3, 97):
+            assert resultant(real_cyclotomic(d), D) ** 2 == full[d], (rows, d)
+        for r, order in zip(range(1, 97), cover_orders(delta, range(1, 97))):
+            product = 1
+            for d in range(1, r + 1):
+                if r % d == 0:
+                    product *= full[d]
+            assert order.value == (product or None)
+    assert shifts[-2] > 0 and shifts[-1] > 0  # Delta = t^k Delta_0 is covered

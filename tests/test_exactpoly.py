@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 
@@ -11,6 +12,7 @@ from knotconc.exactpoly import (
     IntPolynomial,
     Record,
     brief_int,
+    chebyshev_form,
     cyclotomic,
     cyclotomic_factor_extract,
     distinct_prime_factors,
@@ -20,6 +22,7 @@ from knotconc.exactpoly import (
     phi_inverse_candidates,
     prime_power_decomposition,
     prime_powers_up_to,
+    real_cyclotomic,
     resultant,
     t_power_minus_one,
     totient,
@@ -144,6 +147,56 @@ class TestCyclotomic:
     def test_degree_is_totient(self):
         for n in range(1, 201):
             assert cyclotomic(n).degree() == totient(n)
+
+
+class TestChebyshevForm:
+    def test_trefoil_and_figure_eight(self):
+        # t^-1 (t^2 - t + 1) = (t + 1/t) - 1; t^-1 (-t^2 + 3t - 1) = 3 - (t + 1/t).
+        assert chebyshev_form(P([1, -1, 1]), 2) == P([-1, 1])
+        assert chebyshev_form(P([-1, 3, -1]), 2) == P([3, -1])
+
+    def test_round_trip(self):
+        # t^g D(t + 1/t) = sum_i D_i (t^2 + 1)^i t^(g - i) rebuilds p.
+        rng = random.Random(5)
+        for g in range(0, 9):
+            half = [rng.randint(-9, 9) for _ in range(g)] + [rng.choice([-3, 1, 2])]
+            p = P(half[::-1] + half[1:])  # palindromic of degree 2g
+            D = chebyshev_form(p, 2 * g)
+            assert D.degree() == g
+            rebuilt = sum(
+                (P([1, 0, 1]) ** i * P([0] * (g - i) + [c]) for i, c in enumerate(D.coeffs)),
+                P(),
+            )
+            assert rebuilt == p
+
+    def test_pads_a_trimmed_top(self):
+        # t Phi_6 as a symmetric polynomial of "degree" 4: its t^4 term is zero.
+        assert chebyshev_form(P([0, 1, -1, 1]), 4) == P([-1, 1])
+
+
+class TestRealCyclotomic:
+    def test_monic_of_half_degree(self):
+        for d in range(3, 97):
+            psi = real_cyclotomic(d)
+            assert psi.coeffs[-1] == 1
+            assert psi.degree() == totient(d) // 2
+
+    def test_vanishes_at_the_real_parts(self):
+        for d in range(3, 97):
+            psi = real_cyclotomic(d)
+            scale = sum(abs(c) * 2**i for i, c in enumerate(psi.coeffs))
+            roots = [2 * math.cos(2 * math.pi * k / d) for k in range(1, d) if math.gcd(k, d) == 1]
+            for x in roots:
+                assert abs(psi(x)) <= 1e-12 * scale, (d, x)
+
+    def test_small_cases(self):
+        assert real_cyclotomic(3) == P([1, 1])  # 2 cos(2 pi/3) = -1
+        assert real_cyclotomic(4) == P([0, 1])
+        assert real_cyclotomic(6) == P([-1, 1])
+        assert real_cyclotomic(5) == P([-1, 1, 1])  # x^2 + x - 1
+        for d in (1, 2):
+            with pytest.raises(ValueError):
+                real_cyclotomic(d)
 
 
 class TestPhiInverse:

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconc.errors import BadTorusParameter, HypothesisNotSatisfied, SeparationFailure
+from knotconc.errors import (
+    BadTorusParameter,
+    HypothesisNotSatisfied,
+    SeparationFailure,
+    SizeLimit,
+)
 from knotconc.obstruction import (
+    MAX_SCHEDULE_DIGITS,
     FamilyParameters,
     ScheduleEntry,
     WitnessSchedule,
     family_report,
     profile_extremes,
+    schedule_digits,
     sum_range,
     verify_separation,
     witness_schedule,
@@ -300,3 +307,26 @@ class TestFamilyReport:
         with pytest.raises(HypothesisNotSatisfied) as exc:
             family_report(UNKNOT, 1)
         assert exc.value.classification.all_prime_power_covers_trivial
+
+
+class TestScheduleDigitBound:
+    def test_refused_past_the_bound_in_q_and_L(self):
+        # L = 4 and q = 2*10^400 + 1: each member multiplies n by
+        # L(q-1)/2 = 4*10^400, about 400.6 digits.
+        params = FamilyParameters(genus=1, p=2, k=1, q=2 * 10**400 + 1, n0=0)
+        assert schedule_digits(params, 9) < MAX_SCHEDULE_DIGITS < schedule_digits(params, 10)
+        last = witness_schedule(params, 9).entries[-1]
+        assert abs(len(str(last.hi)) - schedule_digits(params, 9)) < 2
+        with pytest.raises(SizeLimit, match="10 members with L = 4 "):
+            witness_schedule(params, 10)
+
+    def test_n0_adds_its_digits(self):
+        # A 3000-digit N0 leaves room for few members.
+        params = FamilyParameters(genus=1, p=3, k=1, q=3, n0=10**3000)
+        assert 3000 < schedule_digits(params, 1) < 3002
+        with pytest.raises(SizeLimit):
+            witness_schedule(params, 1300)
+
+    def test_trefoil_count_bound_is_admitted(self):
+        # 2000 trefoil members (q = 3, L = 6) reach about 1556 digits.
+        assert schedule_digits(trefoil_params(0), 2000) < MAX_SCHEDULE_DIGITS

@@ -19,7 +19,7 @@ from knotconc.errors import (
     PreconditionUnverifiable,
     TrivialAngle,
 )
-from knotconc.exactpoly import IntPolynomial
+from knotconc.exactpoly import IntPolynomial, chebyshev_form
 from knotconc.seifert import (
     FIGURE_EIGHT,
     TREFOIL,
@@ -412,7 +412,7 @@ def _locate(arcs, w):
 
 
 def _sturm(V):
-    return signatures._sturm_sequence(signatures._chebyshev_form(alexander(V), V.dim))
+    return signatures._sturm_sequence(chebyshev_form(alexander(V), V.dim).coeffs)
 
 
 def _roots_in_open_interval(seq):
