@@ -527,8 +527,9 @@ def _pseudo_remainder(a, b):
     window = a[-n:]
     scale = 1
     for c in reversed(a[:-n]):
-        top = window[-1]
-        window = [lc * w - top * bj for w, bj in zip([scale * c] + window[:-1], b)]
+        top = window.pop()
+        window.insert(0, scale * c)
+        window = [lc * w - top * bj for w, bj in zip(window, b)]
         scale *= lc
     while window and window[-1] == 0:
         window.pop()
@@ -541,8 +542,8 @@ def resultant(f, g):
     Subresultant polynomial remainder sequence (Collins 1967, Brown and
     Traub 1971; Cohen, A Course in Computational Algebraic Number Theory,
     Algorithm 3.3.7, without the content split): fraction-free Euclid on
-    pseudo-remainders.  Its divisions are exact in theory; each one checks
-    that its remainder is zero.
+    pseudo-remainders.  Its divisions are exact in theory; each step checks
+    that its remainders are zero.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant requires nonzero polynomials")
@@ -564,9 +565,16 @@ def resultant(f, g):
         if not r:
             return 0
         divisor = lead * h**delta
-        a, b = b, [_exact_quotient(c, divisor) for c in r]
+        a, b = b, r
+        if divisor != 1:
+            # Floor division leaves remainders of the divisor's sign, so
+            # they are all zero exactly when their sum is.
+            b = [c // divisor for c in r]
+            assert sum(r) == divisor * sum(b), "subresultant division is not exact"
         lead = a[-1]
-        if delta:
+        if delta == 1:
+            h = lead
+        elif delta:
             h = _exact_quotient(lead**delta, h ** (delta - 1))
         if len(b) == 1:
             da = len(a) - 1
