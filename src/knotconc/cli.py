@@ -10,7 +10,8 @@ timestamps, so identical invocations are byte-identical.
 Exit statuses: 0 success, also when the reader closes stdout early (the
 rest of the output is dropped); 2 invalid input (unreadable or malformed
 input, an invalid Seifert matrix, a Delta that is not an Alexander
-polynomial, a bad or too large q, a covers --max-r past MAX_COVERS_R, a
+polynomial, a bad or too large q (signature --q past MAX_SIGNATURE_Q,
+witness --q past MAX_WITNESS_Q), a covers --max-r past MAX_COVERS_R, a
 witness --count past MAX_WITNESS_COUNT, a witness schedule past
 obstruction.MAX_SCHEDULE_DIGITS, or a witness order with no usable
 character modulus) or output that cannot be written; 3 obstruction
@@ -31,7 +32,7 @@ import json
 import os
 import sys
 
-from . import covers, obstruction, signatures
+from . import covers, exactpoly, obstruction, signatures
 from .errors import (
     BadTorusParameter,
     FactorizationLimit,
@@ -65,6 +66,16 @@ MAX_WITNESS_COUNT = 2000
 # 0.3 MB on that draw (2.8 s at r = 512), and 3.7 s and 1.0 MB on a genus-12
 # draw with entries up to 9 (in-process, Python 3.11, Intel Xeon).
 MAX_COVERS_R = 256
+
+# Largest signature --q.  A profile locates its q/2 angles on their arcs,
+# about 20 us per angle, and eliminates once per arc: `--json signature
+# --q 20000` takes 0.21 s on the trefoil and 0.39 s on a genus-6 draw, and
+# prints 0.3 MB (in-process, Python 3.11, Intel Xeon).
+MAX_SIGNATURE_Q = 20000
+
+# Largest witness --q: trial division settles whether q is a prime power
+# when q is at most the square of its bound.
+MAX_WITNESS_Q = exactpoly.TRIAL_DIVISION_BOUND**2
 
 
 class InputError(Exception):
@@ -265,8 +276,8 @@ def cmd_classify(args):
 
 
 def cmd_signature(args):
-    if args.q < 2:
-        raise InputError("--q must be >= 2")
+    if not 2 <= args.q <= MAX_SIGNATURE_Q:
+        raise InputError("--q must be in 2..%d" % MAX_SIGNATURE_Q)
     name, V = _load_matrix(args)
     profile = signatures.signature_profile(V, args.q)
     entries = {
@@ -330,6 +341,8 @@ def cmd_witness(args):
         raise InputError("--n0 must be >= 0")
     if not 0 <= args.count <= MAX_WITNESS_COUNT:
         raise InputError("--count must be in 0..%d" % MAX_WITNESS_COUNT)
+    if args.q is not None and args.q > MAX_WITNESS_Q:
+        raise InputError("--q must be at most %d" % MAX_WITNESS_Q)
     name, V = _load_matrix(args)
     with _exact_output():
         report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)

@@ -21,11 +21,12 @@ degrees of Res(phi_d, Delta) in both arguments.  For d = 1 and d = 2 the
 factor is |Delta_0(1)| and |Delta_0(-1)|, read off by evaluation.  A Delta
 that is not symmetric up to +-t^k is no Alexander polynomial and is refused.
 
-`cover_orders` validates Delta and splits it into cyclotomic factors once
-per call; D is formed once and each Res(Psi_d, D) computed at most once per
+Infinite homology is a zero norm, detected exactly: Res(Psi_d, D) = 0
+exactly when Psi_d divides D, that is when Phi_d divides Delta_0, and
+Delta_0(+-1) = 0 exactly when Phi_1 or Phi_2 does, so an order is infinite
+iff the product of its norms is 0.  `cover_orders` validates Delta once per
+call; D is formed once and each Res(Psi_d, D) computed at most once per
 call, so a table of covers, or the witness search, shares that work.
-Infinite homology is detected exactly, by cyclotomic divisibility, never by
-floating-point zero tests.
 """
 
 from __future__ import annotations
@@ -91,16 +92,15 @@ def _symmetric_core(delta):
 def cover_orders(delta, rs):
     """|H_1| of the r-fold branched covers, for each r in rs, lazily.
 
-    Delta is validated and split into cyclotomic factors once, here; each
-    Res(Psi_d, D) is computed at most once per call.
+    Delta is validated once, here; each Res(Psi_d, D) is computed at most
+    once per call.
     """
     _require_knot_polynomial(delta)
-    factors, _ = cyclotomic_factor_extract(delta)
-    return (order for _r, order in _orders(delta, factors, rs))
+    return (order for _r, order in _orders(delta, rs))
 
 
-def _orders(delta, factors, rs):
-    """Yield (r, |H_1|) for each r in rs, given delta's cyclotomic factors."""
+def _orders(delta, rs):
+    """Yield (r, |H_1|) for each r in rs."""
     core = _symmetric_core(delta)
     D = chebyshev_form(core, core.degree())
     # d -> +-Res(phi_d, delta); see the module docstring.
@@ -108,17 +108,14 @@ def _orders(delta, factors, rs):
     for r in rs:
         if r < 1:
             raise ValueError("r must be >= 1")
-        if any(r % n == 0 for n, _mult in factors):
-            yield r, HomologyOrder.infinite()
-            continue
         # t^r - 1 = prod over d | r of cyclotomic(d); resultants multiply.
         order = 1
         for d in range(1, r + 1):
-            if r % d == 0:
+            if r % d == 0 and order:
                 if d not in norms:
                     norms[d] = resultant(real_cyclotomic(d), D) ** 2
                 order *= norms[d]
-        yield r, HomologyOrder.finite(abs(order))
+        yield r, HomologyOrder.finite(abs(order)) if order else HomologyOrder.infinite()
 
 
 def cover_order(delta, r):
@@ -190,7 +187,7 @@ def _witness_candidates(factors):
 
 
 def _find_witness_cover(delta, factors):
-    for r, order in _orders(delta, factors, _witness_candidates(factors)):
+    for r, order in _orders(delta, _witness_candidates(factors)):
         if not order.is_finite or order.value != 1:
             return (r, order)
     raise WitnessSearchExhausted(

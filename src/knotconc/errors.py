@@ -55,10 +55,6 @@ class TrivialAngle(KnotConcError):
     """The signature form is identically zero at omega = 1; angle 0 is excluded."""
 
 
-class SignatureUncertified(KnotConcError):
-    """Interval refinement hit the precision ceiling without certifying inertia."""
-
-
 class PreconditionUnverifiable(KnotConcError):
     """Jump analysis needs all unit-circle Alexander roots at known rational angles."""
 

@@ -185,7 +185,7 @@ class IntPolynomial:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, complex, mpmath values."""
+        """Horner evaluation; works for int, Fraction and complex values."""
         result = 0
         for c in reversed(self.coeffs):
             result = result * x + c

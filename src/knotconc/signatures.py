@@ -54,37 +54,6 @@ overflow, an underflow error is amplified at most 2^250 times on its way
 into a radius (far below ETA), and infinities and NaNs fail the guards
 (comparisons with NaN are false), so they never certify anything.
 
-A real product x*y rounds once, at most u |fl(xy)|, so its disc is the
-complex one with u in place of 2.25u; the radius sum takes the same
-1 + 32u inflation and ETA.
-
-The starting entries need discs of 1 - cos theta and sin theta, theta =
-2*pi*a/q, and no more than binary64:
-
-    reduction  theta = pi*n/(4q) with n = 8a.  In integers, n = 2q*j + m
-               with -q <= m < q, so theta = j*pi/2 + psi, psi = pi*m/(4q),
-               |psi| <= pi/4; cos theta and sin theta are +-cos psi and
-               +-sin psi by the quarter turn j, and sin psi is odd in m.
-               Both are computed at phi = pi*|m|/(4q) in [0, pi/4].
-    angle      q <= 2^50, so |m| and 4q are exact floats (a larger q goes
-               to the fallback).  x = fl(math.pi * fl(|m| / 4q)) takes two
-               roundings, and |pi - math.pi| < 1.2247e-16 = 0.352u math.pi,
-               so |phi - x| <= (2.352u + u^2)(1 + 3u) x < fl(2.5u x).
-    series     sin phi = phi S(phi^2) and 1 - cos phi = phi^2 C(phi^2),
-               where S and C are the Taylor series of sin(t)/t and
-               (1 - cos t)/t^2, summed by Horner's rule in discs from the
-               disc (x, fl(2.5u x)) of phi and its square.  The
-               coefficients 1/k!, k <= 18, are one rounding each, since
-               k! <= 22! is an exact float: radius u/k!.  For phi <= 1 the
-               terms alternate and decrease, so each omitted tail is at
-               most its first term, phi^18/19! in S and phi^18/20! in C;
-               Horner starts from the disc (0, 2/19!) or (0, 2/20!)
-               standing for it.
-    quarter    for j = 0 (mod 4), 1 - cos theta is the disc of 1 - cos phi
-               itself, accurate relative to its size near theta = 0; for the
-               other quarters cos theta <= 1/sqrt 2, and 1 - cos theta is one
-               rounded difference, as is cos psi = 1 - (1 - cos phi).
-
 The integer entries of V + V^t and V^t - V must be at most 2^53 so that
 they are exact floats.  The midpoint of (1-cos)S + i sin K is
 complex(fl(c S), fl(s K)) with radius r_c|S| + r_s|K| + u(|cS| + |sK|) + ETA.
@@ -93,11 +62,33 @@ real, so its distance from d is at most r_d).  A pivot d, or a 2x2
 determinant d < 0, is certified when fl(|d| - r_d) >= 2^-250; rounding to
 nearest is monotone, so then |d| - r_d > 0 exactly.
 
-Fallback.  If no pivot certifies, or a guard fails, the float step returns
-None and the same elimination runs with mpmath iv.mpc interval entries at
-64 bits, doubling the precision up to 4096 bits; past that,
-SignatureUncertified is raised.  mpmath is imported there, on the first
-fallback, and nowhere else.
+Angles.  Each angle gets one integer fixed-point bracket at b bits:
+integers c, s, e with 2 cos theta within 2e of c / 2^b and sin theta within
+e of s / 2^b.  A unit is 2^-b, and every quotient below is floored.
+
+    reduction  theta = pi*n/(4q) with n = 8a.  In integers, n = 2q*j + m
+               with -q <= m < q, so theta = j*pi/2 + psi, psi = pi*m/(4q),
+               |psi| <= pi/4; cos theta and sin theta are +-cos psi and
+               +-sin psi by the quarter turn j, and sin psi is odd in m.
+    pi         Machin's 16 arctan(1/5) - 4 arctan(1/239), each arctan(1/x)
+               summed at b + 16 bits from the powers 2^(b+16) / x^(2k+1)
+               over 2k+1 until the power is 0 (each term under 2.05 units
+               low, the tail under 1.05), rounded to b bits: P, within
+               e_pi of pi 2^b, kept per b.
+    series     y = P|m| / (4q) is within e_pi/4 + 1 of |psi| 2^b.  t_0 = 2^b,
+               t_k = (t_(k-1) y / 2^b) / k until t_K = 0: t_k is at most 4
+               units below (y/2^b)^k/k! 2^b (its shortfall is at most
+               (y/2^b times the last one + 1)/k + 1, y/2^b < 0.8), and each
+               alternating tail is under 4, so the sums are within 2K + 6
+               of cos and sin at y/2^b, and within e = 2K + e_pi/4 + 8 of
+               cos psi and sin psi (slope at most 1); for m = 0, e = 0.
+    discs      the float step starts from fl((2^(b+1) - c) / 2^(b+1)) for
+               1 - cos theta and fl(s / 2^b) for sin theta, each midpoint x
+               one correctly rounded division, with radius (fl(e / 2^b) +
+               u|x| + ETA)(1 + 32u).  b = 72 + 2 bitlength(q) at first; off
+               theta = pi, 1 - cos theta >= 8/q^2 and |sin theta| >= 2/q,
+               so e / 2^b is below 2^-59 of either (e < 2^16): each radius
+               is about one ulp of its midpoint.
 
 Arcs.  det H = (1-omega)^n Delta(conj omega), so H is nonsingular off the
 roots of Delta and the signature is constant on each arc of the unit circle
@@ -105,10 +96,9 @@ between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
 a single tl_signature as well as a profile, a jump-step check or the torus
 lemma, goes through one evaluator built for that call.  It forms V + V^t,
 V^t - V and the Sturm sequence of D once.  For each angle it computes the
-discs of 1 - cos theta and sin theta once, locates the angle's arc with
-them and starts the float step from them; it eliminates once per arc and
-copies the value to the other angles on that arc, keeping the values for
-that one call.
+bracket once, locates the angle's arc with it and starts the float step
+from its discs; it eliminates once per arc and copies the value to the
+other angles on that arc, keeping the values for that one call.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -125,33 +115,45 @@ that one call.
                a < b, neither a root of D, exactly V(a) - V(b) distinct
                roots lie in (a, b), V counting sign variations; V(x) - V(+inf)
                is the number of roots above x.
-    locating   the disc of 1 - cos theta gives a bracket of 2 cos theta,
-               widened outward to multiples of 2^-64 so that its endpoints
-               lo < hi are exact dyadic numbers.  If D(lo) and D(hi) are
-               nonzero and V(lo) = V(hi), no root lies in the bracket and
-               V(hi) names the arc; sign variations are counted in integer
-               arithmetic, never by a float comparison.
-    jumps      a decided bracket has D nonzero at both ends and no root
-               of D inside, so 2 cos theta is no root of D and omega no root
-               of Delta.
-    undecided  otherwise a root may sit in the bracket (or q > 2^50 and
-               there is no disc).  Only then is the exact test run: omega is
-               a root of Delta iff its cyclotomic polynomial Phi_q divides
-               Delta.  A root is a jump; any other undecided angle is
-               evaluated by its own elimination.
+    locating   the bracket [c - 2e - 1, c + 2e + 1] / 2^b of 2 cos theta,
+               widened by one unit so that it is never a point, has exact
+               dyadic ends lo < hi.  If D(lo) and D(hi) are nonzero and
+               V(lo) = V(hi), no root lies in the bracket and V(hi) names
+               the arc; sign variations are counted in integer arithmetic,
+               never by a float comparison.
+    jumps      a located bracket holds no root of D, so omega is no root
+               of Delta.  Only an undecided angle gets the exact test:
+               omega is a root of Delta iff Phi_q divides Delta, and a root
+               is a jump.  Any other angle has 2 cos theta off every root of
+               D, and doubling b shrinks the bracket onto it, so a few
+               doublings locate it: every angle off a root is located.
+
+Exact fallback.  If the float step cannot certify (very near a root, or
+with an integer entry past 2^53), the arc is evaluated at a rational point.
+With t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times
+t(V+V^t) + i(V^t-V).  A dyadic t = N/2^k aimed at the bracket is taken, k
+doubling from 4, once x' = 2 cos theta' = 2(1-t^2)/(1+t^2) has the arc's
+Sturm count V(hi) and D(x') != 0, so that theta' lies on the arc of theta
+or of its conjugate (same inertia); a large enough k lands in the bracket.
+The signature is then that of A + iB = N(V+V^t) + i 2^k (V^t-V), whose real
+form [[A, -B], [B, A]] has each eigenvalue twice and is eliminated over
+Fraction, where a nonzero pivot is certified.  A nonsingular symmetric
+matrix has a nonzero diagonal entry or a 2x2 block [[0, b], [b, 0]], b != 0,
+so the elimination always completes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from fractions import Fraction
 
 from .errors import (
     BadTorusParameter,
     JumpPoint,
     LemmaViolation,
     PreconditionUnverifiable,
-    SignatureUncertified,
     TrivialAngle,
 )
 from .exactpoly import (
@@ -215,10 +217,6 @@ def at_jump(V, w):
     return r.is_zero()
 
 
-_INERTIA_START_PREC = 64
-_INERTIA_MAX_PREC = 4096
-
-
 def tl_signature(V, w):
     """Tristram-Levine signature of V at omega = exp(2*pi*i*a/q); exact."""
     V.require_valid()
@@ -242,35 +240,14 @@ def _float_inertia(sym, skew, discs):
     return None if m is None else _eliminate(m)
 
 
-def _interval_ladder(sym, skew, a, q):
-    """(pos, neg) of H in interval arithmetic, doubling the precision as needed."""
-    import mpmath  # only the fallback needs it; see the module docstring
-
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        iv.prec = _INERTIA_START_PREC
-        while iv.prec <= _INERTIA_MAX_PREC:
-            result = _eliminate(_Intervals.of_form(iv, sym, skew, a, q))
-            if result is not None:
-                return result
-            iv.prec *= 2
-    finally:
-        iv.prec = saved
-    raise SignatureUncertified(
-        "could not certify inertia at a/q = %d/%d within %d bits"
-        % (a, q, _INERTIA_MAX_PREC)
-    )
-
-
 def _eliminate(m):
     """(pos, neg) of the Hermitian matrix m, consumed by elimination; None
     when no pivot certifies or m refuses an update.
 
-    m holds enclosures of the entries and supplies their arithmetic; a real
-    value (a pivot, a determinant) is an enclosure of a real number, and
-    m.sign(d) is its certified distance from 0 with the sign of d, or None.
-    The largest certified pivot is taken.
+    m holds enclosures of the entries, float discs or exact rationals, and
+    supplies their arithmetic; a real value (a pivot, a determinant) is an
+    enclosure of a real number, and m.sign(d) is its certified distance from
+    0 with the sign of d, or None.  The largest certified pivot is taken.
     """
     pos = neg = 0
     while len(m):
@@ -329,68 +306,16 @@ _TINY = 2.0**-250  # least certified pivot margin
 _EXACT = 2**53  # integers up to this size are exact floats
 
 
-_MAX_Q = 2**50  # 4q is an exact float; a larger q goes to the fallback
-_PHI_REL = 5 * 2.0**-54  # 2.5u, relative radius of the reduced angle
+def _disc(n, e, bits):
+    """Disc of a number within e of n / 2^bits: one int-to-float rounding."""
+    scale = 1 << bits
+    x = n / scale  # correctly rounded
+    return x, (e / scale + _U * abs(x) + _ETA) * _INFL
 
 
-def _rmul(x, y):
-    """Disc of a real product: one rounding, at most u |fl(xy)|."""
-    (x, rx), (y, ry) = x, y
-    z = x * y
-    return z, (abs(x) * ry + rx * (abs(y) + ry) + _U * abs(z) + _ETA) * _INFL
-
-
-def _neg(x):
-    return -x[0], x[1]
-
-
-def _series_terms(orders):
-    """Discs of the coefficients 1/k!, then the disc standing for the tail."""
-    terms = []
-    for k in orders:
-        c = 1.0 / math.factorial(k)  # k! is an exact float for k <= 22
-        terms.append((c, _U * c if k > 2 else 0.0))
-    return terms + [(0.0, 2.0 / math.factorial(orders[-1] + 2))]
-
-
-_SIN_TERMS = _series_terms(range(1, 18, 2))  # sin(x)/x = 1 - x^2/3! + ...
-_VERS_TERMS = _series_terms(range(2, 19, 2))  # (1 - cos x)/x^2 = 1/2! - x^2/4! + ...
-
-
-def _horner(y, terms):
-    """Disc of sum_k (-1)^k t_k y^k over the discs t_k, by Horner's rule."""
-    acc = terms[-1]
-    for t in reversed(terms[:-1]):
-        acc = _FloatDiscs.sub(t, _rmul(y, acc))
-    return acc
-
-
-def _angle_discs(a, q):
-    """Discs of 1 - cos(theta) and sin(theta), theta = 2*pi*a/q, or None
-    when q > 2^50; the bound is in the module docstring."""
-    if q > _MAX_Q:
-        return None
-    j, m = divmod(8 * a + q, 2 * q)
-    m -= q
-    mid = math.pi * (abs(m) / (4 * q))
-    x = mid, _PHI_REL * mid  # the disc of phi = pi*|m|/(4q)
-    y = _rmul(x, x)
-    sin_psi = _rmul(x, _horner(y, _SIN_TERMS))
-    if m < 0:
-        sin_psi = _neg(sin_psi)
-    vers = _rmul(y, _horner(y, _VERS_TERMS))
-    j %= 4
-    if j == 0:
-        return vers, sin_psi
-    one = 1.0, 0.0
-    cos_psi = _FloatDiscs.sub(one, vers)
-    if j == 1:
-        cos_theta, sin_theta = _neg(sin_psi), cos_psi
-    elif j == 2:
-        cos_theta, sin_theta = _neg(cos_psi), _neg(sin_psi)
-    else:
-        cos_theta, sin_theta = sin_psi, _neg(cos_psi)
-    return _FloatDiscs.sub(one, cos_theta), sin_theta
+def _starting_discs(c, s, e, bits):
+    """Discs of 1 - cos(theta) and sin(theta) from the angle's bracket."""
+    return _disc((2 << bits) - c, 2 * e, bits + 1), _disc(s, e, bits)
 
 
 class _FloatDiscs:
@@ -403,10 +328,8 @@ class _FloatDiscs:
     @classmethod
     def of_form(cls, sym, skew, discs):
         """Discs of H from the discs of 1 - cos theta and sin theta, or None
-        if those are None (q > 2^50) or an integer entry is not an exact float."""
-        if discs is None or any(
-            abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row
-        ):
+        if an integer entry is not an exact float."""
+        if any(abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row):
             return None
         (oc, roc), (s, rs) = discs
         mids, rads = [], []
@@ -489,29 +412,98 @@ class _FloatDiscs:
         return z.real, rz
 
 
-# -- fallback: the same elimination in mpmath interval arithmetic -------------
+# -- angles: one integer bracket of 2 cos theta and sin theta ---------------
 
 
-class _Intervals:
-    """Hermitian matrix of iv.mpc entries at the current iv.prec."""
+def _arctan_inv(x, bits):
+    """(S, err): arctan(1/x) 2^bits is within err of S; x >= 5."""
+    x2 = x * x
+    power = (1 << bits) // x
+    total = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total, 3 * k + 2
 
-    def __init__(self, iv, rows):
-        self.iv, self.rows = iv, rows
+
+@functools.lru_cache(maxsize=None)
+def _pi_fixed(bits):
+    """(P, e_pi): pi 2^bits is within e_pi of P, by Machin's formula."""
+    s5, e5 = _arctan_inv(5, bits + 16)
+    s239, e239 = _arctan_inv(239, bits + 16)
+    return (16 * s5 - 4 * s239 + (1 << 15)) >> 16, ((16 * e5 + 4 * e239) >> 16) + 1
+
+
+def _start_bits(q):
+    """Bits of an angle's first bracket (module docstring, Angles)."""
+    return 72 + 2 * q.bit_length()
+
+
+def _angle_bracket(a, q, bits):
+    """(c, s, e): 2 cos(theta) is within 2e of c / 2^bits and sin(theta)
+    within e of s / 2^bits, theta = 2*pi*a/q; the bound is in the module
+    docstring."""
+    j, m = divmod(8 * a + q, 2 * q)
+    m -= q
+    pi, e_pi = _pi_fixed(bits)
+    y = pi * abs(m) // (4 * q)  # |psi| 2^bits
+    cos = t = 1 << bits
+    sin = k = 0
+    while t:
+        k += 1
+        t = (t * y >> bits) // k
+        if k & 1:
+            sin += -t if k & 2 else t
+        else:
+            cos += -t if k & 2 else t
+    if m < 0:
+        sin = -sin
+    cos, sin = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[j % 4]
+    return 2 * cos, sin, (2 * k + e_pi // 4 + 8 if m else 0)
+
+
+def _exact_inertia(sym, skew, sturm, lo, hi, bits):
+    """(pos, neg) of H on the arc whose located bracket of 2 cos theta is
+    [lo, hi] / 2^bits, exactly; see the module docstring."""
+    arc = _variations(sturm, hi, 1 << bits)
+    two = 2 << bits
+    lo, hi = max(lo, -two), min(hi, two)
+    # Aim at x = (lo + hi) / 2^(bits+1), where t^2 = (2 - x) / (2 + x).
+    num, den = 2 * two - lo - hi, 2 * two + lo + hi
+    k = 4  # t = N / 2^k starts coarse, so that the form's entries stay small
+    while True:
+        n = math.isqrt((num << 2 * k) // den)
+        s, n2 = 1 << 2 * k, n * n  # 2 cos theta' = 2(s - n2) / (s + n2)
+        if n and _variations(sturm, 2 * (s - n2), s + n2) == arc:
+            break
+        k *= 2
+    pos, neg = _eliminate(_Rationals.of_form(sym, skew, n, 1 << k))
+    return pos // 2, neg // 2
+
+
+class _Rationals:
+    """Real symmetric matrix of exact rationals: the realified integer form
+    N(V+V^t) + i 2^k (V^t-V), where every nonzero pivot is certified."""
+
+    def __init__(self, rows):
+        self.rows = rows
 
     @classmethod
-    def of_form(cls, iv, sym, skew, a, q):
-        theta = 2 * iv.pi * a / q
-        oc, s = 1 - iv.cos(theta), iv.sin(theta)
-        return cls(iv, [
-            [iv.mpc(oc * x, s * y) for x, y in zip(srow, krow)]
-            for srow, krow in zip(sym, skew)
-        ])
+    def of_form(cls, sym, skew, n, scale):
+        a = [[n * x for x in row] for row in sym]
+        b = [[scale * x for x in row] for row in skew]
+        return cls(
+            [ra + [-x for x in rb] for ra, rb in zip(a, b)]
+            + [rb + ra for ra, rb in zip(a, b)]
+        )
 
     def __len__(self):
         return len(self.rows)
 
     def diag(self, i):
-        return self.rows[i][i].real
+        return self.rows[i][i]
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -523,27 +515,25 @@ class _Intervals:
 
     def update(self, xs, ys):
         for row, x in zip(self.rows, xs):
-            row[:] = [c - x * y for c, y in zip(row, ys)]
+            if x:
+                row[:] = [c - x * y for c, y in zip(row, ys)]
         return True
 
     mul = staticmethod(operator.mul)
     sub = staticmethod(operator.sub)
-    div = staticmethod(operator.truediv)
+    div = staticmethod(Fraction)
 
     @staticmethod
     def sign(d):
-        if d.a > 0:
-            return d.a
-        if d.b < 0:
-            return d.b
-        return None
+        return d or None
 
-    def conj(self, x):
-        return self.iv.mpc(x.real, -x.imag)
+    @staticmethod
+    def conj(x):
+        return x
 
     @staticmethod
     def abs2(b):
-        return b.real**2 + b.imag**2
+        return b * b
 
 
 # -- arcs: one elimination per arc of the unit circle -------------------------
@@ -571,19 +561,14 @@ def _sturm_sequence(d):
     return seq
 
 
-_ARC_BITS = 64
-_ARC_SCALE = 2.0**_ARC_BITS
-_ARC_ONE = 1 << _ARC_BITS
-
-
-def _variations(seq, num):
-    """Sign variations of seq at num / 2^64; None at a root of seq[0]."""
+def _variations(seq, num, den):
+    """Sign variations of seq at num / den, den > 0; None at a root of seq[0]."""
     signs = []
     for p in seq:
-        acc, shift = p[-1], 0
-        for c in reversed(p[:-1]):  # p(num / 2^64) 2^(64 deg p), by Horner
-            shift += _ARC_BITS
-            acc = acc * num + (c << shift)
+        acc, power = p[-1], 1
+        for c in reversed(p[:-1]):  # p(num / den) den^(deg p), by Horner
+            power *= den
+            acc = acc * num + c * power
         if acc:
             signs.append(acc > 0)
         elif p is seq[0]:
@@ -610,35 +595,43 @@ class _Arcs:
         """Signature at w != 1, or JUMP when omega is a root of Delta.
 
         A located angle is no root, since its bracket holds no root of D;
-        only an undecided angle needs at_jump's division, and it gets its
-        own elimination.
+        only an undecided angle needs at_jump's division, and one that is
+        no root is located by doubling the bracket's bits.
         """
-        discs = _angle_discs(w.a, w.q)
-        arc = None if discs is None else self._locate(discs)
-        if arc is None:
-            return JUMP if at_jump(self.V, w) else self._inertia(w, discs)
+        bits = _start_bits(w.q)
+        bracket = _angle_bracket(w.a, w.q, bits)
+        arc = self._locate(bracket, bits)
+        if arc is None and at_jump(self.V, w):
+            return JUMP
+        while arc is None:
+            bits *= 2
+            bracket = _angle_bracket(w.a, w.q, bits)
+            arc = self._locate(bracket, bits)
         if arc not in self._values:
-            self._values[arc] = self._inertia(w, discs)
+            self._values[arc] = self._inertia(bracket, bits)
         return self._values[arc]
 
-    def _locate(self, discs):
-        """The arc of the angle with these discs, or None when undecided."""
-        # 2 cos(theta) = 2 - 2(1 - cos theta) lies in [lo, hi] / 2^64: the
-        # scaling by 2^64 is exact, and floor and ceil round outward.
-        (oc, roc), _ = discs
-        r = math.ceil(roc * _ARC_SCALE)
-        lo = 2 * (_ARC_ONE - math.ceil(oc * _ARC_SCALE) - r)
-        hi = 2 * (_ARC_ONE - math.floor(oc * _ARC_SCALE) + r)
-        arc = _variations(self._sturm, hi)
-        if arc is None or _variations(self._sturm, lo) != arc:
+    def _locate(self, bracket, bits):
+        """The arc of the angle with this bracket, or None when undecided."""
+        lo, hi = _ends(bracket)
+        arc = _variations(self._sturm, hi, 1 << bits)
+        if arc is None or _variations(self._sturm, lo, 1 << bits) != arc:
             return None
         return arc
 
-    def _inertia(self, w, discs):
+    def _inertia(self, bracket, bits):
         sym, skew = self._sym, self._skew
-        pos, neg = _float_inertia(sym, skew, discs) or _interval_ladder(sym, skew, w.a, w.q)
+        pos, neg = _float_inertia(sym, skew, _starting_discs(*bracket, bits)) or _exact_inertia(
+            sym, skew, self._sturm, *_ends(bracket), bits
+        )
         assert pos + neg == self.V.dim
         return pos - neg
+
+
+def _ends(bracket):
+    """The ends lo < hi of the bracket of 2 cos theta, widened by one unit."""
+    c, _, e = bracket
+    return c - 2 * e - 1, c + 2 * e + 1
 
 
 class SignatureProfile(Record):

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 import knotconc
-from knotconc import cli, covers, obstruction, seifert, signatures
+from knotconc import cli, covers, exactpoly, obstruction, seifert, signatures
 from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import KnotConcError
 from knotconc.seifert import SeifertMatrix
@@ -144,6 +145,16 @@ class TestCovers:
         assert (code, out) == (2, "")
         assert err == "error: --max-r must be in 2..%d\n" % cli.MAX_COVERS_R
 
+    def test_long_palindromic_delta_within_budget(self, capsys):
+        # t^400 - t^200 + 1: the 2-fold cover needs only Delta(-1), with no
+        # cyclotomic split of the degree-400 polynomial.
+        delta = ",".join(["1"] + ["0"] * 199 + ["-1"] + ["0"] * 199 + ["1"])
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["--json", "covers", "--max-r", "2", "--delta=" + delta])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        assert json.loads(out)["covers"] == [{"r": 2, "order": 1, "prime_power": True}]
+
     def test_max_r_bound_is_admitted(self, monkeypatch):
         def reached(delta, rs):
             raise AssertionError("cover_orders(max r = %d)" % max(rs))
@@ -201,6 +212,26 @@ class TestSignature:
     def test_q_too_small_exit_2(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["signature", trefoil_file, "--q", "1"])
         assert code == 2
+
+    def test_q_past_bound_exit_2_before_any_work(self, capsys, trefoil_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the matrix was read or the profile computed")
+
+        monkeypatch.setattr(cli, "_load_matrix", refuse)
+        monkeypatch.setattr(signatures, "signature_profile", refuse)
+        q = cli.MAX_SIGNATURE_Q + 1
+        code, out, err = run(capsys, ["signature", trefoil_file, "--q", str(q)])
+        assert (code, out) == (2, "")
+        assert err == "error: --q must be in 2..%d\n" % cli.MAX_SIGNATURE_Q
+
+    def test_q_bound_is_admitted(self, trefoil_file, monkeypatch):
+        def reached(V, q):
+            raise AssertionError("signature_profile(q=%d)" % q)
+
+        monkeypatch.setattr(signatures, "signature_profile", reached)
+        q = cli.MAX_SIGNATURE_Q
+        with pytest.raises(AssertionError, match="q=%d" % q):
+            main(["signature", trefoil_file, "--q", str(q)])
 
 
 class TestTorus:
@@ -370,6 +401,38 @@ class TestWitness:
         assert (code, out) == (2, "")
         assert err.startswith("error: 690 members with L = 2578 and q = 1289 ")
         assert err.endswith(", past %d\n" % obstruction.MAX_SCHEDULE_DIGITS)
+
+    def test_q_past_trial_division_exit_2_before_any_work(
+        self, capsys, trefoil_file, monkeypatch
+    ):
+        # Past TRIAL_DIVISION_BOUND^2 trial division could not tell whether
+        # q is a prime power.
+        assert cli.MAX_WITNESS_Q == exactpoly.TRIAL_DIVISION_BOUND**2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matrix was read or the pipeline ran")
+
+        monkeypatch.setattr(cli, "_load_matrix", refuse)
+        monkeypatch.setattr(obstruction, "family_report", refuse)
+        q = cli.MAX_WITNESS_Q + 1
+        code, out, err = run(capsys, ["witness", trefoil_file, "--q", str(q)])
+        assert (code, out) == (2, "")
+        assert err == "error: --q must be at most %d\n" % cli.MAX_WITNESS_Q
+
+    def test_q_trial_division_bound_is_admitted(self, capsys, trefoil_file):
+        # The bound reaches the pipeline, and trial division settles that
+        # 10^12 = 2^12 5^12 is no prime power.
+        code, out, err = run(capsys, ["witness", trefoil_file, "--q", str(cli.MAX_WITNESS_Q)])
+        assert (code, out) == (2, "")
+        assert err == "error: %d is not a prime power\n" % cli.MAX_WITNESS_Q
+
+    def test_large_prime_q_within_bound(self, capsys, trefoil_file):
+        # The largest prime below 10^12: trial division proves it prime.
+        code, out, err = run(
+            capsys, ["--json", "witness", trefoil_file, "--q", "999999999989", "--count", "2"]
+        )
+        assert code == 0, err
+        assert json.loads(out)["parameters"]["p"] == 999999999989
 
     def test_even_q_override_exit_2(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["witness", trefoil_file, "--q", "4"])

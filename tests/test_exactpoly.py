@@ -3,7 +3,6 @@ import math
 import pickle
 import random
 
-import mpmath
 import pytest
 
 from knotconc.covers import HomologyOrder
@@ -251,6 +250,7 @@ class TestResultant:
 
     def test_against_complex_root_product(self, rng):
         # Res(t^r - 1, g) = prod over all r-th roots of unity of g(zeta).
+        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 60
         for r in range(1, 25):
             g = random_poly(rng, 12, nonzero=True)

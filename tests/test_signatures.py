@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,8 +43,15 @@ from knotconc.signatures import (
 )
 
 
+def _mpmath():
+    """mpmath, the arithmetic of the oracles below; a test that needs it
+    is skipped where it is not installed."""
+    return pytest.importorskip("mpmath")
+
+
 def numeric_signature(V, a, q, dps=40):
     """Float oracle: eigenvalue signs of (1-w)V + (1-conj(w))V^t."""
+    mpmath = _mpmath()
     mpmath.mp.dps = dps
     n = V.dim
     w = mpmath.e ** (2j * mpmath.pi * a / q)
@@ -308,21 +314,36 @@ def _form_parts(V):
     return sym, skew
 
 
+def _bracket(w):
+    """The angle's first bracket (c, s, e) and its bits."""
+    bits = signatures._start_bits(w.q)
+    return signatures._angle_bracket(w.a, w.q, bits), bits
+
+
+def _discs(w):
+    bracket, bits = _bracket(w)
+    return signatures._starting_discs(*bracket, bits)
+
+
 def _inertia_paths(V, w):
-    """(float step, interval ladder) inertia of the form of V at w."""
+    """(float step, exact path) inertia of the form of V at w, whose
+    bracket must be located."""
     sym, skew = _form_parts(V)
+    bracket, bits = _bracket(w)
+    arcs = signatures._Arcs(V)
+    assert arcs._locate(bracket, bits) is not None
     return (
-        signatures._float_inertia(sym, skew, signatures._angle_discs(w.a, w.q)),
-        signatures._interval_ladder(sym, skew, w.a, w.q),
+        signatures._float_inertia(sym, skew, signatures._starting_discs(*bracket, bits)),
+        signatures._exact_inertia(sym, skew, arcs._sturm, *signatures._ends(bracket), bits),
     )
 
 
 class TestCertifiedInertia:
     def test_near_root_forces_fallback(self):
         assert alexander(NEAR_ROOT).coeffs == (2, -3, 2)
-        fast, ladder = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
+        fast, exact = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
         assert fast is None
-        assert ladder == (2, 0)
+        assert exact == (2, 0)
         # Prompt: Phi_133665412 is never built, its degree exceeds deg(Delta).
         start = time.perf_counter()
         assert not at_jump(NEAR_ROOT, NEAR_ROOT_3E17)
@@ -330,8 +351,8 @@ class TestCertifiedInertia:
         assert time.perf_counter() - start < 2.0
 
     def test_float_step_certifies_close_to_root(self):
-        fast, ladder = _inertia_paths(NEAR_ROOT, NEAR_ROOT_5E16)
-        assert fast == ladder == (1, 1)
+        fast, exact = _inertia_paths(NEAR_ROOT, NEAR_ROOT_5E16)
+        assert fast == exact == (1, 1)
         assert tl_signature(NEAR_ROOT, NEAR_ROOT_5E16) == 0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -343,7 +364,7 @@ class TestCertifiedInertia:
         digits=st.integers(3, 16),
         side=st.sampled_from([-1, 1]),
     )
-    def test_float_step_matches_interval_ladder(
+    def test_float_step_matches_exact_path(
         self, genus, seed, near_root, zero_diagonal, digits, side
     ):
         rng = random.Random(seed)
@@ -365,18 +386,28 @@ class TestCertifiedInertia:
             w = UnitRootArg(rng.randint(1, q - 1), q)
         if at_jump(V, w):
             return
-        fast, ladder = _inertia_paths(V, w)
-        assert fast is None or fast == ladder
-        assert sum(ladder) == V.dim
+        fast, exact = _inertia_paths(V, w)
+        assert fast is None or fast == exact
+        assert sum(exact) == V.dim
+
+    def test_exact_path_at_genus_12(self):
+        # A forced exact evaluation: the realified 48 x 48 form over Fraction.
+        V = random_seifert(random.Random(12), 12)
+        w = UnitRootArg(5, 31)
+        start = time.perf_counter()
+        fast, exact = _inertia_paths(V, w)
+        assert time.perf_counter() - start < 2.0
+        assert fast == exact and sum(exact) == 24
 
 
 def _per_angle_signature(V, w):
     """Signature of V at w, no root of Delta, by the bare elimination: no
     arcs, and not through the elimination seam that tests count."""
     sym, skew = _form_parts(V)
-    m = signatures._FloatDiscs.of_form(sym, skew, signatures._angle_discs(w.a, w.q))
-    pos, neg = (m is not None and signatures._eliminate(m)) or signatures._interval_ladder(
-        sym, skew, w.a, w.q
+    bracket, bits = _bracket(w)
+    m = signatures._FloatDiscs.of_form(sym, skew, signatures._starting_discs(*bracket, bits))
+    pos, neg = (m is not None and signatures._eliminate(m)) or signatures._exact_inertia(
+        sym, skew, _sturm(V), *signatures._ends(bracket), bits
     )
     return pos - neg
 
@@ -407,8 +438,8 @@ def _counting(monkeypatch, *names):
 
 
 def _locate(arcs, w):
-    """The arc of w on arcs, or None when undecided."""
-    return arcs._locate(signatures._angle_discs(w.a, w.q))
+    """The arc of w on arcs at its first bracket, or None when undecided."""
+    return arcs._locate(*_bracket(w))
 
 
 def _sturm(V):
@@ -418,12 +449,12 @@ def _sturm(V):
 def _roots_in_open_interval(seq):
     """Distinct roots of D = seq[0] in (-2, 2), by Sturm's theorem; D(+-2)
     are Delta(1) and +-Delta(-1), which are odd."""
-    one = 1 << signatures._ARC_BITS
-    return signatures._variations(seq, -2 * one) - signatures._variations(seq, 2 * one)
+    return signatures._variations(seq, -2, 1) - signatures._variations(seq, 2, 1)
 
 
 def _upper_circle_roots(V):
     """Distinct roots of Delta on the open upper half circle, by mpmath."""
+    mpmath = _mpmath()
     coeffs = list(reversed(alexander(V).coeffs))
     while coeffs and coeffs[-1] == 0:  # t^k factors
         coeffs.pop()
@@ -477,17 +508,33 @@ class TestArcs:
             assert signature_profile(V, q).values == _per_angle_profile(V, q), q
 
     def test_undecided_angle_falls_back_to_elimination(self, monkeypatch):
+        # At 40 bits the bracket of NEAR_ROOT_3E17, 3e-17 turns from a root,
+        # holds that root.
+        monkeypatch.setattr(signatures, "_start_bits", lambda q: 40)
         arcs = signatures._Arcs(NEAR_ROOT)
         assert _locate(arcs, NEAR_ROOT_3E17) is None
-        calls = _counting(monkeypatch, "at_jump", "_float_inertia", "_interval_ladder")
+        calls = _counting(
+            monkeypatch, "at_jump", "_angle_bracket", "_float_inertia", "_exact_inertia"
+        )
         assert arcs.signature(NEAR_ROOT_3E17) == 2
-        # An undecided angle gets the exact jump test, then the float step,
-        # which cannot certify this close to the root, then the ladder.
+        # The undecided angle gets the exact jump test, is no root, and is
+        # located at twice the bits; the float step cannot certify this
+        # close to the root, and the exact path does.
         assert calls["at_jump"] == [(NEAR_ROOT, NEAR_ROOT_3E17)]
-        assert len(calls["_float_inertia"]) == len(calls["_interval_ladder"]) == 1
-        # Undecided angles are not cached: each one is eliminated.
+        assert [bits for _, _, bits in calls["_angle_bracket"]] == [40, 80]
+        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+        # Memoized by its located arc: the next call locates the angle
+        # again but eliminates nothing.
         assert arcs.signature(NEAR_ROOT_3E17) == 2
-        assert len(calls["at_jump"]) == len(calls["_float_inertia"]) == 2
+        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+
+    def test_near_root_is_located_at_the_first_bracket(self, monkeypatch):
+        calls = _counting(monkeypatch, "at_jump", "_float_inertia", "_exact_inertia")
+        arcs = signatures._Arcs(NEAR_ROOT)
+        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert calls["at_jump"] == []
+        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
 
     def test_root_is_undecided_and_a_jump(self, monkeypatch):
         # The bracket of a root holds that root, so only the exact test
@@ -563,7 +610,7 @@ class TestArcs:
         near_one = UnitRootArg(1, 10**6)
         first = _locate(arcs, near_one)
         # Just below x = 2 cos(0) = 2 the variations are those at 2.
-        assert first == signatures._variations(_sturm(V), 2 << signatures._ARC_BITS)
+        assert first == signatures._variations(_sturm(V), 2, 1)
         assert tl_signature(V, near_one) == 0
         profile = signature_profile(V, 30)
         for a in range(1, 16):
@@ -579,15 +626,17 @@ class TestEliminationCounts:
     def test_profile_tests_each_angle_once(self, monkeypatch):
         # T(2,7) has roots at 1/14, 3/14 and 5/14 turns: the angles a/12,
         # a <= 6, fall on three arcs.
-        calls = _counting(monkeypatch, "at_jump", "_angle_discs", "_float_inertia")
+        calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_float_inertia")
         signature_profile(torus_2q(7), 12)
         angles = [UnitRootArg(a, 12) for a in range(1, 7)]
         # Every angle is located on its arc, so none needs a jump test, and
-        # its discs, computed once, also start its arc's elimination.
+        # its bracket, computed once, also starts its arc's elimination.
         assert calls["at_jump"] == []
-        assert calls["_angle_discs"] == [(w.a, w.q) for w in angles]
+        assert calls["_angle_bracket"] == [
+            (w.a, w.q, signatures._start_bits(w.q)) for w in angles
+        ]
         assert [discs for _, _, discs in calls["_float_inertia"]] == [
-            signatures._angle_discs(w.a, w.q) for w in angles[::2]
+            _discs(w) for w in angles[::2]
         ]
 
     def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
@@ -626,16 +675,23 @@ class TestEliminationCounts:
 
 
 def _exact_angle(a, q):
-    """1 - cos(2 pi a/q) and sin(2 pi a/q) by mpmath at 200 bits."""
+    """2 cos, 1 - cos and sin of 2 pi a/q by mpmath at 200 bits."""
+    mpmath = _mpmath()
     with mpmath.workprec(200):
         t = mpmath.mpf(a) / q
-        return 2 * mpmath.sinpi(t) ** 2, mpmath.sinpi(2 * t)
+        return 2 * mpmath.cospi(2 * t), 2 * mpmath.sinpi(t) ** 2, mpmath.sinpi(2 * t)
 
 
 def _assert_discs_enclose(a, q):
+    mpmath = _mpmath()
     w = UnitRootArg(a, q)
-    discs = signatures._angle_discs(w.a, w.q)
-    for (mid, rad), exact in zip(discs, _exact_angle(w.a, w.q)):
+    (c, s, e), bits = _bracket(w)
+    two_cos, vers, sin = _exact_angle(w.a, w.q)
+    with mpmath.workprec(200):
+        # The bracket: 2 cos within 2e and sin within e units of 2^-bits.
+        assert abs(two_cos * 2**bits - c) <= 2 * e, w
+        assert abs(sin * 2**bits - s) <= e, w
+    for (mid, rad), exact in zip(_discs(w), (vers, sin)):
         with mpmath.workprec(200):
             assert abs(mpmath.mpf(mid) - exact) <= rad, (w, mid, rad)
         # The oracle's own error is below 2^-190 of the value; the radius
@@ -644,12 +700,13 @@ def _assert_discs_enclose(a, q):
 
 
 class TestAngleDiscs:
-    """The float step's discs of 1 - cos(theta) and sin(theta) against
-    mpmath at 200 bits, which shares no code with them."""
+    """The angle's integer bracket and the float step's discs of
+    1 - cos(theta) and sin(theta) drawn from it, against mpmath at 200
+    bits, which shares no code with them."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        st.integers(2, 2**50).flatmap(
+        st.integers(2, 2**62).flatmap(
             lambda q: st.tuples(st.integers(1, q - 1), st.just(q))
         )
     )
@@ -668,32 +725,43 @@ class TestAngleDiscs:
                 _assert_discs_enclose(a, 8 * n)
 
     def test_angles_next_to_one_and_minus_one(self):
-        for e in range(1, 51):
+        for e in range(1, 63):
             for q in (2**e, 2**e - 1):  # an odd q puts an angle next to -1
                 for a in (1, q // 2, q - 1):
                     if a:
                         _assert_discs_enclose(a, q)
 
-    def test_large_q_goes_to_the_ladder(self):
-        q = 2**50 + 1
-        assert signatures._angle_discs(1, 2**50) is not None
-        assert signatures._angle_discs(1, q) is None
-        for a, expected in ((1, (1, 1)), (2**49, (2, 0))):
-            fast, ladder = _inertia_paths(TREFOIL, UnitRootArg(a, q))
-            assert fast is None
-            assert ladder == expected
-            assert tl_signature(TREFOIL, UnitRootArg(a, q)) == expected[0] - expected[1]
+    @pytest.mark.parametrize("bits", [64, 80, 127, 256, 1000])
+    def test_pi_within_its_error(self, bits):
+        mpmath = _mpmath()
+        pi, e_pi = signatures._pi_fixed(bits)
+        with mpmath.workprec(bits + 64):
+            assert abs(mpmath.pi * 2**bits - pi) <= e_pi <= 2
+
+    @pytest.mark.parametrize("q", [2**50 + 1, 2**61 - 1])
+    def test_large_q_gets_a_bracket(self, q):
+        # Next to 1 and next to -1 (q odd), where the float step certifies.
+        for a, expected in ((1, (1, 1)), (q // 2, (2, 0))):
+            w = UnitRootArg(a, q)
+            _assert_discs_enclose(a, q)
+            fast, exact = _inertia_paths(TREFOIL, w)
+            assert fast == exact == expected
+            sigma = expected[0] - expected[1]
+            assert tl_signature(TREFOIL, w) == sigma == numeric_signature(TREFOIL, a, q, 60)
 
 
 _IMPORT_CHECK = """
 import contextlib, io, sys
+# With mpmath unimportable, every command and every signature path still runs.
+sys.modules["mpmath"] = None
 from knotconc import cli, signatures
+from knotconc.seifert import TREFOIL, SeifertMatrix
 
 # The result records are plain slotted classes: no dataclasses, no inspect.
 assert not {"dataclasses", "inspect"} & set(sys.modules), sorted(sys.modules)
 
 def heavy():
-    return sorted(m for m in ("mpmath", "numpy") if m in sys.modules)
+    return sorted(m for m in ("mpmath", "numpy") if sys.modules.get(m) is not None)
 
 def run(argv, stdin=""):
     out = io.StringIO()
@@ -711,16 +779,18 @@ run(["--json", "covers", "--max-r", "12", trefoil])
 run(["--json", "signature", "--q", "12", trefoil])
 run(["--json", "torus", "7", "--verify"])
 print(run(["--json", "witness", "-"], stdin=run(["torus", "5"])))
-sym, skew = [[2, 1], [1, 4]], [[0, -1], [1, 0]]  # the form parts of [[1, 1], [0, 2]]
-assert signatures._interval_ladder(sym, skew, 15375095, 133665412) == (2, 0)
-assert "mpmath" in sys.modules
+# NEAR_ROOT_3E17 takes the exact path, and q = 2^50 + 1 a wide bracket.
+near_root = SeifertMatrix([[1, 1], [0, 2]])
+assert signatures.tl_signature(near_root, signatures.UnitRootArg(15375095, 133665412)) == 2
+assert signatures.tl_signature(TREFOIL, signatures.UnitRootArg(2**49, 2**50 + 1)) == 2
+assert not heavy(), heavy()
 """
 
 
 def test_common_commands_import_neither_mpmath_nor_numpy(tmp_path):
     """A fresh interpreter imports knotconc.cli without dataclasses or
-    inspect, and runs the common commands without importing mpmath (only
-    the interval fallback needs it) or numpy."""
+    inspect, and with mpmath unimportable runs the common commands and the
+    exact path, importing neither mpmath nor numpy."""
     doc = tmp_path / "trefoil.txt"
     doc.write_text("1 -1\n0 1\n")
     src = os.path.dirname(os.path.dirname(knotconc.__file__))
