@@ -7,16 +7,17 @@ lines starting with '#' are ignored).  Machine mode (--json) emits a single
 JSON document with the same numeric content as the human output and no
 timestamps, so identical invocations are byte-identical.
 
-Exit statuses: 0 success, also when the reader closes stdout early (the
-rest of the output is dropped); 2 invalid input (unreadable or malformed
-input, an invalid Seifert matrix, a Delta that is not an Alexander
-polynomial, a bad or too large q (signature --q past MAX_SIGNATURE_Q,
-witness --q past MAX_WITNESS_Q), a covers --max-r past MAX_COVERS_R, a
-witness --count past MAX_WITNESS_COUNT, a witness schedule past
-obstruction.MAX_SCHEDULE_DIGITS, or a witness order with no usable
-character modulus) or output that cannot be written; 3 obstruction
-hypothesis not satisfied; 4 any other library error, an internal assertion
-failure.
+Exit statuses, read off the class of the error: 0 success, also when the
+reader closes stdout early (the rest of the output is dropped); 2
+errors.InvalidInput (unreadable or malformed input, an invalid Seifert
+matrix, a Delta that is not an Alexander polynomial, a bad q, a witness
+order with no usable character modulus, or work past a size bound: a
+matrix past MAX_MATRIX_DIM rows, a --delta past degree MAX_DELTA_DEGREE,
+signature --q past MAX_SIGNATURE_Q, witness --q past MAX_WITNESS_Q, covers
+--max-r past MAX_COVERS_R, witness --count past MAX_WITNESS_COUNT, a
+witness schedule past obstruction.MAX_SCHEDULE_DIGITS) or output that
+cannot be written; 3 HypothesisNotSatisfied, the obstruction hypothesis
+not satisfied; 4 any other KnotConcError, an internal assertion failure.
 
 Exact results can pass Python's 4300-digit int-to-str limit, so the
 commands that print Delta or |H1| lift it once their input is parsed;
@@ -33,18 +34,8 @@ import os
 import sys
 
 from . import covers, exactpoly, obstruction, signatures
-from .errors import (
-    BadTorusParameter,
-    FactorizationLimit,
-    HypothesisNotSatisfied,
-    InvalidSeifertMatrix,
-    KnotConcError,
-    NoCharacterModulus,
-    NotAKnotPolynomial,
-    NotAPrimePower,
-    SizeLimit,
-)
-from .exactpoly import distinct_prime_factors, parse_coefficients, prime_power_decomposition
+from .errors import HypothesisNotSatisfied, InvalidInput, KnotConcError, SizeLimit
+from .exactpoly import distinct_prime_factors, factorize, parse_coefficients
 from .seifert import SeifertMatrix, alexander, torus_2q
 from .signatures import JUMP, UnitRootArg
 
@@ -73,13 +64,24 @@ MAX_COVERS_R = 256
 # prints 0.3 MB (in-process, Python 3.11, Intel Xeon).
 MAX_SIGNATURE_Q = 20000
 
+# Largest matrix dimension, checked as the document is parsed.  alexander
+# takes g Bareiss determinants of dimension 2g, 0.07 s at dimension 32 on a
+# dense draw with entries up to 9 (0.16 s at 40, 1.5 s at 64, 5.1 s at 80),
+# and the other bounds cost more on larger matrices: at dimension 32 such a
+# draw takes 12.5 s for `--json covers --max-r 256` (1.4 MB) and 6.2 s for
+# `--json signature --q 20000`, and at 40 it takes 25 s and 12 s
+# (in-process, Python 3.11, Intel Xeon).
+MAX_MATRIX_DIM = 32
+
+# Largest --delta degree, t^k included, checked as it is parsed.  classify
+# tries every Phi_n with phi(n) <= deg Delta: `--json classify` takes 5.3 s
+# on a dense symmetric Delta of degree 400 (0.6 s at degree 200), and
+# `--json covers --max-r 256` 0.8 s (in-process, Python 3.11, Intel Xeon).
+MAX_DELTA_DEGREE = 400
+
 # Largest witness --q: trial division settles whether q is a prime power
 # when q is at most the square of its bound.
 MAX_WITNESS_Q = exactpoly.TRIAL_DIVISION_BOUND**2
-
-
-class InputError(Exception):
-    pass
 
 
 def _read_text(path):
@@ -89,7 +91,7 @@ def _read_text(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc))
+        raise InvalidInput("cannot read %s: %s" % (path, exc))
 
 
 def parse_matrix_document(text):
@@ -99,12 +101,12 @@ def parse_matrix_document(text):
         try:
             doc = json.loads(text)
         except ValueError as exc:  # JSONDecodeError, or an over-long integer
-            raise InputError("invalid JSON document: %s" % exc)
+            raise InvalidInput("invalid JSON document: %s" % exc)
         if not isinstance(doc, dict) or "matrix" not in doc:
-            raise InputError('JSON document must have a "matrix" field')
+            raise InvalidInput('JSON document must have a "matrix" field')
         name = doc.get("name", "matrix")
         if not isinstance(name, str):
-            raise InputError('"name" must be a string')
+            raise InvalidInput('"name" must be a string')
         rows = doc["matrix"]
     else:
         rows = []
@@ -115,12 +117,17 @@ def parse_matrix_document(text):
             try:
                 rows.append([int(tok) for tok in line.replace(",", " ").split()])
             except ValueError:
-                raise InputError("cannot parse matrix row: %r" % line)
+                raise InvalidInput("cannot parse matrix row: %r" % line)
         name = "matrix"
     try:
         matrix = SeifertMatrix(rows)
     except (TypeError, ValueError) as exc:
-        raise InputError("bad matrix entries: %s" % exc)
+        raise InvalidInput("bad matrix entries: %s" % exc)
+    if matrix.dim > MAX_MATRIX_DIM:
+        raise SizeLimit(
+            "the matrix has %d rows, past %d, the largest dimension accepted"
+            % (matrix.dim, MAX_MATRIX_DIM)
+        )
     return name, matrix
 
 
@@ -186,27 +193,29 @@ def _delta_from_args(args):
     checked by the covers functions that receive it."""
     if args.delta is not None:
         try:
-            return "delta", parse_coefficients(args.delta)
+            delta = parse_coefficients(args.delta)
         except ValueError as exc:
-            raise InputError("bad --delta: %s" % exc)
+            raise InvalidInput("bad --delta: %s" % exc)
+        if delta.degree() > MAX_DELTA_DEGREE:
+            raise SizeLimit(
+                "--delta has degree %d, past %d, the largest accepted"
+                % (delta.degree(), MAX_DELTA_DEGREE)
+            )
+        return "delta", delta
     name, V = _load_matrix(args)
     return name, alexander(V)
 
 
 def cmd_covers(args):
     if not 2 <= args.max_r <= MAX_COVERS_R:
-        raise InputError("--max-r must be in 2..%d" % MAX_COVERS_R)
+        raise InvalidInput("--max-r must be in 2..%d" % MAX_COVERS_R)
     name, delta = _delta_from_args(args)
     with _exact_output():
         rs = range(2, args.max_r + 1)
-        rows = []
-        for r, order in zip(rs, covers.cover_orders(delta, rs)):
-            try:
-                prime_power_decomposition(r)
-                is_pp = True
-            except KnotConcError:
-                is_pp = False
-            rows.append((r, order, is_pp))
+        rows = [
+            (r, order, len(factorize(r)) == 1)
+            for r, order in zip(rs, covers.cover_orders(delta, rs))
+        ]
         doc = {
             "command": "covers",
             "name": name,
@@ -227,16 +236,12 @@ def cmd_classify(args):
     name, delta = _delta_from_args(args)
     with _exact_output():
         report = covers.classify_prime_power_covers(delta)
-        factor_docs = []
-        for n, mult in report.cyclotomic_factors:
-            primes = []
-            try:
-                primes = distinct_prime_factors(n)
-            except FactorizationLimit:
-                pass
-            factor_docs.append(
-                {"n": n, "multiplicity": mult, "distinct_primes": primes}
-            )
+        # n <= 2 deg(Delta)^2 (phi(n) >= sqrt(n/2)), which the size bounds
+        # keep below MAX_WITNESS_Q, so trial division completes.
+        factor_docs = [
+            {"n": n, "multiplicity": mult, "distinct_primes": distinct_prime_factors(n)}
+            for n, mult in report.cyclotomic_factors
+        ]
         witness = None
         if report.witness_cover is not None:
             r, order = report.witness_cover
@@ -277,7 +282,7 @@ def cmd_classify(args):
 
 def cmd_signature(args):
     if not 2 <= args.q <= MAX_SIGNATURE_Q:
-        raise InputError("--q must be in 2..%d" % MAX_SIGNATURE_Q)
+        raise InvalidInput("--q must be in 2..%d" % MAX_SIGNATURE_Q)
     name, V = _load_matrix(args)
     profile = signatures.signature_profile(V, args.q)
     entries = {
@@ -338,11 +343,11 @@ def cmd_torus(args):
 
 def cmd_witness(args):
     if args.n0 < 0:
-        raise InputError("--n0 must be >= 0")
+        raise InvalidInput("--n0 must be >= 0")
     if not 0 <= args.count <= MAX_WITNESS_COUNT:
-        raise InputError("--count must be in 0..%d" % MAX_WITNESS_COUNT)
+        raise InvalidInput("--count must be in 0..%d" % MAX_WITNESS_COUNT)
     if args.q is not None and args.q > MAX_WITNESS_Q:
-        raise InputError("--q must be at most %d" % MAX_WITNESS_Q)
+        raise InvalidInput("--q must be at most %d" % MAX_WITNESS_Q)
     name, V = _load_matrix(args)
     with _exact_output():
         report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)
@@ -491,20 +496,12 @@ def main(argv=None):
         _drop_stdout()
         return EXIT_OK
     except OSError as exc:
-        # Input reads raise InputError, so an OSError here is a failed
+        # Input reads raise InvalidInput, so an OSError here is a failed
         # write to stdout, such as a full disk.
         _drop_stdout()
         print("error: cannot write output: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (
-        InputError,
-        InvalidSeifertMatrix,
-        BadTorusParameter,
-        NotAKnotPolynomial,
-        NotAPrimePower,
-        NoCharacterModulus,
-        SizeLimit,
-    ) as exc:
+    except InvalidInput as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
     except HypothesisNotSatisfied as exc:

@@ -18,8 +18,9 @@ per pair over the roots alpha of Psi_d, the monic minimal polynomial of
 
 the last step because Psi_d is monic.  Each resultant thus has half the
 degrees of Res(phi_d, Delta) in both arguments.  For d = 1 and d = 2 the
-factor is |Delta_0(1)| and |Delta_0(-1)|, read off by evaluation.  A Delta
-that is not symmetric up to +-t^k is no Alexander polynomial and is refused.
+factor is |Delta_0(1)| = |D(2)| and |Delta_0(-1)| = |D(-2)|, read off by
+evaluation.  A Delta that is not symmetric up to +-t^k is no Alexander
+polynomial and is refused.
 
 Infinite homology is a zero norm, detected exactly: Res(Psi_d, D) = 0
 exactly when Psi_d divides D, that is when Phi_d divides Delta_0, and
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from .errors import NotAKnotPolynomial, WitnessSearchExhausted
 from .exactpoly import (
-    IntPolynomial,
     Record,
     chebyshev_form,
     cyclotomic_factor_extract,
@@ -54,14 +54,6 @@ class HomologyOrder(Record):
             raise ValueError("finite homology order must be >= 1")
         super().__init__(value)
 
-    @classmethod
-    def finite(cls, n):
-        return cls(int(n))
-
-    @classmethod
-    def infinite(cls):
-        return cls(None)
-
     @property
     def is_finite(self):
         return self.value is not None
@@ -70,23 +62,19 @@ class HomologyOrder(Record):
         return "infinite" if self.value is None else str(self.value)
 
 
-def _require_knot_polynomial(delta):
-    """Refuse a delta with Delta(1) != +-1, or not symmetric up to +-t^k."""
+def _knot_chebyshev_form(delta):
+    """D = chebyshev_form(delta), refusing a delta with Delta(1) != +-1, or
+    not symmetric up to +-t^k."""
     if delta.is_zero() or delta(1) not in (1, -1):
         raise NotAKnotPolynomial(
             "Delta(1) must be +-1, got %s for %s" % (delta(1) if delta else 0, delta)
         )
-    core = _symmetric_core(delta).coeffs
-    if core != core[::-1]:
-        raise NotAKnotPolynomial("Delta must be symmetric up to +-t^k, got %s" % delta)
-
-
-def _symmetric_core(delta):
-    """Delta_0 with delta = t^k Delta_0 and Delta_0(0) != 0; for a knot
-    polynomial, +-Delta_0 is the symmetric representative."""
-    c = delta.coeffs
-    k = next(i for i, x in enumerate(c) if x)
-    return IntPolynomial(c[k:])
+    try:
+        return chebyshev_form(delta)
+    except ValueError:
+        raise NotAKnotPolynomial(
+            "Delta must be symmetric up to +-t^k, got %s" % delta
+        ) from None
 
 
 def cover_orders(delta, rs):
@@ -95,16 +83,13 @@ def cover_orders(delta, rs):
     Delta is validated once, here; each Res(Psi_d, D) is computed at most
     once per call.
     """
-    _require_knot_polynomial(delta)
-    return (order for _r, order in _orders(delta, rs))
+    return (order for _r, order in _orders(_knot_chebyshev_form(delta), rs))
 
 
-def _orders(delta, rs):
-    """Yield (r, |H_1|) for each r in rs."""
-    core = _symmetric_core(delta)
-    D = chebyshev_form(core, core.degree())
-    # d -> +-Res(phi_d, delta); see the module docstring.
-    norms = {1: core(1), 2: core(-1)}
+def _orders(D, rs):
+    """Yield (r, |H_1|) for each r in rs, from the Chebyshev form D of Delta."""
+    # d -> +-Res(phi_d, Delta); see the module docstring.
+    norms = {1: D(2), 2: D(-2)}
     for r in rs:
         if r < 1:
             raise ValueError("r must be >= 1")
@@ -115,7 +100,7 @@ def _orders(delta, rs):
                 if d not in norms:
                     norms[d] = resultant(real_cyclotomic(d), D) ** 2
                 order *= norms[d]
-        yield r, HomologyOrder.finite(abs(order)) if order else HomologyOrder.infinite()
+        yield r, HomologyOrder(abs(order) or None)
 
 
 def cover_order(delta, r):
@@ -147,7 +132,7 @@ def classify_prime_power_covers(delta):
     is false, a witness cover with |H_1| != 1 is located by ascending search
     over prime powers.
     """
-    _require_knot_polynomial(delta)
+    D = _knot_chebyshev_form(delta)
     factors, remainder = cyclotomic_factor_extract(delta)
     all_pp_trivial = remainder.is_laurent_unit() and all(
         n == 1 or len(distinct_prime_factors(n)) >= 3 for n, _ in factors
@@ -155,7 +140,7 @@ def classify_prime_power_covers(delta):
     all_trivial = delta.is_laurent_unit()
     witness = None
     if not all_pp_trivial:
-        witness = _find_witness_cover(delta, factors)
+        witness = _find_witness_cover(D, factors)
     return ClassificationReport(
         cyclotomic_factors=tuple(factors),
         non_cyclotomic_remainder=remainder,
@@ -186,8 +171,8 @@ def _witness_candidates(factors):
             yield r
 
 
-def _find_witness_cover(delta, factors):
-    for r, order in _orders(delta, _witness_candidates(factors)):
+def _find_witness_cover(D, factors):
+    for r, order in _orders(D, _witness_candidates(factors)):
         if not order.is_finite or order.value != 1:
             return (r, order)
     raise WitnessSearchExhausted(

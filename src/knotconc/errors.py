@@ -17,29 +17,34 @@ class FactorizationLimit(KnotConcError):
     """A cofactor survived trial division beyond the configured bound."""
 
 
-class InvalidSeifertMatrix(KnotConcError):
+class InvalidInput(KnotConcError):
+    """The request itself is at fault: malformed or out of range input, or
+    work past a documented size bound.  The CLI exits 2 on every subclass."""
+
+
+class InvalidSeifertMatrix(InvalidInput):
     """The matrix fails a Seifert-matrix invariant (see validate for details)."""
 
 
-class BadTorusParameter(KnotConcError):
+class BadTorusParameter(InvalidInput):
     """T(2,q) needs odd q >= 3."""
 
 
-class NotAKnotPolynomial(KnotConcError):
+class NotAKnotPolynomial(InvalidInput):
     """An Alexander polynomial must satisfy Delta(1) = +-1 and be symmetric
     up to +-t^k."""
 
 
-class NotAPrimePower(KnotConcError):
+class NotAPrimePower(InvalidInput):
     """The argument is not of the form p^k with p prime, k >= 1."""
 
 
-class NoCharacterModulus(KnotConcError):
+class NoCharacterModulus(InvalidInput):
     """No odd prime power is known to divide the witness cover's |H_1|, so
     the character modulus q must be given."""
 
 
-class SizeLimit(KnotConcError):
+class SizeLimit(InvalidInput):
     """The request would need work or output past a documented size bound."""
 
 

@@ -52,6 +52,9 @@ class SeifertMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
 
+    def __reduce__(self):
+        return SeifertMatrix, (self.rows,)  # the memos are recomputed
+
     @property
     def dim(self):
         return len(self.rows)

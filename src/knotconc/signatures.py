@@ -197,6 +197,9 @@ class _JumpMarker:
     def __repr__(self):
         return "JUMP"
 
+    def __reduce__(self):
+        return "JUMP"  # pickle and copy give back the one JUMP
+
 
 JUMP = _JumpMarker()
 
@@ -585,7 +588,7 @@ class _Arcs:
     def __init__(self, V):
         self.V = V
         # alexander() validates V, so the rows below are square.
-        self._sturm = _sturm_sequence(chebyshev_form(alexander(V), V.dim).coeffs)
+        self._sturm = _sturm_sequence(chebyshev_form(alexander(V)).coeffs)
         n, rows = V.dim, V.rows
         self._sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
         self._skew = [[rows[j][i] - rows[i][j] for j in range(n)] for i in range(n)]

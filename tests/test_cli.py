@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import knotconc
 from knotconc import cli, covers, exactpoly, obstruction, seifert, signatures
 from knotconc.cli import build_parser, main, parse_matrix_document
-from knotconc.errors import KnotConcError
+from knotconc.errors import HypothesisNotSatisfied, InvalidInput, KnotConcError
 from knotconc.seifert import SeifertMatrix
 
 from conftest import seifert_rows
@@ -65,9 +65,7 @@ class TestParsing:
         assert V.dim == 2
 
     def test_bad_row(self):
-        from knotconc.cli import InputError
-
-        with pytest.raises(InputError):
+        with pytest.raises(InvalidInput):
             parse_matrix_document("1 x\n0 1\n")
 
 
@@ -163,6 +161,65 @@ class TestCovers:
         r = cli.MAX_COVERS_R
         with pytest.raises(AssertionError, match="max r = %d" % r):
             main(["covers", "--delta=1,-1,1", "--max-r", str(r)])
+
+
+class TestInputSizeBounds:
+    @staticmethod
+    def zero_matrix(n):
+        return "\n".join(" ".join(["0"] * n) for _ in range(n))
+
+    @pytest.mark.parametrize(
+        "argv", [["alexander"], ["covers"], ["classify"], ["signature", "--q", "6"], ["witness"]]
+    )
+    def test_matrix_past_dimension_bound_exit_2_before_alexander(
+        self, capsys, monkeypatch, argv
+    ):
+        def refuse(V):
+            raise AssertionError("alexander ran")
+
+        for module in (cli, obstruction, signatures):
+            monkeypatch.setattr(module, "alexander", refuse)
+        n = cli.MAX_MATRIX_DIM + 2
+        code, out, err = run(
+            capsys, argv + ["-"], stdin=self.zero_matrix(n), monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        expected = "error: the matrix has %d rows, past %d, the largest dimension accepted\n"
+        assert err == expected % (n, cli.MAX_MATRIX_DIM)
+
+    def test_dimension_bound_is_admitted(self, capsys, monkeypatch):
+        def reached(V):
+            raise AssertionError("alexander(dim=%d)" % V.dim)
+
+        monkeypatch.setattr(cli, "alexander", reached)
+        n = cli.MAX_MATRIX_DIM
+        with pytest.raises(AssertionError, match="dim=%d" % n):
+            run(capsys, ["alexander", "-"], stdin=self.zero_matrix(n), monkeypatch=monkeypatch)
+
+    @pytest.mark.parametrize("command", ["covers", "classify"])
+    def test_delta_past_degree_bound_exit_2_before_any_work(
+        self, capsys, monkeypatch, command
+    ):
+        def refuse(*args):
+            raise AssertionError("Delta was used")
+
+        monkeypatch.setattr(covers, "cover_orders", refuse)
+        monkeypatch.setattr(covers, "classify_prime_power_covers", refuse)
+        degree = cli.MAX_DELTA_DEGREE + 1  # t^k counts: Delta = t^degree
+        delta = ",".join(["0"] * degree + ["1"])
+        code, out, err = run(capsys, [command, "--delta=" + delta])
+        assert (code, out) == (2, "")
+        expected = "error: --delta has degree %d, past %d, the largest accepted\n"
+        assert err == expected % (degree, cli.MAX_DELTA_DEGREE)
+
+    def test_delta_degree_bound_is_admitted(self, monkeypatch):
+        def reached(delta):
+            raise AssertionError("classify(degree=%d)" % delta.degree())
+
+        monkeypatch.setattr(covers, "classify_prime_power_covers", reached)
+        degree = cli.MAX_DELTA_DEGREE
+        with pytest.raises(AssertionError, match="degree=%d" % degree):
+            main(["classify", "--delta=" + ",".join(["0"] * degree + ["1"])])
 
 
 class TestClassify:
@@ -522,8 +579,13 @@ class TestExitStatuses:
         # themselves, so the error is planted in the library call below one.
         monkeypatch.setattr(cli, "alexander", planted)
         code, out, err = run(capsys, ["alexander", trefoil_file])
-        assert code in (2, 3, 4)
-        assert "planted" in err and "Traceback" not in err
+        if issubclass(error, InvalidInput):
+            expected = (2, "error: planted\n")
+        elif issubclass(error, HypothesisNotSatisfied):
+            expected = (3, "hypothesis not satisfied: planted\n")
+        else:
+            expected = (4, "internal assertion failed: %s: planted\n" % error.__name__)
+        assert (code, err) == expected
 
     def test_over_long_json_entry_exit_2(self, capsys, monkeypatch):
         doc = '{"matrix": [[%s, 1], [0, 1]]}' % ("1" * 5001)

@@ -17,8 +17,8 @@ from knotconc.errors import (
 from knotconc.exactpoly import (
     IntPolynomial,
     cyclotomic,
+    factorize,
     prime_power_decomposition,
-    prime_powers_up_to,
     resultant,
     t_power_minus_one,
     totient,
@@ -114,8 +114,9 @@ class TestClassifier:
     def test_all_trivial_checked_against_covers(self):
         for n in (30, 42):
             delta = cyclotomic(n)
-            for r in prime_powers_up_to(27):
-                assert cover_order(delta, r).value == 1
+            for r in range(2, 28):
+                if len(factorize(r)) == 1:
+                    assert cover_order(delta, r).value == 1
 
     def test_nontrivial_verdicts(self):
         expected = {6: (2, 3), 12: (3, 4), 15: (3, 25), 45: (5, 81)}

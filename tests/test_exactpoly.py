@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from knotconc.covers import HomologyOrder
+from knotconc import exactpoly
+from knotconc.covers import HomologyOrder, classify_prime_power_covers
 from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
 from knotconc.exactpoly import (
     IntPolynomial,
@@ -15,18 +16,20 @@ from knotconc.exactpoly import (
     cyclotomic,
     cyclotomic_factor_extract,
     distinct_prime_factors,
+    factorize,
     integer_determinant,
     integer_solution,
     parse_coefficients,
     phi_inverse_candidates,
     prime_power_decomposition,
-    prime_powers_up_to,
     real_cyclotomic,
     resultant,
     t_power_minus_one,
     totient,
 )
-from knotconc.signatures import UnitRootArg
+from knotconc.obstruction import family_report
+from knotconc.seifert import TREFOIL, SeifertMatrix, alexander
+from knotconc.signatures import JUMP, UnitRootArg, signature_profile, verify_torus_lemma
 
 P = IntPolynomial
 
@@ -151,8 +154,8 @@ class TestCyclotomic:
 class TestChebyshevForm:
     def test_trefoil_and_figure_eight(self):
         # t^-1 (t^2 - t + 1) = (t + 1/t) - 1; t^-1 (-t^2 + 3t - 1) = 3 - (t + 1/t).
-        assert chebyshev_form(P([1, -1, 1]), 2) == P([-1, 1])
-        assert chebyshev_form(P([-1, 3, -1]), 2) == P([3, -1])
+        assert chebyshev_form(P([1, -1, 1])) == P([-1, 1])
+        assert chebyshev_form(P([-1, 3, -1])) == P([3, -1])
 
     def test_round_trip(self):
         # t^g D(t + 1/t) = sum_i D_i (t^2 + 1)^i t^(g - i) rebuilds p.
@@ -160,7 +163,7 @@ class TestChebyshevForm:
         for g in range(0, 9):
             half = [rng.randint(-9, 9) for _ in range(g)] + [rng.choice([-3, 1, 2])]
             p = P(half[::-1] + half[1:])  # palindromic of degree 2g
-            D = chebyshev_form(p, 2 * g)
+            D = chebyshev_form(p)
             assert D.degree() == g
             rebuilt = sum(
                 (P([1, 0, 1]) ** i * P([0] * (g - i) + [c]) for i, c in enumerate(D.coeffs)),
@@ -168,9 +171,12 @@ class TestChebyshevForm:
             )
             assert rebuilt == p
 
-    def test_pads_a_trimmed_top(self):
-        # t Phi_6 as a symmetric polynomial of "degree" 4: its t^4 term is zero.
-        assert chebyshev_form(P([0, 1, -1, 1]), 4) == P([-1, 1])
+    def test_strips_a_power_of_t(self):
+        # t Phi_6 = t - t^2 + t^3 has the form of Phi_6.
+        assert chebyshev_form(P([0, 1, -1, 1])) == P([-1, 1])
+        for p in (P([0, 1, 1]), P([-2, 3]), P([1, 2, 3, 2, 2])):
+            with pytest.raises(ValueError):
+                chebyshev_form(p)
 
 
 class TestRealCyclotomic:
@@ -311,12 +317,13 @@ class TestIntegers:
         assert distinct_prime_factors(1) == []
         assert distinct_prime_factors(12) == [2, 3]
 
-    def test_factorization_limit(self):
+    def test_factorization_limit(self, monkeypatch):
+        monkeypatch.setattr(exactpoly, "TRIAL_DIVISION_BOUND", 100)
         with pytest.raises(FactorizationLimit):
-            distinct_prime_factors(1009 * 1013, bound=100)
+            distinct_prime_factors(1009 * 1013)
 
     def test_prime_powers(self):
-        assert prime_powers_up_to(10) == [2, 3, 4, 5, 7, 8, 9]
+        assert [n for n in range(2, 11) if len(factorize(n)) == 1] == [2, 3, 4, 5, 7, 8, 9]
 
     def test_brief_int(self):
         assert brief_int(-7) == "-7"
@@ -391,8 +398,37 @@ class TestRecord:
         with pytest.raises(AttributeError):
             pair.z = 0
         assert pair == _Pair(1, 2)
+        p = IntPolynomial([1, -1, 1])
+        with pytest.raises(AttributeError):
+            p.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p == IntPolynomial([1, -1, 1])
 
     def test_pickle_and_copy(self):
-        for record in (_Pair(1, (2, 3)), UnitRootArg(2, 6), HomologyOrder.infinite()):
-            assert pickle.loads(pickle.dumps(record)) == record
-            assert copy.copy(record) == record == copy.deepcopy(record)
+        V = SeifertMatrix(TREFOIL.rows)
+        alexander(V)  # memoized on V, and rebuilt after a round trip
+        profile = signature_profile(V, 6)
+        assert profile.jump_angles() == [1, 5]
+        values = (
+            _Pair(1, (2, 3)),
+            UnitRootArg(2, 6),
+            HomologyOrder(None),
+            IntPolynomial([1, -1, 1]),
+            V,
+            classify_prime_power_covers(cyclotomic(6)),
+            family_report(V, 2),
+            verify_torus_lemma(5),
+            profile,
+            JUMP,
+        )
+        for value in values:
+            twins = (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value))
+            for twin in twins:
+                assert twin == value
+                if value is V:
+                    assert alexander(twin) == alexander(V)
+                if value is profile:
+                    assert twin.jump_angles() == [1, 5]
+                if value is JUMP:
+                    assert twin is JUMP

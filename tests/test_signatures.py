@@ -443,7 +443,7 @@ def _locate(arcs, w):
 
 
 def _sturm(V):
-    return signatures._sturm_sequence(chebyshev_form(alexander(V), V.dim).coeffs)
+    return signatures._sturm_sequence(chebyshev_form(alexander(V)).coeffs)
 
 
 def _roots_in_open_interval(seq):
