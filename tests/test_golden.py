@@ -2,11 +2,11 @@
 
 `golden_cli.json` lists CLI pipelines.  Each case holds the argument vector
 of every stage (a stage after the first reads the previous stage's stdout),
-the stdin of the first stage, and the exit status of the last stage; a case
-in "cases" also holds the sha256 of its last stage's stdout.  The
-"t_power_cases" are classify or witness draws whose Alexander polynomial has
-a t^k factor: only their exit status is fixed, because the classifier's
-verdict on them changed when Delta started being judged up to units +-t^k.
+the stdin of the first stage, the exit status of the last stage and the
+sha256 of its stdout.  The "t_power_cases" are classify or witness draws
+whose Alexander polynomial has a t^k factor, kept apart because the
+classifier's verdict on them changed when Delta started being judged up to
+units +-t^k; their stdout is fixed like every other case's.
 
 Regenerate the file with
 
@@ -64,6 +64,7 @@ def test_stdout_unchanged(case):
 def test_t_power_exit_status(case):
     code, out = run_pipeline(case["stages"], case["stdin"])
     assert code == case["exit"]
+    assert digest(out) == case["sha256"]
 
 
 # -- regeneration -------------------------------------------------------------
@@ -215,12 +216,11 @@ def write_corpus():
     cases, t_power = [], []
     for key, stages, stdin, rows in _invocations():
         code, out = run_pipeline(stages, stdin)
-        case = {"id": key, "stages": stages, "stdin": stdin, "exit": code}
+        case = {"id": key, "stages": stages, "stdin": stdin, "exit": code, "sha256": digest(out)}
         classifies = any(c in stage for stage in stages for c in ("classify", "witness"))
         if classifies and rows is not None and alexander(SeifertMatrix(rows)).coeffs[0] == 0:
             t_power.append(case)
         else:
-            case["sha256"] = digest(out)
             cases.append(case)
     lines = ["{"]
     for name, group in (("cases", cases), ("t_power_cases", t_power)):
