@@ -54,17 +54,17 @@ overflow, an underflow error is amplified at most 2^250 times on its way
 into a radius (far below ETA), and infinities and NaNs fail the guards
 (comparisons with NaN are false), so they never certify anything.
 
-The integer entries of V + V^t and V^t - V must be at most 2^53 so that
-they are exact floats.  The midpoint of (1-cos)S + i sin K is
-complex(fl(c S), fl(s K)) with radius r_c|S| + r_s|K| + u(|cS| + |sK|) + ETA.
+The step starts from the integer form A(V+V^t) + iB(V^t-V) of the arc's
+evaluation point (below), each entry a midpoint with radius 0; its real and
+imaginary parts must be at most 2^53 so that they are exact floats.
 A 1x1 pivot d is the real part of a diagonal midpoint (the exact entry is
 real, so its distance from d is at most r_d).  A pivot d, or a 2x2
 determinant d < 0, is certified when fl(|d| - r_d) >= 2^-250; rounding to
 nearest is monotone, so then |d| - r_d > 0 exactly.
 
 Angles.  Each angle gets one integer fixed-point bracket at b bits:
-integers c, s, e with 2 cos theta within 2e of c / 2^b and sin theta within
-e of s / 2^b.  A unit is 2^-b, and every quotient below is floored.
+integers c, e with 2 cos theta within 2e of c / 2^b.  A unit is 2^-b, and
+every quotient below is floored.
 
     reduction  theta = pi*n/(4q) with n = 8a.  In integers, n = 2q*j + m
                with -q <= m < q, so theta = j*pi/2 + psi, psi = pi*m/(4q),
@@ -82,13 +82,8 @@ e of s / 2^b.  A unit is 2^-b, and every quotient below is floored.
                alternating tail is under 4, so the sums are within 2K + 6
                of cos and sin at y/2^b, and within e = 2K + e_pi/4 + 8 of
                cos psi and sin psi (slope at most 1); for m = 0, e = 0.
-    discs      the float step starts from fl((2^(b+1) - c) / 2^(b+1)) for
-               1 - cos theta and fl(s / 2^b) for sin theta, each midpoint x
-               one correctly rounded division, with radius (fl(e / 2^b) +
-               u|x| + ETA)(1 + 32u).  b = 72 + 2 bitlength(q) at first; off
-               theta = pi, 1 - cos theta >= 8/q^2 and |sin theta| >= 2/q,
-               so e / 2^b is below 2^-59 of either (e < 2^16): each radius
-               is about one ulp of its midpoint.
+    bits       b = 72 + 2 bitlength(q) at first (_start_bits); b only sets
+               which angles the first bracket locates (see locating below).
 
 Arcs.  det H = (1-omega)^n Delta(conj omega), so H is nonsingular off the
 roots of Delta and the signature is constant on each arc of the unit circle
@@ -96,9 +91,9 @@ between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
 a single tl_signature as well as a profile, a jump-step check or the torus
 lemma, goes through one evaluator built for that call.  It forms V + V^t,
 V^t - V and the Sturm sequence of D once.  For each angle it computes the
-bracket once, locates the angle's arc with it and starts the float step
-from its discs; it eliminates once per arc and copies the value to the
-other angles on that arc, keeping the values for that one call.
+bracket once and locates the angle's arc with it; it eliminates once per
+arc, at the arc's evaluation point, and copies the value to the other
+angles on that arc, keeping the values for that one call.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -128,15 +123,18 @@ other angles on that arc, keeping the values for that one call.
                D, and doubling b shrinks the bracket onto it, so a few
                doublings locate it: every angle off a root is located.
 
-Exact fallback.  If the float step cannot certify (very near a root, or
-with an integer entry past 2^53), the arc is evaluated at a rational point.
-With t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times
-t(V+V^t) + i(V^t-V).  A dyadic t = N/2^k aimed at the bracket is taken, k
-doubling from 4, once x' = 2 cos theta' = 2(1-t^2)/(1+t^2) has the arc's
-Sturm count V(hi) and D(x') != 0, so that theta' lies on the arc of theta
-or of its conjugate (same inertia); a large enough k lands in the bracket.
-The signature is then that of A + iB = N(V+V^t) + i 2^k (V^t-V), whose real
-form [[A, -B], [B, A]] has each eigenvalue twice and is eliminated over
+Evaluation point.  Both arithmetics evaluate an arc at one point theta' on
+it.  With t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times
+t(V+V^t) + i(V^t-V); for t = A/B it has the inertia of the integer form
+A(V+V^t) + iB(V^t-V).  The point aims at the centre x of the located bracket
+clipped to [-2, 2], where t^2 = (2-x)/(2+x): (A, B) = (N, 2^k) with N =
+max(1, isqrt(4^k t^2)) if t <= 1, else (2^k, N) with N = max(1, isqrt(4^k /
+t^2)), so neither is past 2^k.  k doubles from 4 until x' = 2 cos theta' =
+2(B^2-A^2)/(A^2+B^2) has the arc's Sturm count V(hi) and D(x') != 0, so that
+theta' lies on the arc of theta or of its conjugate (same inertia); a large
+enough k lands in the bracket.  Where the float step cannot certify (a pivot
+too near 0, or an entry past 2^53), the real form [[A', -B'], [B', A']] of
+the same form A' + iB' has each eigenvalue twice and is eliminated over
 Fraction, where a nonzero pivot is certified.  A nonsingular symmetric
 matrix has a nonzero diagonal entry or a 2x2 block [[0, b], [b, 0]], b != 0,
 so the elimination always completes.
@@ -236,10 +234,10 @@ def _off_jump(arcs, w):
     return sigma
 
 
-def _float_inertia(sym, skew, discs):
-    """(pos, neg) of H by the float step from the angle's discs, or None
-    when it cannot certify."""
-    m = _FloatDiscs.of_form(sym, skew, discs)
+def _float_inertia(sym, skew, a, b):
+    """(pos, neg) of a(V+V^t) + ib(V^t-V) by the float step, or None when
+    it cannot certify."""
+    m = _FloatDiscs.of_form(sym, skew, a, b)
     return None if m is None else _eliminate(m)
 
 
@@ -309,18 +307,6 @@ _TINY = 2.0**-250  # least certified pivot margin
 _EXACT = 2**53  # integers up to this size are exact floats
 
 
-def _disc(n, e, bits):
-    """Disc of a number within e of n / 2^bits: one int-to-float rounding."""
-    scale = 1 << bits
-    x = n / scale  # correctly rounded
-    return x, (e / scale + _U * abs(x) + _ETA) * _INFL
-
-
-def _starting_discs(c, s, e, bits):
-    """Discs of 1 - cos(theta) and sin(theta) from the angle's bracket."""
-    return _disc((2 << bits) - c, 2 * e, bits + 1), _disc(s, e, bits)
-
-
 class _FloatDiscs:
     """Hermitian matrix of (midpoint, radius) discs, rows of complex
     midpoints and rows of float radii; the bounds are in the module docstring."""
@@ -329,21 +315,15 @@ class _FloatDiscs:
         self.mids, self.rads = mids, rads
 
     @classmethod
-    def of_form(cls, sym, skew, discs):
-        """Discs of H from the discs of 1 - cos theta and sin theta, or None
-        if an integer entry is not an exact float."""
+    def of_form(cls, sym, skew, a, b):
+        """Discs of radius 0 of a(V+V^t) + ib(V^t-V), or None if an entry
+        is not an exact float."""
+        sym = [[a * x for x in row] for row in sym]
+        skew = [[b * y for y in row] for row in skew]
         if any(abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row):
             return None
-        (oc, roc), (s, rs) = discs
-        mids, rads = [], []
-        for srow, krow in zip(sym, skew):
-            mids.append([complex(oc * x, s * y) for x, y in zip(srow, krow)])
-            rads.append([
-                (roc * abs(x) + rs * abs(y) + _U * (abs(oc * x) + abs(s * y)) + _ETA)
-                * _INFL
-                for x, y in zip(srow, krow)
-            ])
-        return cls(mids, rads)
+        mids = [[complex(x, y) for x, y in zip(srow, krow)] for srow, krow in zip(sym, skew)]
+        return cls(mids, [[0.0] * len(row) for row in mids])
 
     def __len__(self):
         return len(self.mids)
@@ -415,7 +395,7 @@ class _FloatDiscs:
         return z.real, rz
 
 
-# -- angles: one integer bracket of 2 cos theta and sin theta ---------------
+# -- angles: one integer bracket of 2 cos theta --------------------------------
 
 
 def _arctan_inv(x, bits):
@@ -445,9 +425,8 @@ def _start_bits(q):
 
 
 def _angle_bracket(a, q, bits):
-    """(c, s, e): 2 cos(theta) is within 2e of c / 2^bits and sin(theta)
-    within e of s / 2^bits, theta = 2*pi*a/q; the bound is in the module
-    docstring."""
+    """(c, e): 2 cos(theta) is within 2e of c / 2^bits, theta = 2*pi*a/q;
+    the bound is in the module docstring."""
     j, m = divmod(8 * a + q, 2 * q)
     m -= q
     pi, e_pi = _pi_fixed(bits)
@@ -463,43 +442,50 @@ def _angle_bracket(a, q, bits):
             cos += -t if k & 2 else t
     if m < 0:
         sin = -sin
-    cos, sin = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[j % 4]
-    return 2 * cos, sin, (2 * k + e_pi // 4 + 8 if m else 0)
+    cos = (cos, -sin, -cos, sin)[j % 4]
+    return 2 * cos, (2 * k + e_pi // 4 + 8 if m else 0)
 
 
-def _exact_inertia(sym, skew, sturm, lo, hi, bits):
-    """(pos, neg) of H on the arc whose located bracket of 2 cos theta is
-    [lo, hi] / 2^bits, exactly; see the module docstring."""
-    arc = _variations(sturm, hi, 1 << bits)
+def _arc_point(sturm, arc, lo, hi, bits):
+    """(A, B): t = A/B = tan(theta'/2), theta' on the arc with Sturm count
+    arc whose located bracket of 2 cos theta is [lo, hi] / 2^bits; see
+    Evaluation point in the module docstring."""
     two = 2 << bits
     lo, hi = max(lo, -two), min(hi, two)
     # Aim at x = (lo + hi) / 2^(bits+1), where t^2 = (2 - x) / (2 + x).
     num, den = 2 * two - lo - hi, 2 * two + lo + hi
-    k = 4  # t = N / 2^k starts coarse, so that the form's entries stay small
+    k = 4  # coarse first, so that the form's entries stay small
     while True:
-        n = math.isqrt((num << 2 * k) // den)
-        s, n2 = 1 << 2 * k, n * n  # 2 cos theta' = 2(s - n2) / (s + n2)
-        if n and _variations(sturm, 2 * (s - n2), s + n2) == arc:
-            break
+        if num <= den:
+            a, b = max(1, math.isqrt((num << 2 * k) // den)), 1 << k
+        else:
+            a, b = 1 << k, max(1, math.isqrt((den << 2 * k) // num))
+        a2, b2 = a * a, b * b
+        if _variations(sturm, 2 * (b2 - a2), a2 + b2) == arc:
+            return a, b
         k *= 2
-    pos, neg = _eliminate(_Rationals.of_form(sym, skew, n, 1 << k))
+
+
+def _exact_inertia(sym, skew, a, b):
+    """(pos, neg) of a(V+V^t) + ib(V^t-V), exactly, from its real form."""
+    pos, neg = _eliminate(_Rationals.of_form(sym, skew, a, b))
     return pos // 2, neg // 2
 
 
 class _Rationals:
-    """Real symmetric matrix of exact rationals: the realified integer form
-    N(V+V^t) + i 2^k (V^t-V), where every nonzero pivot is certified."""
+    """Real symmetric matrix of exact rationals, the real form of
+    A(V+V^t) + iB(V^t-V); every nonzero pivot is certified."""
 
     def __init__(self, rows):
         self.rows = rows
 
     @classmethod
-    def of_form(cls, sym, skew, n, scale):
-        a = [[n * x for x in row] for row in sym]
-        b = [[scale * x for x in row] for row in skew]
+    def of_form(cls, sym, skew, a, b):
+        re = [[a * x for x in row] for row in sym]
+        im = [[b * y for y in row] for row in skew]
         return cls(
-            [ra + [-x for x in rb] for ra, rb in zip(a, b)]
-            + [rb + ra for ra, rb in zip(a, b)]
+            [ra + [-x for x in rb] for ra, rb in zip(re, im)]
+            + [rb + ra for ra, rb in zip(re, im)]
         )
 
     def __len__(self):
@@ -611,7 +597,7 @@ class _Arcs:
             bracket = _angle_bracket(w.a, w.q, bits)
             arc = self._locate(bracket, bits)
         if arc not in self._values:
-            self._values[arc] = self._inertia(bracket, bits)
+            self._values[arc] = self._inertia(arc, bracket, bits)
         return self._values[arc]
 
     def _locate(self, bracket, bits):
@@ -622,18 +608,17 @@ class _Arcs:
             return None
         return arc
 
-    def _inertia(self, bracket, bits):
+    def _inertia(self, arc, bracket, bits):
         sym, skew = self._sym, self._skew
-        pos, neg = _float_inertia(sym, skew, _starting_discs(*bracket, bits)) or _exact_inertia(
-            sym, skew, self._sturm, *_ends(bracket), bits
-        )
+        a, b = _arc_point(self._sturm, arc, *_ends(bracket), bits)
+        pos, neg = _float_inertia(sym, skew, a, b) or _exact_inertia(sym, skew, a, b)
         assert pos + neg == self.V.dim
         return pos - neg
 
 
 def _ends(bracket):
     """The ends lo < hi of the bracket of 2 cos theta, widened by one unit."""
-    c, _, e = bracket
+    c, e = bracket
     return c - 2 * e - 1, c + 2 * e + 1
 
 

@@ -59,6 +59,12 @@ def numeric_signature(V, a, q, dps=40):
     for i in range(n):
         for j in range(n):
             m[i, j] = (1 - w) * V.rows[i][j] + (1 - mpmath.conj(w)) * V.rows[j][i]
+    return _eigenvalue_signature(m, dps)
+
+
+def _eigenvalue_signature(m, dps):
+    """Eigenvalue signs of the Hermitian mpmath matrix m, at dps digits."""
+    mpmath = _mpmath()
     eigvals = mpmath.mp.eigh(m, eigvals_only=True)
     sig = 0
     for lam in eigvals:
@@ -315,32 +321,55 @@ def _form_parts(V):
 
 
 def _bracket(w):
-    """The angle's first bracket (c, s, e) and its bits."""
+    """The angle's first bracket (c, e) and its bits."""
     bits = signatures._start_bits(w.q)
     return signatures._angle_bracket(w.a, w.q, bits), bits
 
 
-def _discs(w):
+def _point(V, w):
+    """The evaluation point (A, B) of the arc of w, whose first bracket
+    must be located."""
     bracket, bits = _bracket(w)
-    return signatures._starting_discs(*bracket, bits)
+    arcs = signatures._Arcs(V)
+    arc = arcs._locate(bracket, bits)
+    assert arc is not None
+    return signatures._arc_point(arcs._sturm, arc, *signatures._ends(bracket), bits)
 
 
 def _inertia_paths(V, w):
-    """(float step, exact path) inertia of the form of V at w, whose
-    bracket must be located."""
+    """(float step, exact path) inertia of the form of V at the evaluation
+    point of the arc of w."""
     sym, skew = _form_parts(V)
-    bracket, bits = _bracket(w)
-    arcs = signatures._Arcs(V)
-    assert arcs._locate(bracket, bits) is not None
-    return (
-        signatures._float_inertia(sym, skew, signatures._starting_discs(*bracket, bits)),
-        signatures._exact_inertia(sym, skew, arcs._sturm, *signatures._ends(bracket), bits),
-    )
+    a, b = _point(V, w)
+    return signatures._float_inertia(sym, skew, a, b), signatures._exact_inertia(sym, skew, a, b)
+
+
+def _numeric_signature_at_point(V, a, b, dps=40):
+    """Float oracle: eigenvalue signs of a(V+V^t) + ib(V^t-V), the form at
+    t = tan(theta'/2) = a/b up to a positive factor."""
+    mpmath = _mpmath()
+    mpmath.mp.dps = dps
+    sym, skew = _form_parts(V)
+    m = mpmath.matrix(V.dim, V.dim)
+    for i in range(V.dim):
+        for j in range(V.dim):
+            m[i, j] = mpmath.mpc(a * sym[i][j], b * skew[i][j])
+    return _eigenvalue_signature(m, dps)
+
+
+def _diagonal_pair(m):
+    """[[m, 1], [0, m]]: V + V^t = [[2m, 1], [1, 2m]] is positive definite,
+    so the signature at omega = -1 is 2; Delta's roots on the circle lie
+    within about 1/m of omega = 1."""
+    return SeifertMatrix([[m, 1], [0, m]])
 
 
 class TestCertifiedInertia:
     def test_near_root_forces_fallback(self):
         assert alexander(NEAR_ROOT).coeffs == (2, -3, 2)
+        # The arc's point has to come within 3e-17 turns of the root, so
+        # it needs k = 64, and the entries past 2^53 refuse the float step.
+        assert max(_point(NEAR_ROOT, NEAR_ROOT_3E17)) == 2**64
         fast, exact = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
         assert fast is None
         assert exact == (2, 0)
@@ -399,17 +428,77 @@ class TestCertifiedInertia:
         assert time.perf_counter() - start < 2.0
         assert fast == exact and sum(exact) == 24
 
+    @pytest.mark.parametrize("q", [2, 8])
+    def test_minus_one_takes_the_reciprocal_point(self, monkeypatch, q):
+        # Next to theta = pi, t = tan(theta'/2) is large, so the point is
+        # 1/t = 1/2^4: the form 16(V+V^t) + i(V^t-V) keeps entries past 2^10
+        # exact floats, and the float step certifies every arc.
+        V = _diagonal_pair(2**11 + 1)
+        minus_one = UnitRootArg(1, 2)
+        assert _point(V, minus_one) == (16, 1)
+        calls = _counting(monkeypatch, "_float_inertia", "_exact_inertia")
+        assert signature_profile(V, q).values == {a: 2 for a in range(1, q)}
+        assert len(calls["_float_inertia"]) == 1 and calls["_exact_inertia"] == []
+
+    def test_large_entry_forces_the_exact_path(self, monkeypatch):
+        # An entry past 2^49 times 2^4 is past 2^53: the float step refuses
+        # the form before eliminating, whatever the distance to a root.
+        V = _diagonal_pair(2**49 + 1)
+        sym, skew = _form_parts(V)
+        assert _point(V, UnitRootArg(1, 2)) == (16, 1)
+        assert signatures._FloatDiscs.of_form(sym, skew, 16, 1) is None
+        calls = _counting(monkeypatch, "_float_inertia", "_exact_inertia")
+        assert tl_signature(V, UnitRootArg(1, 2)) == 2
+        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        genus=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        summand=st.sampled_from([None, 3, 5]),
+        q=st.sampled_from([6, 8, 12, 31]),
+    )
+    def test_point_is_on_the_arc(self, genus, seed, summand, q):
+        # The form at each arc's point has the signature mpmath finds at
+        # the first angle on that arc, and neither A nor B is past 2^k.
+        V = _arc_profile_example(seed, genus, summand)
+        arcs, seen = signatures._Arcs(V), set()
+        for a in range(1, q // 2 + 1):
+            w = UnitRootArg(a, q)
+            arc = _locate(arcs, w)
+            if arc is None or arc in seen:
+                continue
+            seen.add(arc)
+            A, B = _point(V, w)
+            k = max(A, B).bit_length() - 1
+            assert max(A, B) == 2**k and k >= 4
+            assert _numeric_signature_at_point(V, A, B) == numeric_signature(V, a, q)
+
 
 def _per_angle_signature(V, w):
-    """Signature of V at w, no root of Delta, by the bare elimination: no
-    arcs, and not through the elimination seam that tests count."""
+    """Signature of V at w, no root of Delta, by the bare elimination (float,
+    then exact) at a dyadic point of the angle's own 32-bit bracket, which
+    must hold no root: no arcs, no arc point, and none of the seams that
+    tests count."""
+    bits = 32
+    c, e = signatures._angle_bracket(w.a, w.q, bits)
+    lo, hi = c - 2 * e - 1, c + 2 * e + 1
+    seq = _sturm(V)
+    arc = signatures._variations(seq, hi, 1 << bits)
+    assert arc is not None and signatures._variations(seq, lo, 1 << bits) == arc
+    # t = tan(theta/2) to 40 bits, on the upper half circle; next to pi the
+    # bracket takes any t past 2^17.
+    t = math.tan(math.pi * min(w.a, w.q - w.a) / w.q)
+    a, b = round(math.ldexp(min(t, 2.0**20), 40)), 1 << 40
+    # 2 cos theta' = 2(b^2 - a^2) / (a^2 + b^2) lies in the bracket.
+    x, den = 2 * (b * b - a * a) << bits, a * a + b * b
+    assert lo * den <= x <= hi * den
     sym, skew = _form_parts(V)
-    bracket, bits = _bracket(w)
-    m = signatures._FloatDiscs.of_form(sym, skew, signatures._starting_discs(*bracket, bits))
-    pos, neg = (m is not None and signatures._eliminate(m)) or signatures._exact_inertia(
-        sym, skew, _sturm(V), *signatures._ends(bracket), bits
-    )
-    return pos - neg
+    m = signatures._FloatDiscs.of_form(sym, skew, a, b)
+    if m is not None and (inertia := signatures._eliminate(m)):
+        return inertia[0] - inertia[1]
+    pos, neg = signatures._eliminate(signatures._Rationals.of_form(sym, skew, a, b))
+    return (pos - neg) // 2
 
 
 def _per_angle_profile(V, q):
@@ -629,14 +718,15 @@ class TestEliminationCounts:
         calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_float_inertia")
         signature_profile(torus_2q(7), 12)
         angles = [UnitRootArg(a, 12) for a in range(1, 7)]
-        # Every angle is located on its arc, so none needs a jump test, and
-        # its bracket, computed once, also starts its arc's elimination.
+        # Every angle is located on its arc, so none needs a jump test; its
+        # bracket is computed once, and the first angle's bracket on each
+        # arc also aims that arc's evaluation point.
         assert calls["at_jump"] == []
         assert calls["_angle_bracket"] == [
             (w.a, w.q, signatures._start_bits(w.q)) for w in angles
         ]
-        assert [discs for _, _, discs in calls["_float_inertia"]] == [
-            _discs(w) for w in angles[::2]
+        assert [args[2:] for args in calls["_float_inertia"]] == [
+            _point(torus_2q(7), w) for w in angles[::2]
         ]
 
     def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
@@ -674,35 +764,21 @@ class TestEliminationCounts:
             jump_step_check(TREFOIL, 3)
 
 
-def _exact_angle(a, q):
-    """2 cos, 1 - cos and sin of 2 pi a/q by mpmath at 200 bits."""
-    mpmath = _mpmath()
-    with mpmath.workprec(200):
-        t = mpmath.mpf(a) / q
-        return 2 * mpmath.cospi(2 * t), 2 * mpmath.sinpi(t) ** 2, mpmath.sinpi(2 * t)
-
-
-def _assert_discs_enclose(a, q):
+def _assert_bracket_encloses(a, q):
+    """The angle's first bracket holds 2 cos(2 pi a/q) within 2e units of
+    2^-bits, by mpmath at 200 bits."""
     mpmath = _mpmath()
     w = UnitRootArg(a, q)
-    (c, s, e), bits = _bracket(w)
-    two_cos, vers, sin = _exact_angle(w.a, w.q)
+    (c, e), bits = _bracket(w)
     with mpmath.workprec(200):
-        # The bracket: 2 cos within 2e and sin within e units of 2^-bits.
+        two_cos = 2 * mpmath.cospi(2 * mpmath.mpf(w.a) / w.q)
         assert abs(two_cos * 2**bits - c) <= 2 * e, w
-        assert abs(sin * 2**bits - s) <= e, w
-    for (mid, rad), exact in zip(_discs(w), (vers, sin)):
-        with mpmath.workprec(200):
-            assert abs(mpmath.mpf(mid) - exact) <= rad, (w, mid, rad)
-        # The oracle's own error is below 2^-190 of the value; the radius
-        # stays within a few ulps of it.
-        assert rad <= 10 * math.ulp(mid) + 2.0**-490, (w, mid, rad)
 
 
 class TestAngleDiscs:
-    """The angle's integer bracket and the float step's discs of
-    1 - cos(theta) and sin(theta) drawn from it, against mpmath at 200
-    bits, which shares no code with them."""
+    """The angle's integer bracket of 2 cos(theta), the disc that every
+    arc is located and aimed from, against mpmath at 200 bits, which
+    shares no code with it."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -711,25 +787,25 @@ class TestAngleDiscs:
         )
     )
     def test_encloses_random_angles(self, angle):
-        _assert_discs_enclose(*angle)
+        _assert_bracket_encloses(*angle)
 
     def test_encloses_every_angle_of_small_order(self):
         for q in range(2, 64):
             for a in range(1, q):
-                _assert_discs_enclose(a, q)
+                _assert_bracket_encloses(a, q)
 
     @pytest.mark.parametrize("n", [1, 3, 10**6, 2**47])
     def test_octant_and_quarter_boundaries(self, n):
         for k in range(1, 8):
             for a in (k * n - 1, k * n, k * n + 1):
-                _assert_discs_enclose(a, 8 * n)
+                _assert_bracket_encloses(a, 8 * n)
 
     def test_angles_next_to_one_and_minus_one(self):
         for e in range(1, 63):
             for q in (2**e, 2**e - 1):  # an odd q puts an angle next to -1
                 for a in (1, q // 2, q - 1):
                     if a:
-                        _assert_discs_enclose(a, q)
+                        _assert_bracket_encloses(a, q)
 
     @pytest.mark.parametrize("bits", [64, 80, 127, 256, 1000])
     def test_pi_within_its_error(self, bits):
@@ -743,7 +819,7 @@ class TestAngleDiscs:
         # Next to 1 and next to -1 (q odd), where the float step certifies.
         for a, expected in ((1, (1, 1)), (q // 2, (2, 0))):
             w = UnitRootArg(a, q)
-            _assert_discs_enclose(a, q)
+            _assert_bracket_encloses(a, q)
             fast, exact = _inertia_paths(TREFOIL, w)
             assert fast == exact == expected
             sigma = expected[0] - expected[1]
