@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotconc import exactpoly
+from knotconc.covers import HomologyOrder
 from knotconc.errors import (
     BadTorusParameter,
     HypothesisNotSatisfied,
+    InvalidInput,
+    NoCharacterModulus,
     SeparationFailure,
     SizeLimit,
 )
@@ -16,6 +20,7 @@ from knotconc.obstruction import (
     FamilyParameters,
     ScheduleEntry,
     WitnessSchedule,
+    _character_modulus,
     family_report,
     profile_extremes,
     schedule_digits,
@@ -28,6 +33,28 @@ from knotconc.seifert import TREFOIL, UNKNOT, torus_2q_signatures
 
 def trefoil_params(n0):
     return FamilyParameters(genus=1, p=3, k=1, q=3, n0=n0)
+
+
+class TestCharacterModulus:
+    def test_largest_odd_prime_power(self):
+        assert _character_modulus(HomologyOrder(2**3 * 3**2 * 5)) == 9
+
+    def test_no_odd_prime_power_divisor(self):
+        with pytest.raises(NoCharacterModulus) as exc:
+            _character_modulus(HomologyOrder(16))
+        assert isinstance(exc.value, InvalidInput)
+        assert str(exc.value) == (
+            "|H1| = 16 has no odd prime power divisor; pass --q explicitly"
+        )
+
+    def test_cofactor_past_trial_division(self, monkeypatch):
+        monkeypatch.setattr(exactpoly, "TRIAL_DIVISION_BOUND", 10)
+        with pytest.raises(NoCharacterModulus) as exc:
+            _character_modulus(HomologyOrder(13 * 17))
+        assert str(exc.value) == (
+            "cannot factor |H1|: cofactor 221 survived trial division up to 10; "
+            "pass --q explicitly"
+        )
 
 
 class TestTorusProfiles:
