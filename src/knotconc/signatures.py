@@ -11,56 +11,23 @@ JUMP.  Between jumps the signature is constant, so every signature is
 evaluated through one path that eliminates once per arc of the circle (see
 Arcs below).
 
-Off jumps, the inertia is certified by block elimination.  Each step takes a
-1x1 pivot whose real value is certified nonzero or, failing that, a 2x2
-pivot whose real determinant a*c - |b|^2 is certified negative (one
-eigenvalue of each sign), and replaces the rest of the matrix by the exact
-Schur complement.  By Sylvester's law of inertia the pivots' signs add up to
-the inertia of H.  Every entry is held as an enclosure of the exact Schur
-complement entry, so a certified sign is the exact sign.
-
-Float step.  An entry is a complex midpoint z and a float radius r with
-|exact - z| <= r.  Arithmetic is IEEE binary64, round to nearest, unit
-roundoff u = 2^-53.  With the exact values of the float midpoints, the
-exact results of the operations are enclosed by
-
-    product      |x'y' - xy|   <= |x| r_y + r_x |y| + r_x r_y
-    difference   |x'-y' - (x-y)| <= r_x + r_y
-    quotient     |z'/d' - z/d| <= (r_z + |z/d| r_d) / (|d| - r_d)
-
-where d is real and |d| > r_d (every pivot of a Hermitian form is real, so
-every division is by a real number).  The computed midpoint adds its own
-rounding error:
-
-    x*y   CPython computes (ac - bd) + i(ad + bc); the error is at most
-          sqrt(5) u |x||y| (Brent, Percival and Zimmermann, 2007); the
-          code uses 2.25u >= sqrt(5)u
-    x-y   one rounding per component: at most u |x - y|
-    z/d   divided per component, one rounding each: at most u |z/d|
-
-and abs() of a complex number is hypot, within one ulp: |z| <= (1+2u)abs(z).
-Each new radius is the sum of the propagated radius, the midpoint's
-rounding bound and ETA = 2^-500, which covers every underflow (absolute
-error at most 2^-1075 per rounding) of the step.  The radius sum is itself
-evaluated to nearest: at most ten roundings and three hypot values, so it
-falls short of the exact bound by less than a factor 1 + 17u; it is
-multiplied by 1 + 32u and rounded once more, which makes it an upper bound.
-Hence by induction over the steps every radius encloses the exact entry.
-
-Two guards keep that argument inside the range of binary64: every pivot's
-certified margin |d| - r_d is at least 2^-250, and the multiplicands of each
-update sum to at most 2^250 in midpoint plus radius.  No product can then
-overflow, an underflow error is amplified at most 2^250 times on its way
-into a radius (far below ETA), and infinities and NaNs fail the guards
-(comparisons with NaN are false), so they never certify anything.
-
-The step starts from the integer form A(V+V^t) + iB(V^t-V) of the arc's
-evaluation point (below), each entry a midpoint with radius 0; its real and
-imaginary parts must be at most 2^53 so that they are exact floats.
-A 1x1 pivot d is the real part of a diagonal midpoint (the exact entry is
-real, so its distance from d is at most r_d).  A pivot d, or a 2x2
-determinant d < 0, is certified when fl(|d| - r_d) >= 2^-250; rounding to
-nearest is monotone, so then |d| - r_d > 0 exactly.
+Elimination.  Off jumps, the inertia of an arc is that of one integer
+Hermitian form H = A(V+V^t) + iB(V^t-V) (Evaluation point, below),
+eliminated exactly over the Gaussian integers by symmetric Bareiss (Bareiss
+1968).  Step k takes as its pivot p_k the nonzero diagonal entry of least
+absolute value, moving its row and column to the front together, and
+replaces each remaining entry h_ij by (p_k h_ij - h_ik h_kj) / p_(k-1),
+with p_0 = 1 (a row with h_ik = 0 is only rescaled).  By Sylvester's
+identity that entry is a minor of H, a Gaussian integer, so the division by
+the real integer p_(k-1) is exact, and p_k is the k-th leading principal
+minor of H so reordered.  The k-th pivot of its LDL^* factorization is
+p_k / p_(k-1), with the sign of p_k p_(k-1) (Jacobi's rule), and by
+Sylvester's law of inertia these signs add up to the inertia of H.  When
+every remaining diagonal entry is 0 but h_cj is not, adding u times row j
+to row c and conj(u) times column j to column c makes h_cc = 2 Re(u h_jc):
+2 Re h_cj with u = 1, else 2 Im h_cj with u = i.  That is a congruence of H
+which leaves the rows already eliminated, and so the earlier minors, as they
+are.  A remainder of zeros is the kernel of a singular form.
 
 Angles.  Each angle gets one integer fixed-point bracket at b bits:
 integers c, e with 2 cos theta within 2e of c / 2^b.  A unit is 2^-b, and
@@ -123,29 +90,22 @@ angles on that arc, keeping the values for that one call.
                D, and doubling b shrinks the bracket onto it, so a few
                doublings locate it: every angle off a root is located.
 
-Evaluation point.  Both arithmetics evaluate an arc at one point theta' on
-it.  With t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times
-t(V+V^t) + i(V^t-V); for t = A/B it has the inertia of the integer form
-A(V+V^t) + iB(V^t-V).  The point aims at the centre x of the located bracket
+Evaluation point.  Each arc is evaluated at one point theta' on it.  With
+t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times t(V+V^t) +
+i(V^t-V); for t = A/B it has the inertia of the integer form A(V+V^t) +
+iB(V^t-V).  The point aims at the centre x of the located bracket
 clipped to [-2, 2], where t^2 = (2-x)/(2+x): (A, B) = (N, 2^k) with N =
 max(1, isqrt(4^k t^2)) if t <= 1, else (2^k, N) with N = max(1, isqrt(4^k /
 t^2)), so neither is past 2^k.  k doubles from 4 until x' = 2 cos theta' =
 2(B^2-A^2)/(A^2+B^2) has the arc's Sturm count V(hi) and D(x') != 0, so that
 theta' lies on the arc of theta or of its conjugate (same inertia); a large
-enough k lands in the bracket.  Where the float step cannot certify (a pivot
-too near 0, or an entry past 2^53), the real form [[A', -B'], [B', A']] of
-the same form A' + iB' has each eigenvalue twice and is eliminated over
-Fraction, where a nonzero pivot is certified.  A nonsingular symmetric
-matrix has a nonzero diagonal entry or a 2x2 block [[0, b], [b, 0]], b != 0,
-so the elimination always completes.
+enough k lands in the bracket.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
-from fractions import Fraction
 
 from .errors import (
     BadTorusParameter,
@@ -234,165 +194,54 @@ def _off_jump(arcs, w):
     return sigma
 
 
-def _float_inertia(sym, skew, a, b):
-    """(pos, neg) of a(V+V^t) + ib(V^t-V) by the float step, or None when
-    it cannot certify."""
-    m = _FloatDiscs.of_form(sym, skew, a, b)
-    return None if m is None else _eliminate(m)
-
-
-def _eliminate(m):
-    """(pos, neg) of the Hermitian matrix m, consumed by elimination; None
-    when no pivot certifies or m refuses an update.
-
-    m holds enclosures of the entries, float discs or exact rationals, and
-    supplies their arithmetic; a real value (a pivot, a determinant) is an
-    enclosure of a real number, and m.sign(d) is its certified distance from
-    0 with the sign of d, or None.  The largest certified pivot is taken.
-    """
+def _form_inertia(sym, skew, a, b):
+    """(pos, neg) of the Hermitian form a(V+V^t) + ib(V^t-V), exactly, by
+    symmetric Bareiss elimination over Z[i]; see Elimination in the module
+    docstring.  The real and imaginary parts are kept as integer matrices."""
+    re = [[a * x for x in row] for row in sym]
+    im = [[b * y for y in row] for row in skew]
     pos = neg = 0
-    while len(m):
-        k = len(m)
-        signs = [m.sign(m.diag(i)) for i in range(k)]
-        ones = [(abs(s), i) for i, s in enumerate(signs) if s is not None]
-        if ones:
-            p = max(ones, key=operator.itemgetter(0))[1]
-            d = m.diag(p)
-            row, col = m.take(p)
-            if not m.update(col, [m.div(z, d) for z in row]):
-                return None
-            if signs[p] > 0:
-                pos += 1
-            else:
-                neg += 1
-            continue
-        # No 1x1 pivot: a 2x2 block with a negative determinant has one
-        # eigenvalue of each sign.
-        dets = {
-            (p, r): m.sub(m.mul(m.diag(p), m.diag(r)), m.abs2(m.entry(p, r)))
-            for p in range(k)
-            for r in range(p + 1, k)
-        }
-        det_signs = {key: m.sign(d) for key, d in dets.items()}
-        twos = [(-s, key) for key, s in det_signs.items() if s is not None and s < 0]
-        if not twos:
-            return None
-        p, r = max(twos, key=operator.itemgetter(0))[1]
-        d = dets[(p, r)]
-        al, ga, b = m.diag(p), m.diag(r), m.entry(p, r)
-        rrow, rcol = m.take(r)
-        prow, pcol = m.take(p)
-        del rrow[p], rcol[p]
-        # The rows of the 2x2 block's inverse applied to the block's rows.
-        g = [m.div(m.sub(m.mul(ga, zp), m.mul(b, zr)), d) for zp, zr in zip(prow, rrow)]
-        h = [
-            m.div(m.sub(m.mul(al, zr), m.mul(m.conj(b), zp)), d)
-            for zp, zr in zip(prow, rrow)
-        ]
-        if not (m.update(pcol, g) and m.update(rcol, h)):
-            return None
-        pos += 1
-        neg += 1
+    last = 1  # the previous pivot, a leading principal minor
+    while re:
+        n = len(re)
+        if not any(re[i][i] for i in range(n)):
+            nonzero = ((c, j) for c in range(n) for j in range(n) if re[c][j] or im[c][j])
+            pair = next(nonzero, None)
+            if pair is None:
+                break  # the rest is 0: the form is singular
+            c, j = pair
+            if re[c][j]:  # u = 1: h_cc becomes 2 Re h_cj
+                re[c] = [x + y for x, y in zip(re[c], re[j])]
+                im[c] = [x + y for x, y in zip(im[c], im[j])]
+                for rrow, irow in zip(re, im):
+                    rrow[c] += rrow[j]
+                    irow[c] += irow[j]
+            else:  # u = i: h_cc becomes 2 Im h_cj
+                re[c], im[c] = (
+                    [x - y for x, y in zip(re[c], im[j])],
+                    [x + y for x, y in zip(im[c], re[j])],
+                )
+                for rrow, irow in zip(re, im):  # column c minus i column j
+                    rrow[c] += irow[j]
+                    irow[c] -= rrow[j]
+        k = min((i for i in range(n) if re[i][i]), key=lambda i: abs(re[i][i]))
+        d = re[k][k]
+        rk, ik = re.pop(k), im.pop(k)  # row k: h_kj = rk[j] + i ik[j]
+        del rk[k], ik[k]
+        for rrow, irow, x, y in zip(re, im, rk, ik):
+            del rrow[k], irow[k]
+            if x or y:  # (d h_ij - h_ik h_kj) / last, h_ik = conj(h_ki) = x - iy
+                rrow[:] = [(d * r - x * u - y * v) // last for r, u, v in zip(rrow, rk, ik)]
+                irow[:] = [(d * s - x * v + y * u) // last for s, u, v in zip(irow, rk, ik)]
+            else:  # h_ik = 0: the row is only rescaled
+                rrow[:] = [d * r // last for r in rrow]
+                irow[:] = [d * s // last for s in irow]
+        if (d > 0) == (last > 0):
+            pos += 1
+        else:
+            neg += 1
+        last = d
     return pos, neg
-
-
-# -- float step: midpoint-radius discs in binary64 ---------------------------
-
-_U = 2.0**-53  # unit roundoff
-_MUL = 9 * 2.0**-55  # 2.25u >= sqrt(5)u, the complex product bound
-_INFL = 1 + 2.0**-48  # 1 + 32u, makes a radius computed to nearest an upper bound
-_ETA = 2.0**-500  # absolute term covering every underflow of one operation
-_BIG = 2.0**250  # bound on the multiplicands of an update
-_TINY = 2.0**-250  # least certified pivot margin
-_EXACT = 2**53  # integers up to this size are exact floats
-
-
-class _FloatDiscs:
-    """Hermitian matrix of (midpoint, radius) discs, rows of complex
-    midpoints and rows of float radii; the bounds are in the module docstring."""
-
-    def __init__(self, mids, rads):
-        self.mids, self.rads = mids, rads
-
-    @classmethod
-    def of_form(cls, sym, skew, a, b):
-        """Discs of radius 0 of a(V+V^t) + ib(V^t-V), or None if an entry
-        is not an exact float."""
-        sym = [[a * x for x in row] for row in sym]
-        skew = [[b * y for y in row] for row in skew]
-        if any(abs(x) > _EXACT for rows in (sym, skew) for row in rows for x in row):
-            return None
-        mids = [[complex(x, y) for x, y in zip(srow, krow)] for srow, krow in zip(sym, skew)]
-        return cls(mids, [[0.0] * len(row) for row in mids])
-
-    def __len__(self):
-        return len(self.mids)
-
-    def diag(self, i):
-        return self.mids[i][i].real, self.rads[i][i]
-
-    def entry(self, i, j):
-        return self.mids[i][j], self.rads[i][j]
-
-    def take(self, p):
-        """Remove row and column p; return their entries."""
-        row, rrow = self.mids.pop(p), self.rads.pop(p)
-        del row[p], rrow[p]
-        col = [(m.pop(p), r.pop(p)) for m, r in zip(self.mids, self.rads)]
-        return list(zip(row, rrow)), col
-
-    def update(self, xs, ys):
-        """Replace each entry a_ij by a disc of a_ij - x_i y_j; False (and
-        nothing certified) if the multiplicands exceed the guard."""
-        ays = [abs(y) for y, _ in ys]
-        rys = [ry for _, ry in ys]
-        if not sum(abs(x) + rx for x, rx in xs) + sum(ays) + sum(rys) <= _BIG:
-            return False
-        ys = [y for y, _ in ys]
-        coef_abs = [ry + _MUL * ay for ay, ry in zip(ays, rys)]
-        coef_rad = [ay + ry for ay, ry in zip(ays, rys)]
-        for i, (x, rx) in enumerate(xs):
-            ax = abs(x)
-            row = [c - x * y for c, y in zip(self.mids[i], ys)]
-            self.rads[i] = [
-                (rc + ax * ca + rx * cr + _U * abs(z) + _ETA) * _INFL
-                for rc, ca, cr, z in zip(self.rads[i], coef_abs, coef_rad, row)
-            ]
-            self.mids[i] = row
-        return True
-
-    @staticmethod
-    def sign(d):
-        margin = abs(d[0]) - d[1]
-        return math.copysign(margin, d[0]) if margin >= _TINY else None
-
-    @staticmethod
-    def conj(x):
-        return x[0].conjugate(), x[1]
-
-    @staticmethod
-    def mul(x, y):
-        (x, rx), (y, ry) = x, y
-        ax, ay = abs(x), abs(y)
-        return x * y, (ax * ry + rx * (ay + ry) + _MUL * ax * ay + _ETA) * _INFL
-
-    @staticmethod
-    def sub(x, y):
-        z = x[0] - y[0]
-        return z, (x[1] + y[1] + _U * abs(z) + _ETA) * _INFL
-
-    @staticmethod
-    def div(z, d):
-        """z / d for a real disc d with a certified margin."""
-        (z, rz), (d, rd) = z, d
-        y = complex(z.real / d, z.imag / d)
-        ay = abs(y)
-        return y, ((rz + ay * rd) / (abs(d) - rd) + _U * ay + _ETA) * _INFL
-
-    @classmethod
-    def abs2(cls, b):
-        z, rz = cls.mul(b, cls.conj(b))
-        return z.real, rz
 
 
 # -- angles: one integer bracket of 2 cos theta --------------------------------
@@ -464,65 +313,6 @@ def _arc_point(sturm, arc, lo, hi, bits):
         if _variations(sturm, 2 * (b2 - a2), a2 + b2) == arc:
             return a, b
         k *= 2
-
-
-def _exact_inertia(sym, skew, a, b):
-    """(pos, neg) of a(V+V^t) + ib(V^t-V), exactly, from its real form."""
-    pos, neg = _eliminate(_Rationals.of_form(sym, skew, a, b))
-    return pos // 2, neg // 2
-
-
-class _Rationals:
-    """Real symmetric matrix of exact rationals, the real form of
-    A(V+V^t) + iB(V^t-V); every nonzero pivot is certified."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    @classmethod
-    def of_form(cls, sym, skew, a, b):
-        re = [[a * x for x in row] for row in sym]
-        im = [[b * y for y in row] for row in skew]
-        return cls(
-            [ra + [-x for x in rb] for ra, rb in zip(re, im)]
-            + [rb + ra for ra, rb in zip(re, im)]
-        )
-
-    def __len__(self):
-        return len(self.rows)
-
-    def diag(self, i):
-        return self.rows[i][i]
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def take(self, p):
-        row = self.rows.pop(p)
-        del row[p]
-        return row, [other.pop(p) for other in self.rows]
-
-    def update(self, xs, ys):
-        for row, x in zip(self.rows, xs):
-            if x:
-                row[:] = [c - x * y for c, y in zip(row, ys)]
-        return True
-
-    mul = staticmethod(operator.mul)
-    sub = staticmethod(operator.sub)
-    div = staticmethod(Fraction)
-
-    @staticmethod
-    def sign(d):
-        return d or None
-
-    @staticmethod
-    def conj(x):
-        return x
-
-    @staticmethod
-    def abs2(b):
-        return b * b
 
 
 # -- arcs: one elimination per arc of the unit circle -------------------------
@@ -609,9 +399,8 @@ class _Arcs:
         return arc
 
     def _inertia(self, arc, bracket, bits):
-        sym, skew = self._sym, self._skew
         a, b = _arc_point(self._sturm, arc, *_ends(bracket), bits)
-        pos, neg = _float_inertia(sym, skew, a, b) or _exact_inertia(sym, skew, a, b)
+        pos, neg = _form_inertia(self._sym, self._skew, a, b)
         assert pos + neg == self.V.dim
         return pos - neg
 
@@ -660,9 +449,10 @@ class TorusLemmaReport(Record):
     )
 
 
-# Largest q whose torus lemma verify_torus_lemma checks.  Its (q+1)/2
-# eliminations of the (q-1)x(q-1) form cost about q^4.3 in all: 1.4 s at
-# q = 61, 4.0 s at 81 and 9.7 s at 101 (in-process, Python 3.11, Intel Xeon).
+# Largest q whose torus lemma verify_torus_lemma checks.  With the
+# Alexander polynomial, its (q+1)/2 eliminations of the (q-1)x(q-1) form
+# cost about q^4.4 in all: 1.0 s at q = 61, 3.0 s at 81 and 9.0 s at 101
+# (in-process, Python 3.11, Intel Xeon).
 MAX_VERIFY_Q = 101
 
 

@@ -39,7 +39,7 @@ def no_eliminations(monkeypatch):
         raise AssertionError("a signature elimination ran")
 
     monkeypatch.setattr(signatures, "tl_signature", refuse)
-    monkeypatch.setattr(signatures, "_float_inertia", refuse)
+    monkeypatch.setattr(signatures, "_form_inertia", refuse)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):

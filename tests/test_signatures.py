@@ -1,9 +1,11 @@
+import inspect
 import math
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -336,12 +338,46 @@ def _point(V, w):
     return signatures._arc_point(arcs._sturm, arc, *signatures._ends(bracket), bits)
 
 
+def _realified_inertia(sym, skew, a, b):
+    """Oracle: (pos, neg) of a(V+V^t) + ib(V^t-V) from its real form
+    [[A, -B], [B, A]], A = a(V+V^t), B = b(V^t-V), which has each eigenvalue
+    of the Hermitian form twice.  Eliminated over Fraction, with a 1x1 pivot
+    where the diagonal has a nonzero entry, else a 2x2 pivot [[0, e], [e, 0]]
+    with one eigenvalue of each sign; a remainder of zeros is the kernel."""
+    re = [[a * x for x in row] for row in sym]
+    im = [[b * y for y in row] for row in skew]
+    m = [[Fraction(x) for x in r + [-y for y in i]] for r, i in zip(re, im)]
+    m += [[Fraction(x) for x in i + r] for r, i in zip(re, im)]
+    pos = neg = 0
+    while m:
+        n = len(m)
+        k = next((i for i in range(n) if m[i][i]), None)
+        if k is not None:
+            d = m[k][k]
+            row = m.pop(k)
+            del row[k]
+            for r in m:
+                f = r.pop(k) / d
+                if f:
+                    r[:] = [x - f * y for x, y in zip(r, row)]
+            pos, neg = pos + (d > 0), neg + (d < 0)
+            continue
+        pair = next(((p, s) for p in range(n) for s in range(n) if m[p][s]), None)
+        if pair is None:
+            break
+        p, s = pair
+        e, rest = m[p][s], [i for i in range(n) if i not in pair]
+        m = [[m[i][j] - (m[i][p] * m[s][j] + m[i][s] * m[p][j]) / e for j in rest] for i in rest]
+        pos, neg = pos + 1, neg + 1
+    return pos // 2, neg // 2
+
+
 def _inertia_paths(V, w):
-    """(float step, exact path) inertia of the form of V at the evaluation
-    point of the arc of w."""
+    """(elimination, oracle): the inertia of the form of V at the evaluation
+    point of the arc of w, by _form_inertia and by the realified oracle."""
     sym, skew = _form_parts(V)
     a, b = _point(V, w)
-    return signatures._float_inertia(sym, skew, a, b), signatures._exact_inertia(sym, skew, a, b)
+    return signatures._form_inertia(sym, skew, a, b), _realified_inertia(sym, skew, a, b)
 
 
 def _numeric_signature_at_point(V, a, b, dps=40):
@@ -365,23 +401,22 @@ def _diagonal_pair(m):
 
 
 class TestCertifiedInertia:
-    def test_near_root_forces_fallback(self):
+    def test_near_root_needs_a_64_bit_point(self):
         assert alexander(NEAR_ROOT).coeffs == (2, -3, 2)
         # The arc's point has to come within 3e-17 turns of the root, so
-        # it needs k = 64, and the entries past 2^53 refuse the float step.
+        # it needs k = 64: the form's entries are past 2^53.
         assert max(_point(NEAR_ROOT, NEAR_ROOT_3E17)) == 2**64
-        fast, exact = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
-        assert fast is None
-        assert exact == (2, 0)
+        elimination, oracle = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
+        assert elimination == oracle == (2, 0)
         # Prompt: Phi_133665412 is never built, its degree exceeds deg(Delta).
         start = time.perf_counter()
         assert not at_jump(NEAR_ROOT, NEAR_ROOT_3E17)
         assert tl_signature(NEAR_ROOT, NEAR_ROOT_3E17) == 2
         assert time.perf_counter() - start < 2.0
 
-    def test_float_step_certifies_close_to_root(self):
-        fast, exact = _inertia_paths(NEAR_ROOT, NEAR_ROOT_5E16)
-        assert fast == exact == (1, 1)
+    def test_close_to_root(self):
+        elimination, oracle = _inertia_paths(NEAR_ROOT, NEAR_ROOT_5E16)
+        assert elimination == oracle == (1, 1)
         assert tl_signature(NEAR_ROOT, NEAR_ROOT_5E16) == 0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -393,12 +428,13 @@ class TestCertifiedInertia:
         digits=st.integers(3, 16),
         side=st.sampled_from([-1, 1]),
     )
-    def test_float_step_matches_exact_path(
+    def test_arc_points_match_the_realified_oracle(
         self, genus, seed, near_root, zero_diagonal, digits, side
     ):
         rng = random.Random(seed)
         if zero_diagonal:
-            # Every diagonal entry of H vanishes, so only 2x2 pivots apply.
+            # Every diagonal entry of H vanishes: the elimination starts
+            # with a congruence, the oracle with a 2x2 pivot.
             rows = [list(r) for r in random_seifert(rng, genus).rows]
             for i, row in enumerate(rows):
                 row[i] = 0
@@ -415,41 +451,43 @@ class TestCertifiedInertia:
             w = UnitRootArg(rng.randint(1, q - 1), q)
         if at_jump(V, w):
             return
-        fast, exact = _inertia_paths(V, w)
-        assert fast is None or fast == exact
-        assert sum(exact) == V.dim
+        elimination, oracle = _inertia_paths(V, w)
+        assert elimination == oracle
+        assert sum(elimination) == V.dim
 
     def test_exact_path_at_genus_12(self):
-        # A forced exact evaluation: the realified 48 x 48 form over Fraction.
+        # The 24 x 24 elimination, and the oracle's realified 48 x 48 form
+        # over Fraction.
         V = random_seifert(random.Random(12), 12)
         w = UnitRootArg(5, 31)
         start = time.perf_counter()
-        fast, exact = _inertia_paths(V, w)
+        elimination, oracle = _inertia_paths(V, w)
         assert time.perf_counter() - start < 2.0
-        assert fast == exact and sum(exact) == 24
+        assert elimination == oracle and sum(elimination) == 24
 
     @pytest.mark.parametrize("q", [2, 8])
     def test_minus_one_takes_the_reciprocal_point(self, monkeypatch, q):
         # Next to theta = pi, t = tan(theta'/2) is large, so the point is
-        # 1/t = 1/2^4: the form 16(V+V^t) + i(V^t-V) keeps entries past 2^10
-        # exact floats, and the float step certifies every arc.
+        # 1/t = 1/2^4, and the form is 16(V+V^t) + i(V^t-V); the profile's
+        # angles share one arc and one elimination.
         V = _diagonal_pair(2**11 + 1)
         minus_one = UnitRootArg(1, 2)
         assert _point(V, minus_one) == (16, 1)
-        calls = _counting(monkeypatch, "_float_inertia", "_exact_inertia")
+        calls = _counting(monkeypatch, "_form_inertia")
         assert signature_profile(V, q).values == {a: 2 for a in range(1, q)}
-        assert len(calls["_float_inertia"]) == 1 and calls["_exact_inertia"] == []
+        assert len(calls["_form_inertia"]) == 1
 
     def test_large_entry_forces_the_exact_path(self, monkeypatch):
-        # An entry past 2^49 times 2^4 is past 2^53: the float step refuses
-        # the form before eliminating, whatever the distance to a root.
+        # An entry past 2^49 times 2^4 is past 2^53, the largest integers
+        # that a float holds exactly; the elimination is over the integers.
         V = _diagonal_pair(2**49 + 1)
         sym, skew = _form_parts(V)
         assert _point(V, UnitRootArg(1, 2)) == (16, 1)
-        assert signatures._FloatDiscs.of_form(sym, skew, 16, 1) is None
-        calls = _counting(monkeypatch, "_float_inertia", "_exact_inertia")
+        assert 16 * max(max(row) for row in sym) > 2**53
+        assert _realified_inertia(sym, skew, 16, 1) == (2, 0)
+        calls = _counting(monkeypatch, "_form_inertia")
         assert tl_signature(V, UnitRootArg(1, 2)) == 2
-        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+        assert [args[2:] for args in calls["_form_inertia"]] == [(16, 1)]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -475,11 +513,99 @@ class TestCertifiedInertia:
             assert _numeric_signature_at_point(V, A, B) == numeric_signature(V, a, q)
 
 
+@st.composite
+def _forms(draw):
+    """(sym, skew, a, b): V + V^t and V^t - V of a genus 1-8 Seifert matrix
+    with entries up to 9, its diagonal 0 on some draws, and a point with a
+    or b 0 on some draws and past 2^53 on others."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = random_seifert(rng, draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 9]))).rows
+    rows = [list(row) for row in rows]
+    if draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row[i] = 0
+    point = st.one_of(st.just(0), st.integers(1, 2**8), st.integers(2**53, 2**64))
+    return (*_form_parts(SeifertMatrix(rows)), draw(point), draw(point))
+
+
+def _congruence_branches(run):
+    """(run(), counts): counts the congruences _form_inertia made, by branch
+    ("u = 1" or "u = i"), with a line trace of the function.  The u = 1
+    comment is on the line that chooses u, and the u = i comment on the
+    else that starts the second branch: the line run after the choice
+    names the branch taken."""
+    code = signatures._form_inertia.__code__
+    lines, first = inspect.getsourcelines(code)
+    choice, second = (
+        first + next(i for i, line in enumerate(lines) if "# " + tag in line)
+        for tag in ("u = 1", "u = i")
+    )
+    counts = {"u = 1": 0, "u = i": 0}
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        previous = None
+
+        def local(frame, event, arg):
+            nonlocal previous
+            if event == "line":
+                if previous == choice:
+                    counts["u = 1" if frame.f_lineno < second else "u = i"] += 1
+                previous = frame.f_lineno
+            return local
+
+        return local
+
+    saved = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = run()
+    finally:
+        sys.settrace(saved)
+    return result, counts
+
+
+class TestFormInertia:
+    """The one elimination, _form_inertia, against the realified Fraction
+    oracle, which shares no code with it and needs no mpmath."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_forms())
+    def test_matches_the_realified_oracle(self, form):
+        assert signatures._form_inertia(*form) == _realified_inertia(*form)
+
+    def test_each_congruence_branch_runs(self):
+        rows = [list(row) for row in random_seifert(random.Random(7), 4).rows]
+        for i, row in enumerate(rows):
+            row[i] = 0
+        sym, skew = _form_parts(SeifertMatrix(rows))
+        # A zero diagonal and a real part: the first congruence takes u = 1.
+        inertia, counts = _congruence_branches(lambda: signatures._form_inertia(sym, skew, 3, 5))
+        assert inertia == _realified_inertia(sym, skew, 3, 5)
+        assert counts["u = 1"] >= 1
+        # With a = 0 the form ib(V^t - V) has no real part, so only u = i
+        # applies; b times i(V^t - V), with V - V^t the standard symplectic
+        # form, has inertia (g, g).
+        for b in (1, 2**60 + 1):
+            inertia, counts = _congruence_branches(
+                lambda: signatures._form_inertia(sym, skew, 0, b)
+            )
+            assert inertia == _realified_inertia(sym, skew, 0, b) == (4, 4)
+            assert counts == {"u = 1": 0, "u = i": 4}
+
+    def test_singular_form_leaves_its_kernel(self):
+        # [[2, 2], [2, 2]] has eigenvalues 4 and 0; the zero form has only 0.
+        zero = [[0, 0], [0, 0]]
+        assert signatures._form_inertia([[2, 2], [2, 2]], zero, 1, 1) == (1, 0)
+        assert signatures._form_inertia(zero, zero, 1, 1) == (0, 0)
+        assert _realified_inertia([[2, 2], [2, 2]], zero, 1, 1) == (1, 0)
+
+
 def _per_angle_signature(V, w):
-    """Signature of V at w, no root of Delta, by the bare elimination (float,
-    then exact) at a dyadic point of the angle's own 32-bit bracket, which
-    must hold no root: no arcs, no arc point, and none of the seams that
-    tests count."""
+    """Signature of V at w, no root of Delta, by the bare elimination at a
+    dyadic point of the angle's own 32-bit bracket, which must hold no root:
+    no arcs and no arc point."""
     bits = 32
     c, e = signatures._angle_bracket(w.a, w.q, bits)
     lo, hi = c - 2 * e - 1, c + 2 * e + 1
@@ -493,12 +619,8 @@ def _per_angle_signature(V, w):
     # 2 cos theta' = 2(b^2 - a^2) / (a^2 + b^2) lies in the bracket.
     x, den = 2 * (b * b - a * a) << bits, a * a + b * b
     assert lo * den <= x <= hi * den
-    sym, skew = _form_parts(V)
-    m = signatures._FloatDiscs.of_form(sym, skew, a, b)
-    if m is not None and (inertia := signatures._eliminate(m)):
-        return inertia[0] - inertia[1]
-    pos, neg = signatures._eliminate(signatures._Rationals.of_form(sym, skew, a, b))
-    return (pos - neg) // 2
+    pos, neg = signatures._form_inertia(*_form_parts(V), a, b)
+    return pos - neg
 
 
 def _per_angle_profile(V, q):
@@ -602,28 +724,25 @@ class TestArcs:
         monkeypatch.setattr(signatures, "_start_bits", lambda q: 40)
         arcs = signatures._Arcs(NEAR_ROOT)
         assert _locate(arcs, NEAR_ROOT_3E17) is None
-        calls = _counting(
-            monkeypatch, "at_jump", "_angle_bracket", "_float_inertia", "_exact_inertia"
-        )
+        calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_form_inertia")
         assert arcs.signature(NEAR_ROOT_3E17) == 2
         # The undecided angle gets the exact jump test, is no root, and is
-        # located at twice the bits; the float step cannot certify this
-        # close to the root, and the exact path does.
+        # located at twice the bits, then eliminated once.
         assert calls["at_jump"] == [(NEAR_ROOT, NEAR_ROOT_3E17)]
         assert [bits for _, _, bits in calls["_angle_bracket"]] == [40, 80]
-        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+        assert len(calls["_form_inertia"]) == 1
         # Memoized by its located arc: the next call locates the angle
         # again but eliminates nothing.
         assert arcs.signature(NEAR_ROOT_3E17) == 2
-        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+        assert len(calls["_form_inertia"]) == 1
 
     def test_near_root_is_located_at_the_first_bracket(self, monkeypatch):
-        calls = _counting(monkeypatch, "at_jump", "_float_inertia", "_exact_inertia")
+        calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         arcs = signatures._Arcs(NEAR_ROOT)
         assert arcs.signature(NEAR_ROOT_3E17) == 2
         assert arcs.signature(NEAR_ROOT_3E17) == 2
         assert calls["at_jump"] == []
-        assert len(calls["_float_inertia"]) == len(calls["_exact_inertia"]) == 1
+        assert len(calls["_form_inertia"]) == 1
 
     def test_root_is_undecided_and_a_jump(self, monkeypatch):
         # The bracket of a root holds that root, so only the exact test
@@ -709,13 +828,13 @@ class TestArcs:
 
 
 class TestEliminationCounts:
-    """Calls of the one elimination seam, _float_inertia, and of the exact
+    """Calls of the one elimination seam, _form_inertia, and of the exact
     jump test, counted on the arc path."""
 
     def test_profile_tests_each_angle_once(self, monkeypatch):
         # T(2,7) has roots at 1/14, 3/14 and 5/14 turns: the angles a/12,
         # a <= 6, fall on three arcs.
-        calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_float_inertia")
+        calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_form_inertia")
         signature_profile(torus_2q(7), 12)
         angles = [UnitRootArg(a, 12) for a in range(1, 7)]
         # Every angle is located on its arc, so none needs a jump test; its
@@ -725,36 +844,36 @@ class TestEliminationCounts:
         assert calls["_angle_bracket"] == [
             (w.a, w.q, signatures._start_bits(w.q)) for w in angles
         ]
-        assert [args[2:] for args in calls["_float_inertia"]] == [
+        assert [args[2:] for args in calls["_form_inertia"]] == [
             _point(torus_2q(7), w) for w in angles[::2]
         ]
 
     def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
-        calls = _counting(monkeypatch, "_float_inertia")
+        calls = _counting(monkeypatch, "_form_inertia")
         profile = signature_profile(FIGURE_EIGHT, 12)
         assert profile.jump_angles() == []
-        assert len(calls["_float_inertia"]) == 1
+        assert len(calls["_form_inertia"]) == 1
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_torus_lemma_eliminates_each_arc_once(self, monkeypatch, q):
-        calls = _counting(monkeypatch, "at_jump", "_float_inertia")
+        calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         verify_torus_lemma(q)
-        assert len(calls["_float_inertia"]) == (q + 1) // 2
+        assert len(calls["_form_inertia"]) == (q + 1) // 2
         assert calls["at_jump"] == []
 
     def test_jump_steps_read_jumps_from_the_factor_list(self, monkeypatch):
-        calls = _counting(monkeypatch, "at_jump", "_float_inertia")
+        calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         report = jump_step_check(torus_2q(5), 5)
         assert len(report.jumps) == 4 and report.sigma_at_minus_one == 4
         # The jumps come from the factor list and every midpoint is located:
         # no jump test, one elimination per arc.
         assert calls["at_jump"] == []
-        assert len(calls["_float_inertia"]) == 3
+        assert len(calls["_form_inertia"]) == 3
 
     def test_tl_signature_is_one_elimination(self, monkeypatch):
-        calls = _counting(monkeypatch, "at_jump", "_float_inertia")
+        calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         assert tl_signature(torus_2q(5), UnitRootArg(1, 2)) == 4
-        assert calls["at_jump"] == [] and len(calls["_float_inertia"]) == 1
+        assert calls["at_jump"] == [] and len(calls["_form_inertia"]) == 1
 
     def test_jump_steps_refuse_a_midpoint_at_a_root(self, monkeypatch):
         # Under its hypothesis no midpoint is a root; were one reported as
@@ -816,14 +935,20 @@ class TestAngleDiscs:
 
     @pytest.mark.parametrize("q", [2**50 + 1, 2**61 - 1])
     def test_large_q_gets_a_bracket(self, q):
-        # Next to 1 and next to -1 (q odd), where the float step certifies.
+        # Next to 1 and next to -1 (q odd); the signatures that
+        # test_large_q_signatures finds there, against mpmath.
+        for a, sigma in ((1, 0), (q // 2, 2)):
+            _assert_bracket_encloses(a, q)
+            assert numeric_signature(TREFOIL, a, q, 60) == sigma
+
+    @pytest.mark.parametrize("q", [2**50 + 1, 2**61 - 1])
+    def test_large_q_signatures(self, q):
+        # The same angles, checked with no mpmath: the elimination against
+        # the realified oracle, and tl_signature.
         for a, expected in ((1, (1, 1)), (q // 2, (2, 0))):
             w = UnitRootArg(a, q)
-            _assert_bracket_encloses(a, q)
-            fast, exact = _inertia_paths(TREFOIL, w)
-            assert fast == exact == expected
-            sigma = expected[0] - expected[1]
-            assert tl_signature(TREFOIL, w) == sigma == numeric_signature(TREFOIL, a, q, 60)
+            assert _inertia_paths(TREFOIL, w) == (expected, expected)
+            assert tl_signature(TREFOIL, w) == expected[0] - expected[1]
 
 
 _IMPORT_CHECK = """
@@ -855,7 +980,7 @@ run(["--json", "covers", "--max-r", "12", trefoil])
 run(["--json", "signature", "--q", "12", trefoil])
 run(["--json", "torus", "7", "--verify"])
 print(run(["--json", "witness", "-"], stdin=run(["torus", "5"])))
-# NEAR_ROOT_3E17 takes the exact path, and q = 2^50 + 1 a wide bracket.
+# NEAR_ROOT_3E17 needs a 64-bit point, and q = 2^50 + 1 a wide bracket.
 near_root = SeifertMatrix([[1, 1], [0, 2]])
 assert signatures.tl_signature(near_root, signatures.UnitRootArg(15375095, 133665412)) == 2
 assert signatures.tl_signature(TREFOIL, signatures.UnitRootArg(2**49, 2**50 + 1)) == 2
