@@ -74,9 +74,9 @@ MAX_SIGNATURE_Q = 20000
 MAX_MATRIX_DIM = 32
 
 # Largest --delta degree, t^k included, checked as it is parsed.  classify
-# tries every Phi_n with phi(n) <= deg Delta: `--json classify` takes 5.3 s
-# on a dense symmetric Delta of degree 400 (0.6 s at degree 200), and
-# `--json covers --max-r 256` 0.8 s (in-process, Python 3.11, Intel Xeon).
+# divides by each of the 790 Phi_n with phi(n) <= 400: `--json classify`
+# takes 2.1 s on a dense symmetric Delta of degree 400 (0.3 s at 200), and
+# `--json covers --max-r 256` 1.3 s (fresh interpreter, Python 3.11, Xeon).
 MAX_DELTA_DEGREE = 400
 
 # Largest witness --q: trial division settles whether q is a prime power
@@ -236,8 +236,8 @@ def cmd_classify(args):
     name, delta = _delta_from_args(args)
     with _exact_output():
         report = covers.classify_prime_power_covers(delta)
-        # n <= 2 deg(Delta)^2 (phi(n) >= sqrt(n/2)), which the size bounds
-        # keep below MAX_WITNESS_Q, so trial division completes.
+        # Each n is at most 1750 at the largest --delta degree
+        # (phi_inverse_candidates), so trial division completes.
         factor_docs = [
             {"n": n, "multiplicity": mult, "distinct_primes": distinct_prime_factors(n)}
             for n, mult in report.cyclotomic_factors

@@ -19,15 +19,16 @@ per pair over the roots alpha of Psi_d, the monic minimal polynomial of
 the last step because Psi_d is monic.  Each resultant thus has half the
 degrees of Res(phi_d, Delta) in both arguments.  For d = 1 and d = 2 the
 factor is |Delta_0(1)| = |D(2)| and |Delta_0(-1)| = |D(-2)|, read off by
-evaluation.  A Delta that is not symmetric up to +-t^k is no Alexander
-polynomial and is refused.
+evaluation.  Both are odd, as Delta(1) = +-1 and Delta(-1) = Delta(1)
+(mod 2), so no Phi_1 or Phi_2 divides Delta.  A Delta that is not
+symmetric up to +-t^k is no Alexander polynomial and is refused.
 
 Infinite homology is a zero norm, detected exactly: Res(Psi_d, D) = 0
-exactly when Psi_d divides D, that is when Phi_d divides Delta_0, and
-Delta_0(+-1) = 0 exactly when Phi_1 or Phi_2 does, so an order is infinite
-iff the product of its norms is 0.  `cover_orders` validates Delta once per
-call; D is formed once and each Res(Psi_d, D) computed at most once per
-call, so a table of covers, or the witness search, shares that work.
+exactly when Psi_d divides D, that is when Phi_d divides Delta_0, so an
+order is infinite iff the product of its norms is 0.  `cover_orders`
+validates Delta once per call; D is formed once and each Res(Psi_d, D)
+computed at most once per call, so a table of covers, or the witness
+search, shares that work.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def classify_prime_power_covers(delta):
     D = _knot_chebyshev_form(delta)
     factors, remainder = cyclotomic_factor_extract(delta)
     all_pp_trivial = remainder.is_laurent_unit() and all(
-        n == 1 or len(distinct_prime_factors(n)) >= 3 for n, _ in factors
+        len(distinct_prime_factors(n)) >= 3 for n, _ in factors
     )
     all_trivial = delta.is_laurent_unit()
     witness = None
@@ -159,7 +160,7 @@ def _witness_candidates(factors):
     priority = set()
     for n, _mult in factors:
         primes = distinct_prime_factors(n)
-        if n > 1 and len(primes) <= 2:
+        if len(primes) <= 2:
             for p in primes:
                 pk = p
                 while pk <= DEFAULT_WITNESS_BOUND:

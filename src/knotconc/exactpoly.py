@@ -331,32 +331,38 @@ def prime_power_decomposition(r):
 # -- cyclotomic polynomials -----------------------------------------------
 
 
+def _at_power(f, k):
+    """f(t^k)."""
+    return IntPolynomial([c for x in f.coeffs for c in [x] + [0] * (k - 1)])
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n):
-    """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
+    """The n-th cyclotomic polynomial: from Phi_1 = t - 1, Phi_(mp)(t) =
+    Phi_m(t^p) / Phi_m(t) for each prime p of n in turn gives Phi_r, r the
+    product of those primes, and Phi_n(t) = Phi_r(t^(n/r))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return IntPolynomial([-1, 1])
-    f = t_power_minus_one(n)
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = f.divmod_exact(cyclotomic(d))
-            assert r.is_zero()
-            f = q
-    return f
+    f, primes = IntPolynomial([-1, 1]), factorize(n)
+    for p in primes:
+        f, rem = _at_power(f, p).divmod_exact(f)
+        assert rem.is_zero()
+    return _at_power(f, n // math.prod(primes))
 
 
 @functools.lru_cache(maxsize=None)
 def phi_inverse_candidates(bound):
-    """All n with totient(n) <= bound, ascending.
-
-    Uses totient(n) >= sqrt(n/2), so the scan stops at n = 2*bound^2.
-    Cached: every caller gets the same list, which must not be mutated.
-    """
+    """All n with totient(n) <= bound, ascending; cached, so the list must
+    not be mutated.  The primes p of such an n have prod (p - 1) <=
+    totient(n) <= bound, and n = totient(n) prod p / (p - 1), so n is at
+    most bound times that product over the first primes that fit."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return [n for n in range(1, 2 * bound * bound + 1) if totient(n) <= bound]
+    num = den = 1
+    for p in range(2, bound + 2):
+        if totient(p) == p - 1 and den * (p - 1) <= bound:  # p is prime
+            num, den = num * p, den * (p - 1)
+    return [n for n in range(1, bound * num // den + 1) if totient(n) <= bound]
 
 
 def chebyshev_form(p):

@@ -85,10 +85,11 @@ angles on that arc, keeping the values for that one call.
                never by a float comparison.
     jumps      a located bracket holds no root of D, so omega is no root
                of Delta.  Only an undecided angle gets the exact test:
-               omega is a root of Delta iff Phi_q divides Delta, and a root
-               is a jump.  Any other angle has 2 cos theta off every root of
-               D, and doubling b shrinks the bracket onto it, so a few
-               doublings locate it: every angle off a root is located.
+               omega is a root of Delta iff q is the index of a factor in
+               Delta's cyclotomic split, and a root is a jump.  Any other
+               angle has 2 cos theta off every root of D, and doubling b
+               shrinks the bracket onto it, so a few doublings locate it:
+               every angle off a root is located.
 
 Evaluation point.  Each arc is evaluated at one point theta' on it.  With
 t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times t(V+V^t) +
@@ -118,7 +119,6 @@ from .exactpoly import (
     Record,
     _pseudo_remainder,
     chebyshev_form,
-    cyclotomic,
     cyclotomic_factor_extract,
 )
 from .seifert import MAX_TORUS_Q, alexander, torus_2q, torus_2q_signatures
@@ -163,19 +163,12 @@ JUMP = _JumpMarker()
 
 
 def at_jump(V, w):
-    """True iff omega is a root of the Alexander polynomial (decided exactly)."""
+    """True iff omega is a root of the Alexander polynomial: iff w's reduced
+    order is the index of a factor in Delta's cyclotomic split."""
     if w.is_trivial:
         raise TrivialAngle("angle 0 is excluded")
-    delta = alexander(V)
-    # phi(n) >= sqrt(n/2), so a larger order has phi(n) > deg(Delta) and
-    # Phi_n cannot divide Delta; this avoids building a huge Phi_n.
-    if delta.degree() < 1 or w.q > 2 * delta.degree() ** 2:
-        return False
-    phi = cyclotomic(w.q)
-    if phi.degree() > delta.degree():
-        return False
-    _, r = delta.divmod_exact(phi)
-    return r.is_zero()
+    factors, _ = cyclotomic_factor_extract(alexander(V))
+    return w.q in dict(factors)
 
 
 def tl_signature(V, w):
@@ -374,8 +367,9 @@ class _Arcs:
         """Signature at w != 1, or JUMP when omega is a root of Delta.
 
         A located angle is no root, since its bracket holds no root of D;
-        only an undecided angle needs at_jump's division, and one that is
-        no root is located by doubling the bracket's bits.
+        only an undecided angle is looked up in Delta's cyclotomic split by
+        at_jump, and one that is no root is located by doubling the
+        bracket's bits.
         """
         bits = _start_bits(w.q)
         bracket = _angle_bracket(w.a, w.q, bits)
@@ -510,7 +504,7 @@ class JumpStepReport(Record):
     __slots__ = (
         "q",
         "jumps",  # JumpInfo, ascending
-        "sigma_at_minus_one",  # None when -1 is itself a root
+        "sigma_at_minus_one",
     )
 
 
@@ -569,8 +563,5 @@ def _jump_steps(arcs, q):
                 simple=simple,
             )
         )
-    if 2 in multiplicity:
-        sigma_minus_one = None
-    else:
-        sigma_minus_one = _off_jump(arcs, UnitRootArg(1, 2))
+    sigma_minus_one = _off_jump(arcs, UnitRootArg(1, 2))
     return JumpStepReport(q=q, jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

@@ -30,10 +30,11 @@ def random_seifert(rng, genus, bound=2):
 
 
 @st.composite
-def seifert_rows(draw):
-    """Genus 1-3 Seifert matrix with entries in [-3, 3]: a symmetric part
-    plus the standard symplectic V - V^t.  Singular draws are kept."""
-    n = 2 * draw(st.integers(1, 3))
+def seifert_rows(draw, max_genus=3):
+    """Genus 1 to max_genus Seifert matrix with entries in [-3, 3]: a
+    symmetric part plus the standard symplectic V - V^t.  Singular draws
+    are kept."""
+    n = 2 * draw(st.integers(1, max_genus))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

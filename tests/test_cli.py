@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knotconc
 from knotconc import cli, covers, exactpoly, obstruction, seifert, signatures
@@ -257,6 +258,28 @@ class TestClassify:
         assert doc["all_prime_power_covers_trivial"] is True
         assert doc["all_covers_trivial"] is True
         assert doc["witness_cover"] is None
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        half=st.lists(st.integers(-4, 4), max_size=6),
+        indices=st.lists(st.sampled_from([6, 10, 12, 14, 15, 18, 30]), max_size=3),
+        shift=st.integers(0, 2),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_delta_split_has_no_phi_one_or_two(self, half, indices, shift, sign):
+        # A palindrome with Delta(1) = 1, times Phi_n with Phi_n(1) = 1, +-t^k.
+        delta = exactpoly.IntPolynomial(half + [1 - 2 * sum(half)] + half[::-1])
+        for n in indices:
+            delta = delta * exactpoly.cyclotomic(n)
+        coeffs = [0] * shift + [sign * c for c in delta.coeffs]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--json", "classify", "--delta=" + ",".join(map(str, coeffs))])
+        assert code == 0
+        found = [f["n"] for f in json.loads(out.getvalue())["cyclotomic_factors"]]
+        assert 1 not in found and 2 not in found
+        assert sorted(set(indices)) == [n for n in found if n in indices]
 
 
 class TestSignature:

@@ -139,7 +139,9 @@ class TestCyclotomic:
             assert cyclotomic(n)(1) == 1
 
     def test_reconstruction(self):
-        for n in range(1, 61):
+        # 729 = 3^6 and 1024 = 2^10 spread Phi_p; 1680 = 2^4 3 5 7 and
+        # 2310 = 2 3 5 7 11 divide by Phi_m(t) once per prime.
+        for n in list(range(1, 401)) + [729, 1024, 1680, 2310]:
             prod = P([1])
             for d in range(1, n + 1):
                 if n % d == 0:
@@ -217,9 +219,16 @@ class TestPhiInverse:
             assert n not in cands
 
     def test_matches_brute_force(self):
-        for bound in range(1, 9):
+        # phi(n) >= sqrt(n/2), so n <= 2 bound^2 holds every candidate.
+        for bound in range(1, 61):
             brute = [n for n in range(1, 2 * bound * bound + 1) if totient(n) <= bound]
             assert phi_inverse_candidates(bound) == brute
+
+    def test_degree_400(self):
+        # The largest --delta degree: 790 candidates, the largest 1680 =
+        # 2^4 3 5 7, with phi(1680) = 384.
+        cands = phi_inverse_candidates(400)
+        assert len(cands) == 790 and cands[-1] == 1680
 
 
 class TestResultant:

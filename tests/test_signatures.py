@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import os
@@ -20,7 +21,7 @@ from knotconc.errors import (
     PreconditionUnverifiable,
     TrivialAngle,
 )
-from knotconc.exactpoly import IntPolynomial, chebyshev_form
+from knotconc.exactpoly import IntPolynomial, chebyshev_form, cyclotomic_factor_extract
 from knotconc.seifert import (
     FIGURE_EIGHT,
     TREFOIL,
@@ -108,6 +109,52 @@ class TestAtJump:
     def test_trivial_angle_rejected(self):
         with pytest.raises(TrivialAngle):
             at_jump(TREFOIL, UnitRootArg(0, 1))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(rows=seifert_rows(max_genus=4), summand=st.sampled_from([None, 3, 5, 7]))
+    def test_matches_long_division(self, rows, summand):
+        # Every order up to past the oracle's bound, as a reduced fraction
+        # for odd q and an unreduced one for even q, and two orders far past.
+        V = SeifertMatrix(rows)
+        if summand is not None:
+            V = connected_sum(V, torus_2q(summand))
+        delta = alexander(V)
+        for q in list(range(2, 2 * delta.degree() ** 2 + 3)) + [2**50 + 1, 2**61 - 1]:
+            w = UnitRootArg(q - 1, q) if q % 2 else UnitRootArg(3, 3 * q)
+            assert at_jump(V, w) is _divides_by_long_division(delta, q), q
+
+
+def _long_division(f, g):
+    """(quotient, remainder) of f by a monic g, ascending coefficient lists."""
+    f, dg = list(f), len(g) - 1
+    quotient = [0] * max(0, len(f) - dg)
+    for i in range(len(f) - dg - 1, -1, -1):
+        quotient[i] = c = f[i + dg]
+        for j, x in enumerate(g):
+            f[i + j] -= c * x
+    return quotient, f[:dg]
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_division(n):
+    """Phi_n: t^n - 1 divided by every Phi_d, d | n, d < n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f, remainder = _long_division(f, _cyclotomic_by_division(d))
+            assert not any(remainder)
+    return tuple(f)
+
+
+def _divides_by_long_division(delta, q):
+    """Phi_q | Delta, by long division; shares no code with at_jump's
+    cyclotomic split.  phi(q) >= sqrt(q/2), so past q = 2 deg(Delta)^2 no
+    Phi_q divides Delta."""
+    degree = delta.degree()
+    if degree < 1 or q > 2 * degree**2:
+        return False
+    phi = _cyclotomic_by_division(q)
+    return len(phi) - 1 <= degree and not any(_long_division(delta.coeffs, phi)[1])
 
 
 class TestTLSignature:
@@ -305,6 +352,36 @@ class TestJumpStepProperties:
         assert all(abs(j.ccw_step) == 2 for j in report.jumps if j.simple)
         # -1 is never a root: Delta(-1) is odd for a knot.
         assert report.sigma_at_minus_one == numeric_signature(V, 1, 2)
+
+
+class TestParity:
+    """Delta(1) = +-1 and Delta(-1) = Delta(1) (mod 2), so neither 1 nor -1
+    is a root of Delta, and no split holds Phi_1 or Phi_2."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=seifert_rows(max_genus=4))
+    def test_delta_at_minus_one_is_odd(self, rows):
+        delta = alexander(SeifertMatrix(rows))
+        assert delta(-1) % 2 == 1
+        factors, _ = cyclotomic_factor_extract(delta)
+        assert not {1, 2} & {n for n, _ in factors}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        summands=st.lists(st.tuples(st.sampled_from([3, 5, 7, 9]), st.booleans()), max_size=3),
+        unit=st.booleans(),
+    )
+    def test_jump_steps_evaluate_minus_one(self, summands, unit):
+        # Sums of T(2,s) and their mirrors, optionally with Delta = t: Delta
+        # is cyclotomic up to a unit, and sigma(-1) is the sum of the +-(s-1).
+        V = SeifertMatrix([[-2, 1], [0, 0]]) if unit else UNKNOT
+        for s, mirrored in summands:
+            V = connected_sum(V, mirror(torus_2q(s)) if mirrored else torus_2q(s))
+        report = jump_step_check(V, math.lcm(*(s for s, _ in summands)))
+        assert type(report.sigma_at_minus_one) is int
+        assert report.sigma_at_minus_one == sum(
+            (1 - s if mirrored else s - 1) for s, mirrored in summands
+        )
 
 
 # Delta = 2t^2 - 3t + 2 has a unit-circle root at cos(theta) = 3/4; the two
