@@ -14,10 +14,11 @@ matrix, a Delta that is not an Alexander polynomial, a bad q, a witness
 order with no usable character modulus, or work past a size bound: a
 matrix past MAX_MATRIX_DIM rows, a --delta past degree MAX_DELTA_DEGREE,
 signature --q past MAX_SIGNATURE_Q, witness --q past MAX_WITNESS_Q, covers
---max-r past MAX_COVERS_R, witness --count past MAX_WITNESS_COUNT, a
-witness schedule past obstruction.MAX_SCHEDULE_DIGITS) or output that
-cannot be written; 3 HypothesisNotSatisfied, the obstruction hypothesis
-not satisfied; 4 any other KnotConcError, an internal assertion failure.
+--max-r past MAX_COVERS_R, a covers table past MAX_COVERS_DIGITS, witness
+--count past MAX_WITNESS_COUNT, a witness schedule past
+obstruction.MAX_SCHEDULE_DIGITS) or output that cannot be written; 3
+HypothesisNotSatisfied, the obstruction hypothesis not satisfied; 4 any
+other KnotConcError, an internal assertion failure.
 
 Exact results can pass Python's 4300-digit int-to-str limit, so the
 commands that print Delta or |H1| lift it once their input is parsed;
@@ -30,6 +31,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 
@@ -57,6 +59,16 @@ MAX_WITNESS_COUNT = 2000
 # 0.3 MB on that draw (2.8 s at r = 512), and 3.7 s and 1.0 MB on a genus-12
 # draw with entries up to 9 (in-process, Python 3.11, Intel Xeon).
 MAX_COVERS_R = 256
+
+# Largest covers table, in estimated digits of |H1|.  |Delta(zeta)| <=
+# |Delta|_1, the sum of |coefficients|, at each nontrivial r-th root of
+# unity, so |H1(Sigma_r)| <= |Delta|_1^(r-1) and a table up to R has at
+# most about (R-1)R/2 log10 |Delta|_1 digits.  MAX_COVERS_R leaves the size
+# of Delta open: on [[10^2200, 1], [0, 10^2200]] `--json covers` takes 3.5 s
+# at --max-r 24 (estimate 1.21M) and 6.9 s at 30 (1.91M), while 40
+# dimension-32 draws with entries up to 9 estimate at most 1.72M at --max-r
+# 256 (in-process, Python 3.11, Intel Xeon).
+MAX_COVERS_DIGITS = 2 * 10**6
 
 # Largest signature --q.  A profile locates its q/2 angles on their arcs,
 # about 20 us per angle, and eliminates once per arc: `--json signature
@@ -210,6 +222,14 @@ def cmd_covers(args):
     if not 2 <= args.max_r <= MAX_COVERS_R:
         raise InvalidInput("--max-r must be in 2..%d" % MAX_COVERS_R)
     name, delta = _delta_from_args(args)
+    # log10 |Delta|_1 from its bit length, cheap on 4400-digit coefficients
+    norm_digits = sum(map(abs, delta.coeffs)).bit_length() * math.log10(2)
+    digits = (args.max_r - 1) * args.max_r // 2 * norm_digits
+    if digits > MAX_COVERS_DIGITS:
+        raise SizeLimit(
+            "covers --max-r %d would reach about %d digits of |H1| "
+            "((R-1)R/2 * log10 |Delta|_1), past %d" % (args.max_r, digits, MAX_COVERS_DIGITS)
+        )
     with _exact_output():
         rs = range(2, args.max_r + 1)
         rows = [

@@ -23,9 +23,9 @@ the real integer p_(k-1) is exact, and p_k is the k-th leading principal
 minor of H so reordered.  The k-th pivot of its LDL^* factorization is
 p_k / p_(k-1), with the sign of p_k p_(k-1) (Jacobi's rule), and by
 Sylvester's law of inertia these signs add up to the inertia of H.  When
-every remaining diagonal entry is 0 but h_cj is not, adding u times row j
-to row c and conj(u) times column j to column c makes h_cc = 2 Re(u h_jc):
-2 Re h_cj with u = 1, else 2 Im h_cj with u = i.  That is a congruence of H
+every remaining diagonal entry is 0 but h_cj is not, adding u = h_cj times
+row j to row c and conj(u) times column j to column c makes h_cc =
+2 Re(u h_jc) = 2|h_cj|^2 > 0, the next pivot.  That is a congruence of H
 which leaves the rows already eliminated, and so the earlier minors, as they
 are.  A remainder of zeros is the kernel of a singular form.
 
@@ -203,20 +203,15 @@ def _form_inertia(sym, skew, a, b):
             if pair is None:
                 break  # the rest is 0: the form is singular
             c, j = pair
-            if re[c][j]:  # u = 1: h_cc becomes 2 Re h_cj
-                re[c] = [x + y for x, y in zip(re[c], re[j])]
-                im[c] = [x + y for x, y in zip(im[c], im[j])]
-                for rrow, irow in zip(re, im):
-                    rrow[c] += rrow[j]
-                    irow[c] += irow[j]
-            else:  # u = i: h_cc becomes 2 Im h_cj
-                re[c], im[c] = (
-                    [x - y for x, y in zip(re[c], im[j])],
-                    [x + y for x, y in zip(im[c], re[j])],
-                )
-                for rrow, irow in zip(re, im):  # column c minus i column j
-                    rrow[c] += irow[j]
-                    irow[c] -= rrow[j]
+            x, y = re[c][j], im[c][j]  # u = h_cj = x + iy
+            re[c], im[c] = (  # row c plus u row j
+                [r + x * rj - y * ij for r, rj, ij in zip(re[c], re[j], im[j])],
+                [s + x * ij + y * rj for s, rj, ij in zip(im[c], re[j], im[j])],
+            )
+            for rrow, irow in zip(re, im):  # column c plus conj(u) column j
+                rj, ij = rrow[j], irow[j]
+                rrow[c] += x * rj + y * ij
+                irow[c] += x * ij - y * rj
         k = min((i for i in range(n) if re[i][i]), key=lambda i: abs(re[i][i]))
         d = re[k][k]
         rk, ik = re.pop(k), im.pop(k)  # row k: h_kj = rk[j] + i ik[j]

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import HypothesisNotSatisfied, InvalidInput, KnotConcError
 from knotconc.seifert import SeifertMatrix
 
-from conftest import seifert_rows
+from conftest import random_seifert, seifert_rows
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
 UNKNOT_TEXT = "{\"name\": \"unknot\", \"matrix\": []}"
@@ -162,6 +163,32 @@ class TestCovers:
         r = cli.MAX_COVERS_R
         with pytest.raises(AssertionError, match="max r = %d" % r):
             main(["covers", "--delta=1,-1,1", "--max-r", str(r)])
+
+    def test_table_past_digit_bound_exit_2_before_any_work(self, capsys, monkeypatch):
+        # |Delta|_1 of [[10^2200, 1], [0, 10^2200]] has 4401 digits, so the
+        # table to r = 32 would reach about 496 * 4401 digits.
+        def refuse(*args):
+            raise AssertionError("cover orders were computed")
+
+        monkeypatch.setattr(covers, "cover_orders", refuse)
+        argv = ["covers", "--max-r", "32", "-"]
+        code, out, err = run(capsys, argv, stdin=TestLongIntegers.DOC, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: covers --max-r 32 would reach about 21")
+        assert err.endswith(", past %d\n" % cli.MAX_COVERS_DIGITS)
+
+    def test_digit_bound_admits_dimension_32_at_max_r(self, monkeypatch):
+        # A dense dimension-32 draw with entries up to 9 estimates about
+        # 1.7M digits at r = 256, inside the bound.
+        def reached(delta, rs):
+            raise AssertionError("cover_orders(max r = %d)" % max(rs))
+
+        monkeypatch.setattr(covers, "cover_orders", reached)
+        rows = random_seifert(random.Random(0), cli.MAX_MATRIX_DIM // 2, 9).rows
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"matrix": rows})))
+        r = cli.MAX_COVERS_R
+        with pytest.raises(AssertionError, match="max r = %d" % r):
+            main(["covers", "--max-r", str(r), "-"])
 
 
 class TestInputSizeBounds:
@@ -716,6 +743,12 @@ class TestLongIntegers:
     def test_classify(self, capsys, monkeypatch):
         doc = self.run_json(capsys, monkeypatch, ["--json", "classify", "-"])
         assert doc["witness_cover"] == {"r": "2", "order": self.DELTA_MINUS_1}
+
+    def test_covers_at_the_default_max_r(self, capsys, monkeypatch):
+        # About 66 * 4401 digits at r <= 12: inside MAX_COVERS_DIGITS.
+        doc = self.run_json(capsys, monkeypatch, ["--json", "covers", "-"])
+        assert [row["r"] for row in doc["covers"]] == [str(r) for r in range(2, 13)]
+        assert doc["covers"][0]["order"] == self.DELTA_MINUS_1
 
 
 def _is_odd_prime_power(q):
