@@ -4,32 +4,24 @@ Exact computation of Alexander polynomials, cyclic branched cover homology
 orders, cyclotomic classification of which covers are homology spheres,
 certified Tristram-Levine signatures, and greedy witness schedules
 separating infinitely many knots that share a Seifert matrix.
+
+The package exports the names that the README's library overview lists;
+everything else is imported from its module.
 """
 
 from .covers import (
     ClassificationReport,
     HomologyOrder,
     classify_prime_power_covers,
-    cover_order,
+    cover_orders,
 )
-from .exactpoly import (
-    IntPolynomial,
-    cyclotomic,
-    cyclotomic_factor_extract,
-    distinct_prime_factors,
-    phi_inverse_candidates,
-    resultant,
-    t_power_minus_one,
-    totient,
-)
+from .exactpoly import IntPolynomial, cyclotomic, cyclotomic_factor_extract, resultant
 from .obstruction import (
     FamilyParameters,
     FamilyReport,
     ScheduleEntry,
     WitnessSchedule,
     family_report,
-    profile_extremes,
-    sum_range,
     verify_separation,
     witness_schedule,
 )
@@ -50,7 +42,6 @@ from .signatures import (
     SignatureProfile,
     UnitRootArg,
     at_jump,
-    jump_step_check,
     signature_profile,
     tl_signature,
     verify_torus_lemma,

@@ -39,7 +39,7 @@ from . import covers, exactpoly, obstruction, signatures
 from .errors import HypothesisNotSatisfied, InvalidInput, KnotConcError, SizeLimit
 from .exactpoly import distinct_prime_factors, factorize, parse_coefficients
 from .seifert import SeifertMatrix, alexander, torus_2q
-from .signatures import JUMP, UnitRootArg
+from .signatures import JUMP
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -97,13 +97,13 @@ MAX_WITNESS_Q = exactpoly.TRIAL_DIVISION_BOUND**2
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise InvalidInput("cannot read %s: %s" % (path, exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput("cannot read %s: %s" % ("stdin" if path == "-" else path, exc))
 
 
 def parse_matrix_document(text):
@@ -112,7 +112,7 @@ def parse_matrix_document(text):
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting
             raise InvalidInput("invalid JSON document: %s" % exc)
         if not isinstance(doc, dict) or "matrix" not in doc:
             raise InvalidInput('JSON document must have a "matrix" field')

@@ -80,7 +80,9 @@ class Record:
 
 
 class IntPolynomial(Record):
-    """Integer polynomial in canonical dense form.
+    """Integer polynomial in canonical dense form: coefficients, evaluation,
+    exact division by a monic divisor, and formatting.  It has no ring
+    operators; the library computes on coefficient lists.
 
     The coefficient tuple has no trailing zero; the zero polynomial is the
     empty tuple.  Instances are immutable and hashable, and pickle and copy
@@ -131,59 +133,6 @@ class IntPolynomial(Record):
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = IntPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction and complex values."""
@@ -254,16 +203,6 @@ def parse_coefficients(text):
     if not parts:
         raise ValueError("empty coefficient list")
     return IntPolynomial([int(p) for p in parts])
-
-
-def t_power_minus_one(r):
-    """t^r - 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    coeffs = [0] * (r + 1)
-    coeffs[0] = -1
-    coeffs[r] = 1
-    return IntPolynomial(coeffs)
 
 
 # -- integer helpers ------------------------------------------------------

@@ -408,9 +408,6 @@ class SignatureProfile(Record):
     def non_jump_values(self):
         return [v for v in self.values.values() if v is not JUMP]
 
-    def jump_angles(self):
-        return [a for a, v in self.values.items() if v is JUMP]
-
 
 def signature_profile(V, q):
     """Tristram-Levine signatures of V at all q-th roots of unity except 1."""

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import strategies as st
 
 from knotconc.exactpoly import (
+    IntPolynomial,
     cyclotomic,
     prime_power_decomposition,
     resultant,
-    t_power_minus_one,
     totient,
 )
 from knotconc.seifert import SeifertMatrix
+from knotconc.signatures import JUMP
 
 
 def random_seifert(rng, genus, bound=2):
@@ -43,6 +44,52 @@ def seifert_rows(draw, max_genus=3):
     for i in range(0, n, 2):
         rows[i + 1][i] -= 1
     return rows
+
+
+# -- polynomial oracles ----------------------------------------------------
+# IntPolynomial has no ring operators; the tests build their sums, products
+# and powers here, on coefficient tuples, with no library code beyond the
+# constructor.  An int stands for a constant polynomial.
+
+
+def _coeffs(p):
+    return (p,) if isinstance(p, int) else p.coeffs
+
+
+def poly_add(*polys):
+    out = []
+    for p in polys:
+        c = _coeffs(p)
+        out += [0] * (len(c) - len(out))
+        for i, x in enumerate(c):
+            out[i] += x
+    return IntPolynomial(out)
+
+
+def poly_mul(*polys):
+    out = [1]
+    for p in polys:
+        c = _coeffs(p)
+        prod = [0] * (len(out) + len(c) - 1) if c else []
+        for i, x in enumerate(out):
+            for j, y in enumerate(c):
+                prod[i + j] += x * y
+        out = prod
+    return IntPolynomial(out)
+
+
+def poly_pow(p, n):
+    return poly_mul(*[p] * n)
+
+
+def t_power_minus_one(r):
+    """t^r - 1."""
+    return IntPolynomial([-1] + [0] * (r - 1) + [1])
+
+
+def jump_angles(profile):
+    """The a of a signature profile's values that sit at Alexander roots."""
+    return [a for a, v in profile.values.items() if v is JUMP]
 
 
 @pytest.fixture

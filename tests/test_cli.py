@@ -19,7 +19,7 @@ from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import HypothesisNotSatisfied, InvalidInput, KnotConcError
 from knotconc.seifert import SeifertMatrix
 
-from conftest import random_seifert, seifert_rows
+from conftest import poly_mul, random_seifert, seifert_rows
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
 UNKNOT_TEXT = "{\"name\": \"unknot\", \"matrix\": []}"
@@ -251,6 +251,16 @@ class TestInputSizeBounds:
 
 
 class TestClassify:
+    def test_witness_search_exhausted_exit_4(self, capsys, monkeypatch):
+        # Lehmer's polynomial has its first witness cover at r = 4.
+        monkeypatch.setattr(covers, "DEFAULT_WITNESS_BOUND", 3)
+        code, out, err = run(capsys, ["classify", "--delta=1,1,0,-1,-1,-1,-1,-1,0,1,1"])
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal assertion failed: WitnessSearchExhausted: "
+            "no prime power cover with nontrivial homology found up to 3\n"
+        )
+
     def test_trefoil(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["--json", "classify", trefoil_file])
         assert code == 0
@@ -296,9 +306,10 @@ class TestClassify:
     )
     def test_delta_split_has_no_phi_one_or_two(self, half, indices, shift, sign):
         # A palindrome with Delta(1) = 1, times Phi_n with Phi_n(1) = 1, +-t^k.
-        delta = exactpoly.IntPolynomial(half + [1 - 2 * sum(half)] + half[::-1])
-        for n in indices:
-            delta = delta * exactpoly.cyclotomic(n)
+        delta = poly_mul(
+            exactpoly.IntPolynomial(half + [1 - 2 * sum(half)] + half[::-1]),
+            *[exactpoly.cyclotomic(n) for n in indices],
+        )
         coeffs = [0] * shift + [sign * c for c in delta.coeffs]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -660,6 +671,36 @@ class TestExitStatuses:
         )
         assert (code, out) == (2, "")
         assert err == 'error: "name" must be a string\n'
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        # json.loads raises RecursionError past the interpreter's depth.
+        path = tmp_path / "deep.json"
+        path.write_text('{"matrix": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run(capsys, ["alexander", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON document: ")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1 -1\n0 1\n")
+        code, out, err = run(capsys, ["alexander", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read %s: 'utf-8' codec" % path)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "errors, message",
+        [("strict", "error: cannot read stdin: "), ("surrogateescape", "error: cannot parse")],
+    )
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch, errors, message):
+        # The interpreter decodes stdin with surrogateescape in the C and
+        # C.UTF-8 locales, and strictly in others such as en_US.UTF-8.
+        raw = io.BytesIO(b"\xff\xfe1 -1\n0 1\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, "utf-8", errors))
+        code, out, err = run(capsys, ["alexander", "-"])
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_bad_delta_text_exit_2(self, capsys):
         code, out, err = run(capsys, ["covers", "--delta", "1,x,1"])

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import cyclotomic_product_identity, random_seifert
+from conftest import cyclotomic_product_identity, poly_mul, random_seifert, t_power_minus_one
+from knotconc import covers
 from knotconc.covers import (
     ClassificationReport,
     HomologyOrder,
@@ -13,6 +14,7 @@ from knotconc.covers import (
 from knotconc.errors import (
     NotAPrimePower,
     NotAKnotPolynomial,
+    WitnessSearchExhausted,
 )
 from knotconc.exactpoly import (
     IntPolynomial,
@@ -20,7 +22,6 @@ from knotconc.exactpoly import (
     factorize,
     prime_power_decomposition,
     resultant,
-    t_power_minus_one,
     totient,
 )
 from knotconc.seifert import (
@@ -34,6 +35,8 @@ from knotconc.seifert import (
 P = IntPolynomial
 
 TREFOIL_DELTA = P([1, -1, 1])
+# Lehmer's polynomial: cyclotomic-free, |H_1| = 1 for r = 2 and 3, 9 for r = 4.
+LEHMER_DELTA = P([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 FIG8_DELTA = P([-1, 3, -1])
 
 
@@ -83,13 +86,13 @@ class TestCoverOrder:
 
     def test_infinite_iff_cyclotomic_root(self):
         # Delta divisible by phi_6: infinite exactly when 6 | r.
-        delta = TREFOIL_DELTA * TREFOIL_DELTA
+        delta = poly_mul(TREFOIL_DELTA, TREFOIL_DELTA)
         assert not cover_order(delta, 6).is_finite
         assert not cover_order(delta, 12).is_finite
         assert cover_order(delta, 4).is_finite
 
     def test_cover_orders_match_cover_order(self):
-        delta = TREFOIL_DELTA * FIG8_DELTA
+        delta = poly_mul(TREFOIL_DELTA, FIG8_DELTA)
         rs = [6, 2, 12, 5, 2, 1]
         assert list(cover_orders(delta, rs)) == [cover_order(delta, r) for r in rs]
 
@@ -131,7 +134,7 @@ class TestClassifier:
     def test_unit_remainder_required(self):
         # Remainder 2t^2 - 3t + 2 is not a unit, so some cover must be
         # nontrivial.
-        delta = cyclotomic(30) * P([2, -3, 2])
+        delta = poly_mul(cyclotomic(30), P([2, -3, 2]))
         assert delta(1) == 1
         report = classify_prime_power_covers(delta)
         assert not report.all_prime_power_covers_trivial
@@ -142,7 +145,7 @@ class TestClassifier:
     def test_non_symmetric_remainder_refused(self):
         # phi_30 (3t - 2) has Delta(1) = 1 but is no Alexander polynomial:
         # it is not symmetric up to +-t^k.
-        delta = cyclotomic(30) * P([-2, 3])
+        delta = poly_mul(cyclotomic(30), P([-2, 3]))
         assert delta(1) == 1
         with pytest.raises(NotAKnotPolynomial, match="symmetric"):
             classify_prime_power_covers(delta)
@@ -169,7 +172,7 @@ class TestClassifier:
         assert report.non_cyclotomic_remainder == P([0, 1])
 
     def test_t_power_times_three_prime_cyclotomic(self):
-        delta = cyclotomic(30) * P([0, 0, -1])
+        delta = poly_mul(cyclotomic(30), P([0, 0, -1]))
         report = classify_prime_power_covers(delta)
         assert report.cyclotomic_factors == ((30, 1),)
         assert report.non_cyclotomic_remainder == P([0, 0, -1])
@@ -178,7 +181,7 @@ class TestClassifier:
         assert report.witness_cover is None
 
     def test_t_power_times_non_unit_has_witness(self):
-        report = classify_prime_power_covers(TREFOIL_DELTA * P([0, 1]))
+        report = classify_prime_power_covers(poly_mul(TREFOIL_DELTA, P([0, 1])))
         assert not report.all_prime_power_covers_trivial
         wr, worder = report.witness_cover
         assert (wr, worder.value) == (2, 3)
@@ -192,6 +195,15 @@ class TestClassifier:
         report = classify_prime_power_covers(delta)
         assert report.all_prime_power_covers_trivial and report.all_covers_trivial
         assert all(order.value == 1 for order in cover_orders(delta, range(2, 65)))
+
+    def test_lehmer_first_witness_is_four(self):
+        r, order = classify_prime_power_covers(LEHMER_DELTA).witness_cover
+        assert (r, order.value) == (4, 9)
+
+    def test_witness_search_exhausted_below_the_first_witness(self, monkeypatch):
+        monkeypatch.setattr(covers, "DEFAULT_WITNESS_BOUND", 3)
+        with pytest.raises(WitnessSearchExhausted, match="found up to 3$"):
+            classify_prime_power_covers(LEHMER_DELTA)
 
 
 class TestProductIdentity:

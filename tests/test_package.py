@@ -1,0 +1,68 @@
+"""The package's own source: no module imports a name it never uses, and the
+package namespace exports exactly the README's list."""
+
+import ast
+import pathlib
+import re
+import types
+
+import knotconc
+
+SRC = pathlib.Path(knotconc.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def unused_imports(source):
+    """Names that source imports, outside `from __future__`, and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b, c as d\nd()\n"
+    assert unused_imports(source) == [(2, "os"), (3, "b")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; the README test pins those names.
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def readme_exports():
+    """{module: [names]} from the README's list of package exports."""
+    text = README.read_text()
+    start = text.index("The package `knotconc` exports")
+    block = text[start:].split("\n\n")[1]
+    exports = {}
+    for item in block.split("\n- "):
+        module, names = item.lstrip("- ").split(":", 1)
+        exports[module.strip("`")] = re.findall(r"`(\w+)`", names)
+    return exports
+
+
+def test_exports_are_the_readme_list():
+    exports = readme_exports()
+    public = {
+        name
+        for name, value in vars(knotconc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name for names in exports.values() for name in names}
+    for module, names in exports.items():
+        owner = getattr(knotconc, module)
+        for name in names:
+            assert getattr(knotconc, name) is getattr(owner, name), (module, name)

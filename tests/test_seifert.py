@@ -4,7 +4,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_seifert
+from conftest import poly_mul, poly_pow, random_seifert
 from knotconc.errors import BadTorusParameter, InvalidSeifertMatrix
 from knotconc.exactpoly import IntPolynomial, integer_determinant
 from knotconc.seifert import (
@@ -203,17 +203,17 @@ class TestConnectedSum:
     def test_trefoil_square(self):
         V = connected_sum(TREFOIL, TREFOIL)
         assert V.dim == 4
-        assert alexander(V) == P([1, -1, 1]) * P([1, -1, 1])
+        assert alexander(V) == poly_mul(P([1, -1, 1]), P([1, -1, 1]))
 
     def test_trefoil_figure_eight(self):
         V = connected_sum(TREFOIL, FIGURE_EIGHT)
-        assert alexander(V) == P([1, -1, 1]) * P([-1, 3, -1])
+        assert alexander(V) == poly_mul(P([1, -1, 1]), P([-1, 3, -1]))
 
     def test_multiplicativity(self, rng):
         for _ in range(50):
             V1 = random_seifert(rng, rng.randint(1, 2))
             V2 = random_seifert(rng, rng.randint(1, 2))
-            assert alexander(connected_sum(V1, V2)) == alexander(V1) * alexander(V2)
+            assert alexander(connected_sum(V1, V2)) == poly_mul(alexander(V1), alexander(V2))
 
 
 class TestMirror:
@@ -276,4 +276,4 @@ class TestMultiple:
     def test_three(self):
         V = multiple(TREFOIL, 3)
         assert V.dim == 6
-        assert alexander(V) == P([1, -1, 1]) ** 3
+        assert alexander(V) == poly_pow(P([1, -1, 1]), 3)

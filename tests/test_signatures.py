@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import knotconc
 
-from conftest import random_seifert, seifert_rows
+from conftest import jump_angles, poly_mul, random_seifert, seifert_rows
 from knotconc.errors import (
     JumpPoint,
     LemmaViolation,
@@ -233,12 +233,12 @@ class TestProfile:
     def test_trefoil_q6(self):
         profile = signature_profile(TREFOIL, 6)
         assert profile.values == {1: JUMP, 2: 2, 3: 2, 4: 2, 5: JUMP}
-        assert profile.jump_angles() == [1, 5]
+        assert jump_angles(profile) == [1, 5]
         assert profile.non_jump_values() == [2, 2, 2]
 
     def test_figure_eight_q8(self):
         profile = signature_profile(FIGURE_EIGHT, 8)
-        assert profile.jump_angles() == []
+        assert jump_angles(profile) == []
         assert all(v in (-1, 0, 1) or v % 2 == 0 for v in profile.non_jump_values())
         # Conjugation symmetry within a profile.
         for a in range(1, 8):
@@ -255,7 +255,7 @@ class TestTorusLemma:
             report = verify_torus_lemma(q)
             assert report.min_value >= 2
             assert report.sigma_at_minus_one == q - 1
-            assert report.profile.jump_angles() == []
+            assert jump_angles(report.profile) == []
 
     @pytest.mark.parametrize("q", list(range(3, 32, 2)) + [49])
     def test_closed_form_matches_elimination(self, q):
@@ -319,7 +319,7 @@ class TestJumpSteps:
     def test_t_power_factor_is_a_unit(self):
         # [[-2, 1], [0, 0]] has Delta = t, a unit: the trefoil's jumps remain.
         V = connected_sum(SeifertMatrix([[-2, 1], [0, 0]]), TREFOIL)
-        assert alexander(V) == alexander(TREFOIL) * IntPolynomial([0, 1])
+        assert alexander(V) == poly_mul(alexander(TREFOIL), IntPolynomial([0, 1]))
         report = jump_step_check(V, 3)
         steps = [(j.numerator, j.denominator, j.ccw_step) for j in report.jumps]
         assert steps == [(1, 6, 2), (5, 6, -2)]
@@ -813,11 +813,9 @@ class TestArcs:
     def test_sturm_sequence_counts_known_roots(self, halves, quadratics, sign):
         # D = sign * prod(2x - k) * prod(c0 + c1 x + c2 x^2), the quadratics
         # without real roots: its roots in (-2, 2) are the distinct k/2.
-        d = IntPolynomial([sign])
-        for k in halves:
-            d = d * IntPolynomial([-k, 2])
-        for c in quadratics:
-            d = d * IntPolynomial(c)
+        d = poly_mul(
+            sign, *[IntPolynomial([-k, 2]) for k in halves], *map(IntPolynomial, quadratics)
+        )
         seq = signatures._sturm_sequence(list(d.coeffs))
         assert _roots_in_open_interval(seq) == len(set(halves))
 
@@ -888,7 +886,7 @@ class TestEliminationCounts:
     def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
         calls = _counting(monkeypatch, "_form_inertia")
         profile = signature_profile(FIGURE_EIGHT, 12)
-        assert profile.jump_angles() == []
+        assert jump_angles(profile) == []
         assert len(calls["_form_inertia"]) == 1
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
