@@ -119,7 +119,13 @@ def parse_matrix_document(text):
         name = doc.get("name", "matrix")
         if not isinstance(name, str):
             raise InvalidInput('"name" must be a string')
+        try:
+            name.encode("utf-8")  # "\ud800" decodes, but cannot be printed
+        except UnicodeEncodeError:
+            raise InvalidInput('"name" must not hold a lone surrogate') from None
         rows = doc["matrix"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise InvalidInput('"matrix" must be an array of arrays')
     else:
         rows = []
         for line in text.splitlines():
@@ -292,10 +298,7 @@ def cmd_classify(args):
         )
         lines.append("all covers are homology spheres: %s" % report.all_covers_trivial)
         if witness is not None:
-            lines.append(
-                "witness cover: r = %d with |H1| = %s"
-                % (witness["r"], "infinite" if witness["order"] is None else witness["order"])
-            )
+            lines.append("witness cover: r = %(r)d with |H1| = %(order)d" % witness)
         _emit(args, doc, lines)
     return EXIT_OK
 
@@ -526,14 +529,6 @@ def main(argv=None):
         return EXIT_INVALID_INPUT
     except HypothesisNotSatisfied as exc:
         print("hypothesis not satisfied: %s" % exc, file=sys.stderr)
-        cls = exc.classification
-        if cls is not None:
-            print(
-                "classification: all_prime_power_covers_trivial=%s "
-                "all_covers_trivial=%s"
-                % (cls.all_prime_power_covers_trivial, cls.all_covers_trivial),
-                file=sys.stderr,
-            )
         return EXIT_HYPOTHESIS
     except KnotConcError as exc:
         print("internal assertion failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -25,7 +25,10 @@ symmetric up to +-t^k is no Alexander polynomial and is refused.
 
 Infinite homology is a zero norm, detected exactly: Res(Psi_d, D) = 0
 exactly when Psi_d divides D, that is when Phi_d divides Delta_0, so an
-order is infinite iff the product of its norms is 0.  `cover_orders`
+order is infinite iff the product of its norms is 0.  A prime-power cover
+never has infinite homology: Phi_(p^j)(1) = p, so Phi_(p^j) dividing Delta
+would make p divide Delta(1) = +-1.  The witness cover is the least prime
+power r with |H_1| != 1, found by one ascending walk.  `cover_orders`
 validates Delta once per call; D is formed once and each Res(Psi_d, D)
 computed at most once per call, so a table of covers, or the witness
 search, shares that work.
@@ -130,8 +133,7 @@ def classify_prime_power_covers(delta):
     distinct primes; all covers are homology spheres iff delta = +-t^k.
     Delta and the remainder are judged up to the units +-t^k of Z[t, 1/t],
     which leave every cover order unchanged.  When the prime-power verdict
-    is false, a witness cover with |H_1| != 1 is located by ascending search
-    over prime powers.
+    is false, the witness is the least prime power r with |H_1| != 1.
     """
     D = _knot_chebyshev_form(delta)
     factors, remainder = cyclotomic_factor_extract(delta)
@@ -141,7 +143,7 @@ def classify_prime_power_covers(delta):
     all_trivial = delta.is_laurent_unit()
     witness = None
     if not all_pp_trivial:
-        witness = _find_witness_cover(D, factors)
+        witness = _find_witness_cover(D)
     return ClassificationReport(
         cyclotomic_factors=tuple(factors),
         non_cyclotomic_remainder=remainder,
@@ -151,30 +153,12 @@ def classify_prime_power_covers(delta):
     )
 
 
-def _witness_candidates(factors):
-    """Prime powers up to DEFAULT_WITNESS_BOUND, the promising ones first,
-    generated lazily."""
-    # Prime powers p^k with p dividing a surviving cyclotomic index with
-    # at most two distinct primes are the theoretically promising covers;
-    # try them first, then everything else ascending.
-    priority = set()
-    for n, _mult in factors:
-        primes = distinct_prime_factors(n)
-        if len(primes) <= 2:
-            for p in primes:
-                pk = p
-                while pk <= DEFAULT_WITNESS_BOUND:
-                    priority.add(pk)
-                    pk *= p
-    yield from sorted(priority)
-    for r in range(2, DEFAULT_WITNESS_BOUND + 1):
-        if r not in priority and len(factorize(r)) == 1:
-            yield r
-
-
-def _find_witness_cover(D, factors):
-    for r, order in _orders(D, _witness_candidates(factors)):
-        if not order.is_finite or order.value != 1:
+def _find_witness_cover(D):
+    prime_powers = (
+        r for r in range(2, DEFAULT_WITNESS_BOUND + 1) if len(factorize(r)) == 1
+    )
+    for r, order in _orders(D, prime_powers):
+        if order.value != 1:
             return (r, order)
     raise WitnessSearchExhausted(
         "no prime power cover with nontrivial homology found up to %d"

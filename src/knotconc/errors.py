@@ -75,7 +75,3 @@ class SeparationFailure(KnotConcError):
 class HypothesisNotSatisfied(KnotConcError):
     """The Alexander polynomial does not obstruct: every prime power cover
     is a homology sphere, so no separating family can be built this way."""
-
-    def __init__(self, message, classification=None):
-        super().__init__(message)
-        self.classification = classification

@@ -257,10 +257,10 @@ def family_report(V, count, n0=0, q=None):
     delta = alexander(V)
     classification = classify_prime_power_covers(delta)
     if classification.all_prime_power_covers_trivial:
+        others = "and so is" if classification.all_covers_trivial else "though not"
         raise HypothesisNotSatisfied(
-            "all prime power branched covers are homology spheres; "
-            "Delta(t) = %s gives no obstruction" % delta,
-            classification=classification,
+            "all prime power branched covers are homology spheres, %s every "
+            "other cover; Delta(t) = %s gives no obstruction" % (others, delta)
         )
     witness_r, witness_order = classification.witness_cover
     if q is None:

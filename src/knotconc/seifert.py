@@ -14,38 +14,34 @@ Alexander polynomial at most once; both results are kept on the instance
 
 from __future__ import annotations
 
-import operator
-
 from .errors import BadTorusParameter, InvalidSeifertMatrix
-from .exactpoly import IntPolynomial, Record, integer_determinant, integer_solution
+from .exactpoly import (
+    IntPolynomial,
+    Record,
+    integer_determinant,
+    integer_solution,
+    integer_tuple,
+)
 
 
 class ValidityReport(Record):
     __slots__ = ("valid", "failures")  # bool, tuple of messages
 
 
-def _integer_row(row):
-    row = tuple(row)
-    if bool in map(type, row):
-        raise TypeError("true and false are not integer entries")
-    return tuple(map(operator.index, row))
-
-
 class SeifertMatrix:
     """Immutable integer matrix with Seifert-matrix validation.
 
     The 0x0 matrix is the unknot.  Construction only requires integer
-    entries: each goes through operator.index, so 0.5, 1.0 and "1" raise
-    TypeError rather than being truncated or parsed, and so do True and
-    False.  Use validate() (or any operation, which validates implicitly)
-    to check the Seifert invariants.  The validity report and the
-    Alexander polynomial are memoized on the instance.
+    entries, by exactpoly.integer_tuple's rule: 0.5, 1.0, "1", True and
+    False raise TypeError.  Use validate() (or any operation, which
+    validates implicitly) to check the Seifert invariants.  The validity
+    report and the Alexander polynomial are memoized on the instance.
     """
 
     __slots__ = ("rows", "_report", "_alexander")
 
     def __init__(self, rows=()):
-        object.__setattr__(self, "rows", tuple(map(_integer_row, rows)))
+        object.__setattr__(self, "rows", tuple(map(integer_tuple, rows)))
         object.__setattr__(self, "_report", None)
         object.__setattr__(self, "_alexander", None)
 

@@ -8,7 +8,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
 
 from conftest import cyclotomic_product_identity, poly_mul, random_seifert
 from knotconc.covers import classify_prime_power_covers, cover_order

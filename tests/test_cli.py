@@ -271,6 +271,12 @@ class TestClassify:
             {"n": 6, "multiplicity": 1, "distinct_primes": [2, 3]}
         ]
 
+    def test_witness_is_the_least_nontrivial_prime_power(self, capsys):
+        # Phi_15 (t^2 - 3t + 1): |H1| = 5 at r = 2, before Phi_15's r = 3.
+        code, out, err = run(capsys, ["classify", "--delta", "1,-4,4,0,-4,5,-4,0,4,-4,1"])
+        assert code == 0
+        assert out.endswith("\nwitness cover: r = 2 with |H1| = 5\n")
+
     def test_three_prime_index_is_trivial(self, capsys):
         # phi_30 ascending coefficients.
         code, out, err = run(
@@ -467,7 +473,11 @@ class TestWitness:
             capsys, ["witness", "-"], stdin=UNKNOT_TEXT, monkeypatch=monkeypatch
         )
         assert code == 3
-        assert "hypothesis not satisfied" in err
+        assert err == (
+            "hypothesis not satisfied: all prime power branched covers are "
+            "homology spheres, and so is every other cover; Delta(t) = 1 gives "
+            "no obstruction\n"
+        )
 
     def test_delta_t_exit_3(self, capsys, monkeypatch):
         code, out, err = run(
@@ -671,6 +681,46 @@ class TestExitStatuses:
         )
         assert (code, out) == (2, "")
         assert err == 'error: "name" must be a string\n'
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+    def test_lone_surrogate_name_exit_2(self, capsys, monkeypatch, mode):
+        # json.loads keeps "\ud800" as a lone surrogate, which UTF-8 output
+        # cannot encode.
+        doc = '{"name": "x\\ud800", "matrix": [[1, -1], [0, 1]]}'
+        code, out, err = run(capsys, mode + ["alexander"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == 'error: "name" must not hold a lone surrogate\n'
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "escaped, name", [("M\\u00f6bius", "M\u00f6bius"), ("\\ud83d\\ude00", "\U0001f600")]
+    )
+    def test_non_ascii_name_exit_0(self, capsys, monkeypatch, mode, escaped, name):
+        # A surrogate pair decodes to one character, which prints.
+        doc = '{"name": "%s", "matrix": [[1, -1], [0, 1]]}' % escaped
+        code, out, err = run(capsys, mode + ["alexander"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        if mode:
+            assert json.loads(out)["name"] == name
+        else:
+            assert out.startswith("name: %s\n" % name)
+            out.encode("utf-8")  # as a UTF-8 stdout does; a lone surrogate raises
+
+    @pytest.mark.parametrize(
+        "matrix", ["{}", '{"a": 1}', '"12"', "[1, 2]", '[[1, -1], "01"]', "null"]
+    )
+    def test_matrix_not_an_array_of_arrays_exit_2(self, capsys, monkeypatch, matrix):
+        # Iterating {} would read it as no rows, the unknot.
+        doc = '{"matrix": %s}' % matrix
+        code, out, err = run(capsys, ["--json", "alexander"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == 'error: "matrix" must be an array of arrays\n'
+
+    def test_empty_matrix_is_the_unknot(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, ["--json", "alexander"], stdin='{"matrix": []}', monkeypatch=monkeypatch
+        )
+        assert (code, json.loads(out)["dimension"]) == (0, 0)
 
     def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
         # json.loads raises RecursionError past the interpreter's depth.

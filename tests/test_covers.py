@@ -6,7 +6,6 @@ from conftest import cyclotomic_product_identity, poly_mul, random_seifert, t_po
 from knotconc import covers
 from knotconc.covers import (
     ClassificationReport,
-    HomologyOrder,
     classify_prime_power_covers,
     cover_order,
     cover_orders,
@@ -195,6 +194,14 @@ class TestClassifier:
         report = classify_prime_power_covers(delta)
         assert report.all_prime_power_covers_trivial and report.all_covers_trivial
         assert all(order.value == 1 for order in cover_orders(delta, range(2, 65)))
+
+    def test_witness_is_the_least_nontrivial_prime_power(self):
+        # Phi_15 first shows at r = 3 (|H_1| = 25), but the remainder
+        # t^2 - 3t + 1 already gives |Delta(-1)| = 5 at r = 2.
+        delta = poly_mul(cyclotomic(15), P([1, -3, 1]))
+        assert delta == P([1, -4, 4, 0, -4, 5, -4, 0, 4, -4, 1])
+        r, order = classify_prime_power_covers(delta).witness_cover
+        assert (r, order.value) == (2, 5)
 
     def test_lehmer_first_witness_is_four(self):
         r, order = classify_prime_power_covers(LEHMER_DELTA).witness_cover

@@ -6,6 +6,9 @@ Both determinant oracles eliminate over `Fraction` with code written here:
   and -V^t below it (Rolfsen, Knots and Links, ch. 8); det 0 means H_1 is
   infinite.
 - Res(f, g) is the determinant of the Sylvester matrix of f and g.
+The witness cover is checked as the least prime power r with
+|Res(t^r - 1, Delta)| != 1, from Sylvester determinants and Phi_n built
+here.
 The half-degree norms Res(Psi_d, D)^2 that `covers` uses are checked
 against the full-degree Res(phi_d, Delta), itself checked against the
 Sylvester determinant here.
@@ -21,9 +24,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_seifert
+from conftest import poly_mul, random_seifert
 from knotconc.cli import main
-from knotconc.covers import cover_orders
+from knotconc.covers import classify_prime_power_covers, cover_orders
 from knotconc.exactpoly import (
     IntPolynomial,
     chebyshev_form,
@@ -83,14 +86,6 @@ def sylvester(f, g):
     return rows
 
 
-def poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
 def block_sum(a, b):
     return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
 
@@ -139,13 +134,77 @@ coefficients = st.lists(st.integers(-6, 6), max_size=6)
     shared=st.none() | st.tuples(st.lists(st.integers(-3, 3), max_size=2), leading),
 )
 def test_resultant_matches_sylvester(f, g, shared):
-    f = f[0] + [f[1]]
-    g = g[0] + [g[1]]
+    f = IntPolynomial(f[0] + [f[1]])
+    g = IntPolynomial(g[0] + [g[1]])
     if shared is not None:
-        common = shared[0] + [shared[1]]
+        common = IntPolynomial(shared[0] + [shared[1]])
         f, g = poly_mul(f, common), poly_mul(g, common)
-    expected = fraction_det(sylvester(f, g))
-    assert resultant(IntPolynomial(f), IntPolynomial(g)) == expected
+    expected = fraction_det(sylvester(list(f.coeffs), list(g.coeffs)))
+    assert resultant(f, g) == expected
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _totient(n):
+    out = n
+    for p in _primes(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def _cyclotomic_coeffs(n):
+    """Phi_n: t^n - 1 divided exactly by Phi_d for each proper divisor d."""
+    c = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            divisor = _cyclotomic_coeffs(d)  # monic
+            quot = [0] * (len(c) - len(divisor) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c[i + len(divisor) - 1]
+                for j, x in enumerate(divisor):
+                    c[i + j] -= quot[i] * x
+            assert not any(c)
+            c = quot
+    return c
+
+
+# Phi_n(1) = 1 exactly when n has at least two distinct primes, and then
+# some prime-power cover is nontrivial only if n has at most two.
+TWO_PRIME_INDICES = [n for n in range(2, 91) if len(_primes(n)) == 2 and _totient(n) <= 24]
+
+
+def least_witness(coeffs):
+    """(r, |Res(t^r - 1, Delta)|) for the least prime power r where it is
+    not 1."""
+    for r in range(2, 513):
+        if len(_primes(r)) == 1:
+            order = abs(fraction_det(sylvester([-1] + [0] * (r - 1) + [1], coeffs)))
+            if order != 1:
+                return r, order
+    raise AssertionError("no witness up to 512")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    indices=st.lists(st.sampled_from(TWO_PRIME_INDICES), max_size=2),
+    half=st.lists(st.integers(-3, 3), max_size=2),
+    shift=st.integers(0, 2),
+    sign=st.sampled_from([1, -1]),
+)
+def test_witness_is_the_least_nontrivial_prime_power(indices, half, shift, sign):
+    # A palindrome with value 1 at t = 1 (the unit 1 when half is empty),
+    # times Phi_n for n with two primes, times +-t^k.
+    remainder = IntPolynomial(half + [1 - 2 * sum(half)] + half[::-1])
+    delta = poly_mul(remainder, *map(IntPolynomial, map(_cyclotomic_coeffs, indices)))
+    delta = IntPolynomial([0] * shift + [sign * c for c in delta.coeffs])
+    witness = classify_prime_power_covers(delta).witness_cover
+    if not indices and remainder.is_laurent_unit():
+        assert witness is None
+    else:
+        r, order = witness
+        assert (r, order.value) == least_witness(list(delta.coeffs))
 
 
 def test_covers_cli_past_int_str_limit(capsys):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,25 @@ class TestArithmetic:
         assert P([1, 2, 0, 0]).coeffs == (1, 2)
         assert P([0, 0]).coeffs == ()
         assert P().degree() == -1
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1.9, -1.2, 1.7], ["3", True], [1, 1.0], [False], [Fraction(1)], [None]]
+    )
+    def test_coefficients_must_be_integers(self, coeffs):
+        # int() would read [1.9, -1.2, 1.7] as the trefoil's t^2 - t + 1 and
+        # ["3", True] as t + 3.  SeifertMatrix shares the rule.
+        with pytest.raises(TypeError):
+            P(coeffs)
+        with pytest.raises(TypeError):
+            SeifertMatrix([coeffs])
+
+    def test_index_types_become_ints(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        assert P([Three(), 0]).coeffs == (3,) and type(P([Three()]).coeffs[0]) is int
+        assert P([5]) == 5 and P() == 0 and P([0, 1]) != 1
 
     def test_evaluation(self):
         f = P([1, -1, 1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconc import exactpoly
+from knotconc import exactpoly, obstruction
 from knotconc.covers import HomologyOrder
 from knotconc.errors import (
     BadTorusParameter,
@@ -333,7 +333,17 @@ class TestFamilyReport:
     def test_unknot_gives_no_obstruction(self):
         with pytest.raises(HypothesisNotSatisfied) as exc:
             family_report(UNKNOT, 1)
-        assert exc.value.classification.all_prime_power_covers_trivial
+        assert str(exc.value) == (
+            "all prime power branched covers are homology spheres, and so is "
+            "every other cover; Delta(t) = 1 gives no obstruction"
+        )
+
+    def test_three_prime_cyclotomic_gives_no_obstruction(self, monkeypatch):
+        # Phi_30 | Delta: the 30-fold cover has infinite H_1, every prime
+        # power cover is a homology sphere.
+        monkeypatch.setattr(obstruction, "alexander", lambda V: exactpoly.cyclotomic(30))
+        with pytest.raises(HypothesisNotSatisfied, match="spheres, though not every other cover;"):
+            family_report(UNKNOT, 1)
 
 
 class TestScheduleDigitBound:

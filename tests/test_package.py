@@ -1,5 +1,5 @@
-"""The package's own source: no module imports a name it never uses, and the
-package namespace exports exactly the README's list."""
+"""The package's own source and its tests: no module imports a name it never
+uses, and the package namespace exports exactly the README's list."""
 
 import ast
 import pathlib
@@ -9,7 +9,8 @@ import types
 import knotconc
 
 SRC = pathlib.Path(knotconc.__file__).parent
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+TESTS = pathlib.Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def unused_imports(source):
@@ -32,14 +33,23 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(2, "os"), (3, "b")]
 
 
-def test_no_module_imports_a_name_it_never_uses():
+def unused_imports_in(directory):
+    """{file name: unused_imports} over directory's modules, where any."""
     # __init__.py imports to re-export; the README test pins those names.
     found = {
         path.name: unused_imports(path.read_text())
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
         if path.name != "__init__.py"
     }
-    assert {name: hits for name, hits in found.items() if hits} == {}
+    return {name: hits for name, hits in found.items() if hits}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports_in(SRC) == {}
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    assert unused_imports_in(TESTS) == {}
 
 
 def readme_exports():
