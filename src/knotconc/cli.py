@@ -2,10 +2,11 @@
 
 Commands: alexander, covers, classify, signature, torus, witness.
 Input is a matrix document: either JSON with fields "name" and "matrix",
-or a bare whitespace-separated matrix (one row per line; blank lines and
-lines starting with '#' are ignored).  Machine mode (--json) emits a single
-JSON document with the same numeric content as the human output and no
-timestamps, so identical invocations are byte-identical.
+or a bare matrix (one row per line, its integers separated by commas or
+whitespace; blank lines and lines starting with '#' are ignored).  Machine
+mode (--json) emits a single JSON document with the same numeric content as
+the human output and no timestamps, so identical invocations are
+byte-identical.
 
 Exit statuses, read off the class of the error: 0 success, also when the
 reader closes stdout early (the rest of the output is dropped); 2
@@ -37,7 +38,7 @@ import sys
 
 from . import covers, exactpoly, obstruction, signatures
 from .errors import HypothesisNotSatisfied, InvalidInput, KnotConcError, SizeLimit
-from .exactpoly import distinct_prime_factors, factorize, parse_coefficients
+from .exactpoly import IntPolynomial, distinct_prime_factors, factorize
 from .seifert import SeifertMatrix, alexander, torus_2q
 from .signatures import JUMP
 
@@ -106,6 +107,18 @@ def _read_text(path):
         raise InvalidInput("cannot read %s: %s" % ("stdin" if path == "-" else path, exc))
 
 
+def _integers(text):
+    """The integers of a bare matrix row or a --delta, in fields separated
+    by commas or whitespace.  Like JSON, it refuses an empty field and an
+    integer that Python alone reads: with '_' or a non-ASCII digit."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("non-ASCII character or '_' in %r" % text)
+    fields = [field.split() for field in text.split(",")]
+    if not all(fields):
+        raise ValueError("empty field in %r" % text)
+    return [int(token) for field in fields for token in field]
+
+
 def parse_matrix_document(text):
     """Parse a JSON or bare-text matrix document into (name, SeifertMatrix)."""
     stripped = text.lstrip()
@@ -133,7 +146,7 @@ def parse_matrix_document(text):
             if not line or line.startswith("#"):
                 continue
             try:
-                rows.append([int(tok) for tok in line.replace(",", " ").split()])
+                rows.append(_integers(line))
             except ValueError:
                 raise InvalidInput("cannot parse matrix row: %r" % line)
         name = "matrix"
@@ -211,7 +224,7 @@ def _delta_from_args(args):
     checked by the covers functions that receive it."""
     if args.delta is not None:
         try:
-            delta = parse_coefficients(args.delta)
+            delta = IntPolynomial(_integers(args.delta))
         except ValueError as exc:
             raise InvalidInput("bad --delta: %s" % exc)
         if delta.degree() > MAX_DELTA_DEGREE:
@@ -327,20 +340,19 @@ def cmd_signature(args):
 
 
 def cmd_torus(args):
+    V = torus_2q(args.q)
     if args.verify:
         lemma = signatures.verify_torus_lemma(args.q)
-        V = lemma.matrix
-    else:
-        V = torus_2q(args.q)
     name = "T(2,%d)" % args.q
     doc = {"name": name, "matrix": [list(r) for r in V.rows]}
     lines = ["# %s" % name]
     lines += [" ".join(str(c) for c in row) for row in V.rows]
     if args.verify:
         steps = lemma.jump_steps
+        min_value = min(lemma.profile.non_jump_values())
         doc["verify"] = {
-            "min_signature": lemma.min_value,
-            "sigma_at_minus_one": lemma.sigma_at_minus_one,
+            "min_signature": min_value,
+            "sigma_at_minus_one": steps.sigma_at_minus_one,
             "lemma_holds": True,
             "jumps": [
                 {
@@ -352,8 +364,8 @@ def cmd_torus(args):
                 for j in steps.jumps
             ],
         }
-        lines.append("# min signature over a != 0: %d" % lemma.min_value)
-        lines.append("# sigma at omega = -1: %d" % lemma.sigma_at_minus_one)
+        lines.append("# min signature over a != 0: %d" % min_value)
+        lines.append("# sigma at omega = -1: %d" % steps.sigma_at_minus_one)
         lines.append("# lemma holds: true")
         for j in steps.jumps:
             lines.append(
@@ -376,6 +388,8 @@ def cmd_witness(args):
         report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)
         schedule = report.schedule
         params = schedule.parameters
+        s_min, s_max = obstruction.profile_extremes(params.q)
+        pairs = math.comb(len(schedule.entries), 2)
         doc = {
             "command": "witness",
             "name": name,
@@ -390,12 +404,12 @@ def cmd_witness(args):
                 "n0": params.n0,
                 "term_count": params.term_count,
             },
-            "profile_extremes": {"s_min": schedule.s_min, "s_max": schedule.s_max},
+            "profile_extremes": {"s_min": s_min, "s_max": s_max},
             "schedule": [
                 {"n": e.n, "lo": e.lo, "hi": e.hi} for e in schedule.entries
             ],
             "separation": {
-                "pairs_checked": report.separation.pair_count,
+                "pairs_checked": pairs,
                 "brute_forced": report.separation.brute_forced,
                 "note": report.separation.note,
             },
@@ -407,7 +421,7 @@ def cmd_witness(args):
             "witness cover: r = %d with |H1| = %s" % (report.witness_r, report.witness_order),
             "character modulus q = %d  (companion torus knot T(2,%d))" % (params.q, params.q),
             "term count L = 2*g*p^k = %d" % params.term_count,
-            "profile extremes: S_min = %d, S_max = %d" % (schedule.s_min, schedule.s_max),
+            "profile extremes: S_min = %d, S_max = %d" % (s_min, s_max),
         ]
         for i, e in enumerate(schedule.entries):
             lines.append(
@@ -416,7 +430,7 @@ def cmd_witness(args):
         lines.append(
             "separation verified for %d pair(s)%s"
             % (
-                report.separation.pair_count,
+                pairs,
                 " (brute-force enumeration confirmed)"
                 if report.separation.brute_forced
                 else "",

@@ -210,14 +210,6 @@ def format_poly(p):
     return out
 
 
-def parse_coefficients(text):
-    """Parse ascending comma- or space-separated coefficients."""
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("empty coefficient list")
-    return IntPolynomial([int(p) for p in parts])
-
-
 # -- integer helpers ------------------------------------------------------
 
 

@@ -72,11 +72,10 @@ class ScheduleEntry(Record):
 
 
 class WitnessSchedule(Record):
+    # The profile extremes are profile_extremes(parameters.q).
     __slots__ = (
         "entries",  # ScheduleEntry, n strictly increasing
         "parameters",  # FamilyParameters
-        "s_min",
-        "s_max",
     )
 
 
@@ -132,7 +131,7 @@ def witness_schedule(params, count):
             % (count, params.term_count, brief_int(params.q), digits, MAX_SCHEDULE_DIGITS)
         )
     extremes = profile_extremes(params.q)
-    s_min, s_max = extremes
+    s_min = extremes[0]
     entries = []
     threshold = 2 * params.n0 + 1
     for _ in range(count):
@@ -140,9 +139,7 @@ def witness_schedule(params, count):
         lo, hi = sum_range(n, params, extremes)
         entries.append(ScheduleEntry(n=n, lo=lo, hi=hi))
         threshold = 2 * params.n0 + hi + 1
-    return WitnessSchedule(
-        entries=tuple(entries), parameters=params, s_min=s_min, s_max=s_max
-    )
+    return WitnessSchedule(entries=tuple(entries), parameters=params)
 
 
 # Brute-force enumeration is feasible only at desk scale.
@@ -151,18 +148,18 @@ _BRUTE_FORCE_MAX_Q = 7
 
 
 class SeparationReport(Record):
-    __slots__ = ("pair_count", "brute_forced", "note")
+    __slots__ = ("brute_forced", "note")
 
 
 def verify_separation(schedule):
     """Check that no Casson-Gordon equality can hold between members.
 
-    One pass over the entries; any breach raises SeparationFailure.
-    (s_min, s_max) must be profile_extremes(q), each n >= 1 and above the
-    one before, each (lo, hi) sum_range(n), and each lo >= 2*N0 + 1 + the
-    previous hi (2*N0 + 1 for the first).  At desk scale each member's
-    nonzero sums over every character-value assignment on the T(2,q)
-    profile are enumerated once and must lie in its [lo, hi].
+    One pass over the entries; any breach raises SeparationFailure.  Each
+    n must be >= 1 and above the one before, each (lo, hi) sum_range(n) on
+    profile_extremes(q), and each lo >= 2*N0 + 1 + the previous hi (2*N0 +
+    1 for the first).  At desk scale each member's nonzero sums over every
+    character-value assignment on the T(2,q) profile are enumerated once
+    and must lie in its [lo, hi].
 
     The chain separates every pair.  A member's achievable sums are 0 (the
     trivial character) or lie in [lo, hi], and hi = L*n*S_max grows with n,
@@ -174,11 +171,6 @@ def verify_separation(schedule):
     params = schedule.parameters
     entries = schedule.entries
     extremes = profile_extremes(params.q)
-    if (schedule.s_min, schedule.s_max) != extremes:
-        raise SeparationFailure(
-            "profile extremes (%d, %d) are not those of T(2,%d), (%d, %d)"
-            % ((schedule.s_min, schedule.s_max, params.q) + extremes)
-        )
     brute = (
         params.term_count <= _BRUTE_FORCE_MAX_TERMS
         and params.q <= _BRUTE_FORCE_MAX_Q
@@ -214,10 +206,7 @@ def verify_separation(schedule):
         "character sums over-approximated: each of the %d lift terms ranges "
         "over all of Z_%d" % (params.term_count, params.q)
     )
-    count = len(entries)
-    return SeparationReport(
-        pair_count=count * (count - 1) // 2, brute_forced=brute, note=note
-    )
+    return SeparationReport(brute_forced=brute, note=note)
 
 
 def _achievable_sums(n, params, values):
@@ -235,7 +224,6 @@ def _achievable_sums(n, params, values):
 class FamilyReport(Record):
     __slots__ = (
         "delta",  # IntPolynomial
-        "classification",  # ClassificationReport
         "witness_r",
         "witness_order",  # HomologyOrder
         "schedule",  # WitnessSchedule
@@ -276,7 +264,6 @@ def family_report(V, count, n0=0, q=None):
     )
     return FamilyReport(
         delta=delta,
-        classification=classification,
         witness_r=witness_r,
         witness_order=witness_order,
         schedule=schedule,

@@ -426,12 +426,8 @@ def _profile(arcs, q):
 
 class TorusLemmaReport(Record):
     __slots__ = (
-        "q",
-        "matrix",  # the T(2,q) SeifertMatrix that was checked
-        "profile",  # SignatureProfile
-        "min_value",
-        "sigma_at_minus_one",
-        "jump_steps",  # JumpStepReport
+        "profile",  # SignatureProfile of T(2,q)
+        "jump_steps",  # JumpStepReport of T(2,q)
     )
 
 
@@ -446,17 +442,17 @@ def verify_torus_lemma(q):
     """Check sigma_{a/q}(T_{2,q}) = 2 min(a, q-a), the closed form
     seifert.torus_2q_signatures that witness schedules use, for all a != 0
     (so no q-th root is a jump and every value is >= 2) and sigma_{-1} =
-    q-1, and run jump_step_check on the same matrix; the profile and the
-    jump steps share their arcs, so each arc is eliminated once.  q past
-    MAX_VERIFY_Q is refused before the matrix is built."""
+    q-1.  The report holds the profile and the jump steps (_jump_steps,
+    the evaluator of jump_step_check); they share their arcs, so each arc
+    is eliminated once.  q past MAX_VERIFY_Q is refused before the matrix
+    is built."""
     # Past MAX_TORUS_Q, torus_2q refuses q with its own message.
     if MAX_VERIFY_Q < q <= MAX_TORUS_Q:
         raise BadTorusParameter(
             "q = %d is past %d, the largest q whose torus lemma --verify "
             "checks" % (q, MAX_VERIFY_Q)
         )
-    V = torus_2q(q)
-    arcs = _Arcs(V)
+    arcs = _Arcs(torus_2q(q))
     profile = _profile(arcs, q)
     closed_form = torus_2q_signatures(q)
     for a, v in profile.values.items():
@@ -465,21 +461,13 @@ def verify_torus_lemma(q):
                 "sigma_{%d/%d}(T(2,%d)) is %s, the closed form 2 min(a, q-a) "
                 "gives %d" % (a, q, q, v, closed_form[a])
             )
-    min_value = min(profile.non_jump_values())
     steps = _jump_steps(arcs, q)
     sigma_minus_one = steps.sigma_at_minus_one
     if sigma_minus_one != q - 1:
         raise LemmaViolation(
             "sigma_{-1}(T(2,%d)) is %s, expected %d" % (q, sigma_minus_one, q - 1)
         )
-    return TorusLemmaReport(
-        q=q,
-        matrix=V,
-        profile=profile,
-        min_value=min_value,
-        sigma_at_minus_one=sigma_minus_one,
-        jump_steps=steps,
-    )
+    return TorusLemmaReport(profile=profile, jump_steps=steps)
 
 
 class JumpInfo(Record):

@@ -112,8 +112,8 @@ def test_criterion_5_torus_signature_lemma():
     with budget(5, 10.0):
         for q in (3, 5, 7, 9, 11):
             report = verify_torus_lemma(q)
-            assert report.min_value >= 2
-            assert report.sigma_at_minus_one == q - 1
+            assert min(report.profile.non_jump_values()) >= 2
+            assert report.jump_steps.sigma_at_minus_one == q - 1
 
 
 def test_criterion_6_jump_structure():

@@ -70,6 +70,34 @@ class TestParsing:
         with pytest.raises(InvalidInput):
             parse_matrix_document("1 x\n0 1\n")
 
+    def test_integers(self):
+        assert cli._integers("1,-1,1") == [1, -1, 1]
+        assert cli._integers("1 -1 1") == [1, -1, 1]
+        assert cli._integers(" 1, -1 ") == [1, -1]
+
+    # Each is refused, as JSON refuses it: an empty field, and an integer
+    # that only Python's int() reads.
+    @pytest.mark.parametrize("row", ["1,,-1", "1 1_0", "\u0663 1", "1, -1,"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_bad_row_exit_2(self, capsys, monkeypatch, row, mode):
+        code, out, err = run(
+            capsys, mode + ["alexander", "-"], stdin=row + "\n0 1\n", monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse matrix row: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ["1,,-1,,1", "1,-1,1,", "1,1_0,1", "", " "])
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_bad_delta_fields_exit_2(self, capsys, delta, mode):
+        code, out, err = run(capsys, mode + ["classify", "--delta", delta])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --delta: ") and err.count("\n") == 1
+
+    def test_delta_with_spaces(self, capsys):
+        code, out, err = run(capsys, ["--json", "classify", "--delta", "1 -1 1"])
+        assert code == 0, err
+        assert json.loads(out)["alexander"]["coefficients"] == [1, -1, 1]
+
 
 class TestAlexander:
     def test_human(self, capsys, trefoil_file):
@@ -467,6 +495,18 @@ class TestWitness:
         assert doc["parameters"]["term_count"] == 6
         assert [e["n"] for e in doc["schedule"]] == [11, 77]
         assert doc["separation"]["brute_forced"] is True
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewest_members(self, capsys, trefoil_file, count):
+        code, out, err = run(
+            capsys, ["--json", "witness", trefoil_file, "--q", "7", "--count", str(count)]
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert len(doc["schedule"]) == count
+        assert doc["separation"]["pairs_checked"] == 0
+        assert doc["separation"]["brute_forced"] is False
+        assert doc["profile_extremes"] == {"s_min": 2, "s_max": 6}
 
     def test_unknot_exit_3(self, capsys, monkeypatch):
         code, out, err = run(

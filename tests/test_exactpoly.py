@@ -21,7 +21,6 @@ from knotconc.exactpoly import (
     factorize,
     integer_determinant,
     integer_solution,
-    parse_coefficients,
     phi_inverse_candidates,
     prime_power_decomposition,
     real_cyclotomic,
@@ -75,10 +74,6 @@ class TestArithmetic:
     def test_evaluation(self):
         f = P([1, -1, 1])
         assert f(1) == 1 and f(-1) == 3 and f(2) == 3
-
-    def test_parse(self):
-        assert parse_coefficients("1,-1,1") == P([1, -1, 1])
-        assert parse_coefficients("1 -1 1") == P([1, -1, 1])
 
 
 class TestDivision:

@@ -137,7 +137,6 @@ class TestSeparation:
         for n0, count in ((0, 3), (10, 2), (3, 4)):
             schedule = witness_schedule(trefoil_params(n0), count)
             report = verify_separation(schedule)
-            assert report.pair_count == count * (count - 1) // 2
             assert report.brute_forced == (count >= 2)
 
     def test_brute_force_flag_off_for_large_q(self):
@@ -152,14 +151,14 @@ class TestSeparation:
             ScheduleEntry(n=1, lo=2, hi=12),
             ScheduleEntry(n=2, lo=4, hi=24),  # overlaps the first range
         )
-        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
+        schedule = WitnessSchedule(entries=entries, parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
     def test_rejects_wrong_interval(self):
         params = trefoil_params(0)
         entries = (ScheduleEntry(n=1, lo=3, hi=12),)
-        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
+        schedule = WitnessSchedule(entries=entries, parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
@@ -169,7 +168,7 @@ class TestSeparation:
             ScheduleEntry(n=7, lo=14, hi=84),
             ScheduleEntry(n=7, lo=14, hi=84),
         )
-        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
+        schedule = WitnessSchedule(entries=entries, parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
@@ -180,7 +179,7 @@ class TestSeparation:
             ScheduleEntry(n=41, lo=82, hi=492),
             ScheduleEntry(n=250, lo=500, hi=3000),
         )
-        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
+        schedule = WitnessSchedule(entries=entries, parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
@@ -189,16 +188,8 @@ class TestSeparation:
     def test_rejects_non_positive_multiplicity(self, n):
         params = trefoil_params(0)
         entries = (ScheduleEntry(n=n, lo=2 * n, hi=12 * n),)
-        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=2)
+        schedule = WitnessSchedule(entries=entries, parameters=params)
         with pytest.raises(SeparationFailure):
-            verify_separation(schedule)
-
-    def test_rejects_wrong_extremes(self):
-        # Ranges consistent with S_max = 4, which T(2,3) does not have.
-        params = trefoil_params(0)
-        entries = (ScheduleEntry(n=1, lo=2, hi=24), ScheduleEntry(n=13, lo=26, hi=312))
-        schedule = WitnessSchedule(entries=entries, parameters=params, s_min=2, s_max=4)
-        with pytest.raises(SeparationFailure, match="profile extremes"):
             verify_separation(schedule)
 
     def test_verifies_800_members_within_budget(self):
@@ -206,13 +197,13 @@ class TestSeparation:
         start = time.perf_counter()
         report = verify_separation(schedule)
         assert time.perf_counter() - start < 0.5
-        assert report.pair_count == 800 * 799 // 2 and report.brute_forced
+        assert report.brute_forced
 
 
 def pairwise_oracle_accepts(schedule):
     """Separation checked pair by pair, sharing no code with obstruction.
 
-    Each entry's (lo, hi) must be (n*s_min, L*n*s_max) with n increasing and
+    Each entry's (lo, hi) must be (2n, L*n*(q-1)) with n increasing and
     lo past the previous hi by more than 2*N0; every pair of ranges, each
     side also able to contribute 0, must stay more than 2*N0 apart; and for
     L <= 8, q <= 7 and two or more entries, every pair of enumerated sum
@@ -222,7 +213,7 @@ def pairwise_oracle_accepts(schedule):
     pad = 2 * params.n0
     terms = 2 * params.genus * params.p**params.k
     for idx, e in enumerate(entries):
-        if (e.lo, e.hi) != (e.n * schedule.s_min, terms * e.n * schedule.s_max):
+        if (e.lo, e.hi) != (2 * e.n, terms * e.n * (params.q - 1)):
             return False
         if idx and entries[idx - 1].n >= e.n:
             return False
@@ -247,9 +238,8 @@ def pairwise_oracle_accepts(schedule):
 
 
 def perturbed(schedule, kind, index):
-    """schedule with one entry, two entries or the extremes changed."""
+    """schedule with one entry or two entries changed."""
     entries = list(schedule.entries)
-    s_min, s_max = schedule.s_min, schedule.s_max
     i = index % len(entries)
     j = (i + 1) % len(entries)
     e = entries[i]
@@ -261,21 +251,12 @@ def perturbed(schedule, kind, index):
         f = entries[j]
         entries[i] = ScheduleEntry(n=f.n, lo=e.lo, hi=e.hi)
         entries[j] = ScheduleEntry(n=e.n, lo=f.lo, hi=f.hi)
-    elif kind == "swap-entries":
-        entries[i], entries[j] = entries[j], entries[i]
-    elif kind in ("s_min-1", "s_min+1"):
-        s_min += int(kind[5:])
     else:
-        s_max += int(kind[5:])
-    return WitnessSchedule(
-        entries=tuple(entries), parameters=schedule.parameters, s_min=s_min, s_max=s_max
-    )
+        entries[i], entries[j] = entries[j], entries[i]
+    return WitnessSchedule(entries=tuple(entries), parameters=schedule.parameters)
 
 
-PERTURBATIONS = [
-    "lo-1", "lo+1", "hi-1", "hi+1", "swap-n", "swap-entries",
-    "s_min-1", "s_min+1", "s_max-1", "s_max+1",
-]
+PERTURBATIONS = ["lo-1", "lo+1", "hi-1", "hi+1", "swap-n", "swap-entries"]
 
 
 class TestSeparationOracle:
@@ -290,7 +271,6 @@ class TestSeparationOracle:
         schedule = witness_schedule(trefoil_params(n0), count)
         assert pairwise_oracle_accepts(schedule)
         report = verify_separation(schedule)
-        assert report.pair_count == count * (count - 1) // 2
         assert report.brute_forced == (count >= 2)
         bad = perturbed(schedule, kind, index)
         if not pairwise_oracle_accepts(bad):
@@ -311,9 +291,7 @@ class TestSeparationOracle:
             ns.append(6 * prev + n0 + 1 + offset)
             prev = ns[-1]
         entries = tuple(ScheduleEntry(n=n, lo=2 * n, hi=12 * n) for n in ns)
-        schedule = WitnessSchedule(
-            entries=entries, parameters=trefoil_params(n0), s_min=2, s_max=2
-        )
+        schedule = WitnessSchedule(entries=entries, parameters=trefoil_params(n0))
         if pairwise_oracle_accepts(schedule):
             verify_separation(schedule)
         else:

@@ -1,5 +1,6 @@
 """The package's own source and its tests: no module imports a name it never
-uses, and the package namespace exports exactly the README's list."""
+uses, every field of a library class is read outside it, and the package
+namespace exports exactly the README's list."""
 
 import ast
 import pathlib
@@ -50,6 +51,46 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_no_test_module_imports_a_name_it_never_uses():
     assert unused_imports_in(TESTS) == {}
+
+
+def unread_fields(sources):
+    """"Class.field" for each public name in a class's __slots__ that no
+    attribute read outside that class names, over the modules' sources."""
+    trees = [ast.parse(source) for source in sources]
+    reads = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for cls in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        inside = set(map(id, ast.walk(cls)))
+        outside = {node.attr for node in reads if id(node) not in inside}
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and [
+                getattr(target, "id", None) for target in stmt.targets
+            ] == ["__slots__"]:
+                unread += [
+                    "%s.%s" % (cls.name, name)
+                    for name in ast.literal_eval(stmt.value)
+                    if not name.startswith("_") and name not in outside
+                ]
+    return sorted(unread)
+
+
+def test_unread_fields_are_found():
+    source = (
+        "class A:\n    __slots__ = ('x', 'y', '_z')\n\n"
+        "    def f(self):\n        return self.y\n\nA().x\n"
+    )
+    assert unread_fields([source]) == ["A.y"]
+
+
+def test_every_record_field_is_read_outside_its_class():
+    assert unread_fields(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
 
 
 def readme_exports():

@@ -253,8 +253,8 @@ class TestTorusLemma:
     def test_small_q(self):
         for q in (3, 5, 7, 9):
             report = verify_torus_lemma(q)
-            assert report.min_value >= 2
-            assert report.sigma_at_minus_one == q - 1
+            assert min(report.profile.non_jump_values()) >= 2
+            assert report.jump_steps.sigma_at_minus_one == q - 1
             assert jump_angles(report.profile) == []
 
     @pytest.mark.parametrize("q", list(range(3, 32, 2)) + [49])
