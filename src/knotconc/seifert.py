@@ -7,9 +7,9 @@ identically and downstream resultants are unambiguous.  It is palindromic of
 formal degree dim, so alexander() finds it from genus-many determinants and
 the validated Delta(1) = 1, by an exact integer linear solve.
 
-Each SeifertMatrix instance validates itself at most once and computes its
-Alexander polynomial at most once; both results are kept on the instance
-(there is no cache across instances).
+Each SeifertMatrix instance keeps a successful validation and its Alexander
+polynomial on the instance (there is no cache across instances); a failed
+validation is not kept, so it runs again on the next call.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ from __future__ import annotations
 from .errors import BadTorusParameter, InvalidSeifertMatrix
 from .exactpoly import (
     IntPolynomial,
-    Record,
+    brief_int,
     integer_determinant,
     integer_solution,
     integer_tuple,
 )
-
-
-class ValidityReport(Record):
-    __slots__ = ("valid", "failures")  # bool, tuple of messages
 
 
 class SeifertMatrix:
@@ -33,16 +29,17 @@ class SeifertMatrix:
 
     The 0x0 matrix is the unknot.  Construction only requires integer
     entries, by exactpoly.integer_tuple's rule: 0.5, 1.0, "1", True and
-    False raise TypeError.  Use validate() (or any operation, which
-    validates implicitly) to check the Seifert invariants.  The validity
-    report and the Alexander polynomial are memoized on the instance.
+    False raise TypeError.  validate() (which every operation calls)
+    checks the Seifert invariants and raises InvalidSeifertMatrix on the
+    first that fails.  A success and the Alexander polynomial are memoized
+    on the instance; a failure is not.
     """
 
-    __slots__ = ("rows", "_report", "_alexander")
+    __slots__ = ("rows", "_valid", "_alexander")
 
     def __init__(self, rows=()):
         object.__setattr__(self, "rows", tuple(map(integer_tuple, rows)))
-        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_valid", False)
         object.__setattr__(self, "_alexander", None)
 
     def __setattr__(self, name, value):
@@ -59,9 +56,6 @@ class SeifertMatrix:
     def genus(self):
         return self.dim // 2
 
-    def is_square(self):
-        return all(len(row) == self.dim for row in self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, SeifertMatrix):
             return NotImplemented
@@ -76,36 +70,22 @@ class SeifertMatrix:
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        """Check squareness, even dimension, and det(V - V^t) = 1, once."""
-        if self._report is not None:
-            return self._report
-        failures = []
-        if not self.is_square():
-            failures.append("matrix is not square")
+        """Raise InvalidSeifertMatrix unless square, of even dim, with det(V - V^t) = 1."""
+        if self._valid:
+            return
+        n, rows = self.dim, self.rows
+        if any(len(row) != n for row in rows):
+            failure = "matrix is not square"
+        elif n % 2 != 0:
+            failure = "dimension %d is odd" % n
         else:
-            if self.dim % 2 != 0:
-                failures.append("dimension %d is odd" % self.dim)
-            else:
-                n = self.dim
-                skew = [
-                    [self.rows[i][j] - self.rows[j][i] for j in range(n)]
-                    for i in range(n)
-                ]
-                d = integer_determinant(skew)
-                if d != 1:
-                    failures.append(
-                        "skew-symmetrization determinant is %d, expected 1" % d
-                    )
-        report = ValidityReport(valid=not failures, failures=tuple(failures))
-        object.__setattr__(self, "_report", report)
-        return report
-
-    def require_valid(self):
-        report = self.validate()
-        if not report.valid:
-            raise InvalidSeifertMatrix(
-                "invalid Seifert matrix: %s" % "; ".join(report.failures)
-            )
+            skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+            d = integer_determinant(skew)
+            if d == 1:
+                object.__setattr__(self, "_valid", True)
+                return
+            failure = "skew-symmetrization determinant is %s, expected 1" % brief_int(d)
+        raise InvalidSeifertMatrix("invalid Seifert matrix: " + failure)
 
 
 def alexander(V):
@@ -124,7 +104,7 @@ def alexander(V):
     injective on t >= 1 and on t <= -1 and maps them to s >= 2 and s <= -2.
     """
     if V._alexander is None:
-        V.require_valid()
+        V.validate()
         g, n, rows = V.genus, V.dim, V.rows
         nodes = ([1, 0] + [(k // 2 + 1) * (-1) ** k for k in range(1, g)])[: g + 1]
         values = [1] + [
@@ -139,22 +119,25 @@ def alexander(V):
     return V._alexander
 
 
+def _block_sum(blocks):
+    """Block-diagonal sum of valid blocks, valid as det(V - V^t) is multiplicative."""
+    n, rows = sum(V.dim for V in blocks), []
+    for V in blocks:
+        left, right = len(rows), n - len(rows) - V.dim
+        rows.extend([0] * left + list(row) + [0] * right for row in V.rows)
+    return SeifertMatrix(rows)
+
+
 def connected_sum(V1, V2):
     """Block sum; Alexander polynomials multiply, signatures add."""
-    V1.require_valid()
-    V2.require_valid()
-    n1, n2 = V1.dim, V2.dim
-    rows = []
-    for i in range(n1):
-        rows.append(list(V1.rows[i]) + [0] * n2)
-    for i in range(n2):
-        rows.append([0] * n1 + list(V2.rows[i]))
-    return SeifertMatrix(rows)
+    V1.validate()
+    V2.validate()
+    return _block_sum((V1, V2))
 
 
 def mirror(V):
     """Seifert matrix -V^t of the reversed mirror; signatures negate."""
-    V.require_valid()
+    V.validate()
     n = V.dim
     return SeifertMatrix(
         [[-V.rows[j][i] for j in range(n)] for i in range(n)]
@@ -165,11 +148,8 @@ def multiple(V, n):
     """n-fold block sum; n = 0 is the unknot."""
     if n < 0:
         raise ValueError("multiplicity must be nonnegative")
-    V.require_valid()
-    out = SeifertMatrix()
-    for _ in range(n):
-        out = connected_sum(out, V)
-    return out
+    V.validate()
+    return _block_sum((V,) * n)
 
 
 def require_torus_q(q):

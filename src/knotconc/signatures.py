@@ -173,10 +173,10 @@ def at_jump(V, w):
 
 def tl_signature(V, w):
     """Tristram-Levine signature of V at omega = exp(2*pi*i*a/q); exact."""
-    V.require_valid()
+    arcs = _Arcs(V)
     if w.is_trivial:
         raise TrivialAngle("the form vanishes at omega = 1; angle 0 is excluded")
-    return _off_jump(_Arcs(V), w)
+    return _off_jump(arcs, w)
 
 
 def _off_jump(arcs, w):
@@ -403,7 +403,7 @@ def _ends(bracket):
 class SignatureProfile(Record):
     """Signature at every a/q, a = 1..q-1; JUMP marks Alexander roots."""
 
-    __slots__ = ("q", "values")  # values: a -> int or JUMP
+    __slots__ = ("values",)  # a -> int or JUMP
 
     def non_jump_values(self):
         return [v for v in self.values.values() if v is not JUMP]
@@ -421,7 +421,7 @@ def _profile(arcs, q):
     for a in range(1, q):
         # H at conj(omega) is conj(H), with the same inertia and jumps.
         values[a] = values[q - a] if 2 * a > q else arcs.signature(UnitRootArg(a, q))
-    return SignatureProfile(q=q, values=values)
+    return SignatureProfile(values=values)
 
 
 class TorusLemmaReport(Record):
@@ -482,7 +482,6 @@ class JumpInfo(Record):
 
 class JumpStepReport(Record):
     __slots__ = (
-        "q",
         "jumps",  # JumpInfo, ascending
         "sigma_at_minus_one",
     )
@@ -544,4 +543,4 @@ def _jump_steps(arcs, q):
             )
         )
     sigma_minus_one = _off_jump(arcs, UnitRootArg(1, 2))
-    return JumpStepReport(q=q, jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)
+    return JumpStepReport(jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,24 +25,22 @@ P = IntPolynomial
 
 class TestValidate:
     def test_trefoil_valid(self):
-        assert SeifertMatrix([[1, -1], [0, 1]]).validate().valid
+        assert SeifertMatrix([[1, -1], [0, 1]]).validate() is None
 
     def test_unknot_valid(self):
-        assert UNKNOT.validate().valid
+        assert UNKNOT.validate() is None
 
     def test_symmetric_matrix_invalid(self):
-        report = SeifertMatrix([[1, 0], [0, 1]]).validate()
-        assert not report.valid
-        assert any("determinant" in f for f in report.failures)
+        with pytest.raises(InvalidSeifertMatrix, match="determinant"):
+            SeifertMatrix([[1, 0], [0, 1]]).validate()
 
     def test_non_square_invalid(self):
-        report = SeifertMatrix([[1, 2, 3], [4, 5, 6]]).validate()
-        assert not report.valid
+        with pytest.raises(InvalidSeifertMatrix, match="not square"):
+            SeifertMatrix([[1, 2, 3], [4, 5, 6]]).validate()
 
     def test_odd_dimension_invalid(self):
-        report = SeifertMatrix([[1]]).validate()
-        assert not report.valid
-        assert any("odd" in f for f in report.failures)
+        with pytest.raises(InvalidSeifertMatrix, match="odd"):
+            SeifertMatrix([[1]]).validate()
 
     def test_operations_reject_invalid(self):
         bad = SeifertMatrix([[1, 0], [0, 1]])
@@ -51,26 +50,37 @@ class TestValidate:
             mirror(bad)
         with pytest.raises(InvalidSeifertMatrix):
             connected_sum(bad, TREFOIL)
+        with pytest.raises(InvalidSeifertMatrix):
+            multiple(bad, 0)
+        with pytest.raises(InvalidSeifertMatrix):
+            multiple(bad, 2)
+
+
+def _counting_determinants(monkeypatch):
+    """Route seifert's integer_determinant through a recorder; return its log."""
+    from knotconc import seifert
+
+    calls = []
+
+    def counting(rows):
+        calls.append([list(row) for row in rows])
+        return integer_determinant(rows)
+
+    monkeypatch.setattr(seifert, "integer_determinant", counting)
+    return calls
 
 
 class TestMemo:
     def test_validate_and_alexander_run_once(self, monkeypatch):
-        from knotconc import seifert
-
-        calls = []
-
-        def counting(rows):
-            calls.append([list(row) for row in rows])
-            return integer_determinant(rows)
-
-        monkeypatch.setattr(seifert, "integer_determinant", counting)
+        calls = _counting_determinants(monkeypatch)
         V = SeifertMatrix([[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]])
         skew = [[V.rows[i][j] - V.rows[j][i] for j in range(4)] for i in range(4)]
-        assert V.validate() is V.validate()
+        V.validate()
+        V.validate()
         assert calls == [skew]
         delta = alexander(V)
         assert alexander(V) is delta
-        V.require_valid()
+        V.validate()
         # One validation and g = 2 evaluations, none at t = 1: Delta(1) = 1
         # is the validated det(V - V^t).
         assert len(calls) == 3
@@ -277,3 +287,19 @@ class TestMultiple:
         V = multiple(TREFOIL, 3)
         assert V.dim == 6
         assert alexander(V) == poly_pow(P([1, -1, 1]), 3)
+
+    @pytest.mark.parametrize(
+        "V", [TREFOIL, FIGURE_EIGHT, random_seifert(random.Random(7), 2)]
+    )
+    def test_rows_equal_nested_connected_sums(self, V):
+        nested = UNKNOT
+        for n in range(5):
+            assert multiple(V, n).rows == nested.rows
+            nested = V if n == 0 else connected_sum(nested, V)
+
+    def test_one_determinant_validates_sixteen_copies(self, monkeypatch):
+        V = SeifertMatrix(TREFOIL.rows)
+        V.validate()
+        calls = _counting_determinants(monkeypatch)
+        multiple(V, 16).validate()
+        assert len(calls) == 1 and len(calls[0]) == 32
