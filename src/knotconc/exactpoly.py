@@ -388,6 +388,16 @@ def _bareiss(m):
     column k is swapped in; then every later entry m[i][j], j > k, becomes
     (m[i][j] m[k][k] - m[i][k] m[k][j]) / (previous pivot), a division that
     is exact by Sylvester's identity, and column k below the pivot is zeroed.
+
+    A row whose m[i][k] is 0 would only be multiplied by pivot / previous
+    pivot, so it is left as stored, stale: its true entries are stored *
+    prev / scale[i], prev the last pivot and scale[i] the pivot of the step
+    that last updated it (1 for a row never updated).  Its next update is
+    (m[i][j] m[k][k] - m[i][k] m[k][j]) / scale[i], exact as before, and a
+    row is brought up to date when it becomes the pivot row, as is the last
+    row at the end.  On a banded matrix, such as a T(2,q) pencil, this makes
+    the elimination quadratic rather than cubic.
+
     Afterwards the first n columns are upper triangular and m[n-1][n-1] is
     their determinant times the returned sign of the row exchanges.  Returns
     0, leaving m part-eliminated, as soon as some column k < n - 1 has no
@@ -397,24 +407,33 @@ def _bareiss(m):
     width = len(m[0])
     sign = 1
     prev = 1
+    scale = [1] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    scale[k], scale[i] = scale[i], scale[k]
                     sign = -sign
                     break
             else:
                 return 0
         mk = m[k]
+        if scale[k] != prev:
+            mk[k:] = [x * prev // scale[k] for x in mk[k:]]
         pivot = mk[k]
         for i in range(k + 1, n):
             mi = m[i]
             mik = mi[k]
-            for j in range(k + 1, width):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            mi[k] = 0
+            if mik:
+                s = scale[i]
+                for j in range(k + 1, width):
+                    mi[j] = (mi[j] * pivot - mik * mk[j]) // s
+                mi[k] = 0
+                scale[i] = pivot
         prev = pivot
+    if scale[n - 1] != prev:
+        m[n - 1][n - 1:] = [x * prev // scale[n - 1] for x in m[n - 1][n - 1:]]
     return sign
 
 

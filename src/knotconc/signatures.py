@@ -17,17 +17,33 @@ eliminated exactly over the Gaussian integers by symmetric Bareiss (Bareiss
 1968).  Step k takes as its pivot p_k the nonzero diagonal entry of least
 absolute value, moving its row and column to the front together, and
 replaces each remaining entry h_ij by (p_k h_ij - h_ik h_kj) / p_(k-1),
-with p_0 = 1 (a row with h_ik = 0 is only rescaled).  By Sylvester's
-identity that entry is a minor of H, a Gaussian integer, so the division by
-the real integer p_(k-1) is exact, and p_k is the k-th leading principal
-minor of H so reordered.  The k-th pivot of its LDL^* factorization is
-p_k / p_(k-1), with the sign of p_k p_(k-1) (Jacobi's rule), and by
-Sylvester's law of inertia these signs add up to the inertia of H.  When
-every remaining diagonal entry is 0 but h_cj is not, adding u = h_cj times
-row j to row c and conj(u) times column j to column c makes h_cc =
+with p_0 = 1.  By Sylvester's identity that entry is a minor of H, a
+Gaussian integer, so the division by the real integer p_(k-1) is exact, and
+p_k is the k-th leading principal minor of H so reordered.  The k-th pivot
+of its LDL^* factorization is p_k / p_(k-1), with the sign of p_k p_(k-1)
+(Jacobi's rule), and by Sylvester's law of inertia these signs add up to
+the inertia of H.
+
+A row with h_ik = 0 would only be multiplied by p_k / p_(k-1), so it is
+left as stored, stale: its true entries are the stored ones times p / s, p
+the latest pivot and s the pivot of the step that last updated the row (1
+if none), and its next update is (p_k h_ij - h_ik h_kj) / s on its stored
+entries, exact as before.  A row is brought up to date when it becomes the
+pivot row, and the pivot is the least |true diagonal entry|, so the pivots
+and minors are those of the eager elimination.  On the banded T(2,q) forms
+most rows are stale at most steps, so the elimination is quadratic, not
+cubic.
+
+When every remaining diagonal entry is 0 but h_cj is not, adding u = h_cj
+times row j to row c and conj(u) times column j to column c makes h_cc =
 2 Re(u h_jc) = 2|h_cj|^2 > 0, the next pivot.  That is a congruence of H
-which leaves the rows already eliminated, and so the earlier minors, as they
-are.  A remainder of zeros is the kernel of a singular form.
+which leaves the rows already eliminated, and so the earlier minors, as
+they are; every row is brought up to date first, since a row operation
+needs its two rows at one scale.  A remainder of zeros is the kernel of a
+singular form.  Each arc's inertia is checked twice: pos + neg = n, and,
+since det H = (2 cos theta - 2)^g D(2 cos theta) (D under Arcs), sigma =
+2 [D(2 cos theta') < 0] mod 4 at the evaluation point, which catches one
+flipped sign.
 
 Angles.  Each angle gets one integer fixed-point bracket at b bits:
 integers c, e with 2 cos theta within 2e of c / 2^b.  A unit is 2^-b, and
@@ -190,9 +206,11 @@ def _off_jump(arcs, w):
 def _form_inertia(sym, skew, a, b):
     """(pos, neg) of the Hermitian form a(V+V^t) + ib(V^t-V), exactly, by
     symmetric Bareiss elimination over Z[i]; see Elimination in the module
-    docstring.  The real and imaginary parts are kept as integer matrices."""
+    docstring.  The real and imaginary parts are kept as integer matrices;
+    row i's true entries are its stored ones times last / scale[i]."""
     re = [[a * x for x in row] for row in sym]
     im = [[b * y for y in row] for row in skew]
+    scale = [1] * len(re)
     pos = neg = 0
     last = 1  # the previous pivot, a leading principal minor
     while re:
@@ -202,6 +220,11 @@ def _form_inertia(sym, skew, a, b):
             pair = next(nonzero, None)
             if pair is None:
                 break  # the rest is 0: the form is singular
+            for i, stale in enumerate(scale):  # row ops need rows at one scale
+                if stale != last:
+                    re[i] = [r * last // stale for r in re[i]]
+                    im[i] = [r * last // stale for r in im[i]]
+            scale = [last] * n
             c, j = pair
             x, y = re[c][j], im[c][j]  # u = h_cj = x + iy
             re[c], im[c] = (  # row c plus u row j
@@ -212,18 +235,23 @@ def _form_inertia(sym, skew, a, b):
                 rj, ij = rrow[j], irow[j]
                 rrow[c] += x * rj + y * ij
                 irow[c] += x * ij - y * rj
-        k = min((i for i in range(n) if re[i][i]), key=lambda i: abs(re[i][i]))
-        d = re[k][k]
-        rk, ik = re.pop(k), im.pop(k)  # row k: h_kj = rk[j] + i ik[j]
+        k = min(
+            (i for i in range(n) if re[i][i]),
+            key=lambda i: abs(re[i][i] * last // scale[i]),
+        )
+        rk, ik, s = re.pop(k), im.pop(k), scale.pop(k)  # row k: h_kj = rk[j] + i ik[j]
+        if s != last:
+            rk = [r * last // s for r in rk]
+            ik = [r * last // s for r in ik]
+        d = rk[k]
         del rk[k], ik[k]
-        for rrow, irow, x, y in zip(re, im, rk, ik):
-            del rrow[k], irow[k]
-            if x or y:  # (d h_ij - h_ik h_kj) / last, h_ik = conj(h_ki) = x - iy
-                rrow[:] = [(d * r - x * u - y * v) // last for r, u, v in zip(rrow, rk, ik)]
-                irow[:] = [(d * s - x * v + y * u) // last for s, u, v in zip(irow, rk, ik)]
-            else:  # h_ik = 0: the row is only rescaled
-                rrow[:] = [d * r // last for r in rrow]
-                irow[:] = [d * s // last for s in irow]
+        for i, (rrow, irow) in enumerate(zip(re, im)):
+            x, y = rrow.pop(k), irow.pop(k)  # stored h_ik = x + iy
+            if x or y:  # (d h_ij - h_ik h_kj) / scale[i]; else the row goes stale
+                s = scale[i]
+                rrow[:] = [(d * r - x * u + y * v) // s for r, u, v in zip(rrow, rk, ik)]
+                irow[:] = [(d * t - x * v - y * u) // s for t, u, v in zip(irow, rk, ik)]
+                scale[i] = d
         if (d > 0) == (last > 0):
             pos += 1
         else:
@@ -284,9 +312,10 @@ def _angle_bracket(a, q, bits):
 
 
 def _arc_point(sturm, arc, lo, hi, bits):
-    """(A, B): t = A/B = tan(theta'/2), theta' on the arc with Sturm count
-    arc whose located bracket of 2 cos theta is [lo, hi] / 2^bits; see
-    Evaluation point in the module docstring."""
+    """(A, B, D < 0): t = A/B = tan(theta'/2), theta' on the arc with Sturm
+    count arc whose located bracket of 2 cos theta is [lo, hi] / 2^bits, and
+    whether D is negative at 2 cos theta'; see Evaluation point in the module
+    docstring."""
     two = 2 << bits
     lo, hi = max(lo, -two), min(hi, two)
     # Aim at x = (lo + hi) / 2^(bits+1), where t^2 = (2 - x) / (2 + x).
@@ -298,8 +327,9 @@ def _arc_point(sturm, arc, lo, hi, bits):
         else:
             a, b = 1 << k, max(1, math.isqrt((den << 2 * k) // num))
         a2, b2 = a * a, b * b
-        if _variations(sturm, 2 * (b2 - a2), a2 + b2) == arc:
-            return a, b
+        at = _variations(sturm, 2 * (b2 - a2), a2 + b2)
+        if at is not None and at[0] == arc:
+            return a, b, at[1]
         k *= 2
 
 
@@ -329,7 +359,10 @@ def _sturm_sequence(d):
 
 
 def _variations(seq, num, den):
-    """Sign variations of seq at num / den, den > 0; None at a root of seq[0]."""
+    """(V, D < 0) at num / den, den > 0: the sign variations of seq, and
+    whether seq[0], D over its positive content, is negative there; None at
+    a root of seq[0].  Two points with the same V have no root of D between
+    them, so D has one sign there too."""
     signs = []
     for p in seq:
         acc, power = p[-1], 1
@@ -340,7 +373,7 @@ def _variations(seq, num, den):
             signs.append(acc > 0)
         elif p is seq[0]:
             return None
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    return sum(x != y for x, y in zip(signs, signs[1:])), not signs[0]
 
 
 class _Arcs:
@@ -382,15 +415,16 @@ class _Arcs:
     def _locate(self, bracket, bits):
         """The arc of the angle with this bracket, or None when undecided."""
         lo, hi = _ends(bracket)
-        arc = _variations(self._sturm, hi, 1 << bits)
-        if arc is None or _variations(self._sturm, lo, 1 << bits) != arc:
+        at_hi = _variations(self._sturm, hi, 1 << bits)
+        if at_hi is None or _variations(self._sturm, lo, 1 << bits) != at_hi:
             return None
-        return arc
+        return at_hi[0]
 
     def _inertia(self, arc, bracket, bits):
-        a, b = _arc_point(self._sturm, arc, *_ends(bracket), bits)
+        a, b, d_negative = _arc_point(self._sturm, arc, *_ends(bracket), bits)
         pos, neg = _form_inertia(self._sym, self._skew, a, b)
-        assert pos + neg == self.V.dim
+        # sigma = 2 [D < 0] mod 4 at the point: Elimination, module docstring.
+        assert pos + neg == self.V.dim and (pos - neg) % 4 == 2 * d_negative
         return pos - neg
 
 
@@ -433,8 +467,9 @@ class TorusLemmaReport(Record):
 
 # Largest q whose torus lemma verify_torus_lemma checks.  With the
 # Alexander polynomial, its (q+1)/2 eliminations of the (q-1)x(q-1) form
-# cost about q^4.4 in all: 1.0 s at q = 61, 3.0 s at 81 and 9.0 s at 101
-# (in-process, Python 3.11, Intel Xeon).
+# take 0.3 s at q = 61, 0.8 s at 81 and 2.9 s at 101, where 2 s of it is
+# the Alexander polynomial's exact node solve (in-process, Python 3.11,
+# Intel Xeon).
 MAX_VERIFY_Q = 101
 
 

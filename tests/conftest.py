@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -44,6 +45,25 @@ def seifert_rows(draw, max_genus=3):
     for i in range(0, n, 2):
         rows[i + 1][i] -= 1
     return rows
+
+
+def fraction_determinant(m):
+    """Oracle: det m by Gaussian elimination over Fraction."""
+    m = [[Fraction(c) for c in row] for row in m]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
 
 
 # -- polynomial oracles ----------------------------------------------------

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import jump_angles, poly_add, poly_mul, poly_pow, t_power_minus_one
+from conftest import (
+    fraction_determinant,
+    jump_angles,
+    poly_add,
+    poly_mul,
+    poly_pow,
+    random_seifert,
+    t_power_minus_one,
+)
 from knotconc import exactpoly
 from knotconc.covers import HomologyOrder, classify_prime_power_covers
 from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
@@ -28,7 +36,15 @@ from knotconc.exactpoly import (
     totient,
 )
 from knotconc.obstruction import family_report
-from knotconc.seifert import TREFOIL, SeifertMatrix, alexander
+from knotconc.seifert import (
+    FIGURE_EIGHT,
+    TREFOIL,
+    SeifertMatrix,
+    alexander,
+    connected_sum,
+    multiple,
+    torus_2q,
+)
 from knotconc.signatures import JUMP, UnitRootArg, signature_profile, verify_torus_lemma
 
 P = IntPolynomial
@@ -301,6 +317,31 @@ class TestExtraction:
             assert leftover == [] or rem.degree() < 1
 
 
+def _stale_row_matrices(rng):
+    """Matrices on which Bareiss leaves rows stale (a row whose multiplier
+    is 0 is not rescaled until it becomes the pivot row or is the last
+    row): the banded pencils V - tV^t of T(2,q), pencils of block sums, and
+    random matrices of density 0.1-0.5, singular draws kept."""
+
+    def pencil(V, t):
+        return [[V.rows[i][j] - t * V.rows[j][i] for j in range(V.dim)] for i in range(V.dim)]
+
+    matrices = [pencil(torus_2q(q), t) for q in range(3, 26, 2) for t in (-3, -1, 2, 5)]
+    blocks = [
+        multiple(TREFOIL, 4),
+        connected_sum(random_seifert(rng, 2), torus_2q(5)),
+        connected_sum(torus_2q(7), multiple(FIGURE_EIGHT, 2)),
+    ]
+    matrices += [pencil(V, t) for V in blocks for t in (-2, 3)]
+    for density in (0.1, 0.2, 0.3, 0.5):
+        for n in range(1, 10):
+            for _ in range(8):
+                rows = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)]
+                matrices.append(rows)
+    return matrices
+
+
 class TestIntegers:
     def test_distinct_primes(self):
         assert distinct_prime_factors(30) == [2, 3, 5]
@@ -349,6 +390,35 @@ class TestIntegers:
             integer_solution([[1, 2], [2, 4]], [3, 6])
         with pytest.raises(AssertionError, match="not exact"):
             integer_solution([[2, 0], [0, 1]], [1, 1])  # x = (1/2, 1)
+
+    def test_determinant_where_rows_go_stale(self, rng):
+        singular = 0
+        for m in _stale_row_matrices(rng):
+            d = integer_determinant(m)
+            assert d == fraction_determinant(m)
+            singular += d == 0
+        assert singular > 20  # sparse draws are singular too
+        # Row 1 is twice row 0, so step 1 swaps in the stale row 2.
+        assert integer_determinant([[1, 2, 0], [2, 4, 0], [0, 3, 5]]) == 0
+
+    def test_solution_where_rows_go_stale(self, rng):
+        solved = 0
+        for rows in _stale_row_matrices(rng):
+            if fraction_determinant(rows) == 0:
+                continue
+            x = [rng.randint(-10**6, 10**6) for _ in rows]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            assert integer_solution(rows, rhs) == x
+            solved += 1
+        assert solved > 100
+
+    def test_zero_pivot_swaps_in_a_stale_row(self):
+        # Step 0 (pivot 2) updates row 1 to [0, 0, 10] and leaves row 2,
+        # whose multiplier is 0, stale; step 1 then finds the pivot 0 and
+        # swaps in row 2, which must be scaled by 2 / 1 before it is used.
+        rows = [[2, 2, 0], [1, 1, 5], [0, 3, 7]]
+        assert integer_determinant(rows) == fraction_determinant(rows) == -30
+        assert integer_solution(rows, [4, 7, 10]) == [1, 1, 1]
 
 
 class _Pair(Record):

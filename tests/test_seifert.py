@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_mul, poly_pow, random_seifert
+from conftest import fraction_determinant, poly_mul, poly_pow, random_seifert
 from knotconc.errors import BadTorusParameter, InvalidSeifertMatrix
 from knotconc.exactpoly import IntPolynomial, integer_determinant
 from knotconc.seifert import (
@@ -122,30 +122,12 @@ def wide_seifert(draw, genus):
     return rows, congruent
 
 
-def _fraction_determinant(m):
-    m = [[Fraction(c) for c in row] for row in m]
-    n, det = len(m), Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
-
-
 def _oracle_alexander(rows):
     """Ascending coefficients of det(V - tV^t), trailing zeros dropped."""
     n = len(rows)
     xs = range(n + 1)
     ys = [
-        _fraction_determinant(
+        fraction_determinant(
             [[rows[i][j] - x * rows[j][i] for j in range(n)] for i in range(n)]
         )
         for x in xs

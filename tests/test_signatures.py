@@ -257,7 +257,7 @@ class TestTorusLemma:
             assert report.jump_steps.sigma_at_minus_one == q - 1
             assert jump_angles(report.profile) == []
 
-    @pytest.mark.parametrize("q", list(range(3, 32, 2)) + [49])
+    @pytest.mark.parametrize("q", list(range(3, 32, 2)) + [49, 61])
     def test_closed_form_matches_elimination(self, q):
         # Litherland's 2 min(a, q-a), which witness schedules use, against
         # certified eliminations of the T(2,q) form.
@@ -411,7 +411,7 @@ def _point(V, w):
     arcs = signatures._Arcs(V)
     arc = arcs._locate(bracket, bits)
     assert arc is not None
-    return signatures._arc_point(arcs._sturm, arc, *signatures._ends(bracket), bits)
+    return signatures._arc_point(arcs._sturm, arc, *signatures._ends(bracket), bits)[:2]
 
 
 def _realified_inertia(sym, skew, a, b):
@@ -591,45 +591,81 @@ class TestCertifiedInertia:
 
 @st.composite
 def _forms(draw):
-    """(sym, skew, a, b): V + V^t and V^t - V of a genus 1-8 Seifert matrix
-    with entries up to 9, its diagonal 0 on some draws, and a point with a
-    or b 0 on some draws and past 2^53 on others."""
+    """(sym, skew, a, b): V + V^t and V^t - V of a Seifert matrix, and a
+    point with a or b 0 on some draws and past 2^53 on others.  V is a dense
+    genus 1-8 draw with entries up to 9, the banded T(2,q) matrix (q <= 17),
+    a block sum of a random draw and torus and figure-eight blocks, or a
+    dense draw whose symmetric part is then sparsified; its diagonal is 0 on
+    some draws.  The banded, block and sparse forms have many rows whose
+    multiplier is 0, which the elimination leaves stale."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    rows = random_seifert(rng, draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 9]))).rows
-    rows = [list(row) for row in rows]
+    kind = draw(st.sampled_from(["dense", "banded", "block", "sparse"]))
+    if kind == "banded":
+        V = torus_2q(draw(st.sampled_from(range(3, 18, 2))))
+    elif kind == "block":
+        block = draw(st.sampled_from([TREFOIL, FIGURE_EIGHT, torus_2q(5)]))
+        V = connected_sum(
+            random_seifert(rng, draw(st.integers(1, 3)), 2),
+            multiple(block, draw(st.integers(1, 2))),
+        )
+    else:
+        V = random_seifert(rng, draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 9])))
+    rows = [list(row) for row in V.rows]
     if draw(st.booleans()):
         for i, row in enumerate(rows):
             row[i] = 0
+    sym, skew = _form_parts(SeifertMatrix(rows))
+    if kind == "sparse":
+        keep = draw(st.sampled_from([0.1, 0.3, 0.5]))
+        for i in range(len(sym)):
+            for j in range(i + 1, len(sym)):
+                if rng.random() > keep:
+                    sym[i][j] = sym[j][i] = 0
     point = st.one_of(st.just(0), st.integers(1, 2**8), st.integers(2**53, 2**64))
-    return (*_form_parts(SeifertMatrix(rows)), draw(point), draw(point))
+    return sym, skew, draw(point), draw(point)
 
 
 class TestFormInertia:
     """The one elimination, _form_inertia, against the realified Fraction
     oracle, which shares no code with it and needs no mpmath."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_forms())
     def test_matches_the_realified_oracle(self, form):
         assert signatures._form_inertia(*form) == _realified_inertia(*form)
 
-    def test_zero_diagonal_takes_the_congruence(self):
-        # Every diagonal entry of these forms is 0, so the first elimination
-        # step has no pivot until the congruence makes h_cc = 2|h_cj|^2: the
-        # inertia cannot come out right unless the congruence ran and was
-        # sound, and no counter is needed to see it.
-        rows = [list(row) for row in random_seifert(random.Random(7), 4).rows]
-        for i, row in enumerate(rows):
-            row[i] = 0
-        sym, skew = _form_parts(SeifertMatrix(rows))
-        assert not any(sym[i][i] for i in range(len(sym)))
-        assert signatures._form_inertia(sym, skew, 3, 5) == _realified_inertia(sym, skew, 3, 5)
-        # With a = 0 the form ib(V^t - V) has no real part, and b times
-        # i(V^t - V), with V - V^t the standard symplectic form, has inertia
-        # (g, g).
-        for b in (1, 2**60 + 1):
-            assert signatures._form_inertia(sym, skew, 0, b) == (4, 4)
-            assert _realified_inertia(sym, skew, 0, b) == (4, 4)
+    def test_congruence_with_stale_rows(self):
+        # In the first form the pivot -a updates row 1 to [0, 0, -a^2]
+        # (scale -a) and leaves row 2, whose multiplier is 0, stale at scale
+        # 1.  Both diagonal entries left are then 0, and the congruence adds
+        # a multiple of row 2 to row 1 or of row 1 to row 2, so it must bring
+        # them to one scale first.  The second form does the same over Z[i].
+        forms = [
+            ([[-1, -1, 0], [-1, -1, 1], [0, 1, 0]], [[0] * 3] * 3),
+            (
+                [[0, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, -1], [0, 0, -1, 0]],
+                [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0]],
+            ),
+        ]
+        for sym, skew in forms:
+            for a, b in ((1, 1), (2, 1), (3, 2), (2**60, 5)):
+                expected = _realified_inertia(sym, skew, a, b)
+                assert signatures._form_inertia(sym, skew, a, b) == expected
+
+    def test_a_sign_flip_trips_the_mod_4_check(self, monkeypatch):
+        # (pos + 1, neg - 1) keeps pos + neg = dim but moves sigma by 2, off
+        # 2 [D(2 cos theta') < 0] mod 4, which every arc asserts.
+        eliminate = signatures._form_inertia
+
+        def flipped(*form):
+            pos, neg = eliminate(*form)
+            return pos + 1, neg - 1
+
+        assert tl_signature(TREFOIL, UnitRootArg(1, 2)) == 2  # D(-2) = -3 < 0
+        monkeypatch.setattr(signatures, "_form_inertia", flipped)
+        for V in (TREFOIL, FIGURE_EIGHT, torus_2q(7)):
+            with pytest.raises(AssertionError):
+                tl_signature(V, UnitRootArg(1, 2))
 
     def test_singular_form_leaves_its_kernel(self):
         # [[2, 2], [2, 2]] has eigenvalues 4 and 0; the zero form has only 0.
@@ -697,7 +733,7 @@ def _sturm(V):
 def _roots_in_open_interval(seq):
     """Distinct roots of D = seq[0] in (-2, 2), by Sturm's theorem; D(+-2)
     are Delta(1) and +-Delta(-1), which are odd."""
-    return signatures._variations(seq, -2, 1) - signatures._variations(seq, 2, 1)
+    return signatures._variations(seq, -2, 1)[0] - signatures._variations(seq, 2, 1)[0]
 
 
 def _upper_circle_roots(V):
@@ -853,7 +889,7 @@ class TestArcs:
         near_one = UnitRootArg(1, 10**6)
         first = _locate(arcs, near_one)
         # Just below x = 2 cos(0) = 2 the variations are those at 2.
-        assert first == signatures._variations(_sturm(V), 2, 1)
+        assert first == signatures._variations(_sturm(V), 2, 1)[0]
         assert tl_signature(V, near_one) == 0
         profile = signature_profile(V, 30)
         for a in range(1, 16):
