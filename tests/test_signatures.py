@@ -634,6 +634,24 @@ class TestFormInertia:
     def test_matches_the_realified_oracle(self, form):
         assert signatures._form_inertia(*form) == _realified_inertia(*form)
 
+    def test_zero_diagonal_takes_the_congruence(self):
+        # Every diagonal entry of these forms is 0, so the first elimination
+        # step has no pivot until the congruence makes h_cc = 2|h_cj|^2: the
+        # inertia cannot come out right unless the congruence ran and was
+        # sound, and no counter is needed to see it.
+        rows = [list(row) for row in random_seifert(random.Random(7), 4).rows]
+        for i, row in enumerate(rows):
+            row[i] = 0
+        sym, skew = _form_parts(SeifertMatrix(rows))
+        assert not any(sym[i][i] for i in range(len(sym)))
+        assert signatures._form_inertia(sym, skew, 3, 5) == _realified_inertia(sym, skew, 3, 5)
+        # With a = 0 the form ib(V^t - V) has no real part, and b times
+        # i(V^t - V), with V - V^t the standard symplectic form, has inertia
+        # (g, g).
+        for b in (1, 2**60 + 1):
+            assert signatures._form_inertia(sym, skew, 0, b) == (4, 4)
+            assert _realified_inertia(sym, skew, 0, b) == (4, 4)
+
     def test_congruence_with_stale_rows(self):
         # In the first form the pivot -a updates row 1 to [0, 0, -a^2]
         # (scale -a) and leaves row 2, whose multiplier is 0, stale at scale
