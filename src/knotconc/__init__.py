@@ -11,7 +11,6 @@ everything else is imported from its module.
 
 from .covers import (
     ClassificationReport,
-    HomologyOrder,
     classify_prime_power_covers,
     cover_orders,
 )
@@ -19,7 +18,6 @@ from .exactpoly import IntPolynomial, cyclotomic, cyclotomic_factor_extract, res
 from .obstruction import (
     FamilyParameters,
     FamilyReport,
-    ScheduleEntry,
     WitnessSchedule,
     family_report,
     verify_separation,
@@ -39,7 +37,6 @@ from .seifert import (
 )
 from .signatures import (
     JUMP,
-    SignatureProfile,
     UnitRootArg,
     at_jump,
     signature_profile,

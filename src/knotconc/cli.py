@@ -11,8 +11,8 @@ byte-identical.
 Exit statuses, read off the class of the error: 0 success, also when the
 reader closes stdout early (the rest of the output is dropped); 2
 errors.InvalidInput (unreadable or malformed input, an invalid Seifert
-matrix, a Delta that is not an Alexander polynomial, a bad q, a witness
-order with no usable character modulus, or work past a size bound: a
+matrix, a Delta that is not an Alexander polynomial, a bad q, no witness
+cover with a nontrivial character, or work past a size bound: a
 matrix past MAX_MATRIX_DIM rows, a --delta past degree MAX_DELTA_DEGREE,
 signature --q past MAX_SIGNATURE_Q, witness --q past MAX_WITNESS_Q, covers
 --max-r past MAX_COVERS_R, a covers table past MAX_COVERS_DIGITS, witness
@@ -260,13 +260,19 @@ def cmd_covers(args):
             "name": name,
             "alexander": _poly_doc(delta),
             "covers": [
-                {"r": r, "order": order.value, "prime_power": is_pp}
+                {"r": r, "order": order, "prime_power": is_pp}
                 for r, order, is_pp in rows
             ],
         }
-        lines = ["name: %s" % name, "Delta(t) = %s" % delta, "r  |H1|"]
+        # The r column holds the widest r and at least two spaces after "r".
+        width = max(3, len(str(args.max_r)) + 1)
+        lines = ["name: %s" % name, "Delta(t) = %s" % delta, "%-*s|H1|" % (width, "r")]
         for r, order, is_pp in rows:
-            lines.append("%-3d%s%s" % (r, order, "  (prime power)" if is_pp else ""))
+            lines.append(
+                "%-*d%s%s"
+                % (width, r, "infinite" if order is None else order,
+                   "  (prime power)" if is_pp else "")
+            )
         _emit(args, doc, lines)
     return EXIT_OK
 
@@ -284,7 +290,7 @@ def cmd_classify(args):
         witness = None
         if report.witness_cover is not None:
             r, order = report.witness_cover
-            witness = {"r": r, "order": order.value}
+            witness = {"r": r, "order": order}
         doc = {
             "command": "classify",
             "name": name,
@@ -321,9 +327,7 @@ def cmd_signature(args):
         raise InvalidInput("--q must be in 2..%d" % MAX_SIGNATURE_Q)
     name, V = _load_matrix(args)
     profile = signatures.signature_profile(V, args.q)
-    entries = {
-        a: ("jump" if v is JUMP else v) for a, v in sorted(profile.values.items())
-    }
+    entries = {a: ("jump" if v is JUMP else v) for a, v in sorted(profile.items())}
     doc = {
         "command": "signature",
         "name": name,
@@ -349,7 +353,7 @@ def cmd_torus(args):
     lines += [" ".join(str(c) for c in row) for row in V.rows]
     if args.verify:
         steps = lemma.jump_steps
-        min_value = min(lemma.profile.non_jump_values())
+        min_value = min(v for v in lemma.profile.values() if v is not JUMP)
         doc["verify"] = {
             "min_signature": min_value,
             "sigma_at_minus_one": steps.sigma_at_minus_one,
@@ -386,15 +390,21 @@ def cmd_witness(args):
     name, V = _load_matrix(args)
     with _exact_output():
         report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)
+        delta = alexander(V)
         schedule = report.schedule
         params = schedule.parameters
         s_min, s_max = obstruction.profile_extremes(params.q)
-        pairs = math.comb(len(schedule.entries), 2)
+        members = [(n,) + obstruction.sum_range(n, params) for n in schedule.entries]
+        pairs = math.comb(len(members), 2)
+        over_approximation = (
+            "character sums over-approximated: each of the %d lift terms ranges "
+            "over all of Z_%d" % (params.term_count, params.q)
+        )
         doc = {
             "command": "witness",
             "name": name,
-            "alexander": _poly_doc(report.delta),
-            "witness_cover": {"r": report.witness_r, "order": report.witness_order.value},
+            "alexander": _poly_doc(delta),
+            "witness_cover": {"r": report.witness_r, "order": report.witness_order},
             "q": params.q,
             "parameters": {
                 "genus": params.genus,
@@ -405,38 +415,31 @@ def cmd_witness(args):
                 "term_count": params.term_count,
             },
             "profile_extremes": {"s_min": s_min, "s_max": s_max},
-            "schedule": [
-                {"n": e.n, "lo": e.lo, "hi": e.hi} for e in schedule.entries
-            ],
+            "schedule": [{"n": n, "lo": lo, "hi": hi} for n, lo, hi in members],
             "separation": {
                 "pairs_checked": pairs,
-                "brute_forced": report.separation.brute_forced,
-                "note": report.separation.note,
+                "brute_forced": report.brute_forced,
+                "note": over_approximation,
             },
-            "note": report.note,
+            "note": "every family member shares this Seifert matrix by construction; "
+            "member i is obtained by tying the n_i-fold multiple of T(2,%d) "
+            "into the surface bands" % params.q,
         }
         lines = [
             "name: %s" % name,
-            "Delta(t) = %s" % report.delta,
-            "witness cover: r = %d with |H1| = %s" % (report.witness_r, report.witness_order),
+            "Delta(t) = %s" % delta,
+            "witness cover: r = %d with |H1| = %d" % (report.witness_r, report.witness_order),
             "character modulus q = %d  (companion torus knot T(2,%d))" % (params.q, params.q),
             "term count L = 2*g*p^k = %d" % params.term_count,
             "profile extremes: S_min = %d, S_max = %d" % (s_min, s_max),
         ]
-        for i, e in enumerate(schedule.entries):
-            lines.append(
-                "member %d: n = %d, achievable sums in [%d, %d]" % (i + 1, e.n, e.lo, e.hi)
-            )
+        for i, (n, lo, hi) in enumerate(members):
+            lines.append("member %d: n = %d, achievable sums in [%d, %d]" % (i + 1, n, lo, hi))
         lines.append(
             "separation verified for %d pair(s)%s"
-            % (
-                pairs,
-                " (brute-force enumeration confirmed)"
-                if report.separation.brute_forced
-                else "",
-            )
+            % (pairs, " (brute-force enumeration confirmed)" if report.brute_forced else "")
         )
-        lines.append("note: %s" % report.separation.note)
+        lines.append("note: %s" % over_approximation)
         _emit(args, doc, lines)
     return EXIT_OK
 
@@ -507,8 +510,10 @@ def build_parser():
     p.add_argument(
         "--q",
         type=int,
-        help="character modulus, an odd prime power (default: the largest "
-        "one dividing the witness cover's |H1|)",
+        help="character modulus, an odd prime power; the witness cover is then "
+        "the least prime power cover whose |H1| its prime divides (default: "
+        "the least one whose |H1| has an odd prime factor, and q the largest "
+        "odd prime power dividing that |H1|)",
     )
     p.set_defaults(func=cmd_witness)
 

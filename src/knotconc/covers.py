@@ -27,11 +27,16 @@ Infinite homology is a zero norm, detected exactly: Res(Psi_d, D) = 0
 exactly when Psi_d divides D, that is when Phi_d divides Delta_0, so an
 order is infinite iff the product of its norms is 0.  A prime-power cover
 never has infinite homology: Phi_(p^j)(1) = p, so Phi_(p^j) dividing Delta
-would make p divide Delta(1) = +-1.  The witness cover is the least prime
-power r with |H_1| != 1, found by one ascending walk.  `cover_orders`
-validates Delta once per call; D is formed once and each Res(Psi_d, D)
-computed at most once per call, so a table of covers, or the witness
-search, shares that work.
+would make p divide Delta(1) = +-1.  An order is an int, or None when it
+is infinite.
+
+One ascending walk over the prime powers r up to DEFAULT_WITNESS_BOUND
+finds the first cover whose order passes a test: the classifier's witness
+cover is the first with |H_1| != 1, and `witness` takes the first whose
+|H_1| admits a nontrivial character to Z_q (obstruction.family_report).
+`cover_orders` validates Delta once per call; D is formed once and each
+Res(Psi_d, D) computed at most once per call, so a table of covers, or a
+walk, shares that work.
 """
 
 from __future__ import annotations
@@ -46,24 +51,6 @@ from .exactpoly import (
     real_cyclotomic,
     resultant,
 )
-
-
-class HomologyOrder(Record):
-    """Order of H_1 of a branched cover: a positive integer or infinite."""
-
-    __slots__ = ("value",)  # int, or None for infinite
-
-    def __init__(self, value):
-        if value is not None and value < 1:
-            raise ValueError("finite homology order must be >= 1")
-        super().__init__(value)
-
-    @property
-    def is_finite(self):
-        return self.value is not None
-
-    def __str__(self):
-        return "infinite" if self.value is None else str(self.value)
 
 
 def _knot_chebyshev_form(delta):
@@ -82,7 +69,8 @@ def _knot_chebyshev_form(delta):
 
 
 def cover_orders(delta, rs):
-    """|H_1| of the r-fold branched covers, for each r in rs, lazily.
+    """|H_1| of the r-fold branched covers, for each r in rs, lazily: an
+    int, or None when it is infinite.
 
     Delta is validated once, here; each Res(Psi_d, D) is computed at most
     once per call.
@@ -104,7 +92,7 @@ def _orders(D, rs):
                 if d not in norms:
                     norms[d] = resultant(real_cyclotomic(d), D) ** 2
                 order *= norms[d]
-        yield r, HomologyOrder(abs(order) or None)
+        yield r, abs(order) or None
 
 
 def cover_order(delta, r):
@@ -118,7 +106,7 @@ class ClassificationReport(Record):
         "non_cyclotomic_remainder",  # IntPolynomial
         "all_prime_power_covers_trivial",
         "all_covers_trivial",
-        "witness_cover",  # (r, HomologyOrder) or None
+        "witness_cover",  # (r, |H_1|) or None
     )
 
 
@@ -143,7 +131,12 @@ def classify_prime_power_covers(delta):
     all_trivial = delta.is_laurent_unit()
     witness = None
     if not all_pp_trivial:
-        witness = _find_witness_cover(D)
+        witness = _find_witness_cover(D, lambda order: order != 1)
+        if witness is None:
+            raise WitnessSearchExhausted(
+                "no prime power cover with nontrivial homology found up to %d"
+                % DEFAULT_WITNESS_BOUND
+            )
     return ClassificationReport(
         cyclotomic_factors=tuple(factors),
         non_cyclotomic_remainder=remainder,
@@ -153,14 +146,14 @@ def classify_prime_power_covers(delta):
     )
 
 
-def _find_witness_cover(D):
+def find_witness_cover(delta, usable):
+    """(r, |H_1|) at the least prime power r <= DEFAULT_WITNESS_BOUND whose
+    |H_1| passes usable, or None."""
+    return _find_witness_cover(_knot_chebyshev_form(delta), usable)
+
+
+def _find_witness_cover(D, usable):
     prime_powers = (
         r for r in range(2, DEFAULT_WITNESS_BOUND + 1) if len(factorize(r)) == 1
     )
-    for r, order in _orders(D, prime_powers):
-        if order.value != 1:
-            return (r, order)
-    raise WitnessSearchExhausted(
-        "no prime power cover with nontrivial homology found up to %d"
-        % DEFAULT_WITNESS_BOUND
-    )
+    return next(((r, order) for r, order in _orders(D, prime_powers) if usable(order)), None)

@@ -40,8 +40,8 @@ class NotAPrimePower(InvalidInput):
 
 
 class NoCharacterModulus(InvalidInput):
-    """No odd prime power is known to divide the witness cover's |H_1|, so
-    the character modulus q must be given."""
+    """No prime power cover within the search bound has a nontrivial
+    character to Z_q, or the witness cover's |H_1| cannot be factored."""
 
 
 class SizeLimit(InvalidInput):

@@ -3,12 +3,19 @@
 Each family member J_i is the n_i-fold multiple of the (2,q) torus knot.  A
 character contributes a sum of L = 2*g*p^k torus-knot signatures, each term
 either 0 or in [n_i*S_min, n_i*S_max], so the achievable nonzero sums fill
-[n_i*S_min, L*n_i*S_max].  The greedy schedule spaces these ranges more than
-2*N0 apart, which makes the Casson-Gordon equality impossible between
-distinct members.  verify_separation checks this in one pass over the
-members: each range must sit more than 2*N0 past its predecessor's, and the
-ranges grow with n_i, so every pair is separated; at desk scale an
-enumeration of each member's sums confirms its range.
+[n_i*S_min, L*n_i*S_max], sum_range(n_i).  A schedule is its tuple of n_i:
+the greedy schedule spaces these ranges more than 2*N0 apart, which makes
+the Casson-Gordon equality impossible between distinct members.
+verify_separation checks this in one pass over the members: each range
+must sit more than 2*N0 past its predecessor's, and the ranges grow with
+n_i, so every pair is separated; at desk scale an enumeration of each
+member's sums confirms its range.
+
+The sums separate the members only through nontrivial characters
+chi: H_1(Sigma_r) -> Z_q (Casson-Gordon 1978/86; Livingston, arXiv
+math/0101035), and one exists only when q's prime divides |H_1(Sigma_r)|.
+So family_report takes as its cover the least prime power r whose |H_1|
+has an odd prime factor, or, with q = p^k given, is divisible by p.
 
 The torus-knot signatures are Litherland's closed form sigma_{a/q}(T(2,q))
 = 2 min(a, q-a) (Signatures of iterated torus knots, 1979), so S_min = 2 at
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .covers import classify_prime_power_covers
+from . import covers
 from .errors import (
     FactorizationLimit,
     HypothesisNotSatisfied,
@@ -67,14 +74,10 @@ class FamilyParameters(Record):
         return 2 * self.genus * self.p**self.k
 
 
-class ScheduleEntry(Record):
-    __slots__ = ("n", "lo", "hi")  # n is the multiplicity of the torus knot
-
-
 class WitnessSchedule(Record):
     # The profile extremes are profile_extremes(parameters.q).
     __slots__ = (
-        "entries",  # ScheduleEntry, n strictly increasing
+        "entries",  # the multiplicities n of the torus knot, strictly increasing
         "parameters",  # FamilyParameters
     )
 
@@ -86,11 +89,11 @@ def profile_extremes(q):
     return 2, q - 1
 
 
-def sum_range(n, params, extremes):
+def sum_range(n, params):
     """Range of achievable signature sums with at least one nonzero term."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s_min, s_max = extremes
+    s_min, s_max = profile_extremes(params.q)
     return n * s_min, params.term_count * n * s_max
 
 
@@ -130,15 +133,13 @@ def witness_schedule(params, count):
             "(log10(2*N0 + 1) + count * log10(L*(q-1)/2)), past %d"
             % (count, params.term_count, brief_int(params.q), digits, MAX_SCHEDULE_DIGITS)
         )
-    extremes = profile_extremes(params.q)
-    s_min = extremes[0]
+    s_min = profile_extremes(params.q)[0]
     entries = []
     threshold = 2 * params.n0 + 1
     for _ in range(count):
         n = _ceil_div(threshold, s_min)
-        lo, hi = sum_range(n, params, extremes)
-        entries.append(ScheduleEntry(n=n, lo=lo, hi=hi))
-        threshold = 2 * params.n0 + hi + 1
+        entries.append(n)
+        threshold = 2 * params.n0 + sum_range(n, params)[1] + 1
     return WitnessSchedule(entries=tuple(entries), parameters=params)
 
 
@@ -147,19 +148,15 @@ _BRUTE_FORCE_MAX_TERMS = 8
 _BRUTE_FORCE_MAX_Q = 7
 
 
-class SeparationReport(Record):
-    __slots__ = ("brute_forced", "note")
-
-
 def verify_separation(schedule):
     """Check that no Casson-Gordon equality can hold between members.
 
     One pass over the entries; any breach raises SeparationFailure.  Each
-    n must be >= 1 and above the one before, each (lo, hi) sum_range(n) on
-    profile_extremes(q), and each lo >= 2*N0 + 1 + the previous hi (2*N0 +
-    1 for the first).  At desk scale each member's nonzero sums over every
-    character-value assignment on the T(2,q) profile are enumerated once
-    and must lie in its [lo, hi].
+    n must be >= 1 and above the one before, and the lo of its
+    sum_range(n) >= 2*N0 + 1 + the previous hi (2*N0 + 1 for the first).
+    At desk scale each member's nonzero sums over every character-value
+    assignment on the T(2,q) profile are enumerated once and must lie in
+    its [lo, hi].  Returns whether they were enumerated.
 
     The chain separates every pair.  A member's achievable sums are 0 (the
     trivial character) or lie in [lo, hi], and hi = L*n*S_max grows with n,
@@ -170,7 +167,6 @@ def verify_separation(schedule):
     """
     params = schedule.parameters
     entries = schedule.entries
-    extremes = profile_extremes(params.q)
     brute = (
         params.term_count <= _BRUTE_FORCE_MAX_TERMS
         and params.q <= _BRUTE_FORCE_MAX_Q
@@ -179,34 +175,27 @@ def verify_separation(schedule):
     values = torus_2q_signatures(params.q) if brute else None
     floor = 2 * params.n0 + 1
     prev_n = 0
-    for idx, e in enumerate(entries):
-        if e.n <= prev_n:
+    for idx, n in enumerate(entries):
+        if n <= prev_n:
             raise SeparationFailure(
                 "entry %d multiplicity %d is not positive and larger than the "
-                "one before" % (idx, e.n)
+                "one before" % (idx, n)
             )
-        if (e.lo, e.hi) != sum_range(e.n, params, extremes):
+        lo, hi = sum_range(n, params)
+        if lo < floor:
             raise SeparationFailure(
-                "entry %d range (%d, %d) does not match n=%d" % (idx, e.lo, e.hi, e.n)
-            )
-        if e.lo < floor:
-            raise SeparationFailure(
-                "entry %d lower bound %d below required %d" % (idx, e.lo, floor)
+                "entry %d lower bound %d below required %d" % (idx, lo, floor)
             )
         if brute:
-            sums = _achievable_sums(e.n, params, values)
-            if min(sums) < e.lo or max(sums) > e.hi:
+            sums = _achievable_sums(n, params, values)
+            if min(sums) < lo or max(sums) > hi:
                 raise SeparationFailure(
                     "enumeration found sums in [%d, %d] for entry %d, outside "
                     "its range" % (min(sums), max(sums), idx)
                 )
-        prev_n = e.n
-        floor = 2 * params.n0 + e.hi + 1
-    note = (
-        "character sums over-approximated: each of the %d lift terms ranges "
-        "over all of Z_%d" % (params.term_count, params.q)
-    )
-    return SeparationReport(brute_forced=brute, note=note)
+        prev_n = n
+        floor = 2 * params.n0 + hi + 1
+    return brute
 
 
 def _achievable_sums(n, params, values):
@@ -223,12 +212,10 @@ def _achievable_sums(n, params, values):
 
 class FamilyReport(Record):
     __slots__ = (
-        "delta",  # IntPolynomial
         "witness_r",
-        "witness_order",  # HomologyOrder
+        "witness_order",  # |H_1| of the witness_r-fold cover
         "schedule",  # WitnessSchedule
-        "separation",  # SeparationReport
-        "note",
+        "brute_forced",  # verify_separation enumerated the sums
     )
 
 
@@ -237,51 +224,58 @@ def family_report(V, count, n0=0, q=None):
 
     Classifies the prime power covers, raising HypothesisNotSatisfied when
     every one is a homology sphere (no obstruction available); takes the
-    character modulus q, by default the largest odd prime power dividing
-    the witness cover's |H_1|; then builds a schedule of count members for
-    the Casson-Gordon bound n0 and verifies it.  q names the companion
-    torus knot T(2,q), so it must be an odd prime power.
+    least prime power cover whose |H_1| admits a nontrivial character: one
+    divisible by q's prime, or by default by an odd prime, and then q the
+    largest odd prime power dividing that |H_1|; then builds a schedule of
+    count members for the Casson-Gordon bound n0 and verifies it.  q names
+    the companion torus knot T(2,q), so it must be an odd prime power.
     """
     delta = alexander(V)
-    classification = classify_prime_power_covers(delta)
+    classification = covers.classify_prime_power_covers(delta)
     if classification.all_prime_power_covers_trivial:
         others = "and so is" if classification.all_covers_trivial else "though not"
         raise HypothesisNotSatisfied(
             "all prime power branched covers are homology spheres, %s every "
             "other cover; Delta(t) = %s gives no obstruction" % (others, delta)
         )
-    witness_r, witness_order = classification.witness_cover
+    p = None
+    if q is not None:
+        p, k = prime_power_decomposition(q)
+        require_torus_q(q)
+
+    def usable(order):
+        # Without q, an odd prime factor: the order is no power of 2.
+        return order % p == 0 if p else order & (order - 1)
+
+    # The orders before the classifier's witness cover are all 1, which no
+    # test accepts, so that cover is the answer whenever it is usable.
+    witness = classification.witness_cover
+    if not usable(witness[1]):
+        witness = covers.find_witness_cover(delta, usable)
+    if witness is None:
+        raise NoCharacterModulus(
+            "no prime power cover up to %d has |H1| divisible by %s"
+            % (covers.DEFAULT_WITNESS_BOUND, p or "an odd prime")
+        )
+    witness_r, witness_order = witness
     if q is None:
         q = _character_modulus(witness_order)
-    p, k = prime_power_decomposition(q)
+        p, k = prime_power_decomposition(q)
     params = FamilyParameters(genus=V.genus, p=p, k=k, q=q, n0=n0)
     schedule = witness_schedule(params, count)
-    separation = verify_separation(schedule)
-    note = (
-        "every family member shares this Seifert matrix by construction; "
-        "member i is obtained by tying the n_i-fold multiple of T(2,%d) "
-        "into the surface bands" % q
-    )
     return FamilyReport(
-        delta=delta,
         witness_r=witness_r,
         witness_order=witness_order,
         schedule=schedule,
-        separation=separation,
-        note=note,
+        brute_forced=verify_separation(schedule),
     )
 
 
 def _character_modulus(order):
-    """Largest odd prime power dividing a witness cover's finite |H_1| >= 2."""
+    """Largest odd prime power dividing a witness cover's |H_1|, which has
+    an odd prime factor."""
     try:
-        factors = factorize(order.value)
+        factors = factorize(order)
     except FactorizationLimit as exc:
         raise NoCharacterModulus("cannot factor |H1|: %s; pass --q explicitly" % exc)
-    candidates = [p**e for p, e in factors.items() if p % 2 == 1]
-    if not candidates:
-        raise NoCharacterModulus(
-            "|H1| = %s has no odd prime power divisor; pass --q explicitly"
-            % brief_int(order.value)
-        )
-    return max(candidates)
+    return max(p**e for p, e in factors.items() if p % 2 == 1)

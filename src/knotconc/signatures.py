@@ -434,17 +434,9 @@ def _ends(bracket):
     return c - 2 * e - 1, c + 2 * e + 1
 
 
-class SignatureProfile(Record):
-    """Signature at every a/q, a = 1..q-1; JUMP marks Alexander roots."""
-
-    __slots__ = ("values",)  # a -> int or JUMP
-
-    def non_jump_values(self):
-        return [v for v in self.values.values() if v is not JUMP]
-
-
 def signature_profile(V, q):
-    """Tristram-Levine signatures of V at all q-th roots of unity except 1."""
+    """Tristram-Levine signatures of V at all q-th roots of unity except 1:
+    {a: sigma at a/q, or JUMP at a root of Delta} for a = 1..q-1."""
     return _profile(_Arcs(V), q)
 
 
@@ -455,12 +447,12 @@ def _profile(arcs, q):
     for a in range(1, q):
         # H at conj(omega) is conj(H), with the same inertia and jumps.
         values[a] = values[q - a] if 2 * a > q else arcs.signature(UnitRootArg(a, q))
-    return SignatureProfile(values=values)
+    return values
 
 
 class TorusLemmaReport(Record):
     __slots__ = (
-        "profile",  # SignatureProfile of T(2,q)
+        "profile",  # signature_profile of T(2,q)
         "jump_steps",  # JumpStepReport of T(2,q)
     )
 
@@ -490,7 +482,7 @@ def verify_torus_lemma(q):
     arcs = _Arcs(torus_2q(q))
     profile = _profile(arcs, q)
     closed_form = torus_2q_signatures(q)
-    for a, v in profile.values.items():
+    for a, v in profile.items():
         if v != closed_form[a]:
             raise LemmaViolation(
                 "sigma_{%d/%d}(T(2,%d)) is %s, the closed form 2 min(a, q-a) "

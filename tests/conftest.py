@@ -1,10 +1,16 @@
+import contextlib
+import functools
+import io
+import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from knotconc.cli import main
 from knotconc.exactpoly import (
     IntPolynomial,
     cyclotomic,
@@ -14,6 +20,19 @@ from knotconc.exactpoly import (
 )
 from knotconc.seifert import SeifertMatrix
 from knotconc.signatures import JUMP
+
+
+def json_run(argv, rows):
+    """(exit status, parsed stdout or None) of `knotconc --json argv` on a
+    matrix document holding rows, run in-process."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps({"matrix": rows}))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--json"] + argv)
+    finally:
+        sys.stdin = saved
+    return code, json.loads(out.getvalue()) if code == 0 else None
 
 
 def random_seifert(rng, genus, bound=2):
@@ -48,13 +67,14 @@ def seifert_rows(draw, max_genus=3):
 
 
 def fraction_determinant(m):
-    """Oracle: det m by Gaussian elimination over Fraction."""
+    """Oracle: det of an integer matrix m by Gaussian elimination over
+    Fraction."""
     m = [[Fraction(c) for c in row] for row in m]
     n, det = len(m), Fraction(1)
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             det = -det
@@ -63,7 +83,23 @@ def fraction_determinant(m):
             f = m[i][k] / m[k][k]
             if f:
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
+    assert det.denominator == 1
+    return int(det)
+
+
+def block_sum(a, b):
+    """The block-diagonal matrix with blocks a and b, as lists."""
+    return [list(row) + [0] * len(b) for row in a] + [[0] * len(a) + list(row) for row in b]
+
+
+def singular(rows):
+    """rows with its first row and column zeroed, apart from the -1 that
+    keeps V - V^t standard: det V = 0, so t divides Delta."""
+    rows = [list(row) for row in rows]
+    rows[0] = [0] * len(rows)
+    for i in range(1, len(rows)):
+        rows[i][0] = -1 if i == 1 else 0
+    return rows
 
 
 # -- polynomial oracles ----------------------------------------------------
@@ -107,9 +143,27 @@ def t_power_minus_one(r):
     return IntPolynomial([-1] + [0] * (r - 1) + [1])
 
 
+@functools.lru_cache(maxsize=None)
+def cyclotomic_coeffs(n):
+    """Ascending coefficients of Phi_n: t^n - 1 divided exactly by Phi_d for
+    each proper divisor d of n."""
+    c = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            divisor = cyclotomic_coeffs(d)  # monic
+            quot = [0] * (len(c) - len(divisor) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c[i + len(divisor) - 1]
+                for j, x in enumerate(divisor):
+                    c[i + j] -= quot[i] * x
+            assert not any(c)
+            c = quot
+    return tuple(c)
+
+
 def jump_angles(profile):
-    """The a of a signature profile's values that sit at Alexander roots."""
-    return [a for a, v in profile.values.items() if v is JUMP]
+    """The a of a signature profile {a: value} that sit at Alexander roots."""
+    return [a for a, v in profile.items() if v is JUMP]
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from knotconc.seifert import (
     torus_2q,
 )
 from knotconc.signatures import (
+    JUMP,
     UnitRootArg,
     at_jump,
     jump_step_check,
@@ -55,10 +56,10 @@ def test_criterion_1_cover_order_spot_values():
         trefoil = alexander(SeifertMatrix([[1, -1], [0, 1]]))
         fig8 = alexander(SeifertMatrix([[1, 1], [0, -1]]))
         for r, value in ((2, 3), (3, 4), (4, 3), (5, 1)):
-            assert cover_order(trefoil, r).value == value
-        assert not cover_order(trefoil, 6).is_finite
-        assert cover_order(fig8, 2).value == 5
-        assert cover_order(fig8, 3).value == 16
+            assert cover_order(trefoil, r) == value
+        assert cover_order(trefoil, 6) is None
+        assert cover_order(fig8, 2) == 5
+        assert cover_order(fig8, 3) == 16
 
 
 def test_criterion_2_prime_power_covers_always_finite():
@@ -69,7 +70,7 @@ def test_criterion_2_prime_power_covers_always_finite():
             V = random_seifert(rng, rng.randint(1, 4), bound=3)
             delta = alexander(V)
             for r in prime_powers:
-                assert cover_order(delta, r).is_finite
+                assert cover_order(delta, r) is not None
 
 
 def test_criterion_3_classifier_verdicts():
@@ -79,14 +80,14 @@ def test_criterion_3_classifier_verdicts():
             assert report.all_prime_power_covers_trivial
             for r in range(2, 28):
                 if len(factorize(r)) == 1:
-                    assert cover_order(cyclotomic(n), r).value == 1
+                    assert cover_order(cyclotomic(n), r) == 1
         for n in (6, 12, 15, 45):
             report = classify_prime_power_covers(cyclotomic(n))
             assert not report.all_prime_power_covers_trivial
             r, order = report.witness_cover
             # Verify the witness against the cover-order computation itself.
             check = cover_order(cyclotomic(n), r)
-            assert check.is_finite and check.value == order.value != 1
+            assert check == order != 1
 
 
 def test_criterion_4_product_identity_grid():
@@ -112,7 +113,7 @@ def test_criterion_5_torus_signature_lemma():
     with budget(5, 10.0):
         for q in (3, 5, 7, 9, 11):
             report = verify_torus_lemma(q)
-            assert min(report.profile.non_jump_values()) >= 2
+            assert min(v for v in report.profile.values() if v is not JUMP) >= 2
             assert report.jump_steps.sigma_at_minus_one == q - 1
 
 
@@ -202,12 +203,11 @@ def test_criterion_8_witness_schedules():
     with budget(8, 60.0):
         base = dict(genus=1, p=3, k=1, q=3)
         schedule0 = witness_schedule(FamilyParameters(n0=0, **base), 3)
-        assert [e.n for e in schedule0.entries] == [1, 7, 43]
+        assert schedule0.entries == (1, 7, 43)
         schedule10 = witness_schedule(FamilyParameters(n0=10, **base), 2)
-        assert [e.n for e in schedule10.entries] == [11, 77]
+        assert schedule10.entries == (11, 77)
         for schedule in (schedule0, schedule10):
-            report = verify_separation(schedule)
-            assert report.brute_forced  # all 3^6 assignments enumerated per side
+            assert verify_separation(schedule)  # all 3^6 assignments enumerated per side
 
 
 def test_criterion_9_cli_end_to_end(tmp_path, capsys):

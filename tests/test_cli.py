@@ -19,7 +19,7 @@ from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import HypothesisNotSatisfied, InvalidInput, KnotConcError
 from knotconc.seifert import SeifertMatrix
 
-from conftest import poly_mul, random_seifert, seifert_rows
+from conftest import json_run, poly_mul, random_seifert, seifert_rows
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
 UNKNOT_TEXT = "{\"name\": \"unknot\", \"matrix\": []}"
@@ -30,6 +30,15 @@ DELTA_T_TEXT = "-2 1\n0 0\n"
 def trefoil_file(tmp_path):
     path = tmp_path / "trefoil.txt"
     path.write_text(TREFOIL_TEXT)
+    return str(path)
+
+
+def torsion_file(tmp_path, q):
+    """A genus-1 matrix whose 2-fold cover has |H1| = q, for odd q > 1:
+    [[a, 1], [0, 1]] has Delta = a(1 - t)^2 + t and |Delta(-1)| = |4a - 1|."""
+    a = (q + 1) // 4 if q % 4 == 3 else (1 - q) // 4
+    path = tmp_path / ("torsion-%d.txt" % q)
+    path.write_text("%d 1\n0 1\n" % a)
     return str(path)
 
 
@@ -179,6 +188,18 @@ class TestCovers:
         code, out, err = run(capsys, ["covers", "--delta=1,-1,1", "--max-r", str(max_r)])
         assert (code, out) == (2, "")
         assert err == "error: --max-r must be in 2..%d\n" % cli.MAX_COVERS_R
+
+    def test_human_table_widens_its_r_column_from_r_100(self, capsys):
+        code, out, err = run(capsys, ["covers", "--delta=1,-1,1", "--max-r", "99"])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert (lines[2], lines[3], lines[-1]) == ("r  |H1|", "2  3  (prime power)", "99 4")
+        code, out, err = run(capsys, ["covers", "--delta=1,-1,1", "--max-r", "100"])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert (lines[2], lines[3], lines[-1]) == ("r   |H1|", "2   3  (prime power)", "100 3")
+        code, out, err = run(capsys, ["covers", "--delta=1,-1,1", "--max-r", "102"])
+        assert out.splitlines()[-2:] == ["101 1  (prime power)", "102 infinite"]
 
     def test_long_palindromic_delta_within_budget(self, capsys):
         # t^400 - t^200 + 1: the 2-fold cover needs only Delta(-1), with no
@@ -504,9 +525,10 @@ class TestWitness:
         assert doc["separation"]["brute_forced"] is True
 
     @pytest.mark.parametrize("count", [0, 1])
-    def test_fewest_members(self, capsys, trefoil_file, count):
+    def test_fewest_members(self, capsys, tmp_path, count):
         code, out, err = run(
-            capsys, ["--json", "witness", trefoil_file, "--q", "7", "--count", str(count)]
+            capsys,
+            ["--json", "witness", torsion_file(tmp_path, 7), "--q", "7", "--count", str(count)],
         )
         assert code == 0, err
         doc = json.loads(out)
@@ -533,13 +555,32 @@ class TestWitness:
         assert code == 3
         assert "hypothesis not satisfied" in err
 
-    def test_q_override(self, capsys, trefoil_file):
+    def test_q_override(self, capsys, tmp_path):
         code, out, err = run(
-            capsys, ["--json", "witness", trefoil_file, "--q", "5", "--count", "2"]
+            capsys, ["--json", "witness", torsion_file(tmp_path, 5), "--q", "5", "--count", "2"]
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["q"] == 5 and doc["parameters"]["p"] == 5
+
+    def test_q_with_no_character_exit_2(self, capsys, trefoil_file):
+        # The trefoil's prime-power covers have |H1| 1, 3 or 4: no Z_5
+        # character is nontrivial, and no other q could help.
+        code, out, err = run(capsys, ["witness", trefoil_file, "--q", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: no prime power cover up to 512 has |H1| divisible by 5\n"
+
+    def test_cover_is_the_first_with_an_odd_prime(self, capsys, monkeypatch):
+        # |H1| is 1 at r = 2 and 16 at r = 3, so r = 4, with 25, is taken.
+        code, out, err = run(
+            capsys,
+            ["--json", "witness", "-"],
+            stdin="0 1 0 -1\n0 0 1 -2\n0 1 0 -2\n-1 -2 -3 -1\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["witness_cover"], doc["q"]) == ({"r": 4, "order": 25}, 25)
 
     @pytest.mark.parametrize("count", [-1, cli.MAX_WITNESS_COUNT + 1])
     def test_count_out_of_bounds_exit_2_before_any_work(
@@ -563,7 +604,7 @@ class TestWitness:
             main(["witness", trefoil_file, "--count", str(count)])
 
     def test_schedule_past_digit_bound_exit_2_before_building(
-        self, capsys, trefoil_file, monkeypatch
+        self, capsys, tmp_path, monkeypatch
     ):
         # L = 2 * 1289 and q = 1289: 690 members reach about 4291 digits.
         def refuse(*args):
@@ -571,7 +612,7 @@ class TestWitness:
 
         monkeypatch.setattr(obstruction, "sum_range", refuse)
         code, out, err = run(
-            capsys, ["witness", trefoil_file, "--q", "1289", "--count", "690"]
+            capsys, ["witness", torsion_file(tmp_path, 1289), "--q", "1289", "--count", "690"]
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: 690 members with L = 2578 and q = 1289 ")
@@ -601,10 +642,12 @@ class TestWitness:
         assert (code, out) == (2, "")
         assert err == "error: %d is not a prime power\n" % cli.MAX_WITNESS_Q
 
-    def test_large_prime_q_within_bound(self, capsys, trefoil_file):
+    def test_large_prime_q_within_bound(self, capsys, tmp_path):
         # The largest prime below 10^12: trial division proves it prime.
+        q = "999999999989"
         code, out, err = run(
-            capsys, ["--json", "witness", trefoil_file, "--q", "999999999989", "--count", "2"]
+            capsys,
+            ["--json", "witness", torsion_file(tmp_path, int(q)), "--q", q, "--count", "2"],
         )
         assert code == 0, err
         assert json.loads(out)["parameters"]["p"] == 999999999989
@@ -650,9 +693,9 @@ class TestWitness:
         assert code == 0, err
         assert json.loads(out)["separation"]["brute_forced"] is True
 
-    def test_large_q_costs_no_elimination(self, capsys, trefoil_file, no_eliminations):
+    def test_large_q_costs_no_elimination(self, capsys, tmp_path, no_eliminations):
         code, out, err = run(
-            capsys, ["--json", "witness", trefoil_file, "--q", "101", "--count", "2"]
+            capsys, ["--json", "witness", torsion_file(tmp_path, 101), "--q", "101", "--count", "2"]
         )
         assert code == 0, err
         assert json.loads(out)["profile_extremes"] == {"s_min": 2, "s_max": 100}
@@ -900,26 +943,14 @@ class TestRandomMatrices:
     """classify and witness on random matrices: a documented exit status,
     never an exception out of main, and a witness q that names T(2,q)."""
 
-    @staticmethod
-    def main_json(argv, rows):
-        out, saved = io.StringIO(), sys.stdin
-        sys.stdin = io.StringIO(json.dumps({"matrix": rows}))
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["--json"] + argv)
-        finally:
-            sys.stdin = saved
-        return code, out.getvalue()
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rows=seifert_rows())
     def test_classify_and_witness_exit_cleanly(self, rows):
-        code, _ = self.main_json(["classify"], rows)
+        code, _ = json_run(["classify"], rows)
         assert code in (0, 2, 3)
-        code, out = self.main_json(["witness", "--count", "2"], rows)
+        code, doc = json_run(["witness", "--count", "2"], rows)
         assert code in (0, 2, 3)
         if code == 0:
-            doc = json.loads(out)
             q = doc["q"]
             assert q >= 3 and _is_odd_prime_power(q)
             assert doc["profile_extremes"]["s_max"] == q - 1

@@ -1,14 +1,17 @@
 """Differential tests against oracles that share no code with the library.
 
-Both determinant oracles eliminate over `Fraction` with code written here:
+Both determinant oracles eliminate over `Fraction`, with
+tests/conftest.py's `fraction_determinant`:
 - |H_1| of the r-fold branched cover is |det| of the (r-1)-block
   tridiagonal presentation matrix with V + V^t on the diagonal, -V above it
   and -V^t below it (Rolfsen, Knots and Links, ch. 8); det 0 means H_1 is
   infinite.
 - Res(f, g) is the determinant of the Sylvester matrix of f and g.
 The witness cover is checked as the least prime power r with
-|Res(t^r - 1, Delta)| != 1, from Sylvester determinants and Phi_n built
-here.
+|Res(t^r - 1, Delta)| != 1, from Sylvester determinants and the Phi_n of
+tests/conftest.py.  The cover `witness` takes must carry a nontrivial
+character: q's prime divides its presentation order, and no smaller
+prime-power cover's order has that prime.
 The half-degree norms Res(Psi_d, D)^2 that `covers` uses are checked
 against the full-degree Res(phi_d, Delta), itself checked against the
 Sylvester determinant here.
@@ -24,7 +27,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_mul, random_seifert
+from conftest import (
+    block_sum,
+    cyclotomic_coeffs,
+    fraction_determinant,
+    json_run,
+    poly_mul,
+    random_seifert,
+    seifert_rows,
+    singular,
+)
+from knotconc import covers
 from knotconc.cli import main
 from knotconc.covers import classify_prime_power_covers, cover_orders
 from knotconc.exactpoly import (
@@ -35,28 +48,6 @@ from knotconc.exactpoly import (
     resultant,
 )
 from knotconc.seifert import SeifertMatrix, alexander
-
-
-def fraction_det(rows):
-    """Determinant by Gaussian elimination over the rationals."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    assert det.denominator == 1
-    return int(det)
 
 
 def presentation_order(rows, r):
@@ -71,7 +62,7 @@ def presentation_order(rows, r):
                 if b + 1 < r - 1:
                     big[b * n + i][(b + 1) * n + j] = -rows[i][j]
                     big[(b + 1) * n + i][b * n + j] = -rows[j][i]
-    return abs(fraction_det(big))
+    return abs(fraction_determinant(big))
 
 
 def sylvester(f, g):
@@ -84,10 +75,6 @@ def sylvester(f, g):
     for i in range(df):
         rows.append([0] * i + g[::-1] + [0] * (size - i - dg - 1))
     return rows
-
-
-def block_sum(a, b):
-    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -105,10 +92,7 @@ def test_cover_orders_match_presentation(genus, seed, r, trefoil):
     orders = list(cover_orders(alexander(SeifertMatrix(rows)), range(2, 9)))
     expected = presentation_order(rows, r)
     got = orders[r - 2]
-    if expected == 0:
-        assert not got.is_finite
-    else:
-        assert got.value == expected
+    assert got == (expected or None)
 
 
 def test_presentation_covers_singular_draws():
@@ -120,7 +104,7 @@ def test_presentation_covers_singular_draws():
     orders = list(cover_orders(alexander(V), range(2, 9)))
     rows = [list(row) for row in V.rows]
     expected = [presentation_order(rows, r) for r in range(2, 9)]
-    assert [order.value for order in orders] == expected
+    assert orders == expected
 
 
 leading = st.integers(-6, 6).filter(bool)
@@ -139,7 +123,7 @@ def test_resultant_matches_sylvester(f, g, shared):
     if shared is not None:
         common = IntPolynomial(shared[0] + [shared[1]])
         f, g = poly_mul(f, common), poly_mul(g, common)
-    expected = fraction_det(sylvester(list(f.coeffs), list(g.coeffs)))
+    expected = fraction_determinant(sylvester(list(f.coeffs), list(g.coeffs)))
     assert resultant(f, g) == expected
 
 
@@ -154,22 +138,6 @@ def _totient(n):
     return out
 
 
-def _cyclotomic_coeffs(n):
-    """Phi_n: t^n - 1 divided exactly by Phi_d for each proper divisor d."""
-    c = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            divisor = _cyclotomic_coeffs(d)  # monic
-            quot = [0] * (len(c) - len(divisor) + 1)
-            for i in range(len(quot) - 1, -1, -1):
-                quot[i] = c[i + len(divisor) - 1]
-                for j, x in enumerate(divisor):
-                    c[i + j] -= quot[i] * x
-            assert not any(c)
-            c = quot
-    return c
-
-
 # Phi_n(1) = 1 exactly when n has at least two distinct primes, and then
 # some prime-power cover is nontrivial only if n has at most two.
 TWO_PRIME_INDICES = [n for n in range(2, 91) if len(_primes(n)) == 2 and _totient(n) <= 24]
@@ -180,7 +148,7 @@ def least_witness(coeffs):
     not 1."""
     for r in range(2, 513):
         if len(_primes(r)) == 1:
-            order = abs(fraction_det(sylvester([-1] + [0] * (r - 1) + [1], coeffs)))
+            order = abs(fraction_determinant(sylvester([-1] + [0] * (r - 1) + [1], coeffs)))
             if order != 1:
                 return r, order
     raise AssertionError("no witness up to 512")
@@ -197,14 +165,59 @@ def test_witness_is_the_least_nontrivial_prime_power(indices, half, shift, sign)
     # A palindrome with value 1 at t = 1 (the unit 1 when half is empty),
     # times Phi_n for n with two primes, times +-t^k.
     remainder = IntPolynomial(half + [1 - 2 * sum(half)] + half[::-1])
-    delta = poly_mul(remainder, *map(IntPolynomial, map(_cyclotomic_coeffs, indices)))
+    delta = poly_mul(remainder, *map(IntPolynomial, map(cyclotomic_coeffs, indices)))
     delta = IntPolynomial([0] * shift + [sign * c for c in delta.coeffs])
     witness = classify_prime_power_covers(delta).witness_cover
     if not indices and remainder.is_laurent_unit():
         assert witness is None
     else:
-        r, order = witness
-        assert (r, order.value) == least_witness(list(delta.coeffs))
+        assert witness == least_witness(list(delta.coeffs))
+
+
+def _odd_part(n):
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
+def _largest_odd_prime_power(n):
+    n, best, p = _odd_part(n), 1, 3
+    while p * p <= n:
+        power = 1
+        while n % p == 0:
+            n, power = n // p, power * p
+        best, p = max(best, power), p + 2
+    return max(best, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=seifert_rows(max_genus=2), q=st.sampled_from([None, 3, 5, 7, 9, 25]))
+def test_witness_cover_carries_a_character(rows, q):
+    # A nontrivial character to Z_q exists only where q's prime divides
+    # |H_1|, by default some odd prime.  The walk is cut at r = 9 so that
+    # the oracle's presentations stay small.
+    bound, covers.DEFAULT_WITNESS_BOUND = covers.DEFAULT_WITNESS_BOUND, 9
+    try:
+        code, doc = json_run(["witness", "--count", "1"] + (["--q", str(q)] if q else []), rows)
+    finally:
+        covers.DEFAULT_WITNESS_BOUND = bound
+    rs = (2, 3, 4, 5, 7, 8, 9)
+    if code == 0:
+        rs = rs[: rs.index(doc["witness_cover"]["r"]) + 1]
+    orders = [presentation_order(rows, r) for r in rs]
+    if code == 3:  # every prime-power cover is a homology sphere
+        assert set(orders) == {1}
+        return
+    prime = {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}.get(q)
+    usable = [
+        r for r, order in zip(rs, orders)
+        if (order % prime == 0 if prime else _odd_part(order) > 1)
+    ]
+    assert (code, usable) in ((2, []), (0, [rs[-1]]))
+    if code == 0:
+        assert doc["witness_cover"]["order"] == orders[-1]
+        if q is None:
+            assert doc["q"] == _largest_odd_prime_power(orders[-1])
 
 
 def test_covers_cli_past_int_str_limit(capsys):
@@ -232,20 +245,10 @@ def test_covers_cli_past_int_str_limit(capsys):
     assert orders[80].bit_length() > 4300 * 3.33
 
 
-def _singular(rows):
-    """rows with its first row and column zeroed, apart from the -1 that
-    keeps V - V^t standard: det V = 0, so t divides Delta."""
-    rows = [list(row) for row in rows]
-    rows[0] = [0] * len(rows)
-    for i in range(1, len(rows)):
-        rows[i][0] = -1 if i == 1 else 0
-    return rows
-
-
 def test_half_degree_norms_match_full_resultants():
     rng = random.Random(4099)
     draws = [[list(row) for row in random_seifert(rng, g).rows] for g in range(1, 9)]
-    draws += [_singular(draws[1]), _singular(draws[4])]
+    draws += [singular(draws[1]), singular(draws[4])]
     shifts = []
     for rows in draws:
         delta = alexander(SeifertMatrix(rows))
@@ -262,5 +265,5 @@ def test_half_degree_norms_match_full_resultants():
             for d in range(1, r + 1):
                 if r % d == 0:
                     product *= full[d]
-            assert order.value == (product or None)
+            assert order == (product or None)
     assert shifts[-2] > 0 and shifts[-1] > 0  # Delta = t^k Delta_0 is covered

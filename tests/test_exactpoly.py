@@ -16,7 +16,7 @@ from conftest import (
     t_power_minus_one,
 )
 from knotconc import exactpoly
-from knotconc.covers import HomologyOrder, classify_prime_power_covers
+from knotconc.covers import classify_prime_power_covers
 from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
 from knotconc.exactpoly import (
     IntPolynomial,
@@ -473,7 +473,6 @@ class TestRecord:
         values = (
             _Pair(1, (2, 3)),
             UnitRootArg(2, 6),
-            HomologyOrder(None),
             IntPolynomial([1, -1, 1]),
             V,
             classify_prime_power_covers(cyclotomic(6)),

@@ -13,6 +13,8 @@ Regenerate the file with
     PYTHONPATH=src python tests/test_golden.py --write
 
 only when an output is meant to change, and say which and why in CHANGES.md.
+It prints the id of every case whose exit status or sha256 changed, or that
+is new, and their count.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import block_sum, random_seifert, singular
 from knotconc.cli import main
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
@@ -70,33 +73,20 @@ def test_t_power_exit_status(case):
 # -- regeneration -------------------------------------------------------------
 
 
-def _random_seifert(rng, genus, bound=2):
-    """Random matrix whose V - V^t is the standard symplectic form."""
-    n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.randint(-bound, bound)
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
-    for b in range(genus):
-        rows[2 * b + 1][2 * b] = rows[2 * b][2 * b + 1] - 1
-    return rows
-
-
 def _invocations():
     """(id, stages, stdin, rows or None) for every case of the corpus."""
     out = []
     rng = random.Random(8101)
     for g in range(1, 9):
         for i in range(3):
-            rows = _random_seifert(rng, g)
+            rows = random_seifert(rng, g).rows
             key = "covers-g%d-%d" % (g, i)
             doc = json.dumps({"name": key, "matrix": rows})
             out.append((key, [["--json", "covers", "--max-r", "64"]], doc, rows))
     rng = random.Random(8102)
     for g in range(1, 9):
         for i in range(6):
-            rows = _random_seifert(rng, g)
+            rows = random_seifert(rng, g).rows
             key = "classify-g%d-%d" % (g, i)
             doc = json.dumps({"name": key, "matrix": rows})
             out.append((key, [["--json", "classify"]], doc, rows))
@@ -106,7 +96,7 @@ def _invocations():
     rng = random.Random(8101)  # the covers draws again
     for g in range(1, 9):
         for i in range(3):
-            rows = _random_seifert(rng, g)
+            rows = random_seifert(rng, g).rows
             key = "alexander-g%d-%d" % (g, i)
             doc = json.dumps({"name": key, "matrix": rows})
             out.append((key, [["--json", "alexander"]], doc, rows))
@@ -116,9 +106,9 @@ def _invocations():
         for tq, tg in ((None, 0), (3, 1), (5, 2)):
             if tg >= g:
                 continue
-            rows = _random_seifert(rng, g - tg, bound=3)
+            rows = random_seifert(rng, g - tg, bound=3).rows
             if tq is not None:
-                rows = _block_sum(rows, _torus_rows(tq))
+                rows = block_sum(rows, _torus_rows(tq))
             label = "plain" if tq is None else "t%d" % tq
             for q in (6, 8, 12):
                 key = "signature-q%d-g%d-%s" % (q, g, label)
@@ -136,18 +126,18 @@ def _invocations():
     rng = random.Random(8105)
     for g in range(9, 13):
         for i in range(2):
-            rows = _random_seifert(rng, g, bound=9)
+            rows = random_seifert(rng, g, bound=9).rows
             for command in ("alexander", "classify"):
                 key = "%s-wide-g%d-%d" % (command, g, i)
                 doc = json.dumps({"name": key, "matrix": rows})
                 out.append((key, [["--json", command]], doc, rows))
-    rows = _singular(_random_seifert(random.Random(8106), 10, bound=9))
+    rows = singular(random_seifert(random.Random(8106), 10, bound=9).rows)
     for command in ("alexander", "classify"):
         key = "%s-singular-g10" % command
         doc = json.dumps({"name": key, "matrix": rows})
         out.append((key, [["--json", command]], doc, rows))
     # Human mode, one case per command.
-    rows = _block_sum(_random_seifert(random.Random(8104), 2), _torus_rows(3))
+    rows = block_sum(random_seifert(random.Random(8104), 2).rows, _torus_rows(3))
     doc = json.dumps({"name": "human", "matrix": rows})
     for command in (["alexander"], ["covers", "--max-r", "24"], ["classify"],
                     ["signature", "--q", "12"]):
@@ -163,7 +153,7 @@ def _invocations():
         out.append(("trefoil-witness-" + key, stages, trefoil, None))
     stages = [["--json", "witness", "--count", "4"]]
     out.append(("figure-eight-witness-count-4", stages, "1 1\n0 -1\n", None))
-    rows = _random_seifert(random.Random(8107), 2)
+    rows = random_seifert(random.Random(8107), 2).rows
     doc = json.dumps({"name": "witness-g2", "matrix": rows})
     out.append(("witness-g2-count-4", stages, doc, rows))
     # Covers tables past the random-draw cases: the wide genus 9-12 draws,
@@ -174,15 +164,15 @@ def _invocations():
     rng = random.Random(8105)  # the wide draws again
     for g in range(9, 13):
         for i in range(2):
-            rows = _random_seifert(rng, g, bound=9)
+            rows = random_seifert(rng, g, bound=9).rows
             key = "covers-wide-g%d-%d" % (g, i)
             doc = json.dumps({"name": key, "matrix": rows})
             out.append((key, stages, doc, rows))
-    rows = _random_seifert(random.Random(8146), 2)
+    rows = random_seifert(random.Random(8146), 2).rows
     doc = json.dumps({"name": "covers-t-power-g2", "matrix": rows})
     out.append(("covers-t-power-g2", stages, doc, rows))
-    rows = _block_sum(_block_sum(_random_seifert(random.Random(8108), 2), _torus_rows(3)),
-                      _torus_rows(5))
+    rows = block_sum(block_sum(random_seifert(random.Random(8108), 2).rows, _torus_rows(3)),
+                     _torus_rows(5))
     doc = json.dumps({"name": "covers-cyclotomic", "matrix": rows})
     out.append(("covers-cyclotomic", stages, doc, rows))
     stages = [["--json", "covers", "--max-r", "96", "--delta", "0,0,-1,1,-1"]]
@@ -194,20 +184,6 @@ def _torus_rows(q):
     """The T(2,q) Seifert matrix: +1 on the diagonal, -1 above it."""
     n = q - 1
     return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
-
-
-def _singular(rows):
-    """rows with its first row zeroed, and the first column with it apart
-    from the -1 that keeps V - V^t standard: det V = 0, so t divides Delta."""
-    rows = [list(row) for row in rows]
-    rows[0] = [0] * len(rows)
-    for i in range(1, len(rows)):
-        rows[i][0] = -1 if i == 1 else 0
-    return rows
-
-
-def _block_sum(a, b):
-    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
 
 
 def write_corpus():
@@ -229,6 +205,11 @@ def write_corpus():
         lines.append(" ]" + ("," if name == "cases" else ""))
     lines.append("}")
     CORPUS.write_text("\n".join(lines) + "\n")
+    old = {c["id"]: (c["exit"], c["sha256"]) for c in GOLDEN["cases"] + GOLDEN["t_power_cases"]}
+    changed = [c["id"] for c in cases + t_power if old.get(c["id"]) != (c["exit"], c["sha256"])]
+    for key in changed:
+        print("changed: %s" % key)
+    print("%d case(s) changed" % len(changed))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotconc import exactpoly, obstruction
-from knotconc.covers import HomologyOrder
+from knotconc import covers, exactpoly, obstruction
 from knotconc.errors import (
     BadTorusParameter,
     HypothesisNotSatisfied,
@@ -18,7 +17,6 @@ from knotconc.errors import (
 from knotconc.obstruction import (
     MAX_SCHEDULE_DIGITS,
     FamilyParameters,
-    ScheduleEntry,
     WitnessSchedule,
     _character_modulus,
     family_report,
@@ -28,29 +26,35 @@ from knotconc.obstruction import (
     verify_separation,
     witness_schedule,
 )
-from knotconc.seifert import TREFOIL, UNKNOT, torus_2q_signatures
+from knotconc.seifert import TREFOIL, UNKNOT, SeifertMatrix, torus_2q_signatures
 
 
 def trefoil_params(n0):
     return FamilyParameters(genus=1, p=3, k=1, q=3, n0=n0)
 
 
+# Delta = -t^4 + 3t^2 - 1: |H_1| is 1, 16 and 25 at r = 2, 3 and 4.
+SIXTEEN_THEN_25 = SeifertMatrix([[0, 1, 0, -1], [0, 0, 1, -2], [0, 1, 0, -2], [-1, -2, -3, -1]])
+
+
 class TestCharacterModulus:
     def test_largest_odd_prime_power(self):
-        assert _character_modulus(HomologyOrder(2**3 * 3**2 * 5)) == 9
+        assert _character_modulus(2**3 * 3**2 * 5) == 9
 
-    def test_no_odd_prime_power_divisor(self):
+    def test_no_odd_prime_power_divisor(self, monkeypatch):
+        # The walk stops at r = 3, where |H1| = 16 has no odd prime factor.
+        monkeypatch.setattr(covers, "DEFAULT_WITNESS_BOUND", 3)
         with pytest.raises(NoCharacterModulus) as exc:
-            _character_modulus(HomologyOrder(16))
+            family_report(SIXTEEN_THEN_25, 1)
         assert isinstance(exc.value, InvalidInput)
         assert str(exc.value) == (
-            "|H1| = 16 has no odd prime power divisor; pass --q explicitly"
+            "no prime power cover up to 3 has |H1| divisible by an odd prime"
         )
 
     def test_cofactor_past_trial_division(self, monkeypatch):
         monkeypatch.setattr(exactpoly, "TRIAL_DIVISION_BOUND", 10)
         with pytest.raises(NoCharacterModulus) as exc:
-            _character_modulus(HomologyOrder(13 * 17))
+            _character_modulus(13 * 17)
         assert str(exc.value) == (
             "cannot factor |H1|: cofactor 221 survived trial division up to 10; "
             "pass --q explicitly"
@@ -84,8 +88,8 @@ class TestTorusProfiles:
     def test_sum_range(self):
         params = trefoil_params(0)
         assert params.term_count == 6
-        assert sum_range(1, params, (2, 2)) == (2, 12)
-        assert sum_range(7, params, (2, 2)) == (14, 84)
+        assert sum_range(1, params) == (2, 12)
+        assert sum_range(7, params) == (14, 84)
 
 
 class TestParameters:
@@ -102,18 +106,20 @@ class TestParameters:
 
 class TestSchedule:
     def test_trefoil_three_members_n0_zero(self):
-        schedule = witness_schedule(trefoil_params(0), 3)
-        assert [e.n for e in schedule.entries] == [1, 7, 43]
-        assert [(e.lo, e.hi) for e in schedule.entries] == [
+        params = trefoil_params(0)
+        schedule = witness_schedule(params, 3)
+        assert schedule.entries == (1, 7, 43)
+        assert [sum_range(n, params) for n in schedule.entries] == [
             (2, 12),
             (14, 84),
             (86, 516),
         ]
 
     def test_trefoil_two_members_n0_ten(self):
-        schedule = witness_schedule(trefoil_params(10), 2)
-        assert [e.n for e in schedule.entries] == [11, 77]
-        assert [(e.lo, e.hi) for e in schedule.entries] == [(22, 132), (154, 924)]
+        params = trefoil_params(10)
+        schedule = witness_schedule(params, 2)
+        assert schedule.entries == (11, 77)
+        assert [sum_range(n, params) for n in schedule.entries] == [(22, 132), (154, 924)]
 
     def test_empty(self):
         schedule = witness_schedule(trefoil_params(0), 0)
@@ -122,7 +128,7 @@ class TestSchedule:
     def test_growth_is_geometric_in_term_count(self):
         params = trefoil_params(0)
         schedule = witness_schedule(params, 5)
-        ns = [e.n for e in schedule.entries]
+        ns = schedule.entries
         for prev, cur in zip(ns, ns[1:]):
             assert cur > params.term_count * prev  # hi_i / s_min dominates
 
@@ -136,50 +142,30 @@ class TestSeparation:
     def test_accepts_greedy_schedules(self):
         for n0, count in ((0, 3), (10, 2), (3, 4)):
             schedule = witness_schedule(trefoil_params(n0), count)
-            report = verify_separation(schedule)
-            assert report.brute_forced == (count >= 2)
+            assert verify_separation(schedule) == (count >= 2)
 
     def test_brute_force_flag_off_for_large_q(self):
         params = FamilyParameters(genus=1, p=11, k=1, q=11, n0=0)
         schedule = witness_schedule(params, 2)
-        report = verify_separation(schedule)
-        assert not report.brute_forced
+        assert not verify_separation(schedule)
 
     def test_rejects_overlapping_ranges(self):
         params = trefoil_params(0)
-        entries = (
-            ScheduleEntry(n=1, lo=2, hi=12),
-            ScheduleEntry(n=2, lo=4, hi=24),  # overlaps the first range
-        )
-        schedule = WitnessSchedule(entries=entries, parameters=params)
-        with pytest.raises(SeparationFailure):
-            verify_separation(schedule)
-
-    def test_rejects_wrong_interval(self):
-        params = trefoil_params(0)
-        entries = (ScheduleEntry(n=1, lo=3, hi=12),)
-        schedule = WitnessSchedule(entries=entries, parameters=params)
+        # [4, 24] overlaps the first range, [2, 12].
+        schedule = WitnessSchedule(entries=(1, 2), parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
     def test_rejects_non_increasing_multiplicity(self):
         params = trefoil_params(0)
-        entries = (
-            ScheduleEntry(n=7, lo=14, hi=84),
-            ScheduleEntry(n=7, lo=14, hi=84),
-        )
-        schedule = WitnessSchedule(entries=entries, parameters=params)
+        schedule = WitnessSchedule(entries=(7, 7), parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
     def test_rejects_pad_violation(self):
         # Valid at n0 = 0 but the claimed n0 = 40 pad swallows the gap.
         params = trefoil_params(40)
-        entries = (
-            ScheduleEntry(n=41, lo=82, hi=492),
-            ScheduleEntry(n=250, lo=500, hi=3000),
-        )
-        schedule = WitnessSchedule(entries=entries, parameters=params)
+        schedule = WitnessSchedule(entries=(41, 250), parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
@@ -187,48 +173,49 @@ class TestSeparation:
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_non_positive_multiplicity(self, n):
         params = trefoil_params(0)
-        entries = (ScheduleEntry(n=n, lo=2 * n, hi=12 * n),)
-        schedule = WitnessSchedule(entries=entries, parameters=params)
+        schedule = WitnessSchedule(entries=(n,), parameters=params)
         with pytest.raises(SeparationFailure):
             verify_separation(schedule)
 
     def test_verifies_800_members_within_budget(self):
         schedule = witness_schedule(trefoil_params(0), 800)
         start = time.perf_counter()
-        report = verify_separation(schedule)
+        brute_forced = verify_separation(schedule)
         assert time.perf_counter() - start < 0.5
-        assert report.brute_forced
+        assert brute_forced
 
 
 def pairwise_oracle_accepts(schedule):
     """Separation checked pair by pair, sharing no code with obstruction.
 
-    Each entry's (lo, hi) must be (2n, L*n*(q-1)) with n increasing and
-    lo past the previous hi by more than 2*N0; every pair of ranges, each
-    side also able to contribute 0, must stay more than 2*N0 apart; and for
-    L <= 8, q <= 7 and two or more entries, every pair of enumerated sum
-    sets over all assignments of 2 min(a, q-a) to the L terms must too.
+    Each n >= 1 has the range (lo, hi) = (2n, L*n*(q-1)).  The n must
+    increase, with each lo past the previous hi by more than 2*N0; every
+    pair of ranges, each side also able to contribute 0, must stay more
+    than 2*N0 apart; and for L <= 8, q <= 7 and two or more entries, every
+    pair of enumerated sum sets over all assignments of 2 min(a, q-a) to
+    the L terms must too.
     """
-    params, entries = schedule.parameters, schedule.entries
+    params, ns = schedule.parameters, schedule.entries
     pad = 2 * params.n0
     terms = 2 * params.genus * params.p**params.k
-    for idx, e in enumerate(entries):
-        if (e.lo, e.hi) != (2 * e.n, terms * e.n * (params.q - 1)):
+    if any(n < 1 for n in ns):
+        return False
+    ranges = [(2 * n, terms * n * (params.q - 1)) for n in ns]
+    for idx, (lo, hi) in enumerate(ranges):
+        if idx and ns[idx - 1] >= ns[idx]:
             return False
-        if idx and entries[idx - 1].n >= e.n:
+        if lo <= pad + (ranges[idx - 1][1] if idx else 0):
             return False
-        if e.lo <= pad + (entries[idx - 1].hi if idx else 0):
+    for (_, hi_a), (lo_b, _) in itertools.combinations(ranges, 2):
+        if lo_b <= hi_a + pad or lo_b <= pad:
             return False
-    for a, b in itertools.combinations(entries, 2):
-        if b.lo <= a.hi + pad or b.lo <= pad:
-            return False
-    if terms <= 8 and params.q <= 7 and len(entries) >= 2:
+    if terms <= 8 and params.q <= 7 and len(ns) >= 2:
         values = [0] + [2 * min(a, params.q - a) for a in range(1, params.q)]
         sums = []
-        for e in entries:
+        for n in ns:
             every = {0}
             for _ in range(terms):
-                every = {s + e.n * v for s in every for v in values}
+                every = {s + n * v for s in every for v in values}
             sums.append((every, every - {0}))
         for (every_a, nonzero_a), (every_b, nonzero_b) in itertools.combinations(sums, 2):
             for side, other in ((every_a, nonzero_b), (every_b, nonzero_a)):
@@ -238,25 +225,18 @@ def pairwise_oracle_accepts(schedule):
 
 
 def perturbed(schedule, kind, index):
-    """schedule with one entry or two entries changed."""
+    """schedule with one multiplicity changed, or two swapped."""
     entries = list(schedule.entries)
     i = index % len(entries)
     j = (i + 1) % len(entries)
-    e = entries[i]
-    if kind in ("lo-1", "lo+1"):
-        entries[i] = ScheduleEntry(n=e.n, lo=e.lo + int(kind[2:]), hi=e.hi)
-    elif kind in ("hi-1", "hi+1"):
-        entries[i] = ScheduleEntry(n=e.n, lo=e.lo, hi=e.hi + int(kind[2:]))
-    elif kind == "swap-n":
-        f = entries[j]
-        entries[i] = ScheduleEntry(n=f.n, lo=e.lo, hi=e.hi)
-        entries[j] = ScheduleEntry(n=e.n, lo=f.lo, hi=f.hi)
+    if kind in ("n-1", "n+1"):
+        entries[i] += int(kind[1:])
     else:
         entries[i], entries[j] = entries[j], entries[i]
     return WitnessSchedule(entries=tuple(entries), parameters=schedule.parameters)
 
 
-PERTURBATIONS = ["lo-1", "lo+1", "hi-1", "hi+1", "swap-n", "swap-entries"]
+PERTURBATIONS = ["n-1", "n+1", "swap"]
 
 
 class TestSeparationOracle:
@@ -270,8 +250,7 @@ class TestSeparationOracle:
     def test_rejects_what_the_pairwise_oracle_rejects(self, n0, count, kind, index):
         schedule = witness_schedule(trefoil_params(n0), count)
         assert pairwise_oracle_accepts(schedule)
-        report = verify_separation(schedule)
-        assert report.brute_forced == (count >= 2)
+        assert verify_separation(schedule) == (count >= 2)
         bad = perturbed(schedule, kind, index)
         if not pairwise_oracle_accepts(bad):
             with pytest.raises(SeparationFailure):
@@ -283,15 +262,14 @@ class TestSeparationOracle:
         offsets=st.lists(st.integers(-2, 2), min_size=1, max_size=4),
     )
     def test_agrees_with_the_pairwise_oracle_on_exact_ranges(self, n0, offsets):
-        # Exact ranges with each n within 2 of the greedy one (6*n_prev +
-        # n0 + 1, or n0 + 1 first), so the separation holds, holds with no
-        # room, or fails by one; the first n may be 0 or negative.
+        # Each n within 2 of the greedy one (6*n_prev + n0 + 1, or n0 + 1
+        # first), so the separation holds, holds with no room, or fails by
+        # one; the first n may be 0 or negative.
         ns, prev = [], 0
         for offset in offsets:
             ns.append(6 * prev + n0 + 1 + offset)
             prev = ns[-1]
-        entries = tuple(ScheduleEntry(n=n, lo=2 * n, hi=12 * n) for n in ns)
-        schedule = WitnessSchedule(entries=entries, parameters=trefoil_params(n0))
+        schedule = WitnessSchedule(entries=tuple(ns), parameters=trefoil_params(n0))
         if pairwise_oracle_accepts(schedule):
             verify_separation(schedule)
         else:
@@ -303,10 +281,25 @@ class TestFamilyReport:
     def test_trefoil(self):
         report = family_report(TREFOIL, 2, n0=10)
         assert report.witness_r == 2
-        assert report.witness_order.value == 3
+        assert report.witness_order == 3
         assert report.schedule.parameters.q == 3
-        assert [e.n for e in report.schedule.entries] == [11, 77]
-        assert report.separation.brute_forced
+        assert report.schedule.entries == (11, 77)
+        assert report.brute_forced
+
+    def test_q_with_no_character_is_refused(self):
+        # Every prime-power cover of the trefoil has |H1| 1, 3 or 4, so every
+        # character to Z_5 is trivial.
+        with pytest.raises(NoCharacterModulus) as exc:
+            family_report(TREFOIL, 2, q=5)
+        assert str(exc.value) == "no prime power cover up to 512 has |H1| divisible by 5"
+
+    def test_cover_is_the_first_with_a_character(self):
+        # r = 3 has |H1| = 16, with no odd prime; r = 4 has 25.
+        report = family_report(SIXTEEN_THEN_25, 1)
+        assert (report.witness_r, report.witness_order) == (4, 25)
+        assert report.schedule.parameters.q == 25
+        report = family_report(SIXTEEN_THEN_25, 1, q=5)
+        assert (report.witness_r, report.schedule.parameters.p) == (4, 5)
 
     def test_unknot_gives_no_obstruction(self):
         with pytest.raises(HypothesisNotSatisfied) as exc:
@@ -331,7 +324,7 @@ class TestScheduleDigitBound:
         params = FamilyParameters(genus=1, p=2, k=1, q=2 * 10**400 + 1, n0=0)
         assert schedule_digits(params, 9) < MAX_SCHEDULE_DIGITS < schedule_digits(params, 10)
         last = witness_schedule(params, 9).entries[-1]
-        assert abs(len(str(last.hi)) - schedule_digits(params, 9)) < 2
+        assert abs(len(str(sum_range(last, params)[1])) - schedule_digits(params, 9)) < 2
         with pytest.raises(SizeLimit, match="10 members with L = 4 "):
             witness_schedule(params, 10)
 

@@ -1,8 +1,11 @@
 """The package's own source and its tests: no module imports a name it never
-uses, every field of a library class is read outside it, and the package
-namespace exports exactly the README's list."""
+uses, every field of a library class is read outside it, the package
+namespace exports exactly the README's list, and every function the
+benchmark's tracer wraps by name exists."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 import types
@@ -12,6 +15,7 @@ import knotconc
 SRC = pathlib.Path(knotconc.__file__).parent
 TESTS = pathlib.Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source):
@@ -117,3 +121,17 @@ def test_exports_are_the_readme_list():
         owner = getattr(knotconc, module)
         for name in names:
             assert getattr(knotconc, name) is getattr(owner, name), (module, name)
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py wraps its TARGETS by name, and a renamed or deleted
+    # function would fail the benchmark's run, not this suite.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for layer, name in tracer.TARGETS:
+        target = importlib.import_module("knotconc." + layer)
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), (layer, name)

@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import random
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import knotconc
 
-from conftest import jump_angles, poly_mul, random_seifert, seifert_rows
+from conftest import cyclotomic_coeffs, jump_angles, poly_mul, random_seifert, seifert_rows
 from knotconc.errors import (
     JumpPoint,
     LemmaViolation,
@@ -134,17 +133,6 @@ def _long_division(f, g):
     return quotient, f[:dg]
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_by_division(n):
-    """Phi_n: t^n - 1 divided by every Phi_d, d | n, d < n."""
-    f = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            f, remainder = _long_division(f, _cyclotomic_by_division(d))
-            assert not any(remainder)
-    return tuple(f)
-
-
 def _divides_by_long_division(delta, q):
     """Phi_q | Delta, by long division; shares no code with at_jump's
     cyclotomic split.  phi(q) >= sqrt(q/2), so past q = 2 deg(Delta)^2 no
@@ -152,7 +140,7 @@ def _divides_by_long_division(delta, q):
     degree = delta.degree()
     if degree < 1 or q > 2 * degree**2:
         return False
-    phi = _cyclotomic_by_division(q)
+    phi = cyclotomic_coeffs(q)
     return len(phi) - 1 <= degree and not any(_long_division(delta.coeffs, phi)[1])
 
 
@@ -232,17 +220,17 @@ class TestTLSignature:
 class TestProfile:
     def test_trefoil_q6(self):
         profile = signature_profile(TREFOIL, 6)
-        assert profile.values == {1: JUMP, 2: 2, 3: 2, 4: 2, 5: JUMP}
+        assert profile == {1: JUMP, 2: 2, 3: 2, 4: 2, 5: JUMP}
         assert jump_angles(profile) == [1, 5]
-        assert profile.non_jump_values() == [2, 2, 2]
+        assert [v for v in profile.values() if v is not JUMP] == [2, 2, 2]
 
     def test_figure_eight_q8(self):
         profile = signature_profile(FIGURE_EIGHT, 8)
         assert jump_angles(profile) == []
-        assert all(v in (-1, 0, 1) or v % 2 == 0 for v in profile.non_jump_values())
+        assert all(v in (-1, 0, 1) or v % 2 == 0 for v in profile.values() if v is not JUMP)
         # Conjugation symmetry within a profile.
         for a in range(1, 8):
-            assert profile.values[a] == profile.values[8 - a]
+            assert profile[a] == profile[8 - a]
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
@@ -253,7 +241,7 @@ class TestTorusLemma:
     def test_small_q(self):
         for q in (3, 5, 7, 9):
             report = verify_torus_lemma(q)
-            assert min(report.profile.non_jump_values()) >= 2
+            assert min(v for v in report.profile.values() if v is not JUMP) >= 2
             assert report.jump_steps.sigma_at_minus_one == q - 1
             assert jump_angles(report.profile) == []
 
@@ -262,7 +250,7 @@ class TestTorusLemma:
         # Litherland's 2 min(a, q-a), which witness schedules use, against
         # certified eliminations of the T(2,q) form.
         profile = signature_profile(torus_2q(q), q)
-        assert [profile.values[a] for a in range(1, q)] == torus_2q_signatures(q)[1:]
+        assert [profile[a] for a in range(1, q)] == torus_2q_signatures(q)[1:]
 
     def test_closed_form_mismatch_is_a_violation(self, monkeypatch):
         wrong = [0, 2, 4, 4, 6, 4, 2]  # T(2,7) has 2, 4, 6, 6, 4, 2
@@ -275,7 +263,7 @@ class TestTorusLemma:
         # the mirrored torus knot has negative signatures.
         V = mirror(torus_2q(5))
         profile = signature_profile(V, 5)
-        assert min(profile.non_jump_values()) < 2
+        assert min(v for v in profile.values() if v is not JUMP) < 2
 
 
 class TestJumpSteps:
@@ -550,7 +538,7 @@ class TestCertifiedInertia:
         minus_one = UnitRootArg(1, 2)
         assert _point(V, minus_one) == (16, 1)
         calls = _counting(monkeypatch, "_form_inertia")
-        assert signature_profile(V, q).values == {a: 2 for a in range(1, q)}
+        assert signature_profile(V, q) == {a: 2 for a in range(1, q)}
         assert len(calls["_form_inertia"]) == 1
 
     def test_large_entry_forces_the_exact_path(self, monkeypatch):
@@ -793,7 +781,7 @@ class TestArcs:
     )
     def test_profile_matches_per_angle_signatures(self, seed, genus, summand, q):
         V = _arc_profile_example(seed, genus, summand)
-        assert signature_profile(V, q).values == _per_angle_profile(V, q)
+        assert signature_profile(V, q) == _per_angle_profile(V, q)
 
     @pytest.mark.parametrize(
         "V",
@@ -807,7 +795,7 @@ class TestArcs:
     )
     def test_fixed_cases(self, V):
         for q in range(2, 31):
-            assert signature_profile(V, q).values == _per_angle_profile(V, q), q
+            assert signature_profile(V, q) == _per_angle_profile(V, q), q
 
     def test_undecided_angle_falls_back_to_elimination(self, monkeypatch):
         # At 40 bits the bracket of NEAR_ROOT_3E17, 3e-17 turns from a root,
@@ -839,7 +827,7 @@ class TestArcs:
         # The bracket of a root holds that root, so only the exact test
         # decides it: the trefoil's 1/6 is the profile's one at_jump call.
         calls = _counting(monkeypatch, "at_jump")
-        assert signature_profile(TREFOIL, 6).values[1] is JUMP
+        assert signature_profile(TREFOIL, 6)[1] is JUMP
         assert calls["at_jump"] == [(TREFOIL, UnitRootArg(1, 6))]
 
     def test_close_angle_is_decided(self):
@@ -912,8 +900,8 @@ class TestArcs:
         profile = signature_profile(V, 30)
         for a in range(1, 16):
             w = UnitRootArg(a, 30)
-            if profile.values[a] is not JUMP and _locate(arcs, w) == first:
-                assert profile.values[a] == 0
+            if profile[a] is not JUMP and _locate(arcs, w) == first:
+                assert profile[a] == 0
 
 
 class TestEliminationCounts:
