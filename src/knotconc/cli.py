@@ -87,9 +87,10 @@ MAX_SIGNATURE_Q = 20000
 MAX_MATRIX_DIM = 32
 
 # Largest --delta degree, t^k included, checked as it is parsed.  classify
-# divides by each of the 790 Phi_n with phi(n) <= 400: `--json classify`
-# takes 2.1 s on a dense symmetric Delta of degree 400 (0.3 s at 200), and
-# `--json covers --max-r 256` 1.3 s (fresh interpreter, Python 3.11, Xeon).
+# divides by a Phi_n with phi(n) <= 400 only when Phi_n(3) divides Delta(3):
+# `--json classify` takes 0.14-0.19 s on a dense symmetric Delta of degree
+# 400 and 0.13-0.14 s on t^400 - t^200 + 1, and `--json covers --max-r 256`,
+# which now sets the cost, 1.25-1.35 s (fresh interpreter, Python 3.11, Xeon).
 MAX_DELTA_DEGREE = 400
 
 # Largest witness --q: trial division settles whether q is a prime power

@@ -33,7 +33,9 @@ is infinite.
 One ascending walk over the prime powers r up to DEFAULT_WITNESS_BOUND
 finds the first cover whose order passes a test: the classifier's witness
 cover is the first with |H_1| != 1, and `witness` takes the first whose
-|H_1| admits a nontrivial character to Z_q (obstruction.family_report).
+|H_1| admits a nontrivial character to Z_q (obstruction.family_report);
+with q given, the walk skips each r at which q's prime cannot divide |H_1|
+(find_witness_cover).
 `cover_orders` validates Delta once per call; D is formed once and each
 Res(Psi_d, D) computed at most once per call, so a table of covers, or a
 walk, shares that work.
@@ -131,7 +133,7 @@ def classify_prime_power_covers(delta):
     all_trivial = delta.is_laurent_unit()
     witness = None
     if not all_pp_trivial:
-        witness = _find_witness_cover(D, lambda order: order != 1)
+        witness = _find_witness_cover(D, lambda order: order != 1, _prime_powers())
         if witness is None:
             raise WitnessSearchExhausted(
                 "no prime power cover with nontrivial homology found up to %d"
@@ -146,14 +148,38 @@ def classify_prime_power_covers(delta):
     )
 
 
-def find_witness_cover(delta, usable):
+def has_character(order, p):
+    """Whether |H_1| = order admits a nontrivial character to Z_(p^k): p
+    divides it, or, with p None, some odd prime does."""
+    return order % p == 0 if p else bool(order & (order - 1))
+
+
+def find_witness_cover(delta, p):
     """(r, |H_1|) at the least prime power r <= DEFAULT_WITNESS_BOUND whose
-    |H_1| passes usable, or None."""
-    return _find_witness_cover(_knot_chebyshev_form(delta), usable)
+    |H_1| admits a nontrivial character (has_character), or None.
+
+    With p a prime, the walk skips r = l^j, its order never computed, when
+    l = p or ord_r(p) > deg Delta_0, and the skip is exact.  p divides
+    |H_1(Sigma_r)| = |Res(t^r - 1, Delta_0)| iff Delta_0 mod p, which is
+    nonzero as Delta_0(1) = +-1, vanishes at an r-th root of unity of F_p-bar.
+    For l = p the only one is 1, as t^r - 1 = (t - 1)^r mod p, and
+    Delta_0(1) = +-1.  Otherwise the walk
+    reaches l^j only after every l^i, i < j, has failed, so a new root is a
+    primitive r-th root of unity, of degree ord_r(p) over F_p, and its
+    minimal polynomial divides Delta_0 mod p.  A power of p is never 1 mod
+    p^j, so one test, some p^e = 1 mod r with e <= deg Delta_0, covers both.
+    """
+    D = _knot_chebyshev_form(delta)
+    rs = _prime_powers()
+    if p is not None:
+        degree = 2 * D.degree()
+        rs = (r for r in rs if any(pow(p, e, r) == 1 for e in range(1, degree + 1)))
+    return _find_witness_cover(D, lambda order: has_character(order, p), rs)
 
 
-def _find_witness_cover(D, usable):
-    prime_powers = (
-        r for r in range(2, DEFAULT_WITNESS_BOUND + 1) if len(factorize(r)) == 1
-    )
-    return next(((r, order) for r, order in _orders(D, prime_powers) if usable(order)), None)
+def _prime_powers():
+    return (r for r in range(2, DEFAULT_WITNESS_BOUND + 1) if len(factorize(r)) == 1)
+
+
+def _find_witness_cover(D, usable, rs):
+    return next(((r, order) for r, order in _orders(D, rs) if usable(order)), None)

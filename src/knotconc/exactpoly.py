@@ -347,11 +347,37 @@ def real_cyclotomic(d):
     return chebyshev_form(cyclotomic(d))
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_at_3(n):
+    """Phi_n(3), on integers, by the recursion of `cyclotomic`: Phi_(mp)(y)
+    = Phi_m(y^p) / Phi_m(y) for each prime p of n, from Phi_1(y) = y - 1,
+    at y = 3^(n/r), r the product of the primes of n."""
+    primes = tuple(factorize(n))
+
+    def value(k, y):  # Phi of the product of the first k primes, at y
+        if not k:
+            return y - 1
+        quotient, remainder = divmod(value(k - 1, y ** primes[k - 1]), value(k - 1, y))
+        assert remainder == 0
+        return quotient
+
+    return value(len(primes), 3 ** (n // math.prod(primes)))
+
+
 def cyclotomic_factor_extract(f):
     """Split f into cyclotomic factors and a cyclotomic-free remainder.
 
     Returns (factors, remainder) with factors a list of (n, multiplicity),
     n ascending, such that f = remainder * prod(cyclotomic(n)^multiplicity).
+
+    A candidate Phi_n is built and divided only when phi(n) <= deg rem and
+    Phi_n(3) divides rem(3), and each factor found divides rem(3) by
+    Phi_n(3).  The skip is exact: Phi_n is monic, so Phi_n | rem gives rem
+    = Phi_n q with q in Z[t], and rem(3) = Phi_n(3) q(3).  The test point is
+    a fixed 3, the least base b at which every Phi_n(b) >= 2 (Phi_1(2) = 1
+    would pass every f); Phi_1(3) = 2 and Phi_2(3) = 4, so on a knot
+    polynomial, whose value at 3 is odd, they never pass.  When rem(3) = 0
+    every candidate passes and is divided, as without the test.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -359,16 +385,19 @@ def cyclotomic_factor_extract(f):
     rem = f
     if rem.degree() < 1:
         return factors, rem
+    at_3 = rem(3)
     for n in phi_inverse_candidates(rem.degree()):
-        phi = cyclotomic(n)
-        if phi.degree() > rem.degree():
+        value = _cyclotomic_at_3(n)
+        if at_3 % value or totient(n) > rem.degree():
             continue
+        phi = cyclotomic(n)
         mult = 0
-        while True:
+        while at_3 % value == 0:
             q, r = rem.divmod_exact(phi)
             if not r.is_zero():
                 break
             rem = q
+            at_3 //= value
             mult += 1
         if mult:
             factors.append((n, mult))

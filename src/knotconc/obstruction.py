@@ -243,15 +243,11 @@ def family_report(V, count, n0=0, q=None):
         p, k = prime_power_decomposition(q)
         require_torus_q(q)
 
-    def usable(order):
-        # Without q, an odd prime factor: the order is no power of 2.
-        return order % p == 0 if p else order & (order - 1)
-
-    # The orders before the classifier's witness cover are all 1, which no
-    # test accepts, so that cover is the answer whenever it is usable.
+    # The orders before the classifier's witness cover are all 1, which
+    # admit no character, so that cover is the answer whenever it has one.
     witness = classification.witness_cover
-    if not usable(witness[1]):
-        witness = covers.find_witness_cover(delta, usable)
+    if not covers.has_character(witness[1], p):
+        witness = covers.find_witness_cover(delta, p)
     if witness is None:
         raise NoCharacterModulus(
             "no prime power cover up to %d has |H1| divisible by %s"

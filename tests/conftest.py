@@ -14,6 +14,7 @@ from knotconc.cli import main
 from knotconc.exactpoly import (
     IntPolynomial,
     cyclotomic,
+    phi_inverse_candidates,
     prime_power_decomposition,
     resultant,
     totient,
@@ -145,20 +146,50 @@ def t_power_minus_one(r):
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_coeffs(n):
-    """Ascending coefficients of Phi_n: t^n - 1 divided exactly by Phi_d for
-    each proper divisor d of n."""
-    c = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            divisor = cyclotomic_coeffs(d)  # monic
-            quot = [0] * (len(c) - len(divisor) + 1)
-            for i in range(len(quot) - 1, -1, -1):
-                quot[i] = c[i + len(divisor) - 1]
-                for j, x in enumerate(divisor):
-                    c[i + j] -= quot[i] * x
-            assert not any(c)
-            c = quot
+    """Ascending coefficients of Phi_n = prod over d | n of (t^(n/d) -
+    1)^mu(d), Moebius inversion of t^n - 1 = prod over d | n of Phi_d: the
+    product of the factors with mu(d) = 1, divided exactly by the others."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    up, down = [], []  # n / d for the squarefree d | n with mu(d) = 1 and -1
+    for subset in range(1 << len(primes)):
+        d = math.prod(p for i, p in enumerate(primes) if subset >> i & 1)
+        (down if bin(subset).count("1") % 2 else up).append(n // d)
+    c = [1]
+    for k in up:  # times t^k - 1
+        c = [(c[i - k] if i >= k else 0) - (c[i] if i < len(c) else 0) for i in range(len(c) + k)]
+    for k in down:  # divided by t^k - 1: c[i] = q[i - k] - q[i]
+        q = []
+        for i in range(len(c) - k):
+            q.append((q[i - k] if i >= k else 0) - c[i])
+        assert all(c[i] == (q[i - k] if i >= k else 0) for i in range(len(q), len(c)))
+        c = q
     return tuple(c)
+
+
+def unsieved_cyclotomic_split(f):
+    """exactpoly.cyclotomic_factor_extract without its test at t = 3: one
+    trial division by each Phi_n with phi(n) <= deg f, as long as it
+    divides."""
+    factors = []
+    rem = f
+    if rem.degree() < 1:
+        return factors, rem
+    for n in phi_inverse_candidates(rem.degree()):
+        phi = IntPolynomial(cyclotomic_coeffs(n))
+        if phi.degree() > rem.degree():
+            continue
+        mult = 0
+        while True:
+            q, r = rem.divmod_exact(phi)
+            if not r.is_zero():
+                break
+            rem = q
+            mult += 1
+        if mult:
+            factors.append((n, mult))
+        if rem.degree() < 1:
+            break
+    return factors, rem
 
 
 def jump_angles(profile):

@@ -211,6 +211,45 @@ class TestCovers:
         assert code == 0, err
         assert json.loads(out)["covers"] == [{"r": 2, "order": 1, "prime_power": True}]
 
+    def test_dense_delta_at_degree_bound_within_budget(self, capsys, monkeypatch):
+        # A dense symmetric Delta of the largest admitted degree with
+        # Delta(1) = 1.  Of the 790 Phi_n with phi(n) <= 400 only Phi_3,
+        # with Phi_3(3) = 13, has its value at 3 divide Delta(3), so the
+        # split builds it alone and its one trial division fails.
+        rng = random.Random(400)
+        digits = [c for c in range(-9, 10) if c]
+        half = [rng.choice(digits) for _ in range(cli.MAX_DELTA_DEGREE // 2)]
+        coeffs = half + [1 - 2 * sum(half)] + half[::-1]
+        built = []
+        cyclotomic = exactpoly.cyclotomic
+
+        def counting(n):
+            built.append(n)
+            return cyclotomic(n)
+
+        monkeypatch.setattr(exactpoly, "cyclotomic", counting)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["--json", "classify", "--delta=" + ",".join(map(str, coeffs))])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["cyclotomic_factors"] == [] and built == [3]
+        assert doc["non_cyclotomic_remainder"]["coefficients"] == coeffs
+        delta_at_minus_1 = sum(c * (-1) ** i for i, c in enumerate(coeffs))
+        assert doc["witness_cover"] == {"r": 2, "order": abs(delta_at_minus_1)}
+
+    def test_cyclotomic_delta_at_degree_bound_within_budget(self, capsys):
+        # t^400 - t^200 + 1 = Phi_48 Phi_240 Phi_1200: each factor is a
+        # true division of the degree-400 polynomial.
+        delta = ",".join(["1"] + ["0"] * 199 + ["-1"] + ["0"] * 199 + ["1"])
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["--json", "classify", "--delta=" + delta])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0, err
+        doc = json.loads(out)
+        assert [f["n"] for f in doc["cyclotomic_factors"]] == [48, 240, 1200]
+        assert doc["non_cyclotomic_remainder"]["coefficients"] == [1]
+
     def test_max_r_bound_is_admitted(self, monkeypatch):
         def reached(delta, rs):
             raise AssertionError("cover_orders(max r = %d)" % max(rs))

@@ -202,6 +202,35 @@ class TestClassifier:
             classify_prime_power_covers(LEHMER_DELTA)
 
 
+class TestWitnessWalk:
+    def test_q_walk_skips_covers_without_a_root_mod_p(self, monkeypatch):
+        # Delta_0 = t^2 - t + 1 has degree 2: 5 can divide |H_1(Sigma_r)|
+        # only where ord_r(5) <= 2, that is r | 24, so of the prime powers
+        # up to 512 only the orders at 2, 3, 4 and 8 are computed.
+        reached = []
+        orders = covers._orders
+
+        def counting(D, rs):
+            for r, order in orders(D, rs):
+                reached.append(r)
+                yield r, order
+
+        monkeypatch.setattr(covers, "_orders", counting)
+        assert covers.find_witness_cover(TREFOIL_DELTA, 5) is None
+        assert reached == [2, 3, 4, 8]
+        reached.clear()
+        assert covers.find_witness_cover(TREFOIL_DELTA, 3) == (2, 3)
+        assert reached == [2]
+        # Lehmer's |H_1| is 1 at r = 2 and 3 and 9 at r = 4; for p = 3 the
+        # walk skips r = 3, a power of p, and the default walk does not.
+        reached.clear()
+        assert covers.find_witness_cover(LEHMER_DELTA, 3) == (4, 9)
+        assert reached == [2, 4]
+        reached.clear()
+        assert covers.find_witness_cover(LEHMER_DELTA, None) == (4, 9)
+        assert reached == [2, 3, 4]
+
+
 class TestProductIdentity:
     def test_known_values(self):
         cases = {

@@ -17,6 +17,11 @@ against the full-degree Res(phi_d, Delta), itself checked against the
 Sylvester determinant here.
 For genus 1 cover orders past 4300 digits, a closed form in the roots of
 Delta checks the whole `covers` table.
+The cyclotomic split, which divides only where Phi_n(3) divides the value
+at 3, is checked against tests/conftest.py's `unsieved_cyclotomic_split`,
+one trial division by each candidate Phi_n of tests/conftest.py, and the
+witness walk for a given q, which skips the r where q's prime cannot
+divide |H_1|, against the walk that computes every order.
 """
 
 import json
@@ -33,17 +38,23 @@ from conftest import (
     fraction_determinant,
     json_run,
     poly_mul,
+    poly_pow,
     random_seifert,
     seifert_rows,
     singular,
+    unsieved_cyclotomic_split,
 )
 from knotconc import covers
 from knotconc.cli import main
 from knotconc.covers import classify_prime_power_covers, cover_orders
 from knotconc.exactpoly import (
     IntPolynomial,
+    _cyclotomic_at_3,
     chebyshev_form,
     cyclotomic,
+    cyclotomic_factor_extract,
+    phi_inverse_candidates,
+    prime_power_decomposition,
     real_cyclotomic,
     resultant,
 )
@@ -174,6 +185,38 @@ def test_witness_is_the_least_nontrivial_prime_power(indices, half, shift, sign)
         assert witness == least_witness(list(delta.coeffs))
 
 
+CYCLOTOMIC_INDICES = [n for n in range(1, 91) if _totient(n) <= 24]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    powers=st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES), st.integers(1, 2)), max_size=3),
+    half=st.lists(st.integers(-4, 4), max_size=4),
+    shift=st.integers(0, 2),
+    sign=st.sampled_from([1, -1]),
+    zero_at_3=st.booleans(),
+)
+def test_sieved_split_matches_unsieved(powers, half, shift, sign, zero_at_3):
+    # Phi_n^e times a palindrome with value 1 at t = 1, times +-t^k; with
+    # 3t^2 - 10t + 3, which vanishes at t = 3, every candidate passes the
+    # sieve and is divided.
+    remainder = IntPolynomial(half + [1 - 2 * sum(half)] + half[::-1])
+    factors = [poly_pow(IntPolynomial(cyclotomic_coeffs(n)), e) for n, e in powers]
+    if zero_at_3:
+        factors.append(IntPolynomial([3, -10, 3]))
+    f = poly_mul(remainder, *factors)
+    f = IntPolynomial([0] * shift + [sign * c for c in f.coeffs])
+    assert cyclotomic_factor_extract(f) == unsieved_cyclotomic_split(f)
+
+
+def test_cyclotomic_values_at_3():
+    for n in phi_inverse_candidates(400):
+        value = 0
+        for c in reversed(cyclotomic_coeffs(n)):
+            value = 3 * value + c
+        assert _cyclotomic_at_3(n) == value, n
+
+
 def _odd_part(n):
     while n % 2 == 0:
         n //= 2
@@ -218,6 +261,24 @@ def test_witness_cover_carries_a_character(rows, q):
         assert doc["witness_cover"]["order"] == orders[-1]
         if q is None:
             assert doc["q"] == _largest_odd_prime_power(orders[-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=seifert_rows(), q=st.sampled_from([3, 5, 7, 9, 11, 13, 25, 27, 49]))
+def test_sieved_witness_walk_matches_unsieved(rows, q):
+    # The walk for q's prime p skips r = l^j when l = p or ord_r(p) >
+    # deg Delta_0; the unsieved walk computes every order up to the bound.
+    p, _ = prime_power_decomposition(q)
+    delta = alexander(SeifertMatrix(rows))
+    rs = [r for r in range(2, 65) if len(_primes(r)) == 1]
+    unsieved = next(
+        ((r, order) for r, order in zip(rs, cover_orders(delta, rs)) if order % p == 0), None
+    )
+    bound, covers.DEFAULT_WITNESS_BOUND = covers.DEFAULT_WITNESS_BOUND, 64
+    try:
+        assert covers.find_witness_cover(delta, p) == unsieved
+    finally:
+        covers.DEFAULT_WITNESS_BOUND = bound
 
 
 def test_covers_cli_past_int_str_limit(capsys):
