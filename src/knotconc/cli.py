@@ -77,13 +77,13 @@ MAX_COVERS_DIGITS = 2 * 10**6
 # prints 0.3 MB (in-process, Python 3.11, Intel Xeon).
 MAX_SIGNATURE_Q = 20000
 
-# Largest matrix dimension, checked as the document is parsed.  alexander
-# takes g Bareiss determinants of dimension 2g, 0.07 s at dimension 32 on a
-# dense draw with entries up to 9 (0.16 s at 40, 1.5 s at 64, 5.1 s at 80),
-# and the other bounds cost more on larger matrices: at dimension 32 such a
-# draw takes 12.5 s for `--json covers --max-r 256` (1.4 MB) and 6.2 s for
-# `--json signature --q 20000`, and at 40 it takes 25 s and 12 s
-# (in-process, Python 3.11, Intel Xeon).
+# Largest matrix dimension, checked as the document is parsed.  covers and
+# signature set it: at dimension 32 a dense draw with entries up to 9 takes
+# 12.5 s for `--json covers --max-r 256` (1.4 MB) and 6.2 s for `--json
+# signature --q 20000`, and at 40 it takes 25 s and 12 s.  alexander, g
+# Bareiss determinants of dimension 2g, takes 0.07 s on it at dimension 32
+# (0.18 s at 40, 1.6 s at 64, 4.3 s at 80; in-process, Python 3.11, Intel
+# Xeon).
 MAX_MATRIX_DIM = 32
 
 # Largest --delta degree, t^k included, checked as it is parsed.  classify

@@ -5,7 +5,7 @@ in ascending degree order.  The module provides the cyclotomic polynomials
 and their real-subfield forms Psi_d, the Chebyshev form of a palindromic
 polynomial, exact resultants by the subresultant polynomial remainder
 sequence, cyclotomic factor extraction, the fraction-free Bareiss
-determinant and integer linear solve (for Seifert matrices), and the small
+determinant (for Seifert matrices and their pencils), and the small
 number-theoretic helpers (totient, factorization, prime powers) the rest of
 the library needs, as well as `Record`, the immutable base of the library's
 result types.
@@ -409,14 +409,15 @@ def cyclotomic_factor_extract(f):
 # -- determinants and resultants ------------------------------------------
 
 
-def _bareiss(m):
-    """Fraction-free (Bareiss) forward elimination, in place, of the integer
-    matrix m: n rows of at least n entries each.
+def integer_determinant(rows):
+    """Exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) forward elimination of a copy m of rows.
 
     At step k, if m[k][k] is 0, the first later row with a nonzero entry in
-    column k is swapped in; then every later entry m[i][j], j > k, becomes
-    (m[i][j] m[k][k] - m[i][k] m[k][j]) / (previous pivot), a division that
-    is exact by Sylvester's identity, and column k below the pivot is zeroed.
+    column k is swapped in (and the determinant is 0 if there is none);
+    then every later entry m[i][j], j > k, becomes (m[i][j] m[k][k] -
+    m[i][k] m[k][j]) / (previous pivot), a division that is exact by
+    Sylvester's identity, and column k below the pivot is zeroed.
 
     A row whose m[i][k] is 0 would only be multiplied by pivot / previous
     pivot, so it is left as stored, stale: its true entries are stored *
@@ -427,13 +428,16 @@ def _bareiss(m):
     row at the end.  On a banded matrix, such as a T(2,q) pencil, this makes
     the elimination quadratic rather than cubic.
 
-    Afterwards the first n columns are upper triangular and m[n-1][n-1] is
-    their determinant times the returned sign of the row exchanges.  Returns
-    0, leaving m part-eliminated, as soon as some column k < n - 1 has no
-    nonzero pivot, so that the first n columns are singular.
+    Afterwards m is upper triangular and m[n-1][n-1] is the determinant
+    times the sign of the row exchanges.
     """
-    n = len(m)
-    width = len(m[0])
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
     sign = 1
     prev = 1
     scale = [1] * n
@@ -456,48 +460,14 @@ def _bareiss(m):
             mik = mi[k]
             if mik:
                 s = scale[i]
-                for j in range(k + 1, width):
+                for j in range(k + 1, n):
                     mi[j] = (mi[j] * pivot - mik * mk[j]) // s
                 mi[k] = 0
                 scale[i] = pivot
         prev = pivot
     if scale[n - 1] != prev:
-        m[n - 1][n - 1:] = [x * prev // scale[n - 1] for x in m[n - 1][n - 1:]]
-    return sign
-
-
-def integer_determinant(rows):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    return _bareiss(m) * m[n - 1][n - 1]
-
-
-def integer_solution(rows, rhs):
-    """The solution x of rows . x = rhs, for a nonsingular square integer
-    system whose solution is known to be integral.
-
-    Bareiss forward elimination of the augmented matrix [rows | rhs], then
-    back-substitution.  The eliminated rows are invertible combinations of
-    the given ones, so the integral solution satisfies each of them, and
-    x_i = (rhs'_i - sum_{j > i} m_ij x_j) / m_ii divides exactly; every
-    division is asserted to.
-    """
-    n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    assert _bareiss(m) and m[n - 1][n - 1] != 0, "singular system"
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        mi = m[i]
-        rest = mi[n] - sum(c * xj for c, xj in zip(mi[i + 1:n], x[i + 1:]))
-        x[i], remainder = divmod(rest, mi[i])
-        assert remainder == 0, "back-substitution is not exact"
-    return x
+        m[n - 1][n - 1] = m[n - 1][n - 1] * prev // scale[n - 1]
+    return sign * m[n - 1][n - 1]
 
 
 def _exact_quotient(n, d):

@@ -3,9 +3,10 @@
 A Seifert matrix here is any square integer matrix V of even dimension with
 det(V - V^t) = 1.  The Alexander polynomial is the raw determinant
 det(V - t*V^t), with no sign or power normalization, so Delta(1) = 1 holds
-identically and downstream resultants are unambiguous.  It is palindromic of
-formal degree dim, so alexander() finds it from genus-many determinants and
-the validated Delta(1) = 1, by an exact integer linear solve.
+identically and downstream resultants are unambiguous.  alexander() finds
+it from genus-many determinants of the pencil V + x(V - V^t), whose
+determinant is a polynomial of degree genus in x(x+1), by an exact integer
+interpolation.
 
 Each SeifertMatrix instance keeps a successful validation and its Alexander
 polynomial on the instance (there is no cache across instances); a failed
@@ -19,7 +20,6 @@ from .exactpoly import (
     IntPolynomial,
     brief_int,
     integer_determinant,
-    integer_solution,
     integer_tuple,
 )
 
@@ -91,31 +91,64 @@ class SeifertMatrix:
 def alexander(V):
     """Alexander polynomial Delta(t) = det(V - t*V^t), exact.
 
-    Computed once per instance, from g = genus determinants.  Transposing,
-    Delta(t) = det(V^t - t*V) = (-t)^{2g} det(V - t^{-1}*V^t) = t^{2g}
-    Delta(1/t), so Delta is palindromic of formal degree 2g (Levine 1969):
-    Delta(t) = sum_{k<g} c_k (t^k + t^{2g-k}) + c_g t^g.  The g+1 unknowns
-    c_0..c_g come from Delta(1) = det(V - V^t) = 1, which validation has
-    checked, and from the determinants at the g nodes t = 0, -1, 2, -2, 3,
-    ..., through one integer linear solve.  The system is nonsingular: t = 0
-    gives c_0 = Delta(0) alone, and at t != 0 the rest of t^{-g}Delta(t) is
-    a polynomial of degree < g in s = t + 1/t (t^j + t^{-j} is monic of
-    degree j in s), taken at g distinct values of s, because t -> t + 1/t is
-    injective on t >= 1 and on t <= -1 and maps them to s >= 2 and s <= -2.
+    Computed once per instance, from g = genus determinants of the pencil
+    V + xK, K = V - V^t.  Since (V + xK)^t = V + (-1-x)K, P(x) = det(V + xK)
+    is symmetric under x -> -1-x, so P(x) = Q(x(x+1)) for an integer
+    polynomial Q(u) = sum_k q_k u^k of degree g, with q_g = det K = 1 (as
+    validation has checked) and q_0 = det V.  From V - tV^t = (1-t)V + tK,
+
+        Delta(t) = sum_k q_k t^k (1-t)^(2(g-k)),
+
+    so t^(-g) Delta(t) = D(t + 1/t) with D(s) = sum_k q_k (s-2)^(g-k): the
+    q_k are the Taylor coefficients of D at s = 2.
+
+    q_1 .. q_(g-1) come from P at x = 1 .. g-1, that is u = 2, 6, 12, ...:
+    R(u) = (P(x) - q_0 - u^g) / u has degree g - 2, and Newton's divided
+    differences interpolate it.  Every division is exact and asserted: u
+    divides P(x) - q_0 - u^g, and the divided differences of an integer
+    polynomial at integer nodes are integers (each is a sum of its
+    coefficients times complete symmetric polynomials in the nodes).  Each
+    node matrix is V's rows plus x times K's nonzero entries, 2g of them for
+    a standard symplectic K.  Delta is then expanded by Horner's rule in
+    w = (1-t)^2: Delta = (...(q_0 w + q_1 t) w + ...) w + q_g t^g.
     """
     if V._alexander is None:
         V.validate()
         g, n, rows = V.genus, V.dim, V.rows
-        nodes = ([1, 0] + [(k // 2 + 1) * (-1) ** k for k in range(1, g)])[: g + 1]
-        values = [1] + [
-            integer_determinant(
-                [[rows[i][j] - t * rows[j][i] for j in range(n)] for i in range(n)]
-            )
-            for t in nodes[1:]
+        skew = [
+            (i, j, rows[i][j] - rows[j][i])
+            for i in range(n)
+            for j in range(n)
+            if rows[i][j] != rows[j][i]
         ]
-        system = [[t**k + t ** (2 * g - k) for k in range(g)] + [t**g] for t in nodes]
-        c = integer_solution(system, values)
-        object.__setattr__(V, "_alexander", IntPolynomial(c[:-1] + c[::-1]))
+        q0 = integer_determinant(rows)
+        us, r = [], []
+        for x in range(1, g):
+            m = [list(row) for row in rows]
+            for i, j, k in skew:
+                m[i][j] += x * k
+            u = x * (x + 1)
+            value, remainder = divmod(integer_determinant(m) - q0 - u**g, u)
+            assert remainder == 0, "P(x) - q_0 - u^g is not divisible by u"
+            us.append(u)
+            r.append(value)
+        for level in range(1, len(us)):
+            for k in range(len(us) - 1, level - 1, -1):
+                r[k], remainder = divmod(r[k] - r[k - 1], us[k] - us[k - level])
+                assert remainder == 0, "divided difference is not exact"
+        c = r[-1:]  # Newton form to ascending coefficients
+        for k in range(len(us) - 2, -1, -1):
+            c = [a - us[k] * b for a, b in zip([0] + c, c + [0])]
+            c[0] += r[k]
+        q = [q0] + c + [1]  # at g = 0, q0 = det of the 0x0 matrix = 1
+        delta = [q[0]]
+        for k in range(1, g + 1):
+            delta = [
+                a - 2 * b + e
+                for a, b, e in zip(delta + [0, 0], [0] + delta + [0], [0, 0] + delta)
+            ]
+            delta[k] += q[k]
+        object.__setattr__(V, "_alexander", IntPolynomial(delta))
     return V._alexander
 
 

@@ -457,11 +457,11 @@ class TorusLemmaReport(Record):
     )
 
 
-# Largest q whose torus lemma verify_torus_lemma checks.  With the
-# Alexander polynomial, its (q+1)/2 eliminations of the (q-1)x(q-1) form
-# take 0.3 s at q = 61, 0.8 s at 81 and 2.9 s at 101, where 2 s of it is
-# the Alexander polynomial's exact node solve (in-process, Python 3.11,
-# Intel Xeon).
+# Largest q whose torus lemma verify_torus_lemma checks.  Its (q+1)/2
+# eliminations of the (q-1)x(q-1) form set the cost: with the Alexander
+# polynomial it takes 0.25 s at q = 61, 0.57 s at 81 and 1.2 s at 101, of
+# which the Alexander polynomial is 0.06 s (in-process on a fresh
+# interpreter, Python 3.11, Intel Xeon).
 MAX_VERIFY_Q = 101
 
 

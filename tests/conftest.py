@@ -88,6 +88,32 @@ def fraction_determinant(m):
     return int(det)
 
 
+def node_system_alexander(rows):
+    """Oracle: ascending coefficients of det(V - tV^t), by the palindrome
+    node system.  Delta(t) = sum_{k<g} c_k (t^k + t^(2g-k)) + c_g t^g; the
+    g+1 unknowns come from Delta(1) = 1 and the values at t = 0, -1, 2, -2,
+    ..., each a `fraction_determinant`, solved by Cramer's rule over the
+    same determinants."""
+    n = len(rows)
+    g = n // 2
+    nodes = ([1, 0] + [(k // 2 + 1) * (-1) ** k for k in range(1, g)])[: g + 1]
+    values = [1] + [
+        fraction_determinant([[rows[i][j] - t * rows[j][i] for j in range(n)] for i in range(n)])
+        for t in nodes[1:]
+    ]
+    system = [[t**k + t ** (2 * g - k) for k in range(g)] + [t**g] for t in nodes]
+    det = fraction_determinant(system)
+    c = []
+    for k in range(g + 1):
+        replaced = [row[:k] + [v] + row[k + 1:] for row, v in zip(system, values)]
+        c.append(Fraction(fraction_determinant(replaced), det))
+    assert all(x.denominator == 1 for x in c)
+    out = [int(x) for x in c[:-1] + c[::-1]]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def block_sum(a, b):
     """The block-diagonal matrix with blocks a and b, as lists."""
     return [list(row) + [0] * len(b) for row in a] + [[0] * len(a) + list(row) for row in b]

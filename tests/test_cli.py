@@ -542,7 +542,8 @@ class TestTorus:
         code, out, err = run(capsys, ["torus", "7", "--verify"])
         assert code == 0, err
         # One T(2,7), genus 3: one validation and g = 3 evaluations of
-        # V - tV^t, none at t = 1, where V - V^t is the validation's matrix.
+        # V + x(V - V^t), at x = 0, 1, 2, none of them the validation's
+        # matrix V - V^t.
         V = seifert.torus_2q(7).rows
         skew = [[V[i][j] - V[j][i] for j in range(6)] for i in range(6)]
         assert [len(rows) for rows in determinants] == [6] * 4

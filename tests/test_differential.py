@@ -17,6 +17,9 @@ against the full-degree Res(phi_d, Delta), itself checked against the
 Sylvester determinant here.
 For genus 1 cover orders past 4300 digits, a closed form in the roots of
 Delta checks the whole `covers` table.
+The Alexander polynomial, from the pencil V + x(V - V^t), is checked
+against tests/conftest.py's `node_system_alexander`, the palindrome node
+system solved over `Fraction`.
 The cyclotomic split, which divides only where Phi_n(3) divides the value
 at 3, is checked against tests/conftest.py's `unsieved_cyclotomic_split`,
 one trial division by each candidate Phi_n of tests/conftest.py, and the
@@ -37,6 +40,7 @@ from conftest import (
     cyclotomic_coeffs,
     fraction_determinant,
     json_run,
+    node_system_alexander,
     poly_mul,
     poly_pow,
     random_seifert,
@@ -58,7 +62,7 @@ from knotconc.exactpoly import (
     real_cyclotomic,
     resultant,
 )
-from knotconc.seifert import SeifertMatrix, alexander
+from knotconc.seifert import SeifertMatrix, alexander, torus_2q
 
 
 def presentation_order(rows, r):
@@ -116,6 +120,35 @@ def test_presentation_covers_singular_draws():
     rows = [list(row) for row in V.rows]
     expected = [presentation_order(rows, r) for r in range(2, 9)]
     assert orders == expected
+
+
+@st.composite
+def alexander_draws(draw):
+    """A genus 1-6 draw with entries in [-3, 3], or a draw of genus 1-5
+    that is congruent (P V P^t, so V - V^t is dense), singular (det V = 0,
+    so t^k divides Delta), or summed with T(2,3) or T(2,5)."""
+    kind = draw(st.sampled_from(["plain", "congruent", "singular", "torus"]))
+    rows = draw(seifert_rows(max_genus=6 if kind == "plain" else 5))
+    n = len(rows)
+    if kind == "congruent":
+        for _ in range(draw(st.integers(1, 2 * n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(st.integers(-2, 2))
+            if i != j:  # columns, then rows: E^t V E with E = I + c e_ij
+                for row in rows:
+                    row[j] += c * row[i]
+                rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+    elif kind == "singular":
+        rows = singular(rows)
+    elif kind == "torus":
+        rows = block_sum(rows, torus_2q(draw(st.sampled_from([3, 5]))).rows)
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rows=alexander_draws())
+def test_alexander_matches_node_system(rows):
+    assert list(alexander(SeifertMatrix(rows)).coeffs) == node_system_alexander(rows)
 
 
 leading = st.integers(-6, 6).filter(bool)

@@ -28,7 +28,6 @@ from knotconc.exactpoly import (
     distinct_prime_factors,
     factorize,
     integer_determinant,
-    integer_solution,
     phi_inverse_candidates,
     prime_power_decomposition,
     real_cyclotomic,
@@ -376,21 +375,6 @@ class TestIntegers:
         # Multiplicativity spot check against a permuted triangular product.
         assert integer_determinant([[0, 2, 0], [1, 1, 1], [0, 0, 3]]) == -6
 
-    def test_integer_solution(self, rng):
-        for n in range(1, 8):
-            for _ in range(20):
-                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-                rows[0][0] = 0  # the first step must exchange rows
-                if integer_determinant(rows) == 0:
-                    continue
-                x = [rng.randint(-10**6, 10**6) for _ in range(n)]
-                rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-                assert integer_solution(rows, rhs) == x
-        with pytest.raises(AssertionError, match="singular"):
-            integer_solution([[1, 2], [2, 4]], [3, 6])
-        with pytest.raises(AssertionError, match="not exact"):
-            integer_solution([[2, 0], [0, 1]], [1, 1])  # x = (1/2, 1)
-
     def test_determinant_where_rows_go_stale(self, rng):
         singular = 0
         for m in _stale_row_matrices(rng):
@@ -401,24 +385,12 @@ class TestIntegers:
         # Row 1 is twice row 0, so step 1 swaps in the stale row 2.
         assert integer_determinant([[1, 2, 0], [2, 4, 0], [0, 3, 5]]) == 0
 
-    def test_solution_where_rows_go_stale(self, rng):
-        solved = 0
-        for rows in _stale_row_matrices(rng):
-            if fraction_determinant(rows) == 0:
-                continue
-            x = [rng.randint(-10**6, 10**6) for _ in rows]
-            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-            assert integer_solution(rows, rhs) == x
-            solved += 1
-        assert solved > 100
-
     def test_zero_pivot_swaps_in_a_stale_row(self):
         # Step 0 (pivot 2) updates row 1 to [0, 0, 10] and leaves row 2,
         # whose multiplier is 0, stale; step 1 then finds the pivot 0 and
         # swaps in row 2, which must be scaled by 2 / 1 before it is used.
         rows = [[2, 2, 0], [1, 1, 5], [0, 3, 7]]
         assert integer_determinant(rows) == fraction_determinant(rows) == -30
-        assert integer_solution(rows, [4, 7, 10]) == [1, 1, 1]
 
 
 class _Pair(Record):

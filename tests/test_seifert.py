@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,8 +82,8 @@ class TestMemo:
         delta = alexander(V)
         assert alexander(V) is delta
         V.validate()
-        # One validation and g = 2 evaluations, none at t = 1: Delta(1) = 1
-        # is the validated det(V - V^t).
+        # One validation and g = 2 evaluations of V + x(V - V^t), at x = 0
+        # and 1, neither of them the validated V - V^t.
         assert len(calls) == 3
         assert calls.count(skew) == 1
 
@@ -251,11 +252,20 @@ class TestTorus:
             assert integer_determinant(minor) > 0
 
     def test_alexander_closed_form(self):
-        for q in (3, 5, 7, 9, 11):
+        for q in (3, 5, 7, 9, 11, 61, 101):
             numerator = P([1] + [0] * (q - 1) + [1])  # t^q + 1
             quotient, rem = numerator.divmod_exact(P([1, 1]))
             assert rem.is_zero()
-            assert alexander(torus_2q(q)) == quotient
+            V = torus_2q(q)
+            start = time.perf_counter()
+            delta = alexander(V)
+            elapsed = time.perf_counter() - start
+            assert delta == quotient
+            if q == 101:
+                # Validation and 50 eliminations of dimension 100, each
+                # quadratic on the banded pencil, and an O(g^2)
+                # interpolation: about 0.07 s.
+                assert elapsed < 0.5, elapsed
 
 
 class TestMultiple:
