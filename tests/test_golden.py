@@ -145,6 +145,19 @@ def _invocations():
     out.append(("human-torus-verify", [["torus", "7", "--verify"]], "", None))
     stages = [["torus", "5"], ["witness", "--n0", "3"]]
     out.append(("human-witness", stages, "", None))
+    # Human lines the cases above never print: an infinite cover, no
+    # cyclotomic factors, no witness line (Delta = 1, and Phi_30, whose
+    # prime power covers are all trivial), the brute-force witness line,
+    # jumps with sigma at omega = -1, and a bare matrix.
+    for key, stages, stdin in (
+        ("human-covers-infinite", [["covers", "--delta=1,-1,1", "--max-r", "12"]], ""),
+        ("human-classify-phi30", [["classify", "--delta=1,1,0,-1,-1,-1,0,1,1"]], ""),
+        ("human-classify-unknot", [["classify", "--delta=1"]], ""),
+        ("human-witness-brute-force", [["torus", "3"], ["witness", "--count", "3"]], ""),
+        ("human-signature-trefoil", [["signature", "--q", "6"]], trefoil),
+        ("human-torus", [["torus", "9"]], ""),
+    ):
+        out.append((key, stages, stdin, None))
     # Multi-member schedules: the trefoil ones at --count >= 2 are
     # brute-forced, the figure-eight (q = 5) and genus-2 ones are not.
     for key, flags in (("count-1", ["--count", "1"]), ("count-6", ["--count", "6"]),
