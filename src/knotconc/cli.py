@@ -21,9 +21,11 @@ obstruction.MAX_SCHEDULE_DIGITS) or output that cannot be written; 3
 HypothesisNotSatisfied, the obstruction hypothesis not satisfied; 4 any
 other KnotConcError, an internal assertion failure.
 
-Exact results can pass Python's 4300-digit int-to-str limit, so the
-commands that print Delta or |H1| lift it once their input is parsed;
-input parsing keeps it.
+Each command reads and checks its input and computes, and returns its two
+renderings, the JSON document and the human lines, as functions of no
+arguments.  main calls the one --json selects and prints it.  Exact results
+can pass Python's 4300-digit int-to-str limit, so main lifts the limit while
+it renders; input is parsed under it.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ EXIT_INTERNAL = 4
 
 # Largest witness --count.  The n_i grow geometrically, each member adding
 # about log10(L*(q-1)/2) digits, so the output grows faster than the count:
-# 2000 members take 0.27 s and print 4.8 MB on the trefoil (in-process,
-# Python 3.11, Intel Xeon).  obstruction.MAX_SCHEDULE_DIGITS bounds the
-# output once q and L are known.
+# 2000 members take 0.23 s and print 4.8 MB on the trefoil (`--json witness`,
+# in-process, Python 3.11, Intel Xeon).  obstruction.MAX_SCHEDULE_DIGITS
+# bounds the output once q and L are known.
 MAX_WITNESS_COUNT = 2000
 
 # Largest covers --max-r.  Cover orders grow linearly in r, to about 2.3k
@@ -182,24 +184,16 @@ def _poly_doc(p):
     return {"coefficients": list(p.coeffs), "degree": p.degree(), "text": str(p)}
 
 
-def _emit(args, doc, human_lines):
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 # -- commands -------------------------------------------------------------
 
 
 def cmd_alexander(args):
     name, V = _load_matrix(args)
-    with _exact_output():
-        delta = alexander(V)
-        d1 = delta(1)
-        dm1 = delta(-1)
-        doc = {
+    delta = alexander(V)
+    d1, dm1 = delta(1), delta(-1)
+
+    def doc():
+        return {
             "command": "alexander",
             "name": name,
             "dimension": V.dim,
@@ -208,16 +202,16 @@ def cmd_alexander(args):
             "delta_at_minus_1": dm1,
             "determinant": abs(dm1),
         }
-        lines = [
-            "name: %s" % name,
-            "Delta(t) = %s" % delta,
-            "coefficients (ascending): %s" % " ".join(str(c) for c in delta.coeffs),
-            "degree: %d" % delta.degree(),
-            "Delta(1) = %d" % d1,
-            "Delta(-1) = %d  (determinant %d)" % (dm1, abs(dm1)),
-        ]
-        _emit(args, doc, lines)
-    return EXIT_OK
+
+    def lines():
+        yield "name: %s" % name
+        yield "Delta(t) = %s" % delta
+        yield "coefficients (ascending): %s" % " ".join(str(c) for c in delta.coeffs)
+        yield "degree: %d" % delta.degree()
+        yield "Delta(1) = %d" % d1
+        yield "Delta(-1) = %d  (determinant %d)" % (dm1, abs(dm1))
+
+    return doc, lines
 
 
 def _delta_from_args(args):
@@ -250,13 +244,14 @@ def cmd_covers(args):
             "covers --max-r %d would reach about %d digits of |H1| "
             "((R-1)R/2 * log10 |Delta|_1), past %d" % (args.max_r, digits, MAX_COVERS_DIGITS)
         )
-    with _exact_output():
-        rs = range(2, args.max_r + 1)
-        rows = [
-            (r, order, len(factorize(r)) == 1)
-            for r, order in zip(rs, covers.cover_orders(delta, rs))
-        ]
-        doc = {
+    rs = range(2, args.max_r + 1)
+    rows = [
+        (r, order, len(factorize(r)) == 1)
+        for r, order in zip(rs, covers.cover_orders(delta, rs))
+    ]
+
+    def doc():
+        return {
             "command": "covers",
             "name": name,
             "alexander": _poly_doc(delta),
@@ -265,34 +260,34 @@ def cmd_covers(args):
                 for r, order, is_pp in rows
             ],
         }
+
+    def lines():
         # The r column holds the widest r and at least two spaces after "r".
         width = max(3, len(str(args.max_r)) + 1)
-        lines = ["name: %s" % name, "Delta(t) = %s" % delta, "%-*s|H1|" % (width, "r")]
+        yield from ["name: %s" % name, "Delta(t) = %s" % delta, "%-*s|H1|" % (width, "r")]
         for r, order, is_pp in rows:
-            lines.append(
-                "%-*d%s%s"
-                % (width, r, "infinite" if order is None else order,
-                   "  (prime power)" if is_pp else "")
-            )
-        _emit(args, doc, lines)
-    return EXIT_OK
+            yield "%-*d%s%s" % (width, r, "infinite" if order is None else order,
+                                "  (prime power)" if is_pp else "")
+
+    return doc, lines
 
 
 def cmd_classify(args):
     name, delta = _delta_from_args(args)
-    with _exact_output():
-        report = covers.classify_prime_power_covers(delta)
-        # Each n is at most 1750 at the largest --delta degree
-        # (phi_inverse_candidates), so trial division completes.
-        factor_docs = [
-            {"n": n, "multiplicity": mult, "distinct_primes": distinct_prime_factors(n)}
-            for n, mult in report.cyclotomic_factors
-        ]
-        witness = None
-        if report.witness_cover is not None:
-            r, order = report.witness_cover
-            witness = {"r": r, "order": order}
-        doc = {
+    report = covers.classify_prime_power_covers(delta)
+    # Each n is at most 1750 at the largest --delta degree
+    # (phi_inverse_candidates), so trial division completes.
+    factor_docs = [
+        {"n": n, "multiplicity": mult, "distinct_primes": distinct_prime_factors(n)}
+        for n, mult in report.cyclotomic_factors
+    ]
+    witness = None
+    if report.witness_cover is not None:
+        r, order = report.witness_cover
+        witness = {"r": r, "order": order}
+
+    def doc():
+        return {
             "command": "classify",
             "name": name,
             "alexander": _poly_doc(delta),
@@ -302,25 +297,23 @@ def cmd_classify(args):
             "all_covers_trivial": report.all_covers_trivial,
             "witness_cover": witness,
         }
-        lines = ["name: %s" % name, "Delta(t) = %s" % delta]
-        if factor_docs:
-            for f in factor_docs:
-                lines.append(
-                    "factor phi_%d^%d  (n = %d has distinct primes %s)"
-                    % (f["n"], f["multiplicity"], f["n"], f["distinct_primes"])
-                )
-        else:
-            lines.append("no cyclotomic factors")
-        lines.append("non-cyclotomic remainder: %s" % report.non_cyclotomic_remainder)
-        lines.append(
-            "all prime power covers are homology spheres: %s"
-            % report.all_prime_power_covers_trivial
-        )
-        lines.append("all covers are homology spheres: %s" % report.all_covers_trivial)
+
+    def lines():
+        yield "name: %s" % name
+        yield "Delta(t) = %s" % delta
+        for f in factor_docs:
+            yield "factor phi_%d^%d  (n = %d has distinct primes %s)" % (
+                f["n"], f["multiplicity"], f["n"], f["distinct_primes"])
+        if not factor_docs:
+            yield "no cyclotomic factors"
+        yield "non-cyclotomic remainder: %s" % report.non_cyclotomic_remainder
+        yield ("all prime power covers are homology spheres: %s"
+               % report.all_prime_power_covers_trivial)
+        yield "all covers are homology spheres: %s" % report.all_covers_trivial
         if witness is not None:
-            lines.append("witness cover: r = %(r)d with |H1| = %(order)d" % witness)
-        _emit(args, doc, lines)
-    return EXIT_OK
+            yield "witness cover: r = %(r)d with |H1| = %(order)d" % witness
+
+    return doc, lines
 
 
 def cmd_signature(args):
@@ -329,56 +322,62 @@ def cmd_signature(args):
     name, V = _load_matrix(args)
     profile = signatures.signature_profile(V, args.q)
     entries = {a: ("jump" if v is JUMP else v) for a, v in sorted(profile.items())}
-    doc = {
-        "command": "signature",
-        "name": name,
-        "q": args.q,
-        "profile": {str(a): v for a, v in entries.items()},
-    }
-    lines = ["name: %s" % name, "q = %d" % args.q]
-    for a, v in entries.items():
-        lines.append("sigma(%d/%d) = %s" % (a, args.q, v))
-    if args.q % 2 == 0:
-        lines.append("sigma at omega = -1: %s" % entries[args.q // 2])
-    _emit(args, doc, lines)
-    return EXIT_OK
+
+    def doc():
+        return {
+            "command": "signature",
+            "name": name,
+            "q": args.q,
+            "profile": {str(a): v for a, v in entries.items()},
+        }
+
+    def lines():
+        yield "name: %s" % name
+        yield "q = %d" % args.q
+        for a, v in entries.items():
+            yield "sigma(%d/%d) = %s" % (a, args.q, v)
+        if args.q % 2 == 0:
+            yield "sigma at omega = -1: %s" % entries[args.q // 2]
+
+    return doc, lines
 
 
 def cmd_torus(args):
     V = torus_2q(args.q)
     if args.verify:
         lemma = signatures.verify_torus_lemma(args.q)
-    name = "T(2,%d)" % args.q
-    doc = {"name": name, "matrix": [list(r) for r in V.rows]}
-    lines = ["# %s" % name]
-    lines += [" ".join(str(c) for c in row) for row in V.rows]
-    if args.verify:
         steps = lemma.jump_steps
         min_value = min(v for v in lemma.profile.values() if v is not JUMP)
-        doc["verify"] = {
-            "min_signature": min_value,
-            "sigma_at_minus_one": steps.sigma_at_minus_one,
-            "lemma_holds": True,
-            "jumps": [
-                {
-                    "angle": "%d/%d" % (j.numerator, j.denominator),
-                    "ccw_step": j.ccw_step,
-                    "away_step": j.away_step,
-                    "simple": j.simple,
-                }
-                for j in steps.jumps
-            ],
-        }
-        lines.append("# min signature over a != 0: %d" % min_value)
-        lines.append("# sigma at omega = -1: %d" % steps.sigma_at_minus_one)
-        lines.append("# lemma holds: true")
-        for j in steps.jumps:
-            lines.append(
-                "# jump at %d/%d: step %+d away from 1 (simple: %s)"
-                % (j.numerator, j.denominator, j.away_step, j.simple)
-            )
-    _emit(args, doc, lines)
-    return EXIT_OK
+    name = "T(2,%d)" % args.q
+
+    def doc():
+        out = {"name": name, "matrix": [list(r) for r in V.rows]}
+        if args.verify:
+            out["verify"] = {
+                "min_signature": min_value,
+                "sigma_at_minus_one": steps.sigma_at_minus_one,
+                "lemma_holds": True,
+                "jumps": [
+                    {"angle": "%d/%d" % (j.numerator, j.denominator), "ccw_step": j.ccw_step,
+                     "away_step": j.away_step, "simple": j.simple}
+                    for j in steps.jumps
+                ],
+            }
+        return out
+
+    def lines():
+        yield "# %s" % name
+        for row in V.rows:
+            yield " ".join(str(c) for c in row)
+        if args.verify:
+            yield "# min signature over a != 0: %d" % min_value
+            yield "# sigma at omega = -1: %d" % steps.sigma_at_minus_one
+            yield "# lemma holds: true"
+            for j in steps.jumps:
+                yield "# jump at %d/%d: step %+d away from 1 (simple: %s)" % (
+                    j.numerator, j.denominator, j.away_step, j.simple)
+
+    return doc, lines
 
 
 def cmd_witness(args):
@@ -389,19 +388,19 @@ def cmd_witness(args):
     if args.q is not None and args.q > MAX_WITNESS_Q:
         raise InvalidInput("--q must be at most %d" % MAX_WITNESS_Q)
     name, V = _load_matrix(args)
-    with _exact_output():
-        report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)
-        delta = alexander(V)
-        schedule = report.schedule
-        params = schedule.parameters
-        s_min, s_max = obstruction.profile_extremes(params.q)
-        members = [(n,) + obstruction.sum_range(n, params) for n in schedule.entries]
-        pairs = math.comb(len(members), 2)
-        over_approximation = (
-            "character sums over-approximated: each of the %d lift terms ranges "
-            "over all of Z_%d" % (params.term_count, params.q)
-        )
-        doc = {
+    report = obstruction.family_report(V, args.count, n0=args.n0, q=args.q)
+    delta = alexander(V)
+    params = report.schedule.parameters
+    s_min, s_max = obstruction.profile_extremes(params.q)
+    members = [(n,) + obstruction.sum_range(n, params) for n in report.schedule.entries]
+    pairs = math.comb(len(members), 2)
+    over_approximation = (
+        "character sums over-approximated: each of the %d lift terms ranges "
+        "over all of Z_%d" % (params.term_count, params.q)
+    )
+
+    def doc():
+        return {
             "command": "witness",
             "name": name,
             "alexander": _poly_doc(delta),
@@ -426,23 +425,21 @@ def cmd_witness(args):
             "member i is obtained by tying the n_i-fold multiple of T(2,%d) "
             "into the surface bands" % params.q,
         }
-        lines = [
-            "name: %s" % name,
-            "Delta(t) = %s" % delta,
-            "witness cover: r = %d with |H1| = %d" % (report.witness_r, report.witness_order),
-            "character modulus q = %d  (companion torus knot T(2,%d))" % (params.q, params.q),
-            "term count L = 2*g*p^k = %d" % params.term_count,
-            "profile extremes: S_min = %d, S_max = %d" % (s_min, s_max),
-        ]
+
+    def lines():
+        yield "name: %s" % name
+        yield "Delta(t) = %s" % delta
+        yield "witness cover: r = %d with |H1| = %d" % (report.witness_r, report.witness_order)
+        yield "character modulus q = %d  (companion torus knot T(2,%d))" % (params.q, params.q)
+        yield "term count L = 2*g*p^k = %d" % params.term_count
+        yield "profile extremes: S_min = %d, S_max = %d" % (s_min, s_max)
         for i, (n, lo, hi) in enumerate(members):
-            lines.append("member %d: n = %d, achievable sums in [%d, %d]" % (i + 1, n, lo, hi))
-        lines.append(
-            "separation verified for %d pair(s)%s"
-            % (pairs, " (brute-force enumeration confirmed)" if report.brute_forced else "")
-        )
-        lines.append("note: %s" % over_approximation)
-        _emit(args, doc, lines)
-    return EXIT_OK
+            yield "member %d: n = %d, achievable sums in [%d, %d]" % (i + 1, n, lo, hi)
+        yield "separation verified for %d pair(s)%s" % (
+            pairs, " (brute-force enumeration confirmed)" if report.brute_forced else "")
+        yield "note: %s" % over_approximation
+
+    return doc, lines
 
 
 # -- entry point ----------------------------------------------------------
@@ -532,9 +529,11 @@ def _drop_stdout():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        doc, lines = args.func(args)
+        with _exact_output():
+            print(json.dumps(doc(), indent=2) if args.json else "\n".join(lines()))
         sys.stdout.flush()  # a closed reader shows here, not at exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_OK

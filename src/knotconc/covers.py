@@ -46,6 +46,7 @@ from __future__ import annotations
 from .errors import NotAKnotPolynomial, WitnessSearchExhausted
 from .exactpoly import (
     Record,
+    brief_int,
     chebyshev_form,
     cyclotomic_factor_extract,
     distinct_prime_factors,
@@ -60,7 +61,7 @@ def _knot_chebyshev_form(delta):
     not symmetric up to +-t^k."""
     if delta.is_zero() or delta(1) not in (1, -1):
         raise NotAKnotPolynomial(
-            "Delta(1) must be +-1, got %s for %s" % (delta(1) if delta else 0, delta)
+            "Delta(1) must be +-1, got %s for %s" % (brief_int(delta(1)) if delta else 0, delta)
         )
     try:
         return chebyshev_form(delta)

@@ -68,6 +68,11 @@ class LemmaViolation(KnotConcError):
     """A torus-knot signature assertion failed (indicates a bug)."""
 
 
+class CertificationFailure(KnotConcError):
+    """An exact division or certified check inside the library failed
+    (indicates a bug)."""
+
+
 class SeparationFailure(KnotConcError):
     """A witness schedule violates its range-separation invariants."""
 

@@ -18,6 +18,7 @@ import math
 import operator
 
 from .errors import (
+    CertificationFailure,
     DivisorNotMonicUnit,
     FactorizationLimit,
     NotAPrimePower,
@@ -290,7 +291,8 @@ def cyclotomic(n):
     f, primes = IntPolynomial([-1, 1]), factorize(n)
     for p in primes:
         f, rem = _at_power(f, p).divmod_exact(f)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise CertificationFailure("Phi_m(t^p) / Phi_m(t) is not exact")
     return _at_power(f, n // math.prod(primes))
 
 
@@ -357,9 +359,7 @@ def _cyclotomic_at_3(n):
     def value(k, y):  # Phi of the product of the first k primes, at y
         if not k:
             return y - 1
-        quotient, remainder = divmod(value(k - 1, y ** primes[k - 1]), value(k - 1, y))
-        assert remainder == 0
-        return quotient
+        return _exact_quotient(value(k - 1, y ** primes[k - 1]), value(k - 1, y))
 
     return value(len(primes), 3 ** (n // math.prod(primes)))
 
@@ -471,8 +471,10 @@ def integer_determinant(rows):
 
 
 def _exact_quotient(n, d):
+    """n / d for integers that d divides; CertificationFailure otherwise."""
     quotient, remainder = divmod(n, d)
-    assert remainder == 0, "subresultant division is not exact"
+    if remainder:
+        raise CertificationFailure("an exact integer division left a remainder")
     return quotient
 
 
@@ -532,7 +534,8 @@ def resultant(f, g):
             # Floor division leaves remainders of the divisor's sign, so
             # they are all zero exactly when their sum is.
             b = [c // divisor for c in r]
-            assert sum(r) == divisor * sum(b), "subresultant division is not exact"
+            if sum(r) != divisor * sum(b):
+                raise CertificationFailure("a subresultant division is not exact")
         lead = a[-1]
         if delta == 1:
             h = lead

@@ -105,9 +105,9 @@ def _ceil_div(a, b):
 # N0, and each later one multiplies n by about L*(q-1)/2, so the estimate
 # log10(2*N0 + 1) + count * log10(L*(q-1)/2) is about the digit count of the
 # last member's range, and the output grows as count times that.  Near the
-# bound, 1960 trefoil members with q = 11 (4001 digits) take 1.6 s and print
-# 12 MB, and 613 members of a genus-2 schedule with q = 1289 (3997 digits)
-# take 0.46 s and 3.7 MB (`--json witness`, in-process, Python 3.11, Intel
+# bound, 1405 trefoil members with q = 27 (3999 digits) take 0.53 s and print
+# 8.5 MB, and 613 members of a genus-2 schedule with q = 1289 (3997 digits)
+# take 0.22 s and 3.7 MB (`--json witness`, in-process, Python 3.11, Intel
 # Xeon).
 MAX_SCHEDULE_DIGITS = 4000
 

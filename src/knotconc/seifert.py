@@ -18,6 +18,7 @@ from __future__ import annotations
 from .errors import BadTorusParameter, InvalidSeifertMatrix
 from .exactpoly import (
     IntPolynomial,
+    _exact_quotient,
     brief_int,
     integer_determinant,
     integer_tuple,
@@ -104,7 +105,7 @@ def alexander(V):
 
     q_1 .. q_(g-1) come from P at x = 1 .. g-1, that is u = 2, 6, 12, ...:
     R(u) = (P(x) - q_0 - u^g) / u has degree g - 2, and Newton's divided
-    differences interpolate it.  Every division is exact and asserted: u
+    differences interpolate it.  Every division is exact and checked: u
     divides P(x) - q_0 - u^g, and the divided differences of an integer
     polynomial at integer nodes are integers (each is a sum of its
     coefficients times complete symmetric polynomials in the nodes).  Each
@@ -128,14 +129,11 @@ def alexander(V):
             for i, j, k in skew:
                 m[i][j] += x * k
             u = x * (x + 1)
-            value, remainder = divmod(integer_determinant(m) - q0 - u**g, u)
-            assert remainder == 0, "P(x) - q_0 - u^g is not divisible by u"
             us.append(u)
-            r.append(value)
+            r.append(_exact_quotient(integer_determinant(m) - q0 - u**g, u))
         for level in range(1, len(us)):
             for k in range(len(us) - 1, level - 1, -1):
-                r[k], remainder = divmod(r[k] - r[k - 1], us[k] - us[k - level])
-                assert remainder == 0, "divided difference is not exact"
+                r[k] = _exact_quotient(r[k] - r[k - 1], us[k] - us[k - level])
         c = r[-1:]  # Newton form to ascending coefficients
         for k in range(len(us) - 2, -1, -1):
             c = [a - us[k] * b for a, b in zip([0] + c, c + [0])]

@@ -126,6 +126,7 @@ import math
 
 from .errors import (
     BadTorusParameter,
+    CertificationFailure,
     JumpPoint,
     LemmaViolation,
     PreconditionUnverifiable,
@@ -424,7 +425,10 @@ class _Arcs:
         a, b, d_negative = _arc_point(self._sturm, arc, *_ends(bracket), bits)
         pos, neg = _form_inertia(self._sym, self._skew, a, b)
         # sigma = 2 [D < 0] mod 4 at the point: Elimination, module docstring.
-        assert pos + neg == self.V.dim and (pos - neg) % 4 == 2 * d_negative
+        if pos + neg != self.V.dim or (pos - neg) % 4 != 2 * d_negative:
+            raise CertificationFailure(
+                "the inertia (%d, %d) is off sigma = 2 [D < 0] mod 4" % (pos, neg)
+            )
         return pos - neg
 
 

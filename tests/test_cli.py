@@ -397,6 +397,20 @@ class TestClassify:
         assert doc["all_covers_trivial"] is True
         assert doc["witness_cover"] is None
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+    def test_formats_each_polynomial_once(self, capsys, monkeypatch, trefoil_file, mode):
+        # Delta and the non-cyclotomic remainder, in the one rendering printed.
+        calls = []
+        format_poly = exactpoly.format_poly
+
+        def counting(p):
+            calls.append(p)
+            return format_poly(p)
+
+        monkeypatch.setattr(exactpoly, "format_poly", counting)
+        code, out, err = run(capsys, mode + ["classify", trefoil_file])
+        assert code == 0
+        assert len(calls) == 2
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -422,6 +436,20 @@ class TestClassify:
 
 
 class TestSignature:
+    def test_failed_certification_exit_4(self, capsys, trefoil_file, monkeypatch):
+        # (pos + 1, neg - 1) moves sigma by 2, off 2 [D < 0] mod 4.
+        eliminate = signatures._form_inertia
+
+        def flipped(*form):
+            pos, neg = eliminate(*form)
+            return pos + 1, neg - 1
+
+        monkeypatch.setattr(signatures, "_form_inertia", flipped)
+        code, out, err = run(capsys, ["signature", trefoil_file, "--q", "6"])
+        assert (code, out) == (4, "")
+        assert err.startswith("internal assertion failed: CertificationFailure: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_trefoil_q6(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["--json", "signature", trefoil_file, "--q", "6"])
         assert code == 0
@@ -949,10 +977,14 @@ class TestLongIntegers:
     A2 = "1" + "0" * 4400  # a^2
     DELTA_MINUS_1 = "3" + "9" * 4400  # 4a^2 - 1
 
-    def run_json(self, capsys, monkeypatch, argv):
+    def run_limited(self, capsys, monkeypatch, argv):
         limit = sys.get_int_max_str_digits()
         code, out, err = run(capsys, argv, stdin=self.DOC, monkeypatch=monkeypatch)
         assert sys.get_int_max_str_digits() == limit
+        return code, out, err
+
+    def run_json(self, capsys, monkeypatch, argv):
+        code, out, err = self.run_limited(capsys, monkeypatch, argv)
         assert code == 0, err
         return json.loads(out, parse_int=str)
 
@@ -970,6 +1002,33 @@ class TestLongIntegers:
         doc = self.run_json(capsys, monkeypatch, ["--json", "covers", "-"])
         assert [row["r"] for row in doc["covers"]] == [str(r) for r in range(2, 13)]
         assert doc["covers"][0]["order"] == self.DELTA_MINUS_1
+
+    @pytest.mark.parametrize(
+        "command, line, size",
+        [
+            ("alexander", "Delta(-1) = %s  (determinant %s)" % (DELTA_MINUS_1, DELTA_MINUS_1),
+             35324),
+            ("classify", "witness cover: r = 2 with |H1| = %s" % DELTA_MINUS_1, 31026),
+            ("covers", "2  %s  (prime power)" % DELTA_MINUS_1, 303831),
+        ],
+        ids=["alexander", "classify", "covers"],
+    )
+    def test_human(self, capsys, monkeypatch, command, line, size):
+        code, out, err = self.run_limited(capsys, monkeypatch, [command, "-"])
+        assert code == 0, err
+        assert line in out.splitlines()
+        assert len(out) == size
+
+    @pytest.mark.parametrize("command", ["covers", "classify"])
+    def test_delta_at_1_past_the_limit_exit_2(self, capsys, monkeypatch, command):
+        # Delta(1) = 2 (10^4300 - 1) has 4301 digits; the message shortens it.
+        nines = "9" * 4300
+        code, out, err = self.run_limited(
+            capsys, monkeypatch, [command, "--delta=%s,%s" % (nines, nines)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Delta(1) must be +-1, got 199999999999... (4301 digits) ")
+        assert err.count("\n") == 1
 
 
 def _is_odd_prime_power(q):

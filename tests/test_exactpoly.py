@@ -17,7 +17,12 @@ from conftest import (
 )
 from knotconc import exactpoly
 from knotconc.covers import classify_prime_power_covers
-from knotconc.errors import DivisorNotMonicUnit, FactorizationLimit, ZeroPolynomial
+from knotconc.errors import (
+    CertificationFailure,
+    DivisorNotMonicUnit,
+    FactorizationLimit,
+    ZeroPolynomial,
+)
 from knotconc.exactpoly import (
     IntPolynomial,
     Record,
@@ -119,6 +124,12 @@ class TestDivision:
             q, r = f.divmod_exact(g)
             assert poly_add(poly_mul(q, g), r) == f
             assert r.degree() < g.degree()
+
+    def test_exact_integer_quotient_checks_its_remainder(self):
+        # A certified check raises, so `python -O` cannot strip it.
+        assert exactpoly._exact_quotient(-12, 4) == -3
+        with pytest.raises(CertificationFailure):
+            exactpoly._exact_quotient(7, 2)
 
 
 class TestCyclotomic:

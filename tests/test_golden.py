@@ -1,4 +1,5 @@
-"""Golden `--json` corpus: the CLI's stdout must not change byte for byte.
+"""Golden CLI corpus, `--json` and human mode: the CLI's stdout must not
+change byte for byte.
 
 `golden_cli.json` lists CLI pipelines.  Each case holds the argument vector
 of every stage (a stage after the first reads the previous stage's stdout),

@@ -1,7 +1,8 @@
 """The package's own source and its tests: no module imports a name it never
-uses, every field of a library class is read outside it, the package
-namespace exports exactly the README's list, and every function the
-benchmark's tracer wraps by name exists."""
+uses, no library module holds an `assert` statement, every field of a
+library class is read outside it, the package namespace exports exactly the
+README's list, and every function the benchmark's tracer wraps by name
+exists."""
 
 import ast
 import importlib
@@ -55,6 +56,22 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_no_test_module_imports_a_name_it_never_uses():
     assert unused_imports_in(TESTS) == {}
+
+
+def assert_lines(source):
+    """The line of each assert statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_asserts_are_found():
+    assert assert_lines("x = 1\nassert x\nif x:\n    assert x, 'y'\n") == [2, 4]
+
+
+def test_no_library_module_asserts():
+    # `python -O` strips assert statements, so a certified check must raise
+    # CertificationFailure, which the CLI maps to exit 4.
+    found = {path.name: assert_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def unread_fields(sources):

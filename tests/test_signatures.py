@@ -14,6 +14,7 @@ import knotconc
 
 from conftest import cyclotomic_coeffs, jump_angles, poly_mul, random_seifert, seifert_rows
 from knotconc.errors import (
+    CertificationFailure,
     JumpPoint,
     LemmaViolation,
     PreconditionUnverifiable,
@@ -660,7 +661,7 @@ class TestFormInertia:
 
     def test_a_sign_flip_trips_the_mod_4_check(self, monkeypatch):
         # (pos + 1, neg - 1) keeps pos + neg = dim but moves sigma by 2, off
-        # 2 [D(2 cos theta') < 0] mod 4, which every arc asserts.
+        # 2 [D(2 cos theta') < 0] mod 4, which every arc checks.
         eliminate = signatures._form_inertia
 
         def flipped(*form):
@@ -670,7 +671,7 @@ class TestFormInertia:
         assert tl_signature(TREFOIL, UnitRootArg(1, 2)) == 2  # D(-2) = -3 < 0
         monkeypatch.setattr(signatures, "_form_inertia", flipped)
         for V in (TREFOIL, FIGURE_EIGHT, torus_2q(7)):
-            with pytest.raises(AssertionError):
+            with pytest.raises(CertificationFailure):
                 tl_signature(V, UnitRootArg(1, 2))
 
     def test_singular_form_leaves_its_kernel(self):
