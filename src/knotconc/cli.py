@@ -73,19 +73,21 @@ MAX_COVERS_R = 256
 # 256 (in-process, Python 3.11, Intel Xeon).
 MAX_COVERS_DIGITS = 2 * 10**6
 
-# Largest signature --q.  A profile locates its q/2 angles on their arcs,
-# about 20 us per angle, and eliminates once per arc: `--json signature
-# --q 20000` takes 0.21 s on the trefoil and 0.39 s on a genus-6 draw, and
-# prints 0.3 MB (in-process, Python 3.11, Intel Xeon).
+# Largest signature --q.  A profile locates its q/2 angles by bisection, a
+# few per root of Delta on the circle (160 for T(2,31) at q = 20000), and
+# eliminates once per arc, so printing its 0.3 MB now takes most of the
+# time: `--json signature --q 20000` takes 0.05-0.06 s on the trefoil and
+# on a genus-6 draw, 0.07-0.10 s on a genus-12 draw and 0.09-0.12 s on
+# T(2,31) (in-process, Python 3.11, Intel Xeon).
 MAX_SIGNATURE_Q = 20000
 
-# Largest matrix dimension, checked as the document is parsed.  covers and
-# signature set it: at dimension 32 a dense draw with entries up to 9 takes
-# 12.5 s for `--json covers --max-r 256` (1.4 MB) and 6.2 s for `--json
-# signature --q 20000`, and at 40 it takes 25 s and 12 s.  alexander, g
-# Bareiss determinants of dimension 2g, takes 0.07 s on it at dimension 32
-# (0.18 s at 40, 1.6 s at 64, 4.3 s at 80; in-process, Python 3.11, Intel
-# Xeon).
+# Largest matrix dimension, checked as the document is parsed.  covers sets
+# it: at dimension 32 a dense draw with entries up to 9 takes 12.5 s for
+# `--json covers --max-r 256` (1.4 MB), and at 40 it takes 25 s; `--json
+# signature --q 20000` takes 0.14-0.21 s on it (0.16-0.24 s at 40).
+# alexander, g Bareiss determinants of dimension 2g, takes 0.07 s on it at
+# dimension 32 (0.18 s at 40, 1.6 s at 64, 4.3 s at 80; in-process, Python
+# 3.11, Intel Xeon).
 MAX_MATRIX_DIM = 32
 
 # Largest --delta degree, t^k included, checked as it is parsed.  classify

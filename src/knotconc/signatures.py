@@ -8,7 +8,7 @@ the n x n Hermitian form
 Jump locations (roots of the Alexander polynomial on the unit circle) are
 decided exactly; evaluation at a jump is refused, and a profile marks it
 JUMP.  Between jumps the signature is constant, so every signature is
-evaluated through one path that eliminates once per arc of the circle (see
+evaluated through one path that eliminates at most once per arc (see
 Arcs below).
 
 Elimination.  Off jumps, the inertia of an arc is that of one integer
@@ -45,6 +45,15 @@ since det H = (2 cos theta - 2)^g D(2 cos theta) (D under Arcs), sigma =
 2 [D(2 cos theta') < 0] mod 4 at the evaluation point, which catches one
 flipped sign.
 
+The arc next to omega = 1 is not eliminated: sigma = 0 there is a theorem.
+For 0 < theta < theta_1, the first root, H / theta tends to i(V^t - V) as
+theta -> 0+.  V - V^t is real, skew and unimodular, so the eigenvalues of
+i(V^t - V) come in pairs +-lambda, lambda != 0, and its signature is 0;
+det H != 0 on the whole arc, so sigma is constant there, and it is 0.
+Both checks hold on that arc by the Sturm count that locates it: pos + neg
+= n since H is nonsingular there, and sigma = 0 = 2 [D < 0] mod 4 since D
+is positive on (x_1, 2], x_1 = 2 cos theta_1, as D(2) = Delta(1) = 1.
+
 Angles.  Each angle gets one integer fixed-point bracket at b bits:
 integers c, e with 2 cos theta within 2e of c / 2^b.  A unit is 2^-b, and
 every quotient below is floored.
@@ -73,10 +82,13 @@ roots of Delta and the signature is constant on each arc of the unit circle
 between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
 a single tl_signature as well as a profile, a jump-step check or the torus
 lemma, goes through one evaluator built for that call.  It forms V + V^t,
-V^t - V and the Sturm sequence of D once.  For each angle it computes the
-bracket once and locates the angle's arc with it; it eliminates once per
-arc, at the arc's evaluation point, and copies the value to the other
-angles on that arc, keeping the values for that one call.
+V^t - V and the Sturm sequence of D once.  For each angle it locates, it
+computes the bracket once and finds the angle's arc with it; it
+eliminates once per arc, at the arc's evaluation point, but the arc next
+to omega = 1 (Elimination), and copies the value to the other angles on
+that arc, keeping the values for that one call.  That arc is the one whose
+Sturm count is V(2), taken once per evaluator and only when an arc is
+about to be eliminated.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -106,6 +118,14 @@ angles on that arc, keeping the values for that one call.
                angle has 2 cos theta off every root of D, and doubling b
                shrinks the bracket onto it, so a few doublings locate it:
                every angle off a root is located.
+    bisection  on (0, pi] the arc index only grows with theta, so two
+               located angles with the same index enclose no root of D,
+               and every angle between them shares their arc.  A profile
+               (and the jump-step midpoints) walks its ascending angles by
+               bisection: it locates the two ends of a run, and splits the
+               run at its middle angle only where their indices differ or
+               one end is a jump.  A profile at q then locates O(r log q)
+               angles for r roots on the circle, not q/2.
 
 Evaluation point.  Each arc is evaluated at one point theta' on it.  With
 t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times t(V+V^t) +
@@ -193,12 +213,12 @@ def tl_signature(V, w):
     arcs = _Arcs(V)
     if w.is_trivial:
         raise TrivialAngle("the form vanishes at omega = 1; angle 0 is excluded")
-    return _off_jump(arcs, w)
+    return _off_jump(arcs.signature(w), w)
 
 
-def _off_jump(arcs, w):
-    """arcs.signature(w), raising JumpPoint at a root of the Alexander polynomial."""
-    sigma = arcs.signature(w)
+def _off_jump(sigma, w):
+    """The signature sigma at w, raising JumpPoint where it is JUMP, at a
+    root of the Alexander polynomial."""
     if sigma is JUMP:
         raise JumpPoint("omega = exp(2*pi*i*%s) is a root of the Alexander polynomial" % w)
     return sigma
@@ -380,8 +400,8 @@ def _variations(seq, num, den):
 class _Arcs:
     """The one evaluator of the signatures of V, for one call: V + V^t,
     V^t - V and the Sturm sequence of D are built once, and each arc of the
-    upper unit circle is eliminated once; the argument is in the module
-    docstring."""
+    upper unit circle but the one next to omega = 1 is eliminated once; the
+    argument is in the module docstring."""
 
     def __init__(self, V):
         self.V = V
@@ -393,7 +413,13 @@ class _Arcs:
         self._values = {}  # arc -> signature
 
     def signature(self, w):
-        """Signature at w != 1, or JUMP when omega is a root of Delta.
+        """Signature at w != 1, or JUMP when omega is a root of Delta."""
+        spot = self.arc_of(w)
+        return JUMP if spot is None else self.value(*spot)
+
+    def arc_of(self, w):
+        """(arc, bracket, bits) of w != 1, or None when omega is a root of
+        Delta.
 
         A located angle is no root, since its bracket holds no root of D;
         only an undecided angle is looked up in Delta's cyclotomic split by
@@ -404,11 +430,16 @@ class _Arcs:
         bracket = _angle_bracket(w.a, w.q, bits)
         arc = self._locate(bracket, bits)
         if arc is None and at_jump(self.V, w):
-            return JUMP
+            return None
         while arc is None:
             bits *= 2
             bracket = _angle_bracket(w.a, w.q, bits)
             arc = self._locate(bracket, bits)
+        return arc, bracket, bits
+
+    def value(self, arc, bracket, bits):
+        """The signature on arc, from the located bracket of an angle on it;
+        each arc is evaluated once."""
         if arc not in self._values:
             self._values[arc] = self._inertia(arc, bracket, bits)
         return self._values[arc]
@@ -421,7 +452,15 @@ class _Arcs:
             return None
         return at_hi[0]
 
+    @functools.cached_property
+    def _next_to_one(self):
+        """The arc next to omega = 1, whose Sturm count is the one at x = 2:
+        D(2) = Delta(1) = 1, so 2 is no root."""
+        return _variations(self._sturm, 2, 1)[0]
+
     def _inertia(self, arc, bracket, bits):
+        if arc == self._next_to_one:
+            return 0  # a theorem: Elimination, module docstring
         a, b, d_negative = _arc_point(self._sturm, arc, *_ends(bracket), bits)
         pos, neg = _form_inertia(self._sym, self._skew, a, b)
         # sigma = 2 [D < 0] mod 4 at the point: Elimination, module docstring.
@@ -438,6 +477,33 @@ def _ends(bracket):
     return c - 2 * e - 1, c + 2 * e + 1
 
 
+def _walk(arcs, numerators, q):
+    """Signatures at the angles a/q, a in numerators, ascending in (0, q/2]:
+    a list of values, JUMP at a root of Delta.  The angles are located by
+    bisection (Arcs, module docstring): a run whose two ends lie on one arc
+    lies on it whole, and is split only where the ends differ or one is a
+    jump.  Each arc is then evaluated at its first angle."""
+    spots = {}
+
+    def spot(i):
+        if i not in spots:
+            spots[i] = arcs.arc_of(UnitRootArg(numerators[i], q))
+        return spots[i]
+
+    runs = [(0, len(numerators) - 1)]
+    while runs:
+        lo, hi = runs.pop()
+        first, last = spot(lo), spot(hi)
+        if hi - lo < 2:
+            continue
+        if first is not None and last is not None and first[0] == last[0]:
+            spots.update(dict.fromkeys(range(lo + 1, hi), first))
+        else:
+            mid = (lo + hi) // 2
+            runs += [(mid, hi), (lo, mid)]
+    return [JUMP if s is None else arcs.value(*s) for s in map(spots.get, range(len(numerators)))]
+
+
 def signature_profile(V, q):
     """Tristram-Levine signatures of V at all q-th roots of unity except 1:
     {a: sigma at a/q, or JUMP at a root of Delta} for a = 1..q-1."""
@@ -447,11 +513,9 @@ def signature_profile(V, q):
 def _profile(arcs, q):
     if q < 2:
         raise ValueError("q must be >= 2")
-    values = {}
-    for a in range(1, q):
-        # H at conj(omega) is conj(H), with the same inertia and jumps.
-        values[a] = values[q - a] if 2 * a > q else arcs.signature(UnitRootArg(a, q))
-    return values
+    half = _walk(arcs, range(1, q // 2 + 1), q)
+    # H at conj(omega) is conj(H), with the same inertia and jumps.
+    return {a: half[min(a, q - a) - 1] for a in range(1, q)}
 
 
 class TorusLemmaReport(Record):
@@ -461,11 +525,11 @@ class TorusLemmaReport(Record):
     )
 
 
-# Largest q whose torus lemma verify_torus_lemma checks.  Its (q+1)/2
-# eliminations of the (q-1)x(q-1) form set the cost: with the Alexander
-# polynomial it takes 0.25 s at q = 61, 0.57 s at 81 and 1.2 s at 101, of
-# which the Alexander polynomial is 0.06 s (in-process on a fresh
-# interpreter, Python 3.11, Intel Xeon).
+# Largest q whose torus lemma verify_torus_lemma checks.  Its (q-1)/2
+# eliminations of the (q-1)x(q-1) form set the cost: `--json torus q
+# --verify` takes 0.14 s at q = 61, 0.36 s at 81 and 0.77 s at 101, of
+# which the Alexander polynomial is 0.05 s (in-process, best of 3, Python
+# 3.11, Intel Xeon, 2 vCPUs).
 MAX_VERIFY_Q = 101
 
 
@@ -475,8 +539,9 @@ def verify_torus_lemma(q):
     (so no q-th root is a jump and every value is >= 2) and sigma_{-1} =
     q-1.  The report holds the profile and the jump steps (_jump_steps,
     the evaluator of jump_step_check); they share their arcs, so each arc
-    is eliminated once.  q past MAX_VERIFY_Q is refused before the matrix
-    is built."""
+    is eliminated once, and the arc next to 1, which only the jump-step
+    midpoint 1/(4q) lies on, not at all: (q-1)/2 eliminations.  q past
+    MAX_VERIFY_Q is refused before the matrix is built."""
     # Past MAX_TORUS_Q, torus_2q refuses q with its own message.
     if MAX_VERIFY_Q < q <= MAX_TORUS_Q:
         raise BadTorusParameter(
@@ -549,7 +614,10 @@ def _jump_steps(arcs, q):
     multiplicity = dict(factors)
     # Signature on each open arc between consecutive 2q-grid points; arc j
     # is the conjugate of arc 2q-1-j, so only the upper half is evaluated.
-    mid = [_off_jump(arcs, UnitRootArg(2 * j + 1, 4 * q)) for j in range(q)]
+    mid = [
+        _off_jump(sigma, UnitRootArg(2 * j + 1, 4 * q))
+        for j, sigma in enumerate(_walk(arcs, range(1, 2 * q, 2), 4 * q))
+    ]
     mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):
@@ -573,5 +641,6 @@ def _jump_steps(arcs, q):
                 simple=simple,
             )
         )
-    sigma_minus_one = _off_jump(arcs, UnitRootArg(1, 2))
+    minus_one = UnitRootArg(1, 2)
+    sigma_minus_one = _off_jump(arcs.signature(minus_one), minus_one)
     return JumpStepReport(jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

@@ -456,6 +456,21 @@ class TestSignature:
         doc = json.loads(out)
         assert doc["profile"] == {"1": "jump", "2": 2, "3": 2, "4": 2, "5": "jump"}
 
+    def test_largest_q_at_genus_12_within_budget(self, capsys, tmp_path):
+        # Bisection locates a few dozen of the 10000 angles: about 0.1 s,
+        # where one locate per angle took 2 s.
+        rows = random_seifert(random.Random(32), 12).rows
+        path = tmp_path / "genus12.json"
+        path.write_text(json.dumps({"matrix": [list(r) for r in rows]}))
+        argv = ["--json", "signature", str(path), "--q", str(cli.MAX_SIGNATURE_Q)]
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 0.3
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        profile = json.loads(captured.out)["profile"]
+        assert len(profile) == cli.MAX_SIGNATURE_Q - 1
+
     def test_q_too_small_exit_2(self, capsys, trefoil_file):
         code, out, err = run(capsys, ["signature", trefoil_file, "--q", "1"])
         assert code == 2

@@ -670,9 +670,13 @@ class TestFormInertia:
 
         assert tl_signature(TREFOIL, UnitRootArg(1, 2)) == 2  # D(-2) = -3 < 0
         monkeypatch.setattr(signatures, "_form_inertia", flipped)
-        for V in (TREFOIL, FIGURE_EIGHT, torus_2q(7)):
+        for V in (TREFOIL, connected_sum(FIGURE_EIGHT, TREFOIL), torus_2q(7)):
             with pytest.raises(CertificationFailure):
                 tl_signature(V, UnitRootArg(1, 2))
+        # The figure-eight's circle is the arc next to 1, which is never
+        # eliminated: its sigma = 0 is a theorem (Elimination, in the module
+        # docstring), so the flipped elimination is not reached.
+        assert tl_signature(FIGURE_EIGHT, UnitRootArg(1, 2)) == 0
 
     def test_singular_form_leaves_its_kernel(self):
         # [[2, 2], [2, 2]] has eigenvalues 4 and 0; the zero form has only 0.
@@ -769,6 +773,31 @@ def _arc_profile_example(seed, genus, summand):
     return V
 
 
+def _assert_zero_next_to_one(V, angles, every=False):
+    """sigma = 0, by _per_angle_signature, at each angle located on the arc
+    next to 1; with every, each angle must lie on it."""
+    arcs = signatures._Arcs(V)
+    # Just below x = 2 cos(0) = 2 the variations are those at 2.
+    first = signatures._variations(_sturm(V), 2, 1)[0]
+    assert _locate(arcs, angles[0]) == first
+    for w in angles:
+        if _locate(arcs, w) == first:
+            assert _per_angle_signature(V, w) == 0, w
+        else:
+            assert not every, w
+
+
+def _torus_signature(p, a, q):
+    """sigma of T(2,p) at a/q by its step function: the roots of Delta =
+    (t^p + 1)/(t + 1) sit at (2k + 1)/(2p) turns, k < (p - 1)/2 on the upper
+    half circle, and sigma is 2k on the arc that ends at the k-th one and
+    p - 1 past the last (Litherland 1979)."""
+    b = min(a, q - a)  # conjugation
+    if 2 * p * b % q == 0 and 2 * p * b // q % 2 and 2 * b < q:
+        return JUMP
+    return 2 * min((p - 1) // 2, (2 * p * b + q) // (2 * q))
+
+
 class TestArcs:
     """The arc locator and the profiles built on it, against per-angle
     eliminations and mpmath root finding, which locate no arcs."""
@@ -797,6 +826,46 @@ class TestArcs:
     def test_fixed_cases(self, V):
         for q in range(2, 31):
             assert signature_profile(V, q) == _per_angle_profile(V, q), q
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32),
+        genus=st.integers(1, 6),
+        summand=st.sampled_from([None, 3, 5]),
+        q=st.integers(2, 2000),
+    )
+    def test_bisection_matches_a_fresh_evaluator_per_angle(self, seed, genus, summand, q):
+        # Each angle on an evaluator of its own, so nothing is shared: no
+        # run, no memoized arc.
+        V = _arc_profile_example(seed, genus, summand)
+        profile = signature_profile(V, q)
+        for a in range(1, q // 2 + 1):
+            assert profile[a] == signatures._Arcs(V).signature(UnitRootArg(a, q)), a
+
+    @pytest.mark.parametrize("bits", [None, 40])
+    def test_bisection_across_a_near_root(self, monkeypatch, bits):
+        # A run of angles 7.5e-9 turns apart around NEAR_ROOT_3E17, which is
+        # 3e-17 turns past the root; at 40 bits that angle is undecided, so
+        # the walk takes its jump test and doubles its bits.
+        if bits:
+            monkeypatch.setattr(signatures, "_start_bits", lambda q: bits)
+        a, q = NEAR_ROOT_3E17.a, NEAR_ROOT_3E17.q
+        numerators = range(a - 3, a + 4)
+        expected = [signatures._Arcs(NEAR_ROOT).signature(UnitRootArg(b, q)) for b in numerators]
+        assert expected == [0, 0, 0, 2, 2, 2, 2]
+        calls = _counting(monkeypatch, "at_jump")
+        assert signatures._walk(signatures._Arcs(NEAR_ROOT), numerators, q) == expected
+        assert calls["at_jump"] == ([(NEAR_ROOT, NEAR_ROOT_3E17)] if bits else [])
+
+    @pytest.mark.parametrize("q, locates", [(62, 31), (20000, 160)])
+    def test_torus_profile_by_bisection(self, monkeypatch, q, locates):
+        # T(2,31) has 15 roots on the upper half circle.  At q = 62 they sit
+        # between the angles, so every angle is located, as with one locate
+        # per angle; at q = 20000 bisection locates a few angles per root.
+        calls = _counting(monkeypatch, "_angle_bracket")
+        profile = signature_profile(torus_2q(31), q)
+        assert profile == {a: _torus_signature(31, a, q) for a in range(1, q)}
+        assert len(calls["_angle_bracket"]) == locates
 
     def test_undecided_angle_falls_back_to_elimination(self, monkeypatch):
         # At 40 bits the bracket of NEAR_ROOT_3E17, 3e-17 turns from a root,
@@ -891,18 +960,25 @@ class TestArcs:
         summand=st.sampled_from([None, 3, 5]),
     )
     def test_signature_vanishes_on_the_arc_next_to_one(self, seed, genus, summand):
+        # _Arcs returns sigma = 0 on that arc without eliminating it, so the
+        # theorem is checked here by the bare elimination at points of the
+        # arc, which goes through no _Arcs.
         V = _arc_profile_example(seed, genus, summand)
-        arcs = signatures._Arcs(V)
-        near_one = UnitRootArg(1, 10**6)
-        first = _locate(arcs, near_one)
-        # Just below x = 2 cos(0) = 2 the variations are those at 2.
-        assert first == signatures._variations(_sturm(V), 2, 1)[0]
-        assert tl_signature(V, near_one) == 0
-        profile = signature_profile(V, 30)
-        for a in range(1, 16):
-            w = UnitRootArg(a, 30)
-            if profile[a] is not JUMP and _locate(arcs, w) == first:
-                assert profile[a] == 0
+        _assert_zero_next_to_one(
+            V, [UnitRootArg(1, 10**6)] + [UnitRootArg(a, 30) for a in range(1, 16)]
+        )
+
+    def test_the_figure_eight_circle_is_the_arc_next_to_one(self):
+        # Delta = -t^2 + 3t - 1 has no root on the circle.
+        _assert_zero_next_to_one(
+            FIGURE_EIGHT, [UnitRootArg(a, 60) for a in range(1, 31)], every=True
+        )
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 31])
+    def test_torus_mid_angle_is_on_the_arc_next_to_one(self, q):
+        # T(2,q)'s first root is at 1/(2q) turns, past its first jump-step
+        # midpoint 1/(4q).
+        _assert_zero_next_to_one(torus_2q(q), [UnitRootArg(1, 4 * q)], every=True)
 
 
 class TestEliminationCounts:
@@ -914,29 +990,45 @@ class TestEliminationCounts:
         # a <= 6, fall on three arcs.
         calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_form_inertia")
         signature_profile(torus_2q(7), 12)
-        angles = [UnitRootArg(a, 12) for a in range(1, 7)]
-        # Every angle is located on its arc, so none needs a jump test; its
-        # bracket is computed once, and the first angle's bracket on each
-        # arc also aims that arc's evaluation point.
+        angles = {a: UnitRootArg(a, 12) for a in range(1, 7)}
+        # Every angle is located on its arc, so none needs a jump test, and
+        # its bracket is computed once.  Bisection locates the ends 1 and 6,
+        # which differ, splits at 3, then (1, 3) at 2, (3, 6) at 4 and
+        # (4, 6) at 5.  The first angle on each arc aims that arc's
+        # evaluation point.
         assert calls["at_jump"] == []
         assert calls["_angle_bracket"] == [
-            (w.a, w.q, signatures._start_bits(w.q)) for w in angles
+            (w.a, w.q, signatures._start_bits(w.q)) for w in map(angles.get, [1, 6, 3, 2, 4, 5])
         ]
         assert [args[2:] for args in calls["_form_inertia"]] == [
-            _point(torus_2q(7), w) for w in angles[::2]
+            _point(torus_2q(7), angles[a]) for a in (1, 3, 5)
         ]
 
-    def test_figure_eight_profile_is_one_elimination(self, monkeypatch):
-        calls = _counting(monkeypatch, "_form_inertia")
+    def test_profile_locates_only_the_ends_of_a_run(self, monkeypatch):
+        # T(2,7) at q = 600: the angles 51..100 all lie between the roots
+        # at 1/14 and 3/14 turns; the ends of their run share an arc, so
+        # nothing between them is located.
+        calls = _counting(monkeypatch, "_angle_bracket")
+        arcs = signatures._Arcs(torus_2q(7))
+        assert signatures._walk(arcs, range(51, 101), 600) == [2] * 50
+        assert [args[:2] for args in calls["_angle_bracket"]] == [(17, 200), (1, 6)]
+
+    def test_figure_eight_profile_needs_no_elimination(self, monkeypatch):
+        # Its circle is the arc next to 1, where sigma = 0 is a theorem:
+        # bisection locates the ends 1/12 and 6/12, and nothing is eliminated.
+        calls = _counting(monkeypatch, "_angle_bracket", "_form_inertia")
         profile = signature_profile(FIGURE_EIGHT, 12)
-        assert jump_angles(profile) == []
-        assert len(calls["_form_inertia"]) == 1
+        assert profile == {a: 0 for a in range(1, 12)}
+        assert [args[:2] for args in calls["_angle_bracket"]] == [(1, 12), (1, 2)]
+        assert calls["_form_inertia"] == []
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_torus_lemma_eliminates_each_arc_once(self, monkeypatch, q):
         calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         verify_torus_lemma(q)
-        assert len(calls["_form_inertia"]) == (q + 1) // 2
+        # (q + 1) / 2 arcs on the upper half circle; the one next to 1, which
+        # holds the jump-step midpoint 1/(4q), needs no elimination.
+        assert len(calls["_form_inertia"]) == (q - 1) // 2
         assert calls["at_jump"] == []
 
     def test_jump_steps_read_jumps_from_the_factor_list(self, monkeypatch):
@@ -944,9 +1036,9 @@ class TestEliminationCounts:
         report = jump_step_check(torus_2q(5), 5)
         assert len(report.jumps) == 4 and report.sigma_at_minus_one == 4
         # The jumps come from the factor list and every midpoint is located:
-        # no jump test, one elimination per arc.
+        # no jump test, one elimination per arc but the one next to 1.
         assert calls["at_jump"] == []
-        assert len(calls["_form_inertia"]) == 3
+        assert len(calls["_form_inertia"]) == 2
 
     def test_tl_signature_is_one_elimination(self, monkeypatch):
         calls = _counting(monkeypatch, "at_jump", "_form_inertia")
@@ -956,8 +1048,11 @@ class TestEliminationCounts:
     def test_jump_steps_refuse_a_midpoint_at_a_root(self, monkeypatch):
         # Under its hypothesis no midpoint is a root; were one reported as
         # a jump, the check must raise rather than subtract JUMP.
-        monkeypatch.setattr(signatures._Arcs, "signature", lambda self, w: JUMP)
-        with pytest.raises(JumpPoint):
+        arc_of = signatures._Arcs.arc_of
+        monkeypatch.setattr(
+            signatures._Arcs, "arc_of", lambda self, w: None if w.q == 12 else arc_of(self, w)
+        )
+        with pytest.raises(JumpPoint, match="1/12"):
             jump_step_check(TREFOIL, 3)
 
 
