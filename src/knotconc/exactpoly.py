@@ -108,14 +108,11 @@ class IntPolynomial(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        # Not through Record.__init__: that took 2.47 us per construction of
-        # a degree-8 polynomial against 1.60 us here (best of 15, interleaved,
-        # Python 3.11.7, Intel Xeon), and a classify job builds about 40.
         coeffs = integer_tuple(coeffs)
         n = len(coeffs)
         while n and not coeffs[n - 1]:
             n -= 1
-        object.__setattr__(self, "coeffs", coeffs[:n])
+        super().__init__(coeffs[:n])
 
     # -- basic queries ----------------------------------------------------
 

@@ -59,14 +59,14 @@ class FamilyParameters(Record):
         super().__init__(genus, p, k, q, n0)
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
+        if self.p < 2:
+            raise ValueError("p must be >= 2")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.q < 2:
             raise ValueError("q must be >= 2")
         if self.n0 < 0:
             raise ValueError("n0 must be >= 0")
-        if self.term_count < 2:
-            raise ValueError("term count 2*g*p^k must be >= 2")
 
     @property
     def term_count(self):

@@ -81,14 +81,15 @@ Arcs.  det H = (1-omega)^n Delta(conj omega), so H is nonsingular off the
 roots of Delta and the signature is constant on each arc of the unit circle
 between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
 a single tl_signature as well as a profile, a jump-step check or the torus
-lemma, goes through one evaluator built for that call.  It forms V + V^t,
-V^t - V and the Sturm sequence of D once.  For each angle it locates, it
-computes the bracket once and finds the angle's arc with it; it
-eliminates once per arc, at the arc's evaluation point, but the arc next
-to omega = 1 (Elimination), and copies the value to the other angles on
-that arc, keeping the values for that one call.  That arc is the one whose
-Sturm count is V(2), taken once per evaluator and only when an arc is
-about to be eliminated.
+lemma, is one walk over ascending angles (bisection, below) of an
+evaluator built for that call, which forms V + V^t, V^t - V and the Sturm
+sequence of D once.  For each angle it locates, the walk computes the
+bracket once and finds the angle's arc with it; it eliminates once per
+arc, at the arc's evaluation point, but the arc next to omega = 1
+(Elimination), and copies the value to the other angles on that arc, the
+evaluator keeping the values for that one call.  That arc is the one
+whose Sturm count is V(2), taken once per evaluator and only when an arc
+is about to be eliminated.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -120,9 +121,8 @@ about to be eliminated.
                every angle off a root is located.
     bisection  on (0, pi] the arc index only grows with theta, so two
                located angles with the same index enclose no root of D,
-               and every angle between them shares their arc.  A profile
-               (and the jump-step midpoints) walks its ascending angles by
-               bisection: it locates the two ends of a run, and splits the
+               and every angle between them shares their arc.  A walk
+               locates the two ends of a run of its angles, and splits the
                run at its middle angle only where their indices differ or
                one end is a jump.  A profile at q then locates O(r log q)
                angles for r roots on the circle, not q/2.
@@ -210,10 +210,9 @@ def at_jump(V, w):
 
 def tl_signature(V, w):
     """Tristram-Levine signature of V at omega = exp(2*pi*i*a/q); exact."""
-    arcs = _Arcs(V)
     if w.is_trivial:
         raise TrivialAngle("the form vanishes at omega = 1; angle 0 is excluded")
-    return _off_jump(arcs.signature(w), w)
+    return _off_jump(_Arcs(V).walk([w.a], w.q)[0], w)
 
 
 def _off_jump(sigma, w):
@@ -398,10 +397,10 @@ def _variations(seq, num, den):
 
 
 class _Arcs:
-    """The one evaluator of the signatures of V, for one call: V + V^t,
-    V^t - V and the Sturm sequence of D are built once, and each arc of the
-    upper unit circle but the one next to omega = 1 is eliminated once; the
-    argument is in the module docstring."""
+    """The evaluator of the signatures of V, for one call, and its one walk:
+    V + V^t, V^t - V and the Sturm sequence of D are built once, and each
+    arc of the upper unit circle but the one next to omega = 1 is
+    eliminated once; the argument is in the module docstring."""
 
     def __init__(self, V):
         self.V = V
@@ -412,10 +411,37 @@ class _Arcs:
         self._skew = [[rows[j][i] - rows[i][j] for j in range(n)] for i in range(n)]
         self._values = {}  # arc -> signature
 
-    def signature(self, w):
-        """Signature at w != 1, or JUMP when omega is a root of Delta."""
-        spot = self.arc_of(w)
-        return JUMP if spot is None else self.value(*spot)
+    def walk(self, numerators, q):
+        """Signatures at the angles a/q, a in numerators, ascending in (0,
+        q/2], or one angle anywhere off 0: a list of values, JUMP at a root
+        of Delta.  The angles are located by bisection (Arcs, module
+        docstring): a run whose two ends lie on one arc lies on it whole,
+        and is split only where the ends differ or one is a jump.  Each arc
+        is evaluated once, at the first angle on it."""
+        spots = {}
+
+        def spot(i):
+            if i not in spots:
+                spots[i] = self.arc_of(UnitRootArg(numerators[i], q))
+            return spots[i]
+
+        runs = [(0, len(numerators) - 1)]
+        while runs:
+            lo, hi = runs.pop()
+            first, last = spot(lo), spot(hi)
+            if hi - lo < 2:
+                continue
+            if first is not None and last is not None and first[0] == last[0]:
+                spots.update(dict.fromkeys(range(lo + 1, hi), first))
+            else:
+                mid = (lo + hi) // 2
+                runs += [(mid, hi), (lo, mid)]
+        values = []
+        for s in map(spots.get, range(len(numerators))):
+            if s is not None and s[0] not in self._values:
+                self._values[s[0]] = self._inertia(*s)
+            values.append(JUMP if s is None else self._values[s[0]])
+        return values
 
     def arc_of(self, w):
         """(arc, bracket, bits) of w != 1, or None when omega is a root of
@@ -436,13 +462,6 @@ class _Arcs:
             bracket = _angle_bracket(w.a, w.q, bits)
             arc = self._locate(bracket, bits)
         return arc, bracket, bits
-
-    def value(self, arc, bracket, bits):
-        """The signature on arc, from the located bracket of an angle on it;
-        each arc is evaluated once."""
-        if arc not in self._values:
-            self._values[arc] = self._inertia(arc, bracket, bits)
-        return self._values[arc]
 
     def _locate(self, bracket, bits):
         """The arc of the angle with this bracket, or None when undecided."""
@@ -477,33 +496,6 @@ def _ends(bracket):
     return c - 2 * e - 1, c + 2 * e + 1
 
 
-def _walk(arcs, numerators, q):
-    """Signatures at the angles a/q, a in numerators, ascending in (0, q/2]:
-    a list of values, JUMP at a root of Delta.  The angles are located by
-    bisection (Arcs, module docstring): a run whose two ends lie on one arc
-    lies on it whole, and is split only where the ends differ or one is a
-    jump.  Each arc is then evaluated at its first angle."""
-    spots = {}
-
-    def spot(i):
-        if i not in spots:
-            spots[i] = arcs.arc_of(UnitRootArg(numerators[i], q))
-        return spots[i]
-
-    runs = [(0, len(numerators) - 1)]
-    while runs:
-        lo, hi = runs.pop()
-        first, last = spot(lo), spot(hi)
-        if hi - lo < 2:
-            continue
-        if first is not None and last is not None and first[0] == last[0]:
-            spots.update(dict.fromkeys(range(lo + 1, hi), first))
-        else:
-            mid = (lo + hi) // 2
-            runs += [(mid, hi), (lo, mid)]
-    return [JUMP if s is None else arcs.value(*s) for s in map(spots.get, range(len(numerators)))]
-
-
 def signature_profile(V, q):
     """Tristram-Levine signatures of V at all q-th roots of unity except 1:
     {a: sigma at a/q, or JUMP at a root of Delta} for a = 1..q-1."""
@@ -513,7 +505,7 @@ def signature_profile(V, q):
 def _profile(arcs, q):
     if q < 2:
         raise ValueError("q must be >= 2")
-    half = _walk(arcs, range(1, q // 2 + 1), q)
+    half = arcs.walk(range(1, q // 2 + 1), q)
     # H at conj(omega) is conj(H), with the same inertia and jumps.
     return {a: half[min(a, q - a) - 1] for a in range(1, q)}
 
@@ -612,12 +604,16 @@ def _jump_steps(arcs, q):
     # The remainder is a unit, so omega is a root of Delta exactly when its
     # order is the index of one of these factors.
     multiplicity = dict(factors)
-    # Signature on each open arc between consecutive 2q-grid points; arc j
-    # is the conjugate of arc 2q-1-j, so only the upper half is evaluated.
+    # Signature on each open arc between consecutive 2q-grid points, at its
+    # midpoint (2j+1)/(4q), then at -1 = 2q/(4q), which ends the last one;
+    # arc j is the conjugate of arc 2q-1-j, so only the upper half is
+    # evaluated.
+    numerators = [*range(1, 2 * q, 2), 2 * q]
     mid = [
-        _off_jump(sigma, UnitRootArg(2 * j + 1, 4 * q))
-        for j, sigma in enumerate(_walk(arcs, range(1, 2 * q, 2), 4 * q))
+        _off_jump(sigma, UnitRootArg(a, 4 * q))
+        for a, sigma in zip(numerators, arcs.walk(numerators, 4 * q))
     ]
+    sigma_minus_one = mid.pop()
     mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):
@@ -641,6 +637,4 @@ def _jump_steps(arcs, q):
                 simple=simple,
             )
         )
-    minus_one = UnitRootArg(1, 2)
-    sigma_minus_one = _off_jump(arcs.signature(minus_one), minus_one)
     return JumpStepReport(jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)

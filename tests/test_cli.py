@@ -889,6 +889,19 @@ class TestExitStatuses:
         assert (code, out) == (2, "")
         assert err == 'error: "matrix" must be an array of arrays\n'
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["alexander", "-"], 'error: JSON document must have a "matrix" field\n'),
+            (["witness", "-", "--n0", "-1"], "error: --n0 must be >= 0\n"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_refused_argument_exit_2(self, capsys, monkeypatch, argv, message, mode):
+        doc = '{"name": "trefoil", "rows": [[1, -1], [0, 1]]}'
+        code, out, err = run(capsys, mode + argv, stdin=doc, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", message)
+
     def test_empty_matrix_is_the_unknot(self, capsys, monkeypatch):
         code, out, err = run(
             capsys, ["--json", "alexander"], stdin='{"matrix": []}', monkeypatch=monkeypatch

@@ -68,6 +68,11 @@ class TestCoverOrder:
         with pytest.raises(NotAKnotPolynomial):
             cover_order(P([1, 1]), 2)
 
+    def test_rejects_r_below_one_when_consumed(self):
+        orders = cover_orders(TREFOIL_DELTA, [0])  # lazy: nothing runs yet
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            list(orders)
+
     def test_matches_direct_resultant(self, rng):
         for _ in range(30):
             V = random_seifert(rng, rng.randint(1, 2))

@@ -352,6 +352,21 @@ def _stale_row_matrices(rng):
     return matrices
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: factorize(0), ValueError, "n must be >= 1"),
+        (lambda: cyclotomic(0), ValueError, "n must be >= 1"),
+        (lambda: phi_inverse_candidates(0), ValueError, "bound must be >= 1"),
+        (lambda: cyclotomic_factor_extract(IntPolynomial()), ZeroPolynomial, "zero polynomial"),
+        (lambda: integer_determinant([[1, 2]]), ValueError, "matrix must be square"),
+    ],
+)
+def test_argument_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestIntegers:
     def test_distinct_primes(self):
         assert distinct_prime_factors(30) == [2, 3, 5]

@@ -102,9 +102,23 @@ class TestParameters:
             FamilyParameters(genus=1, p=3, k=1, q=1, n0=0)
         with pytest.raises(ValueError):
             FamilyParameters(genus=1, p=3, k=1, q=3, n0=-1)
+        for p in (1, 0):
+            with pytest.raises(ValueError, match="p must be >= 2"):
+                FamilyParameters(genus=1, p=p, k=1, q=3, n0=0)
 
 
 class TestSchedule:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sum_range(0, trefoil_params(0)), "n must be >= 1"),
+            (lambda: witness_schedule(trefoil_params(0), -1), "count must be >= 0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_trefoil_three_members_n0_zero(self):
         params = trefoil_params(0)
         schedule = witness_schedule(params, 3)

@@ -275,6 +275,10 @@ class TestMultiple:
     def test_one(self):
         assert multiple(TREFOIL, 1) == TREFOIL
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="multiplicity must be nonnegative"):
+            multiple(TREFOIL, -1)
+
     def test_three(self):
         V = multiple(TREFOIL, 3)
         assert V.dim == 6

@@ -284,6 +284,10 @@ class TestJumpSteps:
         upper = [j for j in report.jumps if 2 * j.numerator < j.denominator]
         assert sum(j.away_step for j in upper) == report.sigma_at_minus_one
 
+    def test_rejects_small_q(self):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            jump_step_check(TREFOIL, 0)
+
     def test_unknot_has_no_jumps(self):
         report = jump_step_check(UNKNOT, 4)
         assert report.jumps == ()
@@ -840,7 +844,7 @@ class TestArcs:
         V = _arc_profile_example(seed, genus, summand)
         profile = signature_profile(V, q)
         for a in range(1, q // 2 + 1):
-            assert profile[a] == signatures._Arcs(V).signature(UnitRootArg(a, q)), a
+            assert [profile[a]] == signatures._Arcs(V).walk([a], q), a
 
     @pytest.mark.parametrize("bits", [None, 40])
     def test_bisection_across_a_near_root(self, monkeypatch, bits):
@@ -851,10 +855,10 @@ class TestArcs:
             monkeypatch.setattr(signatures, "_start_bits", lambda q: bits)
         a, q = NEAR_ROOT_3E17.a, NEAR_ROOT_3E17.q
         numerators = range(a - 3, a + 4)
-        expected = [signatures._Arcs(NEAR_ROOT).signature(UnitRootArg(b, q)) for b in numerators]
+        expected = [signatures._Arcs(NEAR_ROOT).walk([b], q)[0] for b in numerators]
         assert expected == [0, 0, 0, 2, 2, 2, 2]
         calls = _counting(monkeypatch, "at_jump")
-        assert signatures._walk(signatures._Arcs(NEAR_ROOT), numerators, q) == expected
+        assert signatures._Arcs(NEAR_ROOT).walk(numerators, q) == expected
         assert calls["at_jump"] == ([(NEAR_ROOT, NEAR_ROOT_3E17)] if bits else [])
 
     @pytest.mark.parametrize("q, locates", [(62, 31), (20000, 160)])
@@ -874,7 +878,7 @@ class TestArcs:
         arcs = signatures._Arcs(NEAR_ROOT)
         assert _locate(arcs, NEAR_ROOT_3E17) is None
         calls = _counting(monkeypatch, "at_jump", "_angle_bracket", "_form_inertia")
-        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert arcs.walk([NEAR_ROOT_3E17.a], NEAR_ROOT_3E17.q) == [2]
         # The undecided angle gets the exact jump test, is no root, and is
         # located at twice the bits, then eliminated once.
         assert calls["at_jump"] == [(NEAR_ROOT, NEAR_ROOT_3E17)]
@@ -882,14 +886,14 @@ class TestArcs:
         assert len(calls["_form_inertia"]) == 1
         # Memoized by its located arc: the next call locates the angle
         # again but eliminates nothing.
-        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert arcs.walk([NEAR_ROOT_3E17.a], NEAR_ROOT_3E17.q) == [2]
         assert len(calls["_form_inertia"]) == 1
 
     def test_near_root_is_located_at_the_first_bracket(self, monkeypatch):
         calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         arcs = signatures._Arcs(NEAR_ROOT)
-        assert arcs.signature(NEAR_ROOT_3E17) == 2
-        assert arcs.signature(NEAR_ROOT_3E17) == 2
+        assert arcs.walk([NEAR_ROOT_3E17.a], NEAR_ROOT_3E17.q) == [2]
+        assert arcs.walk([NEAR_ROOT_3E17.a], NEAR_ROOT_3E17.q) == [2]
         assert calls["at_jump"] == []
         assert len(calls["_form_inertia"]) == 1
 
@@ -1010,7 +1014,7 @@ class TestEliminationCounts:
         # nothing between them is located.
         calls = _counting(monkeypatch, "_angle_bracket")
         arcs = signatures._Arcs(torus_2q(7))
-        assert signatures._walk(arcs, range(51, 101), 600) == [2] * 50
+        assert arcs.walk(range(51, 101), 600) == [2] * 50
         assert [args[:2] for args in calls["_angle_bracket"]] == [(17, 200), (1, 6)]
 
     def test_figure_eight_profile_needs_no_elimination(self, monkeypatch):
