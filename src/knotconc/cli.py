@@ -58,9 +58,10 @@ MAX_WITNESS_COUNT = 2000
 
 # Largest covers --max-r.  Cover orders grow linearly in r, to about 2.3k
 # digits at r = 256 on a genus-8 draw with entries in [-2, 2], and a table
-# costs about r^2.7: `--json covers --max-r 256` takes 0.42 s and prints
-# 0.3 MB on that draw (2.8 s at r = 512), and 3.7 s and 1.0 MB on a genus-12
-# draw with entries up to 9 (in-process, Python 3.11, Intel Xeon).
+# costs about r^2.7: `--json covers --max-r 256` takes 0.23 s and prints
+# 0.3 MB on random_seifert(Random(32), 8) (1.7 s at r = 512), and 3.2-3.4 s
+# and 1.0 MB on random_seifert(Random(32), 12, bound=9) (tests/conftest.py;
+# in-process, Python 3.11, Intel Xeon).
 MAX_COVERS_R = 256
 
 # Largest covers table, in estimated digits of |H1|.  |Delta(zeta)| <=
@@ -82,12 +83,12 @@ MAX_COVERS_DIGITS = 2 * 10**6
 MAX_SIGNATURE_Q = 20000
 
 # Largest matrix dimension, checked as the document is parsed.  covers sets
-# it: at dimension 32 a dense draw with entries up to 9 takes 12.5 s for
-# `--json covers --max-r 256` (1.4 MB), and at 40 it takes 25 s; `--json
-# signature --q 20000` takes 0.14-0.21 s on it (0.16-0.24 s at 40).
-# alexander, g Bareiss determinants of dimension 2g, takes 0.07 s on it at
-# dimension 32 (0.18 s at 40, 1.6 s at 64, 4.3 s at 80; in-process, Python
-# 3.11, Intel Xeon).
+# it: at dimension 32, random_seifert(Random(32), 16, bound=9) takes 10.3 s
+# for `--json covers --max-r 256` (1.4 MB), and the genus-20 draw takes 21 s
+# at 40 (with the digit bound lifted); `--json signature --q 20000` takes
+# 0.10-0.13 s on it (0.20-0.22 s at 40).  alexander, g Bareiss determinants
+# of dimension 2g, takes 0.04-0.05 s on it at dimension 32 (0.14 s at 40,
+# 1.6 s at 64, 4.3 s at 80; in-process, Python 3.11, Intel Xeon).
 MAX_MATRIX_DIM = 32
 
 # Largest --delta degree, t^k included, checked as it is parsed.  classify

@@ -43,6 +43,8 @@ walk, shares that work.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import NotAKnotPolynomial, WitnessSearchExhausted
 from .exactpoly import (
     Record,
@@ -89,12 +91,15 @@ def _orders(D, rs):
         if r < 1:
             raise ValueError("r must be >= 1")
         # t^r - 1 = prod over d | r of cyclotomic(d); resultants multiply.
+        # Divisors ascend, found up to sqrt(r); a zero norm ends the product.
+        small = [d for d in range(1, isqrt(r) + 1) if r % d == 0]
         order = 1
-        for d in range(1, r + 1):
-            if r % d == 0 and order:
-                if d not in norms:
-                    norms[d] = resultant(real_cyclotomic(d), D) ** 2
-                order *= norms[d]
+        for d in small + [r // d for d in reversed(small) if d * d != r]:
+            if d not in norms:
+                norms[d] = resultant(real_cyclotomic(d), D) ** 2
+            order *= norms[d]
+            if not order:
+                break
         yield r, abs(order) or None
 
 

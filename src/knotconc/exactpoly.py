@@ -482,16 +482,19 @@ def _pseudo_remainder(a, b):
     brought down one at a time into a window of deg b coefficients, each
     scaled by the power of lc(b) the window has collected so far, so every
     step touches deg b coefficients and the dividend is never rescaled.
+    The window shifts up in place, from the top, in one indexed pass per
+    step; neither a nor b is changed.
     """
     n = len(b) - 1
     lc = b[-1]
     window = a[-n:]
     scale = 1
     for c in reversed(a[:-n]):
-        top = window.pop()
-        window.insert(0, scale * c)
-        window = [lc * w - top * bj for w, bj in zip(window, b)]
+        top = window[-1]
+        for j in range(n - 1, 0, -1):
+            window[j] = lc * window[j - 1] - top * b[j]
         scale *= lc
+        window[0] = scale * c - top * b[0]
     while window and window[-1] == 0:
         window.pop()
     return window
@@ -503,8 +506,9 @@ def resultant(f, g):
     Subresultant polynomial remainder sequence (Collins 1967, Brown and
     Traub 1971; Cohen, A Course in Computational Algebraic Number Theory,
     Algorithm 3.3.7, without the content split): fraction-free Euclid on
-    pseudo-remainders.  Its divisions are exact in theory; each step checks
-    that its remainders are zero.
+    pseudo-remainders.  Its divisions are exact in theory; each step divides
+    its subresultant in place, one coefficient at a time by divmod, and
+    raises CertificationFailure on the first nonzero remainder.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant requires nonzero polynomials")
@@ -528,11 +532,11 @@ def resultant(f, g):
         divisor = lead * h**delta
         a, b = b, r
         if divisor != 1:
-            # Floor division leaves remainders of the divisor's sign, so
-            # they are all zero exactly when their sum is.
-            b = [c // divisor for c in r]
-            if sum(r) != divisor * sum(b):
-                raise CertificationFailure("a subresultant division is not exact")
+            for i, c in enumerate(r):
+                q, rem = divmod(c, divisor)
+                if rem:
+                    raise CertificationFailure("a subresultant division is not exact")
+                r[i] = q
         lead = a[-1]
         if delta == 1:
             h = lead

@@ -168,6 +168,26 @@ class TestCovers:
         table = {row["r"]: row["order"] for row in doc["covers"]}
         assert table == {2: 5, 3: 16}
 
+    def test_inexact_subresultant_division_exit_4(self, capsys, monkeypatch):
+        # Delta = 7t^4 - 14t^3 + 15t^2 - 14t + 7 has D = 7x^2 - 14x + 1, so
+        # Res(Psi_5, D) divides its second subresultant by 7; a remainder off
+        # by one there fails the check.
+        remainder = exactpoly._pseudo_remainder
+        steps = []
+
+        def off_by_one(a, b):
+            r = remainder(a, b)
+            steps.append(r)
+            if len(steps) > 1:
+                r[0] += 1
+            return r
+
+        monkeypatch.setattr(exactpoly, "_pseudo_remainder", off_by_one)
+        code, out, err = run(capsys, ["covers", "--delta=7,-14,15,-14,7", "--max-r", "8"])
+        assert (code, out) == (4, "")
+        assert err.startswith("internal assertion failed: CertificationFailure: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_bad_delta_exit_2(self, capsys):
         code, out, err = run(capsys, ["covers", "--delta", "2"])
         assert code == 2

@@ -32,6 +32,7 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,26 @@ def test_resultant_matches_sylvester(f, g, shared):
         f, g = poly_mul(f, common), poly_mul(g, common)
     expected = fraction_determinant(sylvester(list(f.coeffs), list(g.coeffs)))
     assert resultant(f, g) == expected
+
+
+@pytest.mark.parametrize("d", [5, 17, 31, 53, 59, 61, 64])
+def test_resultant_matches_sylvester_at_cover_shapes(d):
+    # covers takes Res(Psi_d, D) with deg Psi_d = phi(d)/2 up to 30 and D of
+    # degree up to 8, whose leading coefficient reaches millions on random
+    # genus-8 matrices.
+    rng = random.Random(d)
+    psi = real_cyclotomic(d)
+    for degree in range(1, 9):
+        size = 10 ** rng.randint(0, 7)
+        lc = rng.choice([-1, 1]) * rng.randint(1, 10**7)
+        D = IntPolynomial([rng.randint(-size, size) for _ in range(degree)] + [lc])
+        expected = fraction_determinant(sylvester(list(psi.coeffs), list(D.coeffs)))
+        assert resultant(psi, D) == expected, (d, D)
+    # A common factor: Psi_d divides D exactly when the norm is 0.
+    if psi.degree() <= 6:
+        D = poly_mul(psi, IntPolynomial([-3, 7]))
+        assert fraction_determinant(sylvester(list(psi.coeffs), list(D.coeffs))) == 0
+        assert resultant(psi, D) == 0
 
 
 def _primes(n):

@@ -286,6 +286,44 @@ class TestResultant:
             else:
                 assert abs(prod - exact) <= 1e-6 * abs(exact)
 
+    def test_pseudo_remainder_leaves_its_arguments(self, rng):
+        # The Sturm sequence keeps both arguments; the window moves in place.
+        # Oracle: long division of lc(b)^(deg a - deg b + 1) a by b over Fraction.
+        for _ in range(60):
+            a = list(random_poly(rng, 9).coeffs) + [rng.choice([-3, 1, 2, 5])]
+            b = list(random_poly(rng, 4).coeffs) + [rng.choice([-7, -1, 1, 4])]
+            if len(b) > len(a) or len(b) == 1:
+                continue
+            a0, b0 = list(a), list(b)
+            r = exactpoly._pseudo_remainder(a, b)
+            assert (a, b) == (a0, b0)
+            rest = [Fraction(c * b[-1] ** (len(a) - len(b) + 1)) for c in a]
+            for k in range(len(a) - len(b), -1, -1):
+                q = rest[k + len(b) - 1] / b[-1]
+                for j, c in enumerate(b):
+                    rest[k + j] -= q * c
+            assert r + [0] * (len(a) - len(r)) == rest
+
+    def test_inexact_subresultant_division_raises(self, monkeypatch):
+        # Res(Psi_61, D) with lc(D) = 7: from the second step on, each
+        # subresultant is divided by a power of 7, so a remainder off by one
+        # cannot divide.  A raise, not an assert, so `python -O` keeps it.
+        psi, D = real_cyclotomic(61), P([1, -14, 7])
+        remainder = exactpoly._pseudo_remainder
+        steps = []
+
+        def off_by_one(a, b):
+            r = remainder(a, b)
+            steps.append(r)
+            if len(steps) > 1:
+                r[0] += 1
+            return r
+
+        monkeypatch.setattr(exactpoly, "_pseudo_remainder", off_by_one)
+        with pytest.raises(CertificationFailure, match="subresultant division"):
+            resultant(psi, D)
+        assert len(steps) == 2
+
     def test_t_power_minus_one_splits_over_divisors(self, rng):
         # Res(t^r - 1, g) = prod over d | r of Res(phi_d, g).
         for r in (20, 33, 64):
