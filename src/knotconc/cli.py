@@ -28,8 +28,6 @@ can pass Python's 4300-digit int-to-str limit, so main lifts the limit while
 it renders; input is parsed under it.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools

@@ -41,8 +41,6 @@ Res(Psi_d, D) computed at most once per call, so a table of covers, or a
 walk, shares that work.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from .errors import NotAKnotPolynomial, WitnessSearchExhausted

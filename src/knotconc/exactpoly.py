@@ -8,10 +8,8 @@ sequence, cyclotomic factor extraction, the fraction-free Bareiss
 determinant (for Seifert matrices and their pencils), and the small
 number-theoretic helpers (totient, factorization, prime powers) the rest of
 the library needs, as well as `Record`, the immutable base of the library's
-result types.
+value and result types.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -45,27 +43,44 @@ class Record:
     equal, and hash alike, when their fields are; pickle and copy rebuild a
     record through __init__.  A subclass that checks or normalises its
     fields does so in its own __init__, which takes them in __slots__ order.
+
+    A slot whose name starts with "_" is a memo, not a field: it is None
+    after construction, only the class's own code fills it (through
+    object.__setattr__), and it takes no part in construction, equality,
+    hashing, pickling or repr, so a pickled or copied record starts with
+    empty memos.  __init_subclass__ splits each class's slots once.
     """
 
     __slots__ = ()
+    _names = _memos = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._memos = tuple(n for n in cls.__slots__ if n.startswith("_"))
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        misfit = False
-        if kwargs:
-            values = dict(zip(names, args), **kwargs)
-            misfit = len(values) < len(args) + len(kwargs)  # a field given twice
-            args = [values.pop(name) for name in names if name in values]
-            misfit = misfit or bool(values)  # an unknown field
-        if misfit or len(args) != len(names):
-            raise TypeError(
-                "%s takes the fields %s" % (type(self).__name__, ", ".join(names))
-            )
+        names = self._names
+        if kwargs or len(args) != len(names):
+            args = self._match_fields(args, kwargs)
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+        for name in self._memos:
+            object.__setattr__(self, name, None)
+
+    @classmethod
+    def _match_fields(cls, args, kwargs):
+        """The field values in slot order; TypeError unless args and kwargs
+        give each field once, and nothing else."""
+        names = cls._names
+        values = dict(zip(names, args), **kwargs)
+        fields = [values.pop(name) for name in names if name in values]
+        if values or not len(fields) == len(names) == len(args) + len(kwargs):
+            raise TypeError("%s takes the fields %s" % (cls.__name__, ", ".join(names)))
+        return fields
 
     def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -87,7 +102,7 @@ class Record:
     def __repr__(self):
         return "%s(%s)" % (
             type(self).__name__,
-            ", ".join("%s=%r" % (n, v) for n, v in zip(self.__slots__, self._fields())),
+            ", ".join("%s=%r" % (n, v) for n, v in zip(self._names, self._fields())),
         )
 
 
@@ -134,16 +149,6 @@ class IntPolynomial(Record):
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coeffs == ((other,) if other else ())
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __call__(self, x):
         """Horner evaluation; works for int, Fraction and complex values."""

@@ -30,8 +30,6 @@ subgroup-constrained subset.  Disjointness of the larger ranges is still a
 sound obstruction.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import covers
@@ -255,8 +253,8 @@ def family_report(V, count, n0=0, q=None):
         )
     witness_r, witness_order = witness
     if q is None:
-        q = _character_modulus(witness_order)
-        p, k = prime_power_decomposition(q)
+        p, k = _character_modulus(witness_order)
+        q = p**k
     params = FamilyParameters(genus=V.genus, p=p, k=k, q=q, n0=n0)
     schedule = witness_schedule(params, count)
     return FamilyReport(
@@ -268,10 +266,11 @@ def family_report(V, count, n0=0, q=None):
 
 
 def _character_modulus(order):
-    """Largest odd prime power dividing a witness cover's |H_1|, which has
-    an odd prime factor."""
+    """(p, k) for p^k, the largest odd prime power dividing a witness
+    cover's |H_1|, which has an odd prime factor."""
     try:
         factors = factorize(order)
     except FactorizationLimit as exc:
         raise NoCharacterModulus("cannot factor |H1|: %s; pass --q explicitly" % exc)
-    return max(p**e for p, e in factors.items() if p % 2 == 1)
+    _, p, k = max((p**e, p, e) for p, e in factors.items() if p % 2 == 1)
+    return p, k

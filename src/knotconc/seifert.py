@@ -9,15 +9,14 @@ determinant is a polynomial of degree genus in x(x+1), by an exact integer
 interpolation.
 
 Each SeifertMatrix instance keeps a successful validation and its Alexander
-polynomial on the instance (there is no cache across instances); a failed
-validation is not kept, so it runs again on the next call.
+polynomial in its Record memo slots (there is no cache across instances); a
+failed validation is not kept, so it runs again on the next call.
 """
-
-from __future__ import annotations
 
 from .errors import BadTorusParameter, InvalidSeifertMatrix
 from .exactpoly import (
     IntPolynomial,
+    Record,
     _exact_quotient,
     brief_int,
     integer_determinant,
@@ -25,29 +24,23 @@ from .exactpoly import (
 )
 
 
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Immutable integer matrix with Seifert-matrix validation.
 
     The 0x0 matrix is the unknot.  Construction only requires integer
     entries, by exactpoly.integer_tuple's rule: 0.5, 1.0, "1", True and
     False raise TypeError.  validate() (which every operation calls)
     checks the Seifert invariants and raises InvalidSeifertMatrix on the
-    first that fails.  A success and the Alexander polynomial are memoized
-    on the instance; a failure is not.
+    first that fails.  A success and the Alexander polynomial are kept in
+    the Record memo slots _valid and _alexander; a failure is not kept.
+    The one field is rows, a tuple of int tuples, so the repr of the
+    trefoil is SeifertMatrix(rows=((1, -1), (0, 1))).
     """
 
     __slots__ = ("rows", "_valid", "_alexander")
 
     def __init__(self, rows=()):
-        object.__setattr__(self, "rows", tuple(map(integer_tuple, rows)))
-        object.__setattr__(self, "_valid", False)
-        object.__setattr__(self, "_alexander", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeifertMatrix is immutable")
-
-    def __reduce__(self):
-        return SeifertMatrix, (self.rows,)  # the memos are recomputed
+        super().__init__(tuple(map(integer_tuple, rows)))
 
     @property
     def dim(self):
@@ -56,17 +49,6 @@ class SeifertMatrix:
     @property
     def genus(self):
         return self.dim // 2
-
-    def __eq__(self, other):
-        if not isinstance(other, SeifertMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "SeifertMatrix(%r)" % (list(list(r) for r in self.rows),)
 
     # -- validation -------------------------------------------------------
 

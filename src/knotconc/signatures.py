@@ -139,8 +139,6 @@ theta' lies on the arc of theta or of its conjugate (same inertia); a large
 enough k lands in the bracket.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

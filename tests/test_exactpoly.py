@@ -16,7 +16,7 @@ from conftest import (
     t_power_minus_one,
 )
 from knotconc import exactpoly
-from knotconc.covers import classify_prime_power_covers
+from knotconc.covers import ClassificationReport, classify_prime_power_covers
 from knotconc.errors import (
     CertificationFailure,
     DivisorNotMonicUnit,
@@ -39,7 +39,7 @@ from knotconc.exactpoly import (
     resultant,
     totient,
 )
-from knotconc.obstruction import family_report
+from knotconc.obstruction import FamilyParameters, FamilyReport, WitnessSchedule, family_report
 from knotconc.seifert import (
     FIGURE_EIGHT,
     TREFOIL,
@@ -49,7 +49,16 @@ from knotconc.seifert import (
     multiple,
     torus_2q,
 )
-from knotconc.signatures import JUMP, UnitRootArg, signature_profile, verify_torus_lemma
+from knotconc.signatures import (
+    JUMP,
+    JumpInfo,
+    JumpStepReport,
+    TorusLemmaReport,
+    UnitRootArg,
+    jump_step_check,
+    signature_profile,
+    verify_torus_lemma,
+)
 
 P = IntPolynomial
 
@@ -89,7 +98,8 @@ class TestArithmetic:
                 return 3
 
         assert P([Three(), 0]).coeffs == (3,) and type(P([Three()]).coeffs[0]) is int
-        assert P([5]) == 5 and P() == 0 and P([0, 1]) != 1
+        # A polynomial equals only polynomials, so equal values hash alike.
+        assert P([5]) != 5 and P() != 0 and 5 not in {P([5])}
 
     def test_evaluation(self):
         f = P([1, -1, 1])
@@ -461,6 +471,42 @@ class _Pair(Record):
     __slots__ = ("x", "y")
 
 
+class _Memo(Record):
+    __slots__ = ("x", "_m")
+
+
+# Every Record subclass of the library, each with a function that builds a
+# new value; two calls give equal values.
+VALUE_TYPES = {
+    IntPolynomial: lambda: IntPolynomial([1, -1, 1]),
+    UnitRootArg: lambda: UnitRootArg(2, 6),
+    SeifertMatrix: lambda: SeifertMatrix(TREFOIL.rows),
+    ClassificationReport: lambda: classify_prime_power_covers(cyclotomic(6)),
+    FamilyParameters: lambda: FamilyParameters(genus=1, p=3, k=1, q=3, n0=0),
+    WitnessSchedule: lambda: family_report(TREFOIL, 2).schedule,
+    FamilyReport: lambda: family_report(SeifertMatrix(TREFOIL.rows), 2),
+    JumpInfo: lambda: jump_step_check(TREFOIL, 6).jumps[0],
+    JumpStepReport: lambda: jump_step_check(TREFOIL, 6),
+    TorusLemmaReport: lambda: verify_torus_lemma(5),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _contract_view(value):
+    """What a filled memo must not change: the value's repr and pickle, and
+    its hash where its fields have one."""
+    try:
+        digest = hash(value)
+    except TypeError:
+        digest = None
+    return repr(value), pickle.dumps(value), digest
+
+
 class TestRecord:
     def test_fields_by_position_or_keyword(self):
         assert _Pair(1, y=2) == _Pair(x=1, y=2) == _Pair(1, 2)
@@ -494,34 +540,71 @@ class TestRecord:
         with pytest.raises(AttributeError):
             pair.z = 0
         assert pair == _Pair(1, 2)
-        p = IntPolynomial([1, -1, 1])
         with pytest.raises(AttributeError):
-            p.coeffs = (1,)
-        with pytest.raises(AttributeError):
-            del p.coeffs
-        assert p == IntPolynomial([1, -1, 1])
+            del SeifertMatrix(TREFOIL.rows).rows
+        for make in VALUE_TYPES.values():
+            value = make()
+            for name in type(value).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+            assert value == make()
+
+    def test_every_library_record_is_a_value_type(self):
+        library = {cls for cls in _subclasses(Record) if cls.__module__.startswith("knotconc.")}
+        assert library == set(VALUE_TYPES)
+
+    @pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=[t.__name__ for t in VALUE_TYPES])
+    def test_value_contract(self, make):
+        value, twin = make(), make()
+        assert value is not twin and value == twin and not value != twin
+        if isinstance(value, TorusLemmaReport):
+            # Its profile is a dict, so, like a tuple holding a dict, it has
+            # no hash.
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(twin)
+            assert {value: 1}[twin] == 1 and twin in {value}
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(copied) is type(value) and copied == value
+        view = _contract_view(value)
+        if isinstance(value, SeifertMatrix):
+            alexander(value)
+        memos = [name for name in type(value).__slots__ if name.startswith("_")]
+        assert all(getattr(value, name) is not None for name in memos)
+        assert _contract_view(value) == view and value == twin
+
+    def test_memos_take_no_part(self):
+        memo = _Memo(1)
+        assert memo._m is None and repr(memo) == "_Memo(x=1)"
+        for args, kwargs in [((1, 2), {}), ((), {"x": 1, "_m": 2})]:
+            with pytest.raises(TypeError):
+                _Memo(*args, **kwargs)
+        object.__setattr__(memo, "_m", 5)
+        assert memo == _Memo(1) and hash(memo) == hash(_Memo(1))
+        assert pickle.loads(pickle.dumps(memo))._m is None
+
+    def test_seifert_matrix_memos(self):
+        V = SeifertMatrix(TREFOIL.rows)
+        assert V._valid is None and V._alexander is None
+        delta = alexander(V)
+        assert V._valid and V._alexander is delta
+        assert repr(V) == "SeifertMatrix(rows=((1, -1), (0, 1)))"
+        assert eval(repr(V)) == V
 
     def test_pickle_and_copy(self):
         V = SeifertMatrix(TREFOIL.rows)
         alexander(V)  # memoized on V, and rebuilt after a round trip
         profile = signature_profile(V, 6)
         assert jump_angles(profile) == [1, 5]
-        values = (
-            _Pair(1, (2, 3)),
-            UnitRootArg(2, 6),
-            IntPolynomial([1, -1, 1]),
-            V,
-            classify_prime_power_covers(cyclotomic(6)),
-            family_report(V, 2),
-            verify_torus_lemma(5),
-            profile,
-            JUMP,
-        )
-        for value in values:
+        for value in (V, profile, JUMP):
             twins = (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value))
             for twin in twins:
                 assert twin == value
                 if value is V:
+                    assert twin._alexander is None
                     assert alexander(twin) == alexander(V)
                 if value is profile:
                     assert jump_angles(twin) == [1, 5]

@@ -14,6 +14,7 @@ from knotconc.errors import (
     SeparationFailure,
     SizeLimit,
 )
+from knotconc.exactpoly import factorize
 from knotconc.obstruction import (
     MAX_SCHEDULE_DIGITS,
     FamilyParameters,
@@ -39,7 +40,24 @@ SIXTEEN_THEN_25 = SeifertMatrix([[0, 1, 0, -1], [0, 0, 1, -2], [0, 1, 0, -2], [-
 
 class TestCharacterModulus:
     def test_largest_odd_prime_power(self):
-        assert _character_modulus(2**3 * 3**2 * 5) == 9
+        assert _character_modulus(2**3 * 3**2 * 5) == (3, 2)
+
+    def test_witness_order_factorized_once(self, monkeypatch):
+        # |H1| of the 2-fold cover is det(V + V^t) = 4 * 2502 - 1 = 10007, a
+        # prime; q, p and k all come from its one factorization.
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        for module in (exactpoly, obstruction):
+            monkeypatch.setattr(module, "factorize", counting)
+        report = family_report(SeifertMatrix([[1, 1], [0, 2502]]), 2)
+        assert (report.witness_r, report.witness_order) == (2, 10007)
+        params = report.schedule.parameters
+        assert (params.p, params.k, params.q) == (10007, 1, 10007)
+        assert calls.count(10007) == 1
 
     def test_no_odd_prime_power_divisor(self, monkeypatch):
         # The walk stops at r = 3, where |H1| = 16 has no odd prime factor.

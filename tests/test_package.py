@@ -1,10 +1,11 @@
 """The package's own source and its tests: no module imports a name it never
 uses, no library module holds an `assert` statement, every field of a
 library class is read outside it, the package namespace exports exactly the
-README's list, and every function the benchmark's tracer wraps by name
-exists."""
+README's list, every function the benchmark's tracer wraps by name exists,
+and the library's doctests pass."""
 
 import ast
+import doctest
 import importlib
 import importlib.util
 import pathlib
@@ -152,3 +153,14 @@ def test_every_tracer_target_resolves():
         for part in name.split("."):
             target = getattr(target, part, None)
         assert callable(target), (layer, name)
+
+
+def test_library_doctests_pass():
+    # testpaths is tests/, so this is what runs the docstring examples.
+    attempted = failed = 0
+    for path in sorted(SRC.glob("*.py")):
+        name = "knotconc" if path.stem == "__init__" else "knotconc." + path.stem
+        result = doctest.testmod(importlib.import_module(name))
+        attempted += result.attempted
+        failed += result.failed
+    assert failed == 0 and attempted > 0
