@@ -344,18 +344,17 @@ def cmd_signature(args):
 
 
 def cmd_torus(args):
-    V = torus_2q(args.q)
     if args.verify:
         lemma = signatures.verify_torus_lemma(args.q)
         steps = lemma.jump_steps
-        min_value = min(v for v in lemma.profile.values() if v is not JUMP)
+    V = torus_2q(args.q)
     name = "T(2,%d)" % args.q
 
     def doc():
         out = {"name": name, "matrix": [list(r) for r in V.rows]}
         if args.verify:
             out["verify"] = {
-                "min_signature": min_value,
+                "min_signature": lemma.min_signature,
                 "sigma_at_minus_one": steps.sigma_at_minus_one,
                 "lemma_holds": True,
                 "jumps": [
@@ -371,7 +370,7 @@ def cmd_torus(args):
         for row in V.rows:
             yield " ".join(str(c) for c in row)
         if args.verify:
-            yield "# min signature over a != 0: %d" % min_value
+            yield "# min signature over a != 0: %d" % lemma.min_signature
             yield "# sigma at omega = -1: %d" % steps.sigma_at_minus_one
             yield "# lemma holds: true"
             for j in steps.jumps:

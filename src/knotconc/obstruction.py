@@ -228,6 +228,10 @@ def family_report(V, count, n0=0, q=None):
     count members for the Casson-Gordon bound n0 and verifies it.  q names
     the companion torus knot T(2,q), so it must be an odd prime power.
     """
+    p = None
+    if q is not None:
+        p, k = prime_power_decomposition(q)
+        require_torus_q(q)
     delta = alexander(V)
     classification = covers.classify_prime_power_covers(delta)
     if classification.all_prime_power_covers_trivial:
@@ -236,11 +240,6 @@ def family_report(V, count, n0=0, q=None):
             "all prime power branched covers are homology spheres, %s every "
             "other cover; Delta(t) = %s gives no obstruction" % (others, delta)
         )
-    p = None
-    if q is not None:
-        p, k = prime_power_decomposition(q)
-        require_torus_q(q)
-
     # The orders before the classifier's witness cover are all 1, which
     # admit no character, so that cover is the answer whenever it has one.
     witness = classification.witness_cover

@@ -80,16 +80,16 @@ every quotient below is floored.
 Arcs.  det H = (1-omega)^n Delta(conj omega), so H is nonsingular off the
 roots of Delta and the signature is constant on each arc of the unit circle
 between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
-a single tl_signature as well as a profile, a jump-step check or the torus
-lemma, is one walk over ascending angles (bisection, below) of an
-evaluator built for that call, which forms V + V^t, V^t - V and the Sturm
-sequence of D once.  For each angle it locates, the walk computes the
-bracket once and finds the angle's arc with it; it eliminates once per
-arc, at the arc's evaluation point, but the arc next to omega = 1
-(Elimination), and copies the value to the other angles on that arc, the
-evaluator keeping the values for that one call.  That arc is the one
-whose Sturm count is V(2), taken once per evaluator and only when an arc
-is about to be eliminated.
+a single tl_signature as well as a profile or a jump-step check, whose arc
+signatures the torus lemma reads, is one walk over ascending angles
+(bisection, below) of an evaluator built for that call, which forms V +
+V^t, V^t - V and the Sturm sequence of D once.  For each angle it
+locates, the walk computes the bracket once and finds the angle's arc
+with it; it eliminates once per arc, at the arc's evaluation point, but
+the arc next to omega = 1 (Elimination), and copies the value to the
+other angles on that arc, the evaluator keeping the values for that one
+call.  That arc is the one whose Sturm count is V(2), taken once per
+evaluator and only when an arc is about to be eliminated.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -156,7 +156,7 @@ from .exactpoly import (
     chebyshev_form,
     cyclotomic_factor_extract,
 )
-from .seifert import MAX_TORUS_Q, alexander, torus_2q, torus_2q_signatures
+from .seifert import MAX_TORUS_Q, alexander, require_torus_q, torus_2q, torus_2q_signatures
 
 
 class UnitRootArg(Record):
@@ -497,20 +497,16 @@ def _ends(bracket):
 def signature_profile(V, q):
     """Tristram-Levine signatures of V at all q-th roots of unity except 1:
     {a: sigma at a/q, or JUMP at a root of Delta} for a = 1..q-1."""
-    return _profile(_Arcs(V), q)
-
-
-def _profile(arcs, q):
     if q < 2:
         raise ValueError("q must be >= 2")
-    half = arcs.walk(range(1, q // 2 + 1), q)
+    half = _Arcs(V).walk(range(1, q // 2 + 1), q)
     # H at conj(omega) is conj(H), with the same inertia and jumps.
     return {a: half[min(a, q - a) - 1] for a in range(1, q)}
 
 
 class TorusLemmaReport(Record):
     __slots__ = (
-        "profile",  # signature_profile of T(2,q)
+        "min_signature",  # least sigma_{a/q}(T(2,q)) over a != 0
         "jump_steps",  # JumpStepReport of T(2,q)
     )
 
@@ -527,33 +523,35 @@ def verify_torus_lemma(q):
     """Check sigma_{a/q}(T_{2,q}) = 2 min(a, q-a), the closed form
     seifert.torus_2q_signatures that witness schedules use, for all a != 0
     (so no q-th root is a jump and every value is >= 2) and sigma_{-1} =
-    q-1.  The report holds the profile and the jump steps (_jump_steps,
-    the evaluator of jump_step_check); they share their arcs, so each arc
-    is eliminated once, and the arc next to 1, which only the jump-step
-    midpoint 1/(4q) lies on, not at all: (q-1)/2 eliminations.  q past
-    MAX_VERIFY_Q is refused before the matrix is built."""
+    q-1.  Both are read from one jump_step_check of T(2,q): a/q is the
+    grid point 2a/(2q), and every root of Delta lies on that grid, so
+    sigma there is JUMP where a jump is reported and else that of the arc
+    after it.  Its walk eliminates each arc once, and the arc next to 1
+    not at all: (q-1)/2 eliminations.  q past MAX_VERIFY_Q is refused
+    before the matrix is built."""
+    require_torus_q(q)
     # Past MAX_TORUS_Q, torus_2q refuses q with its own message.
     if MAX_VERIFY_Q < q <= MAX_TORUS_Q:
         raise BadTorusParameter(
             "q = %d is past %d, the largest q whose torus lemma --verify "
             "checks" % (q, MAX_VERIFY_Q)
         )
-    arcs = _Arcs(torus_2q(q))
-    profile = _profile(arcs, q)
+    steps = jump_step_check(torus_2q(q), q)
+    jumps = {j.numerator for j in steps.jumps}
     closed_form = torus_2q_signatures(q)
-    for a, v in profile.items():
+    values = [JUMP if 2 * a in jumps else steps.arc_signatures[2 * a] for a in range(1, q)]
+    for a, v in enumerate(values, 1):
         if v != closed_form[a]:
             raise LemmaViolation(
                 "sigma_{%d/%d}(T(2,%d)) is %s, the closed form 2 min(a, q-a) "
                 "gives %d" % (a, q, q, v, closed_form[a])
             )
-    steps = _jump_steps(arcs, q)
     sigma_minus_one = steps.sigma_at_minus_one
     if sigma_minus_one != q - 1:
         raise LemmaViolation(
             "sigma_{-1}(T(2,%d)) is %s, expected %d" % (q, sigma_minus_one, q - 1)
         )
-    return TorusLemmaReport(profile=profile, jump_steps=steps)
+    return TorusLemmaReport(min_signature=min(values), jump_steps=steps)
 
 
 class JumpInfo(Record):
@@ -570,6 +568,7 @@ class JumpStepReport(Record):
     __slots__ = (
         "jumps",  # JumpInfo, ascending
         "sigma_at_minus_one",
+        "arc_signatures",  # entry j: sigma on the open arc (j/(2q), (j+1)/(2q))
     )
 
 
@@ -580,15 +579,13 @@ def jump_step_check(V, q):
     of unity of order dividing 2q; one-sided values are read off at the 4q-th
     root midpoints, which are never Alexander roots under that hypothesis.
     The remainder after the cyclotomic factors may be a unit +-t^k, which
-    has no root on the unit circle.
+    has no root on the unit circle.  The report keeps the signature on each
+    of the 2q open arcs between neighbouring grid points, so under the
+    hypothesis it gives sigma everywhere off the grid's jumps.
     """
-    return _jump_steps(_Arcs(V), q)
-
-
-def _jump_steps(arcs, q):
     if q < 1:
         raise ValueError("q must be >= 1")
-    factors, remainder = cyclotomic_factor_extract(alexander(arcs.V))
+    factors, remainder = cyclotomic_factor_extract(alexander(V))
     if not remainder.is_laurent_unit():
         raise PreconditionUnverifiable(
             "Alexander polynomial has non-cyclotomic factor %s; jump "
@@ -609,7 +606,7 @@ def _jump_steps(arcs, q):
     numerators = [*range(1, 2 * q, 2), 2 * q]
     mid = [
         _off_jump(sigma, UnitRootArg(a, 4 * q))
-        for a, sigma in zip(numerators, arcs.walk(numerators, 4 * q))
+        for a, sigma in zip(numerators, _Arcs(V).walk(numerators, 4 * q))
     ]
     sigma_minus_one = mid.pop()
     mid += reversed(mid)
@@ -635,4 +632,6 @@ def _jump_steps(arcs, q):
                 simple=simple,
             )
         )
-    return JumpStepReport(jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one)
+    return JumpStepReport(
+        jumps=tuple(jumps), sigma_at_minus_one=sigma_minus_one, arc_signatures=tuple(mid)
+    )

@@ -571,6 +571,7 @@ class TestTorus:
             raise AssertionError("the T(2,q) matrix was built")
 
         monkeypatch.setattr(signatures, "torus_2q", refuse)
+        monkeypatch.setattr(cli, "torus_2q", refuse)
         code, out, err = run(capsys, ["torus", str(q), "--verify"])
         assert (code, out) == (2, "")
         assert err.startswith("error: q = %d is past %d," % (q, signatures.MAX_VERIFY_Q))
@@ -591,6 +592,11 @@ class TestTorus:
         code, out, err = run(capsys, ["torus", "4", "--verify"])
         assert code == 2
         assert "q must be odd" in err
+
+    def test_even_q_past_verify_bound_gets_torus_2q_message(self, capsys):
+        q = signatures.MAX_VERIFY_Q + 3
+        code, out, err = run(capsys, ["torus", str(q), "--verify"])
+        assert (code, out, err) == (2, "", "error: q must be odd and >= 3, got %d\n" % q)
 
     def test_verify_computes_delta_once(self, capsys, monkeypatch):
         from knotconc import exactpoly, seifert
@@ -672,6 +678,18 @@ class TestWitness:
         code, out, err = run(capsys, ["witness", trefoil_file, "--q", "5"])
         assert (code, out) == (2, "")
         assert err == "error: no prime power cover up to 512 has |H1| divisible by 5\n"
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [(4, "q must be odd and >= 3, got 4"), (15, "15 is not a prime power")],
+    )
+    def test_malformed_q_exit_2_whatever_the_matrix(self, capsys, monkeypatch, q, message):
+        # The unknot has no obstruction, so a q judged after the covers
+        # would exit 3 here and 2 on the trefoil.
+        code, out, err = run(
+            capsys, ["witness", "-", "--q", str(q)], stdin=UNKNOT_TEXT, monkeypatch=monkeypatch
+        )
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_cover_is_the_first_with_an_odd_prime(self, capsys, monkeypatch):
         # |H1| is 1 at r = 2 and 16 at r = 3, so r = 4, with 25, is taken.

@@ -11,6 +11,7 @@ from knotconc.errors import (
     HypothesisNotSatisfied,
     InvalidInput,
     NoCharacterModulus,
+    NotAPrimePower,
     SeparationFailure,
     SizeLimit,
 )
@@ -332,6 +333,15 @@ class TestFamilyReport:
         assert report.schedule.parameters.q == 25
         report = family_report(SIXTEEN_THEN_25, 1, q=5)
         assert (report.witness_r, report.schedule.parameters.p) == (4, 5)
+
+    @pytest.mark.parametrize("q, error", [(4, BadTorusParameter), (15, NotAPrimePower)])
+    def test_malformed_q_is_refused_before_any_work(self, monkeypatch, q, error):
+        def refuse(delta):
+            raise AssertionError("the covers were classified")
+
+        monkeypatch.setattr(covers, "classify_prime_power_covers", refuse)
+        with pytest.raises(error):
+            family_report(UNKNOT, 1, q=q)
 
     def test_unknot_gives_no_obstruction(self):
         with pytest.raises(HypothesisNotSatisfied) as exc:

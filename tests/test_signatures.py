@@ -36,6 +36,8 @@ from knotconc.seifert import (
 from knotconc import signatures
 from knotconc.signatures import (
     JUMP,
+    JumpInfo,
+    JumpStepReport,
     UnitRootArg,
     at_jump,
     jump_step_check,
@@ -242,9 +244,10 @@ class TestTorusLemma:
     def test_small_q(self):
         for q in (3, 5, 7, 9):
             report = verify_torus_lemma(q)
-            assert min(v for v in report.profile.values() if v is not JUMP) >= 2
+            assert report.min_signature >= 2
             assert report.jump_steps.sigma_at_minus_one == q - 1
-            assert jump_angles(report.profile) == []
+            # No q-th root a/q, the grid point 2a/(2q), is a jump.
+            assert all(j.numerator % 2 for j in report.jump_steps.jumps)
 
     @pytest.mark.parametrize("q", list(range(3, 32, 2)) + [49, 61])
     def test_closed_form_matches_elimination(self, q):
@@ -252,6 +255,29 @@ class TestTorusLemma:
         # certified eliminations of the T(2,q) form.
         profile = signature_profile(torus_2q(q), q)
         assert [profile[a] for a in range(1, q)] == torus_2q_signatures(q)[1:]
+
+    def test_jump_at_a_qth_root_is_a_violation(self, monkeypatch):
+        # A jump reported at 2/10, the angle 1/5, must fail the lemma even
+        # though the arc after it, sigma 2, matches the closed form.
+        check = signatures.jump_step_check
+
+        def planted(V, q):
+            report = check(V, q)
+            jump = JumpInfo(numerator=2, denominator=2 * q, ccw_step=2, away_step=2, simple=True)
+            return JumpStepReport(
+                jumps=report.jumps + (jump,),
+                sigma_at_minus_one=report.sigma_at_minus_one,
+                arc_signatures=report.arc_signatures,
+            )
+
+        monkeypatch.setattr(signatures, "jump_step_check", planted)
+        with pytest.raises(LemmaViolation, match=r"sigma_\{1/5\}\(T\(2,5\)\) is JUMP"):
+            verify_torus_lemma(5)
+
+    def test_reads_one_jump_step_check(self, monkeypatch):
+        calls = _counting(monkeypatch, "jump_step_check")
+        verify_torus_lemma(7)
+        assert calls["jump_step_check"] == [(torus_2q(7), 7)]
 
     def test_closed_form_mismatch_is_a_violation(self, monkeypatch):
         wrong = [0, 2, 4, 4, 6, 4, 2]  # T(2,7) has 2, 4, 6, 6, 4, 2
@@ -344,6 +370,24 @@ class TestJumpStepProperties:
         assert all(abs(j.ccw_step) == 2 for j in report.jumps if j.simple)
         # -1 is never a root: Delta(-1) is odd for a knot.
         assert report.sigma_at_minus_one == numeric_signature(V, 1, 2)
+
+    @pytest.mark.parametrize(
+        "V, q",
+        [
+            (torus_2q(3), 3),
+            (torus_2q(5), 5),
+            (connected_sum(TREFOIL, TREFOIL), 3),  # a double root at 1/6
+            (connected_sum(torus_2q(3), torus_2q(5)), 15),
+            (UNKNOT, 4),
+        ],
+    )
+    def test_arc_signatures_against_the_oracle(self, V, q):
+        # Entry j is sigma on the open arc (j/(2q), (j+1)/(2q)), which holds
+        # the midpoint (2j+1)/(4q).
+        arcs = jump_step_check(V, q).arc_signatures
+        assert len(arcs) == 2 * q
+        for j, sigma in enumerate(arcs):
+            assert sigma == numeric_signature(V, 2 * j + 1, 4 * q), j
 
 
 class TestParity:
@@ -1026,7 +1070,7 @@ class TestEliminationCounts:
         assert [args[:2] for args in calls["_angle_bracket"]] == [(1, 12), (1, 2)]
         assert calls["_form_inertia"] == []
 
-    @pytest.mark.parametrize("q", [3, 5, 7, 9])
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 15, 61])
     def test_torus_lemma_eliminates_each_arc_once(self, monkeypatch, q):
         calls = _counting(monkeypatch, "at_jump", "_form_inertia")
         verify_torus_lemma(q)
