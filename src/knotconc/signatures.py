@@ -15,8 +15,8 @@ Elimination.  Off jumps, the inertia of an arc is that of one integer
 Hermitian form H = A(V+V^t) + iB(V^t-V) (Evaluation point, below),
 eliminated exactly over the Gaussian integers by symmetric Bareiss (Bareiss
 1968).  Step k takes as its pivot p_k the nonzero diagonal entry of least
-absolute value, moving its row and column to the front together, and
-replaces each remaining entry h_ij by (p_k h_ij - h_ik h_kj) / p_(k-1),
+absolute value, ties to the lowest index, ordering its row and column k-th,
+and replaces each remaining entry h_ij by (p_k h_ij - h_ik h_kj) / p_(k-1),
 with p_0 = 1.  By Sylvester's identity that entry is a minor of H, a
 Gaussian integer, so the division by the real integer p_(k-1) is exact, and
 p_k is the k-th leading principal minor of H so reordered.  The k-th pivot
@@ -32,7 +32,10 @@ entries, exact as before.  A row is brought up to date when it becomes the
 pivot row, and the pivot is the least |true diagonal entry|, so the pivots
 and minors are those of the eager elimination.  On the banded T(2,q) forms
 most rows are stale at most steps, so the elimination is quadratic, not
-cubic.
+cubic.  Rows and columns are not moved: each step updates, in place, the
+entries of the rows and columns not yet eliminated.  At B = 0 (the arc
+through omega = -1, below) H is the real form A(V+V^t), and its
+elimination keeps no imaginary part.
 
 When every remaining diagonal entry is 0 but h_cj is not, adding u = h_cj
 times row j to row c and conj(u) times column j to column c makes h_cc =
@@ -130,13 +133,17 @@ evaluator and only when an arc is about to be eliminated.
 Evaluation point.  Each arc is evaluated at one point theta' on it.  With
 t = tan(theta'/2) > 0, H at theta' in (0, pi) is 2t/(1+t^2) times t(V+V^t) +
 i(V^t-V); for t = A/B it has the inertia of the integer form A(V+V^t) +
-iB(V^t-V).  The point aims at the centre x of the located bracket
-clipped to [-2, 2], where t^2 = (2-x)/(2+x): (A, B) = (N, 2^k) with N =
-max(1, isqrt(4^k t^2)) if t <= 1, else (2^k, N) with N = max(1, isqrt(4^k /
-t^2)), so neither is past 2^k.  k doubles from 4 until x' = 2 cos theta' =
-2(B^2-A^2)/(A^2+B^2) has the arc's Sturm count V(hi) and D(x') != 0, so that
-theta' lies on the arc of theta or of its conjugate (same inertia); a large
-enough k lands in the bracket.
+iB(V^t-V).  The arc through omega = -1 is evaluated at theta' = pi, where H
+= 2(V+V^t) is real: t = infinity, taken as (A, B) = (1, 0).  Its Sturm
+count is V(-2), as -2 is no root of D: D(-2) = (-1)^g Delta(-1), and
+Delta(-1) = +-det(V+V^t) is odd.  On every other arc the point aims at the
+centre x of the located bracket clipped to [-2, 2], where t^2 =
+(2-x)/(2+x): (A, B) = (N, 2^k) with N = max(1, isqrt(4^k t^2)) if t <= 1,
+else (2^k, N) with N = max(1, isqrt(4^k / t^2)), so neither is past 2^k.
+k doubles from 4 until x' = 2 cos theta' = 2(B^2-A^2)/(A^2+B^2) has the
+arc's Sturm count V(hi) and D(x') != 0, so that theta' lies on the arc of
+theta or of its conjugate (same inertia); a large enough k lands in the
+bracket.
 """
 
 import functools
@@ -224,52 +231,83 @@ def _off_jump(sigma, w):
 def _form_inertia(sym, skew, a, b):
     """(pos, neg) of the Hermitian form a(V+V^t) + ib(V^t-V), exactly, by
     symmetric Bareiss elimination over Z[i]; see Elimination in the module
-    docstring.  The real and imaginary parts are kept as integer matrices;
-    row i's true entries are its stored ones times last / scale[i]."""
+    docstring.  The real and imaginary parts are kept as integer matrices,
+    updated in place on the rows and columns in cols, those not yet
+    eliminated; row i's true entries are its stored ones times last /
+    scale[i].  With b = 0 the form is real and no imaginary part is kept."""
     re = [[a * x for x in row] for row in sym]
-    im = [[b * y for y in row] for row in skew]
+    im = [[b * y for y in row] for row in skew] if b else None
+    parts = (re, im) if b else (re,)
+    cols = list(range(len(re)))
     scale = [1] * len(re)
     pos = neg = 0
     last = 1  # the previous pivot, a leading principal minor
-    while re:
-        n = len(re)
-        if not any(re[i][i] for i in range(n)):
-            nonzero = ((c, j) for c in range(n) for j in range(n) if re[c][j] or im[c][j])
+
+    def refresh(i):  # bring row i up to date
+        s = scale[i]
+        for part in parts:
+            row = part[i]
+            for j in cols:
+                row[j] = row[j] * last // s
+        scale[i] = last
+
+    while cols:
+        # (|true diagonal|, i): the pivot is the least, ties to the lowest i.
+        pivots = [(abs(re[i][i] * last // scale[i]), i) for i in cols if re[i][i]]
+        if not pivots:
+            nonzero = ((c, j) for c in cols for j in cols if re[c][j] or b and im[c][j])
             pair = next(nonzero, None)
             if pair is None:
                 break  # the rest is 0: the form is singular
-            for i, stale in enumerate(scale):  # row ops need rows at one scale
-                if stale != last:
-                    re[i] = [r * last // stale for r in re[i]]
-                    im[i] = [r * last // stale for r in im[i]]
-            scale = [last] * n
+            for i in cols:  # row ops need rows at one scale
+                if scale[i] != last:
+                    refresh(i)
             c, j = pair
-            x, y = re[c][j], im[c][j]  # u = h_cj = x + iy
-            re[c], im[c] = (  # row c plus u row j
-                [r + x * rj - y * ij for r, rj, ij in zip(re[c], re[j], im[j])],
-                [s + x * ij + y * rj for s, rj, ij in zip(im[c], re[j], im[j])],
-            )
-            for rrow, irow in zip(re, im):  # column c plus conj(u) column j
-                rj, ij = rrow[j], irow[j]
-                rrow[c] += x * rj + y * ij
-                irow[c] += x * ij - y * rj
-        k = min(
-            (i for i in range(n) if re[i][i]),
-            key=lambda i: abs(re[i][i] * last // scale[i]),
-        )
-        rk, ik, s = re.pop(k), im.pop(k), scale.pop(k)  # row k: h_kj = rk[j] + i ik[j]
-        if s != last:
-            rk = [r * last // s for r in rk]
-            ik = [r * last // s for r in ik]
+            rc, rj = re[c], re[j]
+            x = rc[j]  # u = h_cj = x + iy: row c plus u row j, column c plus conj(u) column j
+            if b:
+                ic, ij = im[c], im[j]
+                y = ic[j]
+                for t in cols:
+                    rc[t], ic[t] = rc[t] + x * rj[t] - y * ij[t], ic[t] + x * ij[t] + y * rj[t]
+                for t in cols:
+                    rt, it = re[t], im[t]
+                    rt[c], it[c] = rt[c] + x * rt[j] + y * it[j], it[c] + x * it[j] - y * rt[j]
+            else:
+                for t in cols:
+                    rc[t] += x * rj[t]
+                for t in cols:
+                    rt = re[t]
+                    rt[c] += x * rt[j]
+            continue  # h_cc = 2|h_cj|^2 is now a pivot
+        k = min(pivots)[1]
+        if scale[k] != last:
+            refresh(k)
+        cols.remove(k)
+        rk = re[k]  # row k: h_kj = rk[j] + i ik[j]
         d = rk[k]
-        del rk[k], ik[k]
-        for i, (rrow, irow) in enumerate(zip(re, im)):
-            x, y = rrow.pop(k), irow.pop(k)  # stored h_ik = x + iy
-            if x or y:  # (d h_ij - h_ik h_kj) / scale[i]; else the row goes stale
-                s = scale[i]
-                rrow[:] = [(d * r - x * u + y * v) // s for r, u, v in zip(rrow, rk, ik)]
-                irow[:] = [(d * t - x * v - y * u) // s for t, u, v in zip(irow, rk, ik)]
-                scale[i] = d
+        # (d h_ij - h_ik h_kj) / scale[i]; a row with h_ik = 0 goes stale.
+        if b:
+            ik = im[k]
+            for i in cols:
+                rrow, irow = re[i], im[i]
+                x, y = rrow[k], irow[k]  # stored h_ik = x + iy
+                if x or y:
+                    s = scale[i]
+                    for j in cols:
+                        u, v = rk[j], ik[j]
+                        rrow[j] = (d * rrow[j] - x * u + y * v) // s
+                        irow[j] = (d * irow[j] - x * v - y * u) // s
+                    scale[i] = d
+        else:
+            for i in cols:
+                rrow = re[i]
+                x = rrow[k]
+                if x:
+                    s = scale[i]
+                    for j in cols:
+                        rrow[j] = (d * rrow[j] - x * rk[j]) // s
+                    scale[i] = d
         if (d > 0) == (last > 0):
             pos += 1
         else:
@@ -333,7 +371,8 @@ def _arc_point(sturm, arc, lo, hi, bits):
     """(A, B, D < 0): t = A/B = tan(theta'/2), theta' on the arc with Sturm
     count arc whose located bracket of 2 cos theta is [lo, hi] / 2^bits, and
     whether D is negative at 2 cos theta'; see Evaluation point in the module
-    docstring."""
+    docstring.  The arc through omega = -1 takes (1, 0) instead
+    (_Arcs._point)."""
     two = 2 << bits
     lo, hi = max(lo, -two), min(hi, two)
     # Aim at x = (lo + hi) / 2^(bits+1), where t^2 = (2 - x) / (2 + x).
@@ -475,10 +514,24 @@ class _Arcs:
         D(2) = Delta(1) = 1, so 2 is no root."""
         return _variations(self._sturm, 2, 1)[0]
 
+    @functools.cached_property
+    def _through_minus_one(self):
+        """(arc, D < 0) at x = -2, omega = -1: D(-2) = (-1)^g Delta(-1), and
+        Delta(-1) = +-det(V + V^t) is odd, so -2 is no root."""
+        return _variations(self._sturm, -2, 1)
+
+    def _point(self, arc, bracket, bits):
+        """(A, B, D < 0) at the arc's evaluation point: on the arc through
+        omega = -1, theta' = pi and (A, B) = (1, 0), the real form V + V^t;
+        on any other arc, _arc_point's."""
+        if arc == self._through_minus_one[0]:
+            return 1, 0, self._through_minus_one[1]
+        return _arc_point(self._sturm, arc, *_ends(bracket), bits)
+
     def _inertia(self, arc, bracket, bits):
         if arc == self._next_to_one:
             return 0  # a theorem: Elimination, module docstring
-        a, b, d_negative = _arc_point(self._sturm, arc, *_ends(bracket), bits)
+        a, b, d_negative = self._point(arc, bracket, bits)
         pos, neg = _form_inertia(self._sym, self._skew, a, b)
         # sigma = 2 [D < 0] mod 4 at the point: Elimination, module docstring.
         if pos + neg != self.V.dim or (pos - neg) % 4 != 2 * d_negative:
@@ -513,8 +566,8 @@ class TorusLemmaReport(Record):
 
 # Largest q whose torus lemma verify_torus_lemma checks.  Its (q-1)/2
 # eliminations of the (q-1)x(q-1) form set the cost: `--json torus q
-# --verify` takes 0.14 s at q = 61, 0.36 s at 81 and 0.77 s at 101, of
-# which the Alexander polynomial is 0.05 s (in-process, best of 3, Python
+# --verify` takes 0.10 s at q = 61, 0.23 s at 81 and 0.49 s at 101, of
+# which the Alexander polynomial is 0.05 s (in-process, best of 15, Python
 # 3.11, Intel Xeon, 2 vCPUs).
 MAX_VERIFY_Q = 101
 

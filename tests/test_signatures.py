@@ -441,13 +441,27 @@ def _bracket(w):
     return signatures._angle_bracket(w.a, w.q, bits), bits
 
 
-def _point(V, w):
-    """The evaluation point (A, B) of the arc of w, whose first bracket
-    must be located."""
+def _located(V, w):
+    """(evaluator, arc, bracket, bits) of w, whose first bracket must be
+    located."""
     bracket, bits = _bracket(w)
     arcs = signatures._Arcs(V)
     arc = arcs._locate(bracket, bits)
     assert arc is not None
+    return arcs, arc, bracket, bits
+
+
+def _point(V, w):
+    """The evaluation point (A, B) of the arc of w, as the evaluator takes
+    it."""
+    arcs, arc, bracket, bits = _located(V, w)
+    return arcs._point(arc, bracket, bits)[:2]
+
+
+def _aimed_point(V, w):
+    """The point (A, B) that _arc_point aims from the bracket of w, as on
+    every arc but the one through omega = -1."""
+    arcs, arc, bracket, bits = _located(V, w)
     return signatures._arc_point(arcs._sturm, arc, *signatures._ends(bracket), bits)[:2]
 
 
@@ -516,9 +530,16 @@ def _diagonal_pair(m):
 class TestCertifiedInertia:
     def test_near_root_needs_a_64_bit_point(self):
         assert alexander(NEAR_ROOT).coeffs == (2, -3, 2)
-        # The arc's point has to come within 3e-17 turns of the root, so
-        # it needs k = 64: the form's entries are past 2^53.
-        assert max(_point(NEAR_ROOT, NEAR_ROOT_3E17)) == 2**64
+        # The angle's arc runs through omega = -1, so the evaluator takes the
+        # real point (1, 0).  Aimed from the angle's bracket, as on every
+        # other arc, the point has to come within 3e-17 turns of the root,
+        # so it needs k = 64: the form's entries are past 2^53.
+        assert _point(NEAR_ROOT, NEAR_ROOT_3E17) == (1, 0)
+        a, b = _aimed_point(NEAR_ROOT, NEAR_ROOT_3E17)
+        assert max(a, b) == 2**64
+        sym, skew = _form_parts(NEAR_ROOT)
+        assert signatures._form_inertia(sym, skew, a, b) == (2, 0)
+        assert _realified_inertia(sym, skew, a, b) == (2, 0)
         elimination, oracle = _inertia_paths(NEAR_ROOT, NEAR_ROOT_3E17)
         assert elimination == oracle == (2, 0)
         # Prompt: Phi_133665412 is never built, its degree exceeds deg(Delta).
@@ -579,28 +600,30 @@ class TestCertifiedInertia:
         assert elimination == oracle and sum(elimination) == 24
 
     @pytest.mark.parametrize("q", [2, 8])
-    def test_minus_one_takes_the_reciprocal_point(self, monkeypatch, q):
-        # Next to theta = pi, t = tan(theta'/2) is large, so the point is
-        # 1/t = 1/2^4, and the form is 16(V+V^t) + i(V^t-V); the profile's
-        # angles share one arc and one elimination.
+    def test_minus_one_takes_the_real_point(self, monkeypatch, q):
+        # The arc through omega = -1 is evaluated at theta' = pi, t =
+        # tan(theta'/2) = infinity taken as (A, B) = (1, 0): the real form
+        # V + V^t.  The profile's angles share that arc and its one
+        # elimination.
         V = _diagonal_pair(2**11 + 1)
         minus_one = UnitRootArg(1, 2)
-        assert _point(V, minus_one) == (16, 1)
+        assert _point(V, minus_one) == (1, 0)
         calls = _counting(monkeypatch, "_form_inertia")
         assert signature_profile(V, q) == {a: 2 for a in range(1, q)}
-        assert len(calls["_form_inertia"]) == 1
+        assert [args[2:] for args in calls["_form_inertia"]] == [(1, 0)]
 
     def test_large_entry_forces_the_exact_path(self, monkeypatch):
-        # An entry past 2^49 times 2^4 is past 2^53, the largest integers
-        # that a float holds exactly; the elimination is over the integers.
+        # An entry past 2^50 makes the first minor past 2^100, far past
+        # 2^53, the largest integers that a float holds exactly; the
+        # elimination is over the integers.
         V = _diagonal_pair(2**49 + 1)
         sym, skew = _form_parts(V)
-        assert _point(V, UnitRootArg(1, 2)) == (16, 1)
-        assert 16 * max(max(row) for row in sym) > 2**53
-        assert _realified_inertia(sym, skew, 16, 1) == (2, 0)
+        assert _point(V, UnitRootArg(1, 2)) == (1, 0)
+        assert max(max(row) for row in sym) ** 2 > 2**100
+        assert _realified_inertia(sym, skew, 1, 0) == (2, 0)
         calls = _counting(monkeypatch, "_form_inertia")
         assert tl_signature(V, UnitRootArg(1, 2)) == 2
-        assert [args[2:] for args in calls["_form_inertia"]] == [(16, 1)]
+        assert [args[2:] for args in calls["_form_inertia"]] == [(1, 0)]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -611,7 +634,8 @@ class TestCertifiedInertia:
     )
     def test_point_is_on_the_arc(self, genus, seed, summand, q):
         # The form at each arc's point has the signature mpmath finds at
-        # the first angle on that arc, and neither A nor B is past 2^k.
+        # the first angle on that arc.  The point is (1, 0) on the arc
+        # through -1, and on any other arc neither A nor B is past 2^k.
         V = _arc_profile_example(seed, genus, summand)
         arcs, seen = signatures._Arcs(V), set()
         for a in range(1, q // 2 + 1):
@@ -621,8 +645,11 @@ class TestCertifiedInertia:
                 continue
             seen.add(arc)
             A, B = _point(V, w)
-            k = max(A, B).bit_length() - 1
-            assert max(A, B) == 2**k and k >= 4
+            if arc == arcs._through_minus_one[0]:
+                assert (A, B) == (1, 0)
+            else:
+                k = max(A, B).bit_length() - 1
+                assert max(A, B) == 2**k and k >= 4
             assert _numeric_signature_at_point(V, A, B) == numeric_signature(V, a, q)
 
 
@@ -681,7 +708,9 @@ class TestFormInertia:
             row[i] = 0
         sym, skew = _form_parts(SeifertMatrix(rows))
         assert not any(sym[i][i] for i in range(len(sym)))
-        assert signatures._form_inertia(sym, skew, 3, 5) == _realified_inertia(sym, skew, 3, 5)
+        for a, b in ((3, 5), (1, 0)):  # b = 0: the real form, no imaginary part
+            expected = _realified_inertia(sym, skew, a, b)
+            assert signatures._form_inertia(sym, skew, a, b) == expected
         # With a = 0 the form ib(V^t - V) has no real part, and b times
         # i(V^t - V), with V - V^t the standard symplectic form, has inertia
         # (g, g).
@@ -703,7 +732,7 @@ class TestFormInertia:
             ),
         ]
         for sym, skew in forms:
-            for a, b in ((1, 1), (2, 1), (3, 2), (2**60, 5)):
+            for a, b in ((1, 1), (2, 1), (3, 2), (2**60, 5), (1, 0)):
                 expected = _realified_inertia(sym, skew, a, b)
                 assert signatures._form_inertia(sym, skew, a, b) == expected
 
@@ -725,6 +754,26 @@ class TestFormInertia:
         # eliminated: its sigma = 0 is a theorem (Elimination, in the module
         # docstring), so the flipped elimination is not reached.
         assert tl_signature(FIGURE_EIGHT, UnitRootArg(1, 2)) == 0
+
+    def test_minus_one_is_the_real_form(self, monkeypatch):
+        # At omega = -1 the signature is that of V + V^t, the form at (1, 0),
+        # by the real path of the elimination; some of the draws have a zero
+        # diagonal, so that path's congruence runs.
+        rng = random.Random(36)
+        for genus, zero_diagonal in [(1, False), (2, True), (3, False), (4, True), (6, True)]:
+            rows = [list(row) for row in random_seifert(rng, genus).rows]
+            if zero_diagonal:
+                for i, row in enumerate(rows):
+                    row[i] = 0
+            V = SeifertMatrix(rows)
+            sym, skew = _form_parts(V)
+            assert zero_diagonal == (not any(sym[i][i] for i in range(len(sym))))
+            pos, neg = _realified_inertia(sym, skew, 1, 0)
+            assert tl_signature(V, UnitRootArg(1, 2)) == pos - neg
+        # The figure-eight's -1 lies on the arc next to 1: no elimination.
+        calls = _counting(monkeypatch, "_form_inertia")
+        assert tl_signature(FIGURE_EIGHT, UnitRootArg(1, 2)) == 0
+        assert calls["_form_inertia"] == []
 
     def test_singular_form_leaves_its_kernel(self):
         # [[2, 2], [2, 2]] has eigenvalues 4 and 0; the zero form has only 0.
@@ -1048,9 +1097,23 @@ class TestEliminationCounts:
         assert calls["_angle_bracket"] == [
             (w.a, w.q, signatures._start_bits(w.q)) for w in map(angles.get, [1, 6, 3, 2, 4, 5])
         ]
+        # The third arc runs through -1, whose point is (1, 0).
         assert [args[2:] for args in calls["_form_inertia"]] == [
-            _point(torus_2q(7), angles[a]) for a in (1, 3, 5)
+            _point(torus_2q(7), angles[1]),
+            _point(torus_2q(7), angles[3]),
+            (1, 0),
         ]
+
+    @pytest.mark.parametrize(
+        "V, q, real", [(TREFOIL, 6, 1), (torus_2q(7), 12, 1), (FIGURE_EIGHT, 12, 0)]
+    )
+    def test_profile_eliminates_at_most_one_real_form(self, monkeypatch, V, q, real):
+        # Only the arc through -1 is eliminated at b = 0, as the real form
+        # V + V^t, and only once; the figure-eight's -1 lies on the arc next
+        # to 1, which is not eliminated.
+        calls = _counting(monkeypatch, "_form_inertia")
+        signature_profile(V, q)
+        assert [args[2:] for args in calls["_form_inertia"] if args[3] == 0] == [(1, 0)] * real
 
     def test_profile_locates_only_the_ends_of_a_run(self, monkeypatch):
         # T(2,7) at q = 600: the angles 51..100 all lie between the roots
@@ -1077,6 +1140,7 @@ class TestEliminationCounts:
         # (q + 1) / 2 arcs on the upper half circle; the one next to 1, which
         # holds the jump-step midpoint 1/(4q), needs no elimination.
         assert len(calls["_form_inertia"]) == (q - 1) // 2
+        assert [args[3] for args in calls["_form_inertia"]].count(0) == 1
         assert calls["at_jump"] == []
 
     def test_jump_steps_read_jumps_from_the_factor_list(self, monkeypatch):
