@@ -56,10 +56,11 @@ MAX_WITNESS_COUNT = 2000
 
 # Largest covers --max-r.  Cover orders grow linearly in r, to about 2.3k
 # digits at r = 256 on a genus-8 draw with entries in [-2, 2], and a table
-# costs about r^2.7: `--json covers --max-r 256` takes 0.23 s and prints
-# 0.3 MB on random_seifert(Random(32), 8) (1.7 s at r = 512), and 3.2-3.4 s
-# and 1.0 MB on random_seifert(Random(32), 12, bound=9) (tests/conftest.py;
-# in-process, Python 3.11, Intel Xeon).
+# costs about r^2.4 from r = 128 to 512: `--json covers --max-r 256` takes
+# 0.14-0.18 s and prints 0.3 MB on random_seifert(Random(32), 8) (0.94-1.2 s
+# at r = 512), and 0.79-1.06 s and 1.0 MB on random_seifert(Random(32), 12,
+# bound=9) (tests/conftest.py; in-process, first call in a fresh
+# interpreter, Python 3.11, Intel Xeon).
 MAX_COVERS_R = 256
 
 # Largest covers table, in estimated digits of |H1|.  |Delta(zeta)| <=
@@ -81,8 +82,8 @@ MAX_COVERS_DIGITS = 2 * 10**6
 MAX_SIGNATURE_Q = 20000
 
 # Largest matrix dimension, checked as the document is parsed.  covers sets
-# it: at dimension 32, random_seifert(Random(32), 16, bound=9) takes 10.3 s
-# for `--json covers --max-r 256` (1.4 MB), and the genus-20 draw takes 21 s
+# it: at dimension 32, random_seifert(Random(32), 16, bound=9) takes 2.1-2.4 s
+# for `--json covers --max-r 256` (1.4 MB), and the genus-20 draw takes 5.0 s
 # at 40 (with the digit bound lifted); `--json signature --q 20000` takes
 # 0.10-0.13 s on it (0.20-0.22 s at 40).  alexander, g Bareiss determinants
 # of dimension 2g, takes 0.04-0.05 s on it at dimension 32 (0.14 s at 40,
@@ -93,7 +94,7 @@ MAX_MATRIX_DIM = 32
 # divides by a Phi_n with phi(n) <= 400 only when Phi_n(3) divides Delta(3):
 # `--json classify` takes 0.14-0.19 s on a dense symmetric Delta of degree
 # 400 and 0.13-0.14 s on t^400 - t^200 + 1, and `--json covers --max-r 256`,
-# which now sets the cost, 1.25-1.35 s (fresh interpreter, Python 3.11, Xeon).
+# which now sets the cost, 0.64-0.83 s (fresh interpreter, Python 3.11, Xeon).
 MAX_DELTA_DEGREE = 400
 
 # Largest witness --q: trial division settles whether q is a prime power

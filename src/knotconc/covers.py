@@ -23,6 +23,26 @@ evaluation.  Both are odd, as Delta(1) = +-1 and Delta(-1) = Delta(1)
 (mod 2), so no Phi_1 or Phi_2 divides Delta.  A Delta that is not
 symmetric up to +-t^k is no Alexander polynomial and is refused.
 
+Monic divisor.  The subresultant PRS (exactpoly.resultant) first
+pseudo-divides the polynomial of higher degree by the other, scaling it by
+lc(divisor)^(m - g + 1), m = phi(d)/2 and g = deg D.  When m > g the
+divisor is D, whose leading coefficient det V is rarely +-1, and that
+power swells every later remainder.  Substituting x = 2 + 1/y keeps both
+degrees, as Psi_d(2) = Phi_d(1) != 0 and D(2) = Delta_0(1) = +-1, and
+turns D into D^(y) = y^g D(2 + 1/y), monic up to sign.  With Psi^_d(y) =
+y^m Psi_d(2 + 1/y) (exactpoly.inverted_real_cyclotomic),
+
+    Res(Psi^_d, D^) = (-1)^(mg) Res(Psi_d, D),
+
+the sign of the Moebius substitution's determinant, -1, to the power mg;
+each norm enters squared, so the sign never matters.  The rule: when
+m > g and |lc D| != 1, take Res(Psi^_d, D^); otherwise Res(Psi_d, D),
+where Psi_d or D already is the monic divisor.  D^ is built once per call,
+and only when some norm needs it, so a walk that stops at r = 2 builds
+none.  The substitution is not applied everywhere: it grows coefficients
+by about log2(3) bits per degree, which on T(2,33) at r = 256, D monic,
+made the table six times slower.
+
 Infinite homology is a zero norm, detected exactly: Res(Psi_d, D) = 0
 exactly when Psi_d divides D, that is when Phi_d divides Delta_0, so an
 order is infinite iff the product of its norms is 0.  A prime-power cover
@@ -45,14 +65,17 @@ from math import isqrt
 
 from .errors import NotAKnotPolynomial, WitnessSearchExhausted
 from .exactpoly import (
+    IntPolynomial,
     Record,
     brief_int,
     chebyshev_form,
     cyclotomic_factor_extract,
     distinct_prime_factors,
     factorize,
+    inverted_real_cyclotomic,
     real_cyclotomic,
     resultant,
+    totient,
 )
 
 
@@ -85,6 +108,9 @@ def _orders(D, rs):
     """Yield (r, |H_1|) for each r in rs, from the Chebyshev form D of Delta."""
     # d -> +-Res(phi_d, Delta); see the module docstring.
     norms = {1: D(2), 2: D(-2)}
+    g = D.degree()
+    monic = abs(D.coeffs[-1]) == 1
+    D_hat = None
     for r in rs:
         if r < 1:
             raise ValueError("r must be >= 1")
@@ -94,11 +120,27 @@ def _orders(D, rs):
         order = 1
         for d in small + [r // d for d in reversed(small) if d * d != r]:
             if d not in norms:
-                norms[d] = resultant(real_cyclotomic(d), D) ** 2
+                # The first division is by a monic polynomial; see the
+                # module docstring's "Monic divisor".
+                if monic or totient(d) <= 2 * g:
+                    norms[d] = resultant(real_cyclotomic(d), D) ** 2
+                else:
+                    if D_hat is None:
+                        D_hat = _inverted(D)
+                    norms[d] = resultant(inverted_real_cyclotomic(d), D_hat) ** 2
             order *= norms[d]
             if not order:
                 break
         yield r, abs(order) or None
+
+
+def _inverted(D):
+    """y^g D(2 + 1/y), g = deg D: D(2 + z), by Horner, reversed."""
+    shifted = []
+    for c in reversed(D.coeffs):
+        shifted = [2 * x + y for x, y in zip(shifted + [0], [0] + shifted)]
+        shifted[0] += c
+    return IntPolynomial(shifted[::-1])
 
 
 def cover_order(delta, r):

@@ -36,6 +36,16 @@ def json_run(argv, rows):
     return code, json.loads(out.getvalue()) if code == 0 else None
 
 
+def dense_symmetric_delta(degree):
+    """Coefficients of a dense symmetric Delta of even degree with Delta(1)
+    = 1: nonzero entries in [-9, 9], drawn by random.Random(degree), and the
+    middle one set to fix Delta(1)."""
+    rng = random.Random(degree)
+    digits = [c for c in range(-9, 10) if c]
+    half = [rng.choice(digits) for _ in range(degree // 2)]
+    return half + [1 - 2 * sum(half)] + half[::-1]
+
+
 def random_seifert(rng, genus, bound=2):
     """Random valid Seifert matrix: V - V^t is the standard symplectic form."""
     n = 2 * genus

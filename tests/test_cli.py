@@ -19,7 +19,7 @@ from knotconc.cli import build_parser, main, parse_matrix_document
 from knotconc.errors import HypothesisNotSatisfied, InvalidInput, KnotConcError
 from knotconc.seifert import SeifertMatrix
 
-from conftest import json_run, poly_mul, random_seifert, seifert_rows
+from conftest import dense_symmetric_delta, json_run, poly_mul, random_seifert, seifert_rows
 
 TREFOIL_TEXT = "1 -1\n0 1\n"
 UNKNOT_TEXT = "{\"name\": \"unknot\", \"matrix\": []}"
@@ -236,10 +236,7 @@ class TestCovers:
         # Delta(1) = 1.  Of the 790 Phi_n with phi(n) <= 400 only Phi_3,
         # with Phi_3(3) = 13, has its value at 3 divide Delta(3), so the
         # split builds it alone and its one trial division fails.
-        rng = random.Random(400)
-        digits = [c for c in range(-9, 10) if c]
-        half = [rng.choice(digits) for _ in range(cli.MAX_DELTA_DEGREE // 2)]
-        coeffs = half + [1 - 2 * sum(half)] + half[::-1]
+        coeffs = dense_symmetric_delta(cli.MAX_DELTA_DEGREE)
         built = []
         cyclotomic = exactpoly.cyclotomic
 
@@ -257,6 +254,19 @@ class TestCovers:
         assert doc["non_cyclotomic_remainder"]["coefficients"] == coeffs
         delta_at_minus_1 = sum(c * (-1) ** i for i, c in enumerate(coeffs))
         assert doc["witness_cover"] == {"r": 2, "order": abs(delta_at_minus_1)}
+
+    def test_genus_12_table_within_budget(self, capsys, monkeypatch):
+        # det V, the leading coefficient of D, has 103 bits on this draw, so
+        # every norm with phi(d) > 24 divides by the monic D^ (the covers
+        # module docstring, "Monic divisor"): about 0.45 s, against 1.5 s
+        # with Res(Psi_d, D) throughout (in-process, Python 3.11, Intel Xeon).
+        doc = json.dumps({"matrix": random_seifert(random.Random(32), 12, bound=9).rows})
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["--json", "covers", "--max-r", "200", "-"], doc, monkeypatch)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, err
+        # Orders past 4300 digits: count the rows rather than parse them.
+        assert out.count('"r": ') == 199 and '"r": 200,' in out
 
     def test_cyclotomic_delta_at_degree_bound_within_budget(self, capsys):
         # t^400 - t^200 + 1 = Phi_48 Phi_240 Phi_1200: each factor is a

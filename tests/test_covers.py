@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import cyclotomic_product_identity, poly_mul, random_seifert, t_power_minus_one
+from conftest import (
+    cyclotomic_product_identity,
+    dense_symmetric_delta,
+    json_run,
+    poly_mul,
+    random_seifert,
+    t_power_minus_one,
+)
 from knotconc import covers
 from knotconc.covers import (
     ClassificationReport,
@@ -29,6 +36,7 @@ from knotconc.seifert import (
     SeifertMatrix,
     alexander,
     connected_sum,
+    torus_2q,
 )
 
 P = IntPolynomial
@@ -234,6 +242,51 @@ class TestWitnessWalk:
         reached.clear()
         assert covers.find_witness_cover(LEHMER_DELTA, None) == (4, 9)
         assert reached == [2, 3, 4]
+
+
+class TestMonicDivisor:
+    """Where `_orders` builds D^ = y^g D(2 + 1/y): only when some norm has
+    phi(d) > 2g and |lc D| != 1, and then once per call (the module
+    docstring, "Monic divisor")."""
+
+    GENUS_8 = [list(row) for row in random_seifert(random.Random(32), 8).rows]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        inverted = covers._inverted
+
+        def counting(D):
+            built.append(D)
+            return inverted(D)
+
+        monkeypatch.setattr(covers, "_inverted", counting)
+        return built
+
+    def test_walks_ending_at_r_2_build_none(self, builds):
+        # det V = -20668965 and |D(-2)| = |Delta(-1)| != 1 on this draw.
+        assert abs(covers._knot_chebyshev_form(alexander(SeifertMatrix(self.GENUS_8))).coeffs[-1]) > 1
+        code, doc = json_run(["classify", "-"], self.GENUS_8)
+        assert code == 0 and doc["witness_cover"]["r"] == 2
+        code, doc = json_run(["witness", "-"], self.GENUS_8)
+        assert code == 0 and doc["witness_cover"]["r"] == 2
+        assert builds == []
+
+    def test_monic_and_low_degree_tables_build_none(self, builds):
+        # T(2,33): D is monic.  The dense degree-400 Delta: g = 200 and
+        # phi(d) <= 256 for every d <= 256, so Psi_d is the divisor.
+        code, doc = json_run(["covers", "--max-r", "256", "-"], [list(row) for row in torus_2q(33).rows])
+        assert code == 0 and len(doc["covers"]) == 255 and builds == []
+        delta = "--delta=" + ",".join(map(str, dense_symmetric_delta(400)))
+        code, doc = json_run(["covers", "--max-r", "256", delta], [])
+        assert code == 0 and len(doc["covers"]) == 255 and builds == []
+
+    def test_non_monic_table_builds_one_per_call(self, builds):
+        delta = alexander(SeifertMatrix(self.GENUS_8))
+        first = list(cover_orders(delta, range(2, 65)))
+        assert len(builds) == 1
+        assert list(cover_orders(delta, range(2, 65))) == first
+        assert len(builds) == 2
 
 
 class TestProductIdentity:

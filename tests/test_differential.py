@@ -14,7 +14,11 @@ character: q's prime divides its presentation order, and no smaller
 prime-power cover's order has that prime.
 The half-degree norms Res(Psi_d, D)^2 that `covers` uses are checked
 against the full-degree Res(phi_d, Delta), itself checked against the
-Sylvester determinant here.
+Sylvester determinant here.  Where D is not monic, `covers` takes the norm
+after x = 2 + 1/y: both transformed polynomials are checked against
+y^n f(2 + 1/y) over `Fraction`, the signed identity against the
+untransformed resultant, and cover orders on each side of the rule against
+the presentation.
 For genus 1 cover orders past 4300 digits, a closed form in the roots of
 Delta checks the whole `covers` table.
 The Alexander polynomial, from the pencil V + x(V - V^t), is checked
@@ -58,6 +62,7 @@ from knotconc.exactpoly import (
     chebyshev_form,
     cyclotomic,
     cyclotomic_factor_extract,
+    inverted_real_cyclotomic,
     phi_inverse_candidates,
     prime_power_decomposition,
     real_cyclotomic,
@@ -382,3 +387,73 @@ def test_half_degree_norms_match_full_resultants():
                     product *= full[d]
             assert order == (product or None)
     assert shifts[-2] > 0 and shifts[-1] > 0  # Delta = t^k Delta_0 is covered
+
+
+def inverted_at(coeffs, y):
+    """y^n f(2 + 1/y) over Fraction, f of degree n given ascending."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * (2 + 1 / Fraction(y)) + c
+    return Fraction(y) ** (len(coeffs) - 1) * value
+
+
+def test_inverted_real_cyclotomic_is_psi_at_two_plus_one_over_y():
+    # (2y + 1)^i y^(m-i) has coefficients summing to 3^i, so the transform
+    # of Psi_d has coefficients at most B = |Psi_d|_1 3^m.  Two integer
+    # polynomials with coefficients at most B in size that agree at
+    # y = 2^k > 2B are equal: their difference, read in base 2^k, is 0.
+    for d in range(3, 257):
+        psi = real_cyclotomic(d)
+        m = psi.degree()
+        inverted = inverted_real_cyclotomic(d)
+        bound = sum(map(abs, psi.coeffs)) * 3**m
+        assert inverted.degree() == m and max(map(abs, inverted.coeffs)) <= bound
+        y = 2 ** (bound.bit_length() + 1)
+        assert inverted(y) == inverted_at(psi.coeffs, y), d
+
+
+@st.composite
+def forms_at_two(draw):
+    """An integer D of degree 0 to 16 with D(2) = +-1 and |lc D| up to 2^40."""
+    degree = draw(st.integers(0, 16))
+    coeffs = [0] + draw(st.lists(st.integers(-99, 99), min_size=degree, max_size=degree))
+    if degree:
+        coeffs[-1] = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 2**40))
+    coeffs[0] = draw(st.sampled_from([-1, 1])) - sum(c << i for i, c in enumerate(coeffs))
+    return IntPolynomial(coeffs)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(D=forms_at_two(), d=st.integers(3, 130))
+def test_inverted_resultant_is_the_signed_norm(D, d):
+    # Res(Psi^_d, D^) = (-1)^(mg) Res(Psi_d, D), m = phi(d)/2, g = deg D.
+    g = D.degree()
+    assert abs(D(2)) == 1
+    D_hat = covers._inverted(D)
+    assert D_hat.degree() == g and abs(D_hat.coeffs[-1]) == 1
+    for y in range(1, g + 2):  # g + 1 points fix a polynomial of degree g
+        assert D_hat(y) == inverted_at(D.coeffs, y)
+    m = real_cyclotomic(d).degree()
+    expected = (-1) ** (m * g) * resultant(real_cyclotomic(d), D)
+    assert resultant(inverted_real_cyclotomic(d), D_hat) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, d_hat_builds",
+    [
+        # Figure-eight plus trefoil: D = -(x - 1)(x - 3) is monic up to sign.
+        (block_sum([[-1, 1], [0, 1]], [[1, -1], [0, 1]]), 0),
+        # A genus-1 draw with det V = -2 plus the trefoil, g = 2: the norms
+        # at d = 3, 4, 5, 6, 8 take Res(Psi_d, D), and those at d = 7, 9,
+        # where Psi_d has degree 3, take the monic D^.
+        (block_sum([[1, 1], [0, -2]], [[1, -1], [0, 1]]), 1),
+    ],
+)
+def test_cover_orders_on_both_sides_of_the_monic_rule(monkeypatch, rows, d_hat_builds):
+    builds = []
+    build = covers._inverted
+    monkeypatch.setattr(covers, "_inverted", lambda D: builds.append(D) or build(D))
+    orders = list(cover_orders(alexander(SeifertMatrix(rows)), range(2, 10)))
+    assert len(builds) == d_hat_builds
+    assert orders == [presentation_order(rows, r) or None for r in range(2, 10)]
+    assert orders[4] is None  # the trefoil's Psi_6 = x - 1 divides D
