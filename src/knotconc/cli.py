@@ -86,8 +86,8 @@ MAX_SIGNATURE_Q = 20000
 # for `--json covers --max-r 256` (1.4 MB), and the genus-20 draw takes 5.0 s
 # at 40 (with the digit bound lifted); `--json signature --q 20000` takes
 # 0.10-0.13 s on it (0.20-0.22 s at 40).  alexander, g Bareiss determinants
-# of dimension 2g, takes 0.04-0.05 s on it at dimension 32 (0.14 s at 40,
-# 1.6 s at 64, 4.3 s at 80; in-process, Python 3.11, Intel Xeon).
+# of dimension 2g, takes 0.02 s on it at dimension 32 (0.05-0.06 s at 40,
+# 0.47 s at 64, 1.4 s at 80; in-process, Python 3.11, Intel Xeon).
 MAX_MATRIX_DIM = 32
 
 # Largest --delta degree, t^k included, checked as it is parsed.  classify

@@ -437,26 +437,27 @@ def cyclotomic_factor_extract(f):
 
 
 def integer_determinant(rows):
-    """Exact determinant of a square integer matrix, by fraction-free
-    (Bareiss) forward elimination of a copy m of rows.
+    """Exact determinant of a square integer matrix, by two-step
+    fraction-free Bareiss elimination of a copy m of rows (Bareiss, Math.
+    Comp. 22, 1968): each pass eliminates columns k and k + 1 together.
 
-    At step k, if m[k][k] is 0, the first later row with a nonzero entry in
-    column k is swapped in (and the determinant is 0 if there is none);
-    then every later entry m[i][j], j > k, becomes (m[i][j] m[k][k] -
-    m[i][k] m[k][j]) / (previous pivot), a division that is exact by
-    Sylvester's identity, and column k below the pivot is zeroed.
+    With (a, b), (c, d) and (x0, x1) the entries of rows k, k + 1 and i > k
+    + 1 in those columns, c0 = ad - bc, u = c x1 - d x0 and v = a x1 - b x0
+    are 2x2 minors, which prev, the leading (k+1)-minor, divides by
+    Sylvester's identity; m[i][j] becomes (m[i][j] c0 + m[k][j] u - m[k+1][j]
+    v) / prev^2, computed from c0, u and v over prev, which keeps the
+    products a third smaller, and c0 / prev is the next prev.  A zero a or
+    c0 is cured by swapping in the first later row that makes it nonzero,
+    which flips the sign; with no such row the determinant is 0.
 
-    A row whose m[i][k] is 0 would only be multiplied by pivot / previous
-    pivot, so it is left as stored, stale: its true entries are stored *
-    prev / scale[i], prev the last pivot and scale[i] the pivot of the step
-    that last updated it (1 for a row never updated).  Its next update is
-    (m[i][j] m[k][k] - m[i][k] m[k][j]) / scale[i], exact as before, and a
-    row is brought up to date when it becomes the pivot row, as is the last
-    row at the end.  On a banded matrix, such as a T(2,q) pencil, this makes
-    the elimination quadratic rather than cubic.
-
-    Afterwards m is upper triangular and m[n-1][n-1] is the determinant
-    times the sign of the row exchanges.
+    A row with x0 = x1 = 0 is left stale: its true entries are stored *
+    prev / scale[i], scale[i] the prev of the pass that last updated it (1
+    at first), so a banded matrix such as a T(2,q) pencil takes quadratic,
+    not cubic, work.  Row k is brought up to date as the pivot row; row
+    k + 1 is read stale, the next prev is c0 / scale[k+1], and where either
+    row is stale the update divides the undivided products by scale[i]
+    scale[k+1].  The determinant is the last prev, for odd n times the
+    last diagonal entry read through its scale.
     """
     n = len(rows)
     if n == 0:
@@ -468,33 +469,45 @@ def integer_determinant(rows):
     sign = 1
     prev = 1
     scale = [1] * n
-    for k in range(n - 1):
+    for k in range(0, n - 1, 2):
+        k1, k2 = k + 1, k + 2
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    scale[k], scale[i] = scale[i], scale[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k1, n) if m[i][k]), 0)
+            if not i:
                 return 0
+            m[k], m[i], scale[k], scale[i] = m[i], m[k], scale[i], scale[k]
+            sign = -sign
         mk = m[k]
         if scale[k] != prev:
             mk[k:] = [x * prev // scale[k] for x in mk[k:]]
-        pivot = mk[k]
-        for i in range(k + 1, n):
+        a, b = mk[k], mk[k1]
+        c0 = a * m[k1][k1] - b * m[k1][k]
+        if c0 == 0:
+            i = next((i for i in range(k2, n) if a * m[i][k1] - b * m[i][k]), 0)
+            if not i:
+                return 0
+            m[k1], m[i], scale[k1], scale[i] = m[i], m[k1], scale[i], scale[k1]
+            sign = -sign
+            c0 = a * m[k1][k1] - b * m[k1][k]
+        mk1 = m[k1]
+        c, d, s1 = mk1[k], mk1[k1], scale[k1]
+        pivot = c0 // s1
+        for i in range(k2, n):
             mi = m[i]
-            mik = mi[k]
-            if mik:
-                s = scale[i]
-                for j in range(k + 1, n):
-                    mi[j] = (mi[j] * pivot - mik * mk[j]) // s
-                mi[k] = 0
+            x0, x1 = mi[k], mi[k1]
+            if x0 or x1:
+                u, v, s = c * x1 - d * x0, a * x1 - b * x0, scale[i]
+                if s == s1 == prev:
+                    e, u, v = pivot, u // s, v // s
+                else:
+                    e, s = c0, s * s1
+                for j in range(k2, n):
+                    mi[j] = (mi[j] * e + mk[j] * u - mk1[j] * v) // s
                 scale[i] = pivot
         prev = pivot
-    if scale[n - 1] != prev:
-        m[n - 1][n - 1] = m[n - 1][n - 1] * prev // scale[n - 1]
-    return sign * m[n - 1][n - 1]
+    if n % 2 == 0:
+        return sign * prev
+    return sign * m[n - 1][n - 1] * prev // scale[n - 1]
 
 
 def _exact_quotient(n, d):

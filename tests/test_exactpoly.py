@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     fraction_determinant,
@@ -376,10 +378,10 @@ class TestExtraction:
 
 
 def _stale_row_matrices(rng):
-    """Matrices on which Bareiss leaves rows stale (a row whose multiplier
-    is 0 is not rescaled until it becomes the pivot row or is the last
-    row): the banded pencils V - tV^t of T(2,q), pencils of block sums, and
-    random matrices of density 0.1-0.5, singular draws kept."""
+    """Matrices on which Bareiss leaves rows stale (a row that is 0 in both
+    columns of a pass is not rescaled until it becomes a pivot row or is
+    the last row): the banded pencils V - tV^t of T(2,q), pencils of block
+    sums, and random matrices of density 0.1-0.5, singular draws kept."""
 
     def pencil(V, t):
         return [[V.rows[i][j] - t * V.rows[j][i] for j in range(V.dim)] for i in range(V.dim)]
@@ -398,6 +400,33 @@ def _stale_row_matrices(rng):
                         for _ in range(n)]
                 matrices.append(rows)
     return matrices
+
+
+@st.composite
+def determinant_draws(draw):
+    """Square integer matrix of dimension 0-12 and density 0.1-1, with
+    entries up to 10^e in size for e in 0-30; some draws are products A B
+    through an inner dimension below n, which are singular."""
+    n = draw(st.sampled_from(range(12, -1, -1)))  # shrinks toward the largest
+    density = draw(st.floats(0.1, 1.0))
+    bound = 10 ** draw(st.integers(0, 30))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def sparse(rows, cols):
+        return [[rng.randint(-bound, bound) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    if n and draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(0, n - 1))
+        a, b = sparse(n, r), sparse(r, n)
+        return [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
+    return sparse(n, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=determinant_draws())
+def test_determinant_matches_fractions(rows):
+    assert integer_determinant(rows) == fraction_determinant(rows)
 
 
 @pytest.mark.parametrize(
@@ -448,6 +477,41 @@ class TestIntegers:
         assert integer_determinant([[2, 0], [0, 3]]) == 6
         # Multiplicativity spot check against a permuted triangular product.
         assert integer_determinant([[0, 2, 0], [1, 1, 1], [0, 0, 3]]) == -6
+        assert integer_determinant([[-7]]) == -7
+        assert integer_determinant([[3, 5], [2, 4]]) == 2
+        assert integer_determinant([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+
+    def test_zero_first_pivot_swaps_in_a_row(self):
+        # a = 0: row 1, the first with a nonzero in column 0, is swapped in
+        # and the sign flips; then c0 = 3·2 - 1·0 = 6.
+        assert integer_determinant([[0, 2, 1], [3, 1, 0], [1, 0, 2]]) == -13
+
+    def test_dependent_pivot_columns_give_zero(self):
+        # c0 = 1·4 - 2·2 = 0, and a·m[2][1] - b·m[2][0] = 6 - 6 = 0: every
+        # row is proportional to (1, 2) in columns 0 and 1, so they are
+        # dependent and no row can be swapped in.
+        assert integer_determinant([[1, 2, 3], [2, 4, 5], [3, 6, 7]]) == 0
+
+    def test_odd_dimension_reads_the_last_row_through_its_scale(self):
+        # Pass 0 leaves row 2, which is 0 in columns 0 and 1, stale with
+        # scale 1; the determinant is 7 times the new prev -2 over 1.
+        assert integer_determinant([[1, 2, 3], [3, 4, 5], [0, 0, 7]]) == -14
+
+    def test_stale_second_pivot_row_with_a_negative_scale(self):
+        # Pass 0 (c0 = -3) updates row 5 to 0 in columns 2 and 3, so pass 2
+        # (prev -3 → -15) leaves it stale with scale -3.  Pass 4 reads it as
+        # its second pivot row: c0 = -180, the next prev is c0 / -3, and
+        # row 6, stale with scale 1, is updated with the divisor 1·(-3).
+        rows = [
+            [1, 0, 1, 0, 2, 1, 1],
+            [0, -3, 0, 1, 1, 0, 0],
+            [0, 0, 2, 1, 0, 1, 2],
+            [0, 0, 1, 3, 1, 0, 0],
+            [0, 0, 0, 0, 1, 2, 1],
+            [1, -3, 1, 1, 5, 1, 3],
+            [0, 0, 0, 0, 2, 1, 1],
+        ]
+        assert integer_determinant(rows) == fraction_determinant(rows) == -60
 
     def test_determinant_where_rows_go_stale(self, rng):
         singular = 0
@@ -456,13 +520,16 @@ class TestIntegers:
             assert d == fraction_determinant(m)
             singular += d == 0
         assert singular > 20  # sparse draws are singular too
-        # Row 1 is twice row 0, so step 1 swaps in the stale row 2.
+        # Row 1 is twice row 0, so c0 = 1·4 - 2·2 = 0 and pass 0 swaps in
+        # row 2 (c0 = 1·3 - 2·0 = 3, sign -1); the old row 1 then gets
+        # u = 0·4 - 3·2, v = 1·4 - 2·2 = 0 and m[2][2] = 0·3 + 0·u - 5·0.
         assert integer_determinant([[1, 2, 0], [2, 4, 0], [0, 3, 5]]) == 0
 
     def test_zero_pivot_swaps_in_a_stale_row(self):
-        # Step 0 (pivot 2) updates row 1 to [0, 0, 10] and leaves row 2,
-        # whose multiplier is 0, stale; step 1 then finds the pivot 0 and
-        # swaps in row 2, which must be scaled by 2 / 1 before it is used.
+        # Pass 0 has a = b = 2 and (c, d) = (1, 1), so c0 = 0; row 2, with
+        # 2·3 - 2·0 = 6, replaces row 1 and the sign flips.  The old row 1
+        # gets u = 0·1 - 3·1 = -3, v = 2·1 - 2·1 = 0 and m[2][2] = 5·6 +
+        # 0·u - 7·0 = 30, read through its scale 6 at prev 6: -30.
         rows = [[2, 2, 0], [1, 1, 5], [0, 3, 7]]
         assert integer_determinant(rows) == fraction_determinant(rows) == -30
 

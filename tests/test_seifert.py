@@ -264,7 +264,7 @@ class TestTorus:
             if q == 101:
                 # Validation and 50 eliminations of dimension 100, each
                 # quadratic on the banded pencil, and an O(g^2)
-                # interpolation: about 0.07 s.
+                # interpolation: about 0.025 s.
                 assert elapsed < 0.5, elapsed
 
 
