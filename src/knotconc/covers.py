@@ -29,8 +29,9 @@ lc(divisor)^(m - g + 1), m = phi(d)/2 and g = deg D.  When m > g the
 divisor is D, whose leading coefficient det V is rarely +-1, and that
 power swells every later remainder.  Substituting x = 2 + 1/y keeps both
 degrees, as Psi_d(2) = Phi_d(1) != 0 and D(2) = Delta_0(1) = +-1, and
-turns D into D^(y) = y^g D(2 + 1/y), monic up to sign.  With Psi^_d(y) =
-y^m Psi_d(2 + 1/y) (exactpoly.inverted_real_cyclotomic),
+turns D into D^(y) = y^g D(2 + 1/y), monic up to sign, and Psi_d into
+Psi^_d(y) = y^m Psi_d(2 + 1/y).  One function, _inverted, builds both,
+and Psi^_d is cached per d (_inverted_real_cyclotomic).  Then
 
     Res(Psi^_d, D^) = (-1)^(mg) Res(Psi_d, D),
 
@@ -61,6 +62,7 @@ Res(Psi_d, D) computed at most once per call, so a table of covers, or a
 walk, shares that work.
 """
 
+import functools
 from math import isqrt
 
 from .errors import NotAKnotPolynomial, WitnessSearchExhausted
@@ -72,7 +74,6 @@ from .exactpoly import (
     cyclotomic_factor_extract,
     distinct_prime_factors,
     factorize,
-    inverted_real_cyclotomic,
     real_cyclotomic,
     resultant,
     totient,
@@ -127,20 +128,27 @@ def _orders(D, rs):
                 else:
                     if D_hat is None:
                         D_hat = _inverted(D)
-                    norms[d] = resultant(inverted_real_cyclotomic(d), D_hat) ** 2
+                    norms[d] = resultant(_inverted_real_cyclotomic(d), D_hat) ** 2
             order *= norms[d]
             if not order:
                 break
         yield r, abs(order) or None
 
 
-def _inverted(D):
-    """y^g D(2 + 1/y), g = deg D: D(2 + z), by Horner, reversed."""
+def _inverted(p):
+    """y^n p(2 + 1/y), n = deg p: p(2 + z), by Horner, reversed."""
     shifted = []
-    for c in reversed(D.coeffs):
+    for c in reversed(p.coeffs):
         shifted = [2 * x + y for x, y in zip(shifted + [0], [0] + shifted)]
         shifted[0] += c
     return IntPolynomial(shifted[::-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _inverted_real_cyclotomic(d):
+    """Psi^_d = y^m Psi_d(2 + 1/y), m = phi(d)/2, d >= 3: of degree m, as
+    Psi_d(2) = Phi_d(1) != 0, with constant term lc(Psi_d) = 1."""
+    return _inverted(real_cyclotomic(d))
 
 
 def cover_order(delta, r):

@@ -324,29 +324,18 @@ def chebyshev_form(p):
     c = c[next((i for i, x in enumerate(c) if x), 0):]
     if len(c) % 2 == 0 or c != c[::-1]:
         raise ValueError("not t^k times a palindrome of even degree")
-    return IntPolynomial(_chebyshev_expansion(c, 0))
-
-
-def _chebyshev_expansion(c, at):
-    """Ascending coefficients in z of D(at + z), D the Chebyshev form of the
-    palindrome c of degree 2g: the sum of c[g] and c[g + j] T_j(at + z),
-    with each T_j(at + z) from T_0 = 2, T_1 = at + z and T_(j+1) =
-    (at + z) T_j - T_(j-1), in one pass over c."""
     g = len(c) // 2
     d = [c[g]] + [0] * g
-    prev, cur = [2], [at, 1]
+    prev, cur = [2], [0, 1]
     for cj in c[g + 1:]:
         if cj:
             for i, x in enumerate(cur):
                 d[i] += cj * x
         nxt = [0] + cur
-        if at:
-            for i, x in enumerate(cur):
-                nxt[i] += at * x
         for i, x in enumerate(prev):
             nxt[i] -= x
         prev, cur = cur, nxt
-    return d
+    return IntPolynomial(d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -361,19 +350,6 @@ def real_cyclotomic(d):
     if d < 3:
         raise ValueError("d must be >= 3")
     return chebyshev_form(cyclotomic(d))
-
-
-@functools.lru_cache(maxsize=None)
-def inverted_real_cyclotomic(d):
-    """y^m Psi_d(2 + 1/y), m = phi(d)/2, d >= 3: Psi_d(2 + z) reversed.
-
-    Its degree is m, as its leading coefficient Psi_d(2) = Phi_d(1) is
-    nonzero, and its constant term is lc(Psi_d) = 1.  Built in one pass from
-    Phi_d's palindrome, the Chebyshev recurrence expanded about x = 2.
-    """
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    return IntPolynomial(_chebyshev_expansion(cyclotomic(d).coeffs, 2)[::-1])
 
 
 @functools.lru_cache(maxsize=None)

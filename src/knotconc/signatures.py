@@ -575,13 +575,14 @@ MAX_VERIFY_Q = 101
 def verify_torus_lemma(q):
     """Check sigma_{a/q}(T_{2,q}) = 2 min(a, q-a), the closed form
     seifert.torus_2q_signatures that witness schedules use, for all a != 0
-    (so no q-th root is a jump and every value is >= 2) and sigma_{-1} =
-    q-1.  Both are read from one jump_step_check of T(2,q): a/q is the
-    grid point 2a/(2q), and every root of Delta lies on that grid, so
-    sigma there is JUMP where a jump is reported and else that of the arc
-    after it.  Its walk eliminates each arc once, and the arc next to 1
-    not at all: (q-1)/2 eliminations.  q past MAX_VERIFY_Q is refused
-    before the matrix is built."""
+    (so no q-th root is a jump and every value is >= 2), read from one
+    jump_step_check of T(2,q): a/q is the grid point 2a/(2q), and every
+    root of Delta lies on that grid, so sigma there is JUMP where a jump is
+    reported and else that of the arc after it.  At a = (q-1)/2 that is arc
+    q-1, which ends at -1, so the check includes sigma_{-1} = q-1.  Its
+    walk eliminates each arc once, and the arc next to 1 not at all:
+    (q-1)/2 eliminations.  q past MAX_VERIFY_Q is refused before the
+    matrix is built."""
     require_torus_q(q)
     # Past MAX_TORUS_Q, torus_2q refuses q with its own message.
     if MAX_VERIFY_Q < q <= MAX_TORUS_Q:
@@ -599,11 +600,6 @@ def verify_torus_lemma(q):
                 "sigma_{%d/%d}(T(2,%d)) is %s, the closed form 2 min(a, q-a) "
                 "gives %d" % (a, q, q, v, closed_form[a])
             )
-    sigma_minus_one = steps.sigma_at_minus_one
-    if sigma_minus_one != q - 1:
-        raise LemmaViolation(
-            "sigma_{-1}(T(2,%d)) is %s, expected %d" % (q, sigma_minus_one, q - 1)
-        )
     return TorusLemmaReport(min_signature=min(values), jump_steps=steps)
 
 
@@ -634,7 +630,8 @@ def jump_step_check(V, q):
     The remainder after the cyclotomic factors may be a unit +-t^k, which
     has no root on the unit circle.  The report keeps the signature on each
     of the 2q open arcs between neighbouring grid points, so under the
-    hypothesis it gives sigma everywhere off the grid's jumps.
+    hypothesis it gives sigma everywhere off the grid's jumps; sigma(-1) is
+    that of arc q-1, as -1 is never a root.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -653,15 +650,15 @@ def jump_step_check(V, q):
     # order is the index of one of these factors.
     multiplicity = dict(factors)
     # Signature on each open arc between consecutive 2q-grid points, at its
-    # midpoint (2j+1)/(4q), then at -1 = 2q/(4q), which ends the last one;
-    # arc j is the conjugate of arc 2q-1-j, so only the upper half is
-    # evaluated.
-    numerators = [*range(1, 2 * q, 2), 2 * q]
+    # midpoint (2j+1)/(4q); arc j is the conjugate of arc 2q-1-j, so only
+    # the upper half is evaluated.  The last of these, arc q-1, ends at -1,
+    # which is no root (Delta(-1) is odd), so sigma(-1) is its value.
+    numerators = range(1, 2 * q, 2)
     mid = [
         _off_jump(sigma, UnitRootArg(a, 4 * q))
         for a, sigma in zip(numerators, _Arcs(V).walk(numerators, 4 * q))
     ]
-    sigma_minus_one = mid.pop()
+    sigma_minus_one = mid[-1]
     mid += reversed(mid)
     jumps = []
     for j in range(1, 2 * q):

@@ -1,6 +1,7 @@
 """The package's own source and its tests: no module imports a name it never
 uses, no library module holds an `assert` statement, every field of a
-library class is read outside it, the package namespace exports exactly the
+library class is read outside it, every private function, method and class
+of the library is read in it, the package namespace exports exactly the
 README's list, every function the benchmark's tracer wraps by name exists,
 and the library's doctests pass."""
 
@@ -113,6 +114,42 @@ def test_unread_fields_are_found():
 
 def test_every_record_field_is_read_outside_its_class():
     assert unread_fields(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
+
+
+def unread_private_definitions(sources):
+    """The name of each function, method or class, over the modules'
+    sources, that starts with "_" and is no dunder, where no Name or
+    Attribute in them loads that name."""
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    loads = [node for node in nodes if isinstance(getattr(node, "ctx", None), ast.Load)]
+    read = {node.id for node in loads if isinstance(node, ast.Name)}
+    read |= {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    return sorted(
+        node.name
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    )
+
+
+def test_unread_private_definitions_are_found():
+    source = (
+        "def _a():\n    return _b()\n\n\n"
+        "def _b():\n    return _C()._n()\n\n\n"
+        "class _C:\n"
+        "    def __init__(self):\n        pass\n\n"
+        "    def _m(self):\n        pass\n\n"
+        "    def _n(self):\n        self._m = None\n"
+    )
+    assert unread_private_definitions([source]) == ["_a", "_m"]
+
+
+def test_no_private_definition_is_unread():
+    # A private helper whose only callers are tests is dead library code:
+    # the tests pin it, and nothing the package runs needs it.
+    assert unread_private_definitions(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
 
 
 def readme_exports():

@@ -368,8 +368,10 @@ class TestJumpStepProperties:
         except PreconditionUnverifiable:
             return
         assert all(abs(j.ccw_step) == 2 for j in report.jumps if j.simple)
-        # -1 is never a root: Delta(-1) is odd for a knot.
+        # -1 is never a root: Delta(-1) is odd for a knot, so sigma(-1) is
+        # that of arc q-1, which ends there.
         assert report.sigma_at_minus_one == numeric_signature(V, 1, 2)
+        assert report.sigma_at_minus_one == report.arc_signatures[q - 1]
 
     @pytest.mark.parametrize(
         "V, q",
