@@ -83,9 +83,9 @@ from .exactpoly import (
 def _knot_chebyshev_form(delta):
     """D = chebyshev_form(delta), refusing a delta with Delta(1) != +-1, or
     not symmetric up to +-t^k."""
-    if delta.is_zero() or delta(1) not in (1, -1):
+    if delta(1) not in (1, -1):
         raise NotAKnotPolynomial(
-            "Delta(1) must be +-1, got %s for %s" % (brief_int(delta(1)) if delta else 0, delta)
+            "Delta(1) must be +-1, got %s for %s" % (brief_int(delta(1)), delta)
         )
     try:
         return chebyshev_form(delta)

@@ -61,7 +61,9 @@ class TrivialAngle(KnotConcError):
 
 
 class PreconditionUnverifiable(KnotConcError):
-    """Jump analysis needs all unit-circle Alexander roots at known rational angles."""
+    """Jump analysis needs the Alexander polynomial to be +-t^k times
+    cyclotomic factors whose indices divide 2q; any other factor is refused,
+    even one with no root on the unit circle."""
 
 
 class LemmaViolation(KnotConcError):

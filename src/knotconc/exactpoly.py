@@ -162,14 +162,12 @@ class IntPolynomial(Record):
 
         Returns (q, r) with self = q*g + r and deg r < deg g.
         """
-        if g.is_zero() or not g.is_monic_unit():
+        if not g.is_monic_unit():
             raise DivisorNotMonicUnit(
                 "divisor must be nonzero with leading coefficient +-1, got %r" % (g,)
             )
         dg = g.degree()
         rem = list(self.coeffs)
-        if len(rem) <= dg:
-            return IntPolynomial(), self
         lc_inv = g.coeffs[-1]  # +-1 is its own inverse
         gc = g.coeffs
         quot = [0] * (len(rem) - dg)
@@ -436,8 +434,6 @@ def integer_determinant(rows):
     last diagonal entry read through its scale.
     """
     n = len(rows)
-    if n == 0:
-        return 1
     m = [list(row) for row in rows]
     for row in m:
         if len(row) != n:

@@ -86,13 +86,15 @@ between consecutive roots (Levine 1969, Tristram 1969).  Every signature,
 a single tl_signature as well as a profile or a jump-step check, whose arc
 signatures the torus lemma reads, is one walk over ascending angles
 (bisection, below) of an evaluator built for that call, which forms V +
-V^t, V^t - V and the Sturm sequence of D once.  For each angle it
-locates, the walk computes the bracket once and finds the angle's arc
-with it; it eliminates once per arc, at the arc's evaluation point, but
-the arc next to omega = 1 (Elimination), and copies the value to the
-other angles on that arc, the evaluator keeping the values for that one
-call.  That arc is the one whose Sturm count is V(2), taken once per
-evaluator and only when an arc is about to be eliminated.
+V^t, V^t - V and the Sturm sequence of D once.  The walk has two steps.
+arc_of turns each angle it locates into its arc and a root-free interval,
+the angle's widened bracket (locating, below).  _inertia evaluates an arc
+from its Sturm count and any interval on it that holds no root of D,
+nothing more: once per arc, at the arc's evaluation point, but the arc
+next to omega = 1 (Elimination).  The value is copied to the other angles
+on that arc, the evaluator keeping the values for that one call.  That
+arc is the one whose Sturm count is V(2), taken once per evaluator and
+only when an arc is about to be evaluated.
 
     arc index  Delta(t) = t^n Delta(1/t) for n = dim V even, so
                t^(-n/2) Delta(t) = D(t + 1/t) with D an integer polynomial
@@ -137,13 +139,12 @@ iB(V^t-V).  The arc through omega = -1 is evaluated at theta' = pi, where H
 = 2(V+V^t) is real: t = infinity, taken as (A, B) = (1, 0).  Its Sturm
 count is V(-2), as -2 is no root of D: D(-2) = (-1)^g Delta(-1), and
 Delta(-1) = +-det(V+V^t) is odd.  On every other arc the point aims at the
-centre x of the located bracket clipped to [-2, 2], where t^2 =
+centre x of the arc's root-free interval clipped to [-2, 2], where t^2 =
 (2-x)/(2+x): (A, B) = (N, 2^k) with N = max(1, isqrt(4^k t^2)) if t <= 1,
 else (2^k, N) with N = max(1, isqrt(4^k / t^2)), so neither is past 2^k.
 k doubles from 4 until x' = 2 cos theta' = 2(B^2-A^2)/(A^2+B^2) has the
-arc's Sturm count V(hi) and D(x') != 0, so that theta' lies on the arc of
-theta or of its conjugate (same inertia); a large enough k lands in the
-bracket.
+arc's Sturm count V(hi) and D(x') != 0, so that theta' lies on the arc or
+on its conjugate (same inertia); a large enough k lands in the interval.
 """
 
 import functools
@@ -174,14 +175,8 @@ class UnitRootArg(Record):
     def __init__(self, a, q):
         if q < 1:
             raise ValueError("q must be >= 1")
-        a %= q
-        if a == 0:
-            q = 1
-        else:
-            g = math.gcd(a, q)
-            a //= g
-            q //= g
-        super().__init__(a, q)
+        g = math.gcd(a, q)
+        super().__init__(a % q // g, q // g)
 
     @property
     def is_trivial(self):
@@ -369,10 +364,9 @@ def _angle_bracket(a, q, bits):
 
 def _arc_point(sturm, arc, lo, hi, bits):
     """(A, B, D < 0): t = A/B = tan(theta'/2), theta' on the arc with Sturm
-    count arc whose located bracket of 2 cos theta is [lo, hi] / 2^bits, and
-    whether D is negative at 2 cos theta'; see Evaluation point in the module
-    docstring.  The arc through omega = -1 takes (1, 0) instead
-    (_Arcs._point)."""
+    count arc on which [lo, hi] / 2^bits holds no root of D, and whether D is
+    negative at 2 cos theta'; see Evaluation point in the module docstring.
+    The arc through omega = -1 takes (1, 0) instead (_Arcs._inertia)."""
     two = 2 << bits
     lo, hi = max(lo, -two), min(hi, two)
     # Aim at x = (lo + hi) / 2^(bits+1), where t^2 = (2 - x) / (2 + x).
@@ -481,32 +475,24 @@ class _Arcs:
         return values
 
     def arc_of(self, w):
-        """(arc, bracket, bits) of w != 1, or None when omega is a root of
-        Delta.
+        """(arc, lo, hi, bits) of w != 1: its arc and the widened bracket [lo,
+        hi] / 2^bits of 2 cos theta, which holds no root of D; None when
+        omega is a root of Delta.
 
-        A located angle is no root, since its bracket holds no root of D;
-        only an undecided angle is looked up in Delta's cyclotomic split by
-        at_jump, and one that is no root is located by doubling the
-        bracket's bits.
+        Only an undecided first bracket is looked up in Delta's cyclotomic
+        split by at_jump; an angle that is no root is located by doubling
+        the bracket's bits (locating, module docstring).
         """
-        bits = _start_bits(w.q)
-        bracket = _angle_bracket(w.a, w.q, bits)
-        arc = self._locate(bracket, bits)
-        if arc is None and at_jump(self.V, w):
-            return None
-        while arc is None:
+        first = bits = _start_bits(w.q)
+        while True:
+            c, e = _angle_bracket(w.a, w.q, bits)
+            lo, hi = c - 2 * e - 1, c + 2 * e + 1
+            at_hi = _variations(self._sturm, hi, 1 << bits)
+            if at_hi is not None and _variations(self._sturm, lo, 1 << bits) == at_hi:
+                return at_hi[0], lo, hi, bits
+            if bits == first and at_jump(self.V, w):
+                return None
             bits *= 2
-            bracket = _angle_bracket(w.a, w.q, bits)
-            arc = self._locate(bracket, bits)
-        return arc, bracket, bits
-
-    def _locate(self, bracket, bits):
-        """The arc of the angle with this bracket, or None when undecided."""
-        lo, hi = _ends(bracket)
-        at_hi = _variations(self._sturm, hi, 1 << bits)
-        if at_hi is None or _variations(self._sturm, lo, 1 << bits) != at_hi:
-            return None
-        return at_hi[0]
 
     @functools.cached_property
     def _next_to_one(self):
@@ -520,18 +506,18 @@ class _Arcs:
         Delta(-1) = +-det(V + V^t) is odd, so -2 is no root."""
         return _variations(self._sturm, -2, 1)
 
-    def _point(self, arc, bracket, bits):
-        """(A, B, D < 0) at the arc's evaluation point: on the arc through
-        omega = -1, theta' = pi and (A, B) = (1, 0), the real form V + V^t;
-        on any other arc, _arc_point's."""
-        if arc == self._through_minus_one[0]:
-            return 1, 0, self._through_minus_one[1]
-        return _arc_point(self._sturm, arc, *_ends(bracket), bits)
-
-    def _inertia(self, arc, bracket, bits):
+    def _inertia(self, arc, lo, hi, bits):
+        """The signature on the arc with Sturm count arc, from any interval
+        [lo, hi] / 2^bits on it that holds no root of D: 0 next to omega = 1,
+        else the inertia at the arc's evaluation point (Evaluation point,
+        module docstring), theta' = pi and (A, B) = (1, 0) on the arc
+        through omega = -1."""
         if arc == self._next_to_one:
             return 0  # a theorem: Elimination, module docstring
-        a, b, d_negative = self._point(arc, bracket, bits)
+        if arc == self._through_minus_one[0]:
+            a, b, d_negative = 1, 0, self._through_minus_one[1]
+        else:
+            a, b, d_negative = _arc_point(self._sturm, arc, lo, hi, bits)
         pos, neg = _form_inertia(self._sym, self._skew, a, b)
         # sigma = 2 [D < 0] mod 4 at the point: Elimination, module docstring.
         if pos + neg != self.V.dim or (pos - neg) % 4 != 2 * d_negative:
@@ -539,12 +525,6 @@ class _Arcs:
                 "the inertia (%d, %d) is off sigma = 2 [D < 0] mod 4" % (pos, neg)
             )
         return pos - neg
-
-
-def _ends(bracket):
-    """The ends lo < hi of the bracket of 2 cos theta, widened by one unit."""
-    c, e = bracket
-    return c - 2 * e - 1, c + 2 * e + 1
 
 
 def signature_profile(V, q):
@@ -624,14 +604,15 @@ class JumpStepReport(Record):
 def jump_step_check(V, q):
     """Locate signature jumps on the 2q-grid and check each simple one is +-2.
 
-    Requires every unit-circle root of the Alexander polynomial to be a root
-    of unity of order dividing 2q; one-sided values are read off at the 4q-th
-    root midpoints, which are never Alexander roots under that hypothesis.
-    The remainder after the cyclotomic factors may be a unit +-t^k, which
-    has no root on the unit circle.  The report keeps the signature on each
-    of the 2q open arcs between neighbouring grid points, so under the
-    hypothesis it gives sigma everywhere off the grid's jumps; sigma(-1) is
-    that of arc q-1, as -1 is never a root.
+    Requires the Alexander polynomial to be a unit +-t^k times cyclotomic
+    factors whose indices divide 2q, so that every root is a root of unity
+    of order dividing 2q; any other factor is refused, even one with no
+    root on the unit circle, such as the figure eight's -t^2 + 3t - 1.
+    One-sided values are read off at the 4q-th root midpoints, which are
+    never Alexander roots under that hypothesis.  The report keeps the
+    signature on each of the 2q open arcs between neighbouring grid points,
+    so under the hypothesis it gives sigma everywhere off the grid's jumps;
+    sigma(-1) is that of arc q-1, as -1 is never a root.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -75,6 +75,8 @@ class TestCoverOrder:
             cover_order(P([2]), 2)
         with pytest.raises(NotAKnotPolynomial):
             cover_order(P([1, 1]), 2)
+        with pytest.raises(NotAKnotPolynomial, match="got 0 for 0"):
+            cover_order(P(), 2)
 
     def test_rejects_r_below_one_when_consumed(self):
         orders = cover_orders(TREFOIL_DELTA, [0])  # lazy: nothing runs yet

@@ -121,6 +121,8 @@ class TestDivision:
     def test_remainder(self):
         q, r = P([1, 0, 1]).divmod_exact(P([-1, 1]))
         assert q == P([1, 1]) and r == P([2])
+        # A dividend of lower degree is its own remainder.
+        assert P([3, 1]).divmod_exact(P([1, 1, 1])) == (P(), P([3, 1]))
 
     def test_rejects_non_monic(self):
         with pytest.raises(DivisorNotMonicUnit):

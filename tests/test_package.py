@@ -1,7 +1,8 @@
 """The package's own source and its tests: no module imports a name it never
 uses, no library module holds an `assert` statement, every field of a
 library class is read outside it, every private function, method and class
-of the library is read in it, the package namespace exports exactly the
+of the library is read in it, and every public one too unless it is an
+export or a tracer target, the package namespace exports exactly the
 README's list, every function the benchmark's tracer wraps by name exists,
 and the library's doctests pass."""
 
@@ -116,10 +117,11 @@ def test_every_record_field_is_read_outside_its_class():
     assert unread_fields(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
 
 
-def unread_private_definitions(sources):
+def unread_definitions(sources, private=True):
     """The name of each function, method or class, over the modules'
-    sources, that starts with "_" and is no dunder, where no Name or
-    Attribute in them loads that name."""
+    sources, that no Name or Attribute in them loads: those that start with
+    "_" and are no dunder, or with private=False those that do not start
+    with "_"."""
     nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
     loads = [node for node in nodes if isinstance(getattr(node, "ctx", None), ast.Load)]
     read = {node.id for node in loads if isinstance(node, ast.Name)}
@@ -128,7 +130,7 @@ def unread_private_definitions(sources):
         node.name
         for node in nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read
     )
@@ -143,13 +145,36 @@ def test_unread_private_definitions_are_found():
         "    def _m(self):\n        pass\n\n"
         "    def _n(self):\n        self._m = None\n"
     )
-    assert unread_private_definitions([source]) == ["_a", "_m"]
+    assert unread_definitions([source]) == ["_a", "_m"]
 
 
 def test_no_private_definition_is_unread():
     # A private helper whose only callers are tests is dead library code:
     # the tests pin it, and nothing the package runs needs it.
-    assert unread_private_definitions(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
+    assert unread_definitions(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
+
+
+def test_unread_public_definitions_are_found():
+    source = (
+        "def a():\n    return b()\n\n\n"
+        "def b():\n    return C().n()\n\n\n"
+        "class C:\n"
+        "    def __init__(self):\n        pass\n\n"
+        "    def m(self):\n        pass\n\n"
+        "    def n(self):\n        self.m = None\n\n\n"
+        "def _p():\n    pass\n"
+    )
+    assert unread_definitions([source], private=False) == ["a", "m"]
+
+
+def test_no_public_definition_is_unread():
+    # The public counterpart: a public function, method or class that the
+    # package never reads must be an export or a function the benchmark's
+    # tracer wraps, else only tests pin it.
+    exempt = {name for names in readme_exports().values() for name in names}
+    exempt |= {name.split(".")[-1] for _layer, name in tracer_targets()}
+    sources = (path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert [name for name in unread_definitions(sources, private=False) if name not in exempt] == []
 
 
 def readme_exports():
@@ -178,14 +203,20 @@ def test_exports_are_the_readme_list():
             assert getattr(knotconc, name) is getattr(owner, name), (module, name)
 
 
-def test_every_tracer_target_resolves():
-    # perfbench/tracer.py wraps its TARGETS by name, and a renamed or deleted
-    # function would fail the benchmark's run, not this suite.
+def tracer_targets():
+    """perfbench/tracer.py's TARGETS, (layer, name) pairs, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.TARGETS
-    for layer, name in tracer.TARGETS:
+    return tracer.TARGETS
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py wraps its TARGETS by name, and a renamed or deleted
+    # function would fail the benchmark's run, not this suite.
+    targets = tracer_targets()
+    assert targets
+    for layer, name in targets:
         target = importlib.import_module("knotconc." + layer)
         for part in name.split("."):
             target = getattr(target, part, None)

@@ -86,6 +86,7 @@ class TestUnitRootArg:
         w = UnitRootArg(0, 5)
         assert w.is_trivial and w.q == 1
         assert UnitRootArg(5, 5).is_trivial
+        assert UnitRootArg(-10, 5) == UnitRootArg(0, 1) == w
 
     def test_negative_numerator(self):
         assert UnitRootArg(-1, 3) == UnitRootArg(2, 3)
@@ -326,10 +327,12 @@ class TestJumpSteps:
         assert all(not j.simple and j.away_step == 4 for j in report.jumps)
 
     def test_non_cyclotomic_rejected(self):
-        # Genus-2 matrix whose Alexander polynomial has a non-cyclotomic factor.
-        V = connected_sum(FIGURE_EIGHT, TREFOIL)
-        with pytest.raises(PreconditionUnverifiable):
-            jump_step_check(V, 6)
+        # Alexander polynomials with a non-cyclotomic factor: the figure
+        # eight's -t^2 + 3t - 1 has no root on the unit circle, and is
+        # refused all the same, alone and summed with the trefoil.
+        for V in (FIGURE_EIGHT, connected_sum(FIGURE_EIGHT, TREFOIL)):
+            with pytest.raises(PreconditionUnverifiable, match="non-cyclotomic factor"):
+                jump_step_check(V, 6)
 
     def test_index_not_dividing_grid_rejected(self):
         with pytest.raises(PreconditionUnverifiable):
@@ -443,28 +446,36 @@ def _bracket(w):
     return signatures._angle_bracket(w.a, w.q, bits), bits
 
 
+def _interval(w):
+    """(lo, hi, bits): the angle's first bracket, widened as arc_of widens
+    it, in units of 2^-bits."""
+    (c, e), bits = _bracket(w)
+    return c - 2 * e - 1, c + 2 * e + 1, bits
+
+
 def _located(V, w):
-    """(evaluator, arc, bracket, bits) of w, whose first bracket must be
+    """(evaluator, arc, lo, hi, bits) of w, whose first bracket must be
     located."""
-    bracket, bits = _bracket(w)
     arcs = signatures._Arcs(V)
-    arc = arcs._locate(bracket, bits)
+    arc = _locate(arcs, w)
     assert arc is not None
-    return arcs, arc, bracket, bits
+    return (arcs, arc) + _interval(w)
 
 
 def _point(V, w):
-    """The evaluation point (A, B) of the arc of w, as the evaluator takes
-    it."""
-    arcs, arc, bracket, bits = _located(V, w)
-    return arcs._point(arc, bracket, bits)[:2]
+    """The evaluation point (A, B) of the arc of w, as _inertia takes it:
+    (1, 0) on the arc through omega = -1, else _aimed_point's."""
+    arcs, arc = _located(V, w)[:2]
+    if arc == arcs._through_minus_one[0]:
+        return 1, 0
+    return _aimed_point(V, w)
 
 
 def _aimed_point(V, w):
     """The point (A, B) that _arc_point aims from the bracket of w, as on
     every arc but the one through omega = -1."""
-    arcs, arc, bracket, bits = _located(V, w)
-    return signatures._arc_point(arcs._sturm, arc, *signatures._ends(bracket), bits)[:2]
+    arcs, arc, lo, hi, bits = _located(V, w)
+    return signatures._arc_point(arcs._sturm, arc, lo, hi, bits)[:2]
 
 
 def _realified_inertia(sym, skew, a, b):
@@ -832,8 +843,29 @@ def _counting(monkeypatch, *names):
 
 
 def _locate(arcs, w):
-    """The arc of w on arcs at its first bracket, or None when undecided."""
-    return arcs._locate(*_bracket(w))
+    """The arc of w on arcs at its first bracket, or None when undecided:
+    the Sturm count where both ends of the widened bracket have it."""
+    lo, hi, bits = _interval(w)
+    at_hi = signatures._variations(arcs._sturm, hi, 1 << bits)
+    if at_hi is None or signatures._variations(arcs._sturm, lo, 1 << bits) != at_hi:
+        return None
+    return at_hi[0]
+
+
+def _root_free_intervals(arcs, bits):
+    """{arc: (lo, hi)}: for each Sturm count on [-2, 2], the first interval
+    [lo, hi] / 2^bits that bisecting [-2, 2] finds with that count at both
+    ends, so that it holds no root of D; no angle's bracket is involved."""
+    den, found, runs = 1 << bits, {}, [(-2 << bits, 2 << bits)]
+    while runs:
+        lo, hi = runs.pop()
+        at_lo = signatures._variations(arcs._sturm, lo, den)
+        if at_lo is not None and at_lo == signatures._variations(arcs._sturm, hi, den):
+            found.setdefault(at_lo[0], (lo, hi))
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            runs += [(lo, mid), (mid, hi)]
+    return found
 
 
 def _sturm(V):
@@ -1003,6 +1035,28 @@ class TestArcs:
         arcs = signatures._Arcs(NEAR_ROOT)
         assert _locate(arcs, NEAR_ROOT_5E16) == _locate(arcs, UnitRootArg(1, 100))
         assert _locate(arcs, UnitRootArg(1, 2)) != _locate(arcs, UnitRootArg(1, 100))
+
+    @pytest.mark.parametrize(
+        "forms, q",
+        [([torus_2q(7)], 14), ([TREFOIL], 12), ([torus_2q(31)], 62)]
+        + [([random_seifert(random.Random(seed), g) for seed in range(20)], 12) for g in range(1, 7)],
+        ids=["T(2,7)", "trefoil", "T(2,31)"] + ["genus-%d" % g for g in range(1, 7)],
+    )
+    def test_arc_is_evaluated_from_any_root_free_interval(self, forms, q):
+        # _inertia needs an arc's Sturm count and an interval on it that holds
+        # no root of D, not an angle: here the intervals come from bisecting
+        # [-2, 2] at 24 bits, and each arc's value is the profile's at every
+        # angle on it.
+        for V in forms:
+            arcs = signatures._Arcs(V)
+            intervals = _root_free_intervals(arcs, 24)
+            first, last = arcs._next_to_one, arcs._through_minus_one[0]
+            assert sorted(intervals) == list(range(first, last + 1))
+            values = {arc: arcs._inertia(arc, lo, hi, 24) for arc, (lo, hi) in intervals.items()}
+            profile = signature_profile(V, q)
+            for a in range(1, q):
+                spot = arcs.arc_of(UnitRootArg(a, q))
+                assert profile[a] == (JUMP if spot is None else values[spot[0]]), (V, a)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32), genus=st.integers(1, 4))
